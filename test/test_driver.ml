@@ -197,6 +197,20 @@ let test_cache_key_separator () =
     "arity matters" false
     (Cache.key [ "a"; "" ] = Cache.key [ "a" ])
 
+(* Content addresses of one static and one dynamic gemm job.  Entries
+   already in a .mhlsc-cache directory stay addressable only while
+   these hold, so update them only with a tool-version bump. *)
+let test_cache_key_pinned () =
+  let key sched =
+    D.cache_key ~pipeline:P.default (D.job ~sched ~kernel:"gemm" K.pipelined)
+  in
+  Alcotest.(check (option string))
+    "static gemm key" (Some "807c69d836cc74475dc847a95c963c48")
+    (key Hls_backend.Backend.Static);
+  Alcotest.(check (option string))
+    "dynamic gemm key" (Some "a0fd1427ab3acd901dab928c9103ed88")
+    (key Hls_backend.Backend.Dynamic)
+
 (* ------------------------------------------------------------------ *)
 (* Trace schema                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -303,6 +317,7 @@ let suite =
     Alcotest.test_case "cache invalidation on pipeline change" `Quick
       test_cache_invalidation_on_pipeline_change;
     Alcotest.test_case "cache key separator" `Quick test_cache_key_separator;
+    Alcotest.test_case "cache key pinned" `Quick test_cache_key_pinned;
     Alcotest.test_case "trace schema golden" `Quick test_trace_schema_golden;
     Alcotest.test_case "trace schema rejects malformed" `Quick
       test_trace_schema_rejects_malformed;
