@@ -11,6 +11,7 @@
     ablation shows what a flow without that step would ship. *)
 
 module K = Workloads.Kernels
+module B = Hls_backend.Backend
 module E = Hls_backend.Estimate
 
 (* process boundary: surface adaptor diagnostics and bail *)
@@ -49,14 +50,14 @@ let () =
     report.Adaptor.descriptors.Adaptor.Eliminate_descriptors.delinearized
     report.Adaptor.descriptors.Adaptor.Eliminate_descriptors.flat_fallback;
   show_access_shapes full_ir;
-  let full = E.synthesize ~top:"conv2d" full_ir in
+  let full = B.synthesize ~top:"conv2d" full_ir in
   Printf.printf "  latency: %d cycles\n\n" full.E.latency;
 
   print_endline "--- ablation: flat views (shape information lost) ---";
   let m = kernel.K.build directives in
   let flat_ir, _, _ = frontend ~pipeline:Adaptor.Pipeline.flat_views m in
   show_access_shapes flat_ir;
-  let flat = E.synthesize ~top:"conv2d" flat_ir in
+  let flat = B.synthesize ~top:"conv2d" flat_ir in
   Printf.printf "  latency: %d cycles\n\n" flat.E.latency;
 
   Printf.printf "delinearization speedup at partition factor 4: %.2fx\n"

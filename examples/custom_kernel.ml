@@ -82,7 +82,7 @@ let () =
   in
   Printf.printf "\nadaptor: %d issues closed\n"
     (List.length report.Adaptor.issues_before);
-  let r = Hls_backend.Estimate.synthesize ~top:"wavg" lm in
+  let r = Hls_backend.Backend.synthesize ~top:"wavg" lm in
   print_string (Hls_backend.Report.render r);
 
   (* baseline flow agrees functionally *)

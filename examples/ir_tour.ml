@@ -72,7 +72,7 @@ let () =
   Printf.printf "\nremaining issues: %d\n" (List.length report.Adaptor.issues_after);
 
   banner "6. synthesis + functional check";
-  let r = Hls_backend.Estimate.synthesize ~top:"dot" adapted in
+  let r = Hls_backend.Backend.synthesize ~top:"dot" adapted in
   print_string (Hls_backend.Report.render r);
   (* run it: dot of [1..8] with itself = 204 *)
   let st = Llvmir.Linterp.create adapted in

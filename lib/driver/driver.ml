@@ -196,12 +196,9 @@ let cache_key ~(pipeline : Adaptor.Pipeline.t) (j : job) : string option =
              Adaptor.Pipeline.describe pipeline;
              directives_describe j.directives;
              Flow.flow_name j.flow;
-             (* backend name, not the [sched] constructor: the key must
-                survive variant renames and third-party backends *)
-             (let (module B) =
-                Hls_backend.Backend.of_sched j.sched
-              in
-              B.name);
+             (* the discipline's wire name, not its constructor, so
+                keys survive variant renames *)
+             Hls_backend.Backend.sched_name j.sched;
              Printf.sprintf "%.3f" j.clock_ns;
            ])
 

@@ -1,33 +1,28 @@
-(** Estimation-backend API: scheduling disciplines over one IR, each
-    implementing [schedule] / [bind] / [synthesize] behind the same
-    report shape. *)
+(** The HLS estimator: one loop-nest walk that times the top function
+    of an adapted module under a scheduling discipline and prices it
+    into an {!Estimate.report}. *)
 
+(** A scheduling discipline.  [Static] is the Vitis-style list
+    scheduler; [Dynamic] is a Dynamatic-style elastic dataflow
+    circuit. *)
 type sched = Static | Dynamic
 
+(** Wire/cache-key name of a discipline: ["static"] / ["dynamic"]. *)
 val sched_name : sched -> string
+
 val sched_of_name : string -> sched option
 val all_scheds : sched list
 
-module type S = sig
-  val name : string
-  val describe : string
+(** Elastic-channel geometry used for FIFO costing under [Dynamic]. *)
+val channel_bits : int
 
-  val schedule :
-    ?clock_ns:float -> top:string -> Llvmir.Lmodule.t -> Qor.plan
+val channel_depth : int
 
-  val bind : Qor.plan -> Qor.resources
-
-  val synthesize :
-    ?clock_ns:float -> top:string -> Llvmir.Lmodule.t -> Qor.report
-end
-
-val of_sched : sched -> (module S)
-
-(** Synthesize under the given discipline.
-    @raise Qor.Rejected when the module is not synthesizable. *)
+(** Estimate the top function under [sched] (default [Static]).
+    @raise Estimate.Rejected when the module is not synthesizable. *)
 val synthesize :
   ?clock_ns:float ->
-  sched:sched ->
+  ?sched:sched ->
   top:string ->
   Llvmir.Lmodule.t ->
-  Qor.report
+  Estimate.report

@@ -1,17 +1,52 @@
-(** QoR estimation façade: re-exports the {!Qor} report vocabulary
-    (same types, same {!Qor.Rejected} exception identity) and provides
-    {!synthesize} as a thin alias over the default statically-scheduled
-    backend ({!Backend_static}).
+(** The estimator's report vocabulary: what {!Backend.synthesize}
+    returns under either scheduling discipline. *)
 
-    Callers that want to choose a scheduling discipline go through
-    {!Backend.synthesize}; everything downstream keeps consuming the
-    one [report] shape defined here. *)
+type resources = { bram : int; dsp : int; ff : int; lut : int }
 
-include module type of struct
-  include Qor
-end
+val res_add : resources -> resources -> resources
+val res_zero : resources
 
-(** Estimate the top function of an adapted module with the static
-    list-scheduling backend.
-    @raise Rejected when the module is not synthesizable. *)
-val synthesize : ?clock_ns:float -> top:string -> Llvmir.Lmodule.t -> report
+type loop_report = {
+  label : string;
+  depth : int;
+  tripcount : int;
+  unroll : int;
+  pipelined : bool;
+  target_ii : int option;
+  achieved_ii : int option;
+  rec_mii : int;
+  res_mii : int;
+  iteration_latency : int;
+  total_latency : int;
+  mem_accesses : (string * int) list;
+}
+
+type report = {
+  top : string;
+  clock_ns : float;
+  latency : int;
+  interval : int;
+  loops : loop_report list;
+  resources : resources;
+  arrays : Directives.array_info list;
+  warnings : string list;
+}
+
+(** The module is outside the HLS-readable subset.  The payload lists
+    the reasons. *)
+exception Rejected of string list
+
+type qor_key = {
+  qk_latency : int;
+  qk_bram : int;
+  qk_dsp : int;
+  qk_ff : int;
+  qk_lut : int;
+}
+
+val qor_key : report -> qor_key
+val qor_compare : qor_key -> qor_key -> int
+val qor_to_string : qor_key -> string
+
+(** BRAM banks an array occupies after partitioning. *)
+val bram_of_array : Directives.array_info -> int

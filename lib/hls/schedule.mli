@@ -1,14 +1,13 @@
-(** List-scheduling of one loop body: builds the dependence graph over
-    the body's items, binds memory accesses to array ports, and
-    computes the recurrence- and resource-constrained minimum
-    initiation intervals. *)
+(** Dependence graph of one loop body (or function body), its list
+    schedule, and the longest path around its loop-carried values. *)
 
 module Sym = Support.Interner
 
 type item =
   | Instr of Llvmir.Linstr.t
-  | Inner of { loop_idx : int; latency : int }
-      (** a fully scheduled inner loop, treated as one long operation *)
+  | Inner of int
+      (** latency of a fully scheduled inner loop, treated as one long
+          operation *)
 
 type node = {
   nid : int;
@@ -17,9 +16,7 @@ type node = {
   delay : float;
   cost : Op_model.cost;
   array : string option;
-  is_store : bool;
   is_inner : bool;
-  inner_idx : int;
   result : Sym.t;
   replica : int;
   preds : int list;
@@ -27,20 +24,28 @@ type node = {
 }
 
 type t = {
-  nodes : node array;
-  length : int;  (** schedule length in cycles *)
-  starts : int array;
-  finishes : int array;
-  rec_mii : int;
-  res_mii : int;
+  nodes : node array;  (** every predecessor has a smaller [nid] *)
   mem_accesses : (string * int) list;
 }
 
-val run :
-  clock_ns:float ->
-  arrays:Directives.array_info list ->
+(** Build the dependence graph of [items], instantiated [replicas]
+    times, with [carries] the [(phi, latch)] pairs of loop-carried
+    values. *)
+val build :
   carries:(Sym.t * Sym.t) list ->
   replicas:int ->
   idx:Llvmir.Findex.t ->
   item list ->
   t
+
+(** List-schedule the graph under [clock_ns] with [ports_of] memory
+    ports per array: start cycle of every node, and the schedule
+    length. *)
+val list_schedule :
+  clock_ns:float -> ports_of:(string -> int) -> t -> int array * int
+
+(** Longest [weight]ed path from a reader of a carry phi (replica 0)
+    to the final replica's definition of its latch value, over all
+    [carries]; 0 when no such path exists. *)
+val longest_carried_path :
+  weight:(node -> int) -> replicas:int -> t -> (Sym.t * Sym.t) list -> int

@@ -77,7 +77,7 @@ let test_unroll_through_full_flow () =
   let k = K.gemm () in
   let m = Loop_unroll.run ~factor:2 (k.K.build K.pipelined) in
   let lm, _, _ = Flow_util.frontend_exn m in
-  let r = Hls_backend.Estimate.synthesize ~top:"gemm" lm in
+  let r = Hls_backend.Backend.synthesize ~top:"gemm" lm in
   Alcotest.(check bool) "synthesizes" true (r.Hls_backend.Estimate.latency > 0);
   (* and computes the right thing *)
   let reference = Flow.run_reference k in

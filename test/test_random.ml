@@ -242,7 +242,7 @@ let prop_synthesis_total =
       let lowered = Lowering.Lower.lower_module (Canonicalize.run m) in
       let opt = fst (Llvmir.Pass.run_pipeline Llvmir.Pass.default_pipeline lowered) in
       let adapted, _ = Adaptor.run_exn opt in
-      let r = Hls_backend.Estimate.synthesize ~top:"rnd" adapted in
+      let r = Hls_backend.Backend.synthesize ~top:"rnd" adapted in
       r.Hls_backend.Estimate.latency > 0)
 
 let suite =
