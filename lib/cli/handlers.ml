@@ -423,37 +423,13 @@ let emit ~(kernel : string) ~(stage : emit_stage)
       let _, cpp, _ = Flow.hls_cpp_frontend m in
       Ok cpp
 
-type compare_resp = {
-  cm_direct : E.report;
-  cm_cpp : E.report;
-  cm_direct_dyn : E.report;
-  cm_cpp_dyn : E.report;
-  cm_direct_seconds : float;
-  cm_cpp_seconds : float;
-  cm_direct_dyn_seconds : float;
-  cm_cpp_dyn_seconds : float;
-  cm_ratio : float;  (** cpp/direct latency on the static cells *)
-}
-
-(** Run the full 2×2 grid — frontend (direct-IR vs HLS C++) ×
-    scheduling discipline (static vs dynamic) — on one kernel. *)
+(** Run the full grid — frontend (direct-IR vs HLS C++) × scheduling
+    discipline — on one kernel ({!Flow.compare_flows}). *)
 let compare_kernel ~(kernel : string) ~(directives : P.directives)
-    ~(clock_ns : float) : (compare_resp, Diag.t list) result =
+    ~(clock_ns : float) : (Flow.result list, Diag.t list) result =
   let* k = find_kernel kernel in
   let* d = directives_of_protocol directives in
-  let c = Flow.compare_flows ~directives:d ~clock_ns k in
-  Ok
-    {
-      cm_direct = c.Flow.direct.Flow.hls;
-      cm_cpp = c.Flow.cpp.Flow.hls;
-      cm_direct_dyn = c.Flow.direct_dyn.Flow.hls;
-      cm_cpp_dyn = c.Flow.cpp_dyn.Flow.hls;
-      cm_direct_seconds = c.Flow.direct.Flow.seconds;
-      cm_cpp_seconds = c.Flow.cpp.Flow.seconds;
-      cm_direct_dyn_seconds = c.Flow.direct_dyn.Flow.seconds;
-      cm_cpp_dyn_seconds = c.Flow.cpp_dyn.Flow.seconds;
-      cm_ratio = Flow.latency_ratio c;
-    }
+  Ok (Flow.compare_flows ~directives:d ~clock_ns k)
 
 (** Three-way co-simulation. *)
 let cosim ~(kernel : string) ~(directives : P.directives) :

@@ -26,29 +26,28 @@ let compile ?(verbose = false) (r : P.compile_resp) : string =
   ^ (if verbose then Option.value r.P.cr_adaptor ~default:"" else "")
   ^ r.P.cr_report
 
-(** `mhlsc compare`: the 2×2 grid — frontend (direct-IR vs HLS C++) ×
-    scheduling discipline (static vs dynamic).  The first two columns
-    are the statically-scheduled cells the paper compares; the ratio
-    line is computed on them. *)
-let compare (c : Handlers.compare_resp) : string =
+(** `mhlsc compare`: one column per cell of the {!Flow.compare_flows}
+    grid, in its order.  The statically-scheduled cells carry the
+    paper's flow names, and the ratio line is computed on them. *)
+let compare (cells : Flow.result list) : string =
   let b = Buffer.create 512 in
   let row name f =
-    Buffer.add_string b
-      (Printf.sprintf "%-12s %12s %12s %12s %12s\n" name
-         (f c.Handlers.cm_direct c.Handlers.cm_direct_seconds)
-         (f c.Handlers.cm_cpp c.Handlers.cm_cpp_seconds)
-         (f c.Handlers.cm_direct_dyn c.Handlers.cm_direct_dyn_seconds)
-         (f c.Handlers.cm_cpp_dyn c.Handlers.cm_cpp_dyn_seconds))
+    Buffer.add_string b (Printf.sprintf "%-12s" name);
+    List.iter (fun c -> Buffer.add_string b (Printf.sprintf " %12s" (f c))) cells;
+    Buffer.add_char b '\n'
   in
+  row "" (fun c ->
+      match (c.Flow.sched, c.Flow.kind) with
+      | Hls_backend.Backend.Static, Flow.Direct_ir -> "direct-IR"
+      | Static, Hls_cpp -> "HLS C++"
+      | Dynamic, Direct_ir -> "direct/dyn"
+      | Dynamic, Hls_cpp -> "cpp/dyn");
+  row "latency" (fun c -> string_of_int c.Flow.hls.E.latency);
+  row "BRAM" (fun c -> string_of_int c.Flow.hls.E.resources.E.bram);
+  row "DSP" (fun c -> string_of_int c.Flow.hls.E.resources.E.dsp);
+  row "time (ms)" (fun c -> Printf.sprintf "%.1f" (c.Flow.seconds *. 1000.0));
   Buffer.add_string b
-    (Printf.sprintf "%-12s %12s %12s %12s %12s\n" "" "direct-IR" "HLS C++"
-       "direct/dyn" "cpp/dyn");
-  row "latency" (fun r _ -> string_of_int r.E.latency);
-  row "BRAM" (fun r _ -> string_of_int r.E.resources.E.bram);
-  row "DSP" (fun r _ -> string_of_int r.E.resources.E.dsp);
-  row "time (ms)" (fun _ s -> Printf.sprintf "%.1f" (s *. 1000.0));
-  Buffer.add_string b
-    (Printf.sprintf "latency ratio (cpp/direct): %.3f\n" c.Handlers.cm_ratio);
+    (Printf.sprintf "latency ratio (cpp/direct): %.3f\n" (Flow.latency_ratio cells));
   Buffer.contents b
 
 (** `mhlsc cosim` (stdout part; the exit code comes from [ok]). *)

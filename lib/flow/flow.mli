@@ -132,24 +132,16 @@ val cosim :
 (* Comparison                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** The paper's flow comparison, generalized to a 2×2 grid: frontend
-    (direct-IR vs HLS C++) × scheduling discipline (static vs
-    dynamic).  [direct]/[cpp] are the statically-scheduled cells. *)
-type comparison = {
-  c_kernel : string;
-  direct : result;
-  cpp : result;
-  direct_dyn : result;
-  cpp_dyn : result;
-}
-
-(** Run both flows under both scheduling disciplines on a kernel. *)
+(** The paper's flow comparison, generalized to a grid: both flows
+    under every scheduling discipline, one result per cell
+    (disciplines in {!Hls_backend.Backend.all_scheds} order, direct-IR
+    before HLS C++ within each). *)
 val compare_flows :
   ?directives:Workloads.Kernels.directives ->
   ?clock_ns:float ->
   Workloads.Kernels.kernel ->
-  comparison
+  result list
 
 (** HLS-C++ over direct-IR latency, on the statically-scheduled
-    cells (the paper's headline number). *)
-val latency_ratio : comparison -> float
+    cells of a {!compare_flows} grid (the paper's headline number). *)
+val latency_ratio : result list -> float

@@ -275,31 +275,25 @@ let cosim ?(directives = K.pipelined) (kernel : K.kernel) : cosim_outcome =
 (* Comparison                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** The paper's flow comparison, generalized to a 2×2 grid:
-    frontend (direct-IR vs HLS C++) × scheduling discipline (static
-    vs dynamic).  [direct]/[cpp] are the statically-scheduled cells
-    the paper reports; [direct_dyn]/[cpp_dyn] are the same frontends
-    re-estimated under the elastic backend. *)
-type comparison = {
-  c_kernel : string;
-  direct : result;
-  cpp : result;
-  direct_dyn : result;
-  cpp_dyn : result;
-}
-
-(** Run both flows under both scheduling disciplines on a kernel. *)
+(** The paper's flow comparison, generalized to a grid: one result per
+    scheduling discipline × frontend, disciplines in
+    {!Hls_backend.Backend.all_scheds} order, direct-IR before HLS C++
+    within each. *)
 let compare_flows ?(directives = K.pipelined) ?clock_ns (kernel : K.kernel) :
-    comparison =
-  let cell sched kind = run_exn ~directives ?clock_ns ~sched kernel kind in
-  {
-    c_kernel = kernel.K.kname;
-    direct = cell Hls_backend.Backend.Static Direct_ir;
-    cpp = cell Hls_backend.Backend.Static Hls_cpp;
-    direct_dyn = cell Hls_backend.Backend.Dynamic Direct_ir;
-    cpp_dyn = cell Hls_backend.Backend.Dynamic Hls_cpp;
-  }
+    result list =
+  List.concat_map
+    (fun sched ->
+      List.map
+        (fun kind -> run_exn ~directives ?clock_ns ~sched kernel kind)
+        [ Direct_ir; Hls_cpp ])
+    Hls_backend.Backend.all_scheds
 
-let latency_ratio (c : comparison) =
-  float_of_int c.cpp.hls.Hls_backend.Estimate.latency
-  /. float_of_int (max 1 c.direct.hls.Hls_backend.Estimate.latency)
+let latency_ratio (cells : result list) =
+  let latency kind =
+    (List.find
+       (fun r -> r.kind = kind && r.sched = Hls_backend.Backend.Static)
+       cells)
+      .hls
+      .Hls_backend.Estimate.latency
+  in
+  float_of_int (latency Hls_cpp) /. float_of_int (max 1 (latency Direct_ir))
