@@ -175,6 +175,115 @@ let test_golden_frames () =
     (fun (frame, want) -> check "golden frame" want (P.frame_to_string frame))
     cases
 
+(* One ok response per payload kind: the bytes are pinned, and decoding
+   them gives back the very frame that was encoded. *)
+let payload_goldens =
+  let ok id p = P.Response { r_id = id; r_reply = P.Done p } in
+  [
+    ( ok 11
+        (P.R_compile
+           {
+             cr_kernel = "gemm";
+             cr_flow = "direct-ir";
+             cr_latency = 310;
+             cr_ii = 1;
+             cr_bram = 8;
+             cr_dsp = 20;
+             cr_lut = 2210;
+             cr_seconds = 0.5;
+             cr_from_cache = true;
+             cr_adaptor = Some "adaptor: 3 passes\n";
+             cr_report = "II\t1\n\"gemm\" \\ done\n";
+           }),
+      {|{"v": 1, "frame": "response", "id": 11, "status": "ok", "kind": "compile", "payload": {"kernel": "gemm", "flow": "direct-ir", "latency": 310, "ii": 1, "bram": 8, "dsp": 20, "lut": 2210, "seconds": 0.5, "from_cache": true, "adaptor": "adaptor: 3 passes\n", "report": "II\t1\n\"gemm\" \\ done\n"}}|}
+    );
+    ( ok 12
+        (P.R_lint
+           {
+             lr_diags =
+               [
+                 Support.Diag.warning ~rule:"HLS001" ~func:"gemm"
+                   ~location:"loop3.header" ~hint:"request II >= 4"
+                   "recurrence needs II >= %d" 4;
+                 Support.Diag.note ~rule:"HLS201" "no pragmas";
+               ];
+           }),
+      {|{"v": 1, "frame": "response", "id": 12, "status": "ok", "kind": "lint", "payload": {"diagnostics": [{"rule": "HLS001", "severity": "warning", "function": "gemm", "location": "loop3.header", "message": "recurrence needs II >= 4", "hint": "request II >= 4"}, {"rule": "HLS201", "severity": "note", "function": null, "location": null, "message": "no pragmas", "hint": null}]}}|}
+    );
+    ( ok 13
+        (P.R_opt
+           {
+             or_ir = "define void @f() {\n  ret void\n}\n";
+             or_passes = 7;
+             or_seconds = 0.125;
+             or_par_status = Some "parallel (4 functions)";
+             or_verdict = None;
+             or_safe = true;
+           }),
+      {|{"v": 1, "frame": "response", "id": 13, "status": "ok", "kind": "opt", "payload": {"ir": "define void @f() {\n  ret void\n}\n", "passes": 7, "seconds": 0.125, "par_status": "parallel (4 functions)", "verdict": null, "safe": true}}|}
+    );
+    ( ok 14
+        (P.R_dse
+           {
+             dr_report = "frontier: 3 points\n";
+             dr_best = Some ("middle-ii1-u1-A4-B4", 101);
+             dr_json = "{\"version\": 1}\n";
+           }),
+      {|{"v": 1, "frame": "response", "id": 14, "status": "ok", "kind": "dse", "payload": {"report": "frontier: 3 points\n", "best": {"label": "middle-ii1-u1-A4-B4", "latency": 101}, "dse_json": "{\"version\": 1}\n"}}|}
+    );
+    ( ok 15 (P.R_fuzz { fr_report = "5 specs, 0 mismatches\n"; fr_failures = 0 }),
+      {|{"v": 1, "frame": "response", "id": 15, "status": "ok", "kind": "fuzz", "payload": {"report": "5 specs, 0 mismatches\n", "failures": 0}}|}
+    );
+    ( ok 16
+        (P.R_list
+           [
+             { k_name = "gemm"; k_description = "C = alpha*A*B + beta*C" };
+             { k_name = "fir"; k_description = "16-tap FIR filter" };
+           ]),
+      {|{"v": 1, "frame": "response", "id": 16, "status": "ok", "kind": "list", "payload": {"kernels": [{"name": "gemm", "description": "C = alpha*A*B + beta*C"}, {"name": "fir", "description": "16-tap FIR filter"}]}}|}
+    );
+    ( ok 17
+        (P.R_stats
+           {
+             st_served = 40;
+             st_evaluated = 12;
+             st_coalesced = 3;
+             st_memo_hits = 25;
+             st_busy = 1;
+             st_cache_hits = 6;
+             st_cache_misses = 6;
+             st_queue_depth = 2;
+             st_queue_max = 64;
+             st_inflight = 3;
+             st_running = [ ("compile", 2); ("dse", 1) ];
+             st_cancelled = 1;
+             st_shed = 0;
+             st_latency =
+               [
+                 { ls_kind = "compile"; ls_count = 30; ls_p50_ms = 0.25;
+                   ls_p99_ms = 12.5 };
+                 { ls_kind = "dse"; ls_count = 2; ls_p50_ms = 40.0;
+                   ls_p99_ms = 41.75 };
+               ];
+           }),
+      {|{"v": 1, "frame": "response", "id": 17, "status": "ok", "kind": "stats", "payload": {"served": 40, "evaluated": 12, "coalesced": 3, "memo_hits": 25, "busy": 1, "cache_hits": 6, "cache_misses": 6, "queue_depth": 2, "queue_max": 64, "inflight": 3, "running": [{"kind": "compile", "n": 2}, {"kind": "dse", "n": 1}], "cancelled": 1, "shed": 0, "latency": [{"kind": "compile", "count": 30, "p50_ms": 0.25, "p99_ms": 12.5}, {"kind": "dse", "count": 2, "p50_ms": 40.0, "p99_ms": 41.75}]}}|}
+    );
+  ]
+
+let test_golden_payloads () =
+  List.iter
+    (fun (frame, want) ->
+      let kind =
+        match frame with
+        | P.Response { r_reply = P.Done p; _ } -> P.payload_kind p
+        | _ -> "?"
+      in
+      check ("golden " ^ kind ^ " payload") want (P.frame_to_string frame);
+      match P.frame_of_string want with
+      | Ok f -> checkb (kind ^ " decodes to the same frame") true (f = frame)
+      | Error e -> Alcotest.failf "%s golden does not decode: %s" kind e)
+    payload_goldens
+
 (* ------------------------------------------------------------------ *)
 (* Round-trips                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -832,6 +941,7 @@ let suite =
   [
     Alcotest.test_case "golden request json" `Quick test_golden_requests;
     Alcotest.test_case "golden frame json" `Quick test_golden_frames;
+    Alcotest.test_case "golden payload json" `Quick test_golden_payloads;
     Alcotest.test_case "request round-trip" `Quick test_request_roundtrip;
     Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
     Alcotest.test_case "lenient request defaults" `Quick test_lenient_defaults;
