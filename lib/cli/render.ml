@@ -63,16 +63,19 @@ let cosim (cs : Flow.cosim_outcome) : string =
 let rule_list ~json =
   let cat = Hls_backend.Lint.catalog in
   if json then
-    Printf.sprintf "[%s]\n"
-      (String.concat ", "
-         (List.map
-            (fun (id, sev, summary) ->
-              Printf.sprintf
-                "{\"id\": \"%s\", \"severity\": \"%s\", \"summary\": \"%s\"}"
-                id
-                (Support.Diag.severity_name sev)
-                summary)
-            cat))
+    Support.Json.(
+      to_string
+        (List
+           (List.map
+              (fun (id, sev, summary) ->
+                Obj
+                  [
+                    ("id", Str id);
+                    ("severity", Str (Support.Diag.severity_name sev));
+                    ("summary", Str summary);
+                  ])
+              cat)))
+    ^ "\n"
   else
     String.concat ""
       (List.map

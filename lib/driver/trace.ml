@@ -13,8 +13,9 @@
           "instrs_after": 118, "minor_words": 20480,
           "major_words": 1024, "cached": false }, ... ] }
     v}
-    {!validate} checks a trace against this schema structurally; the
-    golden schema test and CI both rely on it. *)
+    Printing and {!validate} share one field table per record, so the
+    validator checks exactly the schema the printer writes; the golden
+    schema test and CI both rely on it. *)
 
 type record = {
   tr_job : string;  (** job label the pass ran under *)
@@ -48,141 +49,63 @@ let of_event ~job ~kernel ~flow ~cached (e : Support.Tracing.event) : record =
   }
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission                                                      *)
+(* JSON                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape (s : string) =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Support.Json
 
-(** The record's fields, in schema order, as (key, rendered value). *)
+(* Allocation counters are whole words; they print as integers. *)
+let words = { Json.float with enc = (fun w -> Json.Int (Float.to_int w)) }
+
+let record_codec : record Json.codec =
+  Json.(
+    record
+      (fun tr_job tr_kernel tr_flow tr_stage tr_pass tr_seconds
+           tr_instrs_before tr_instrs_after tr_minor_words tr_major_words
+           tr_cached ->
+        { tr_job; tr_kernel; tr_flow; tr_stage; tr_pass; tr_seconds;
+          tr_instrs_before; tr_instrs_after; tr_minor_words; tr_major_words;
+          tr_cached })
+    |> field "job" string (fun r -> r.tr_job)
+    |> field "kernel" string (fun r -> r.tr_kernel)
+    |> field "flow" string (fun r -> r.tr_flow)
+    |> field "stage" string (fun r -> r.tr_stage)
+    |> field "pass" string (fun r -> r.tr_pass)
+    |> field "seconds" float (fun r -> r.tr_seconds)
+    |> field "instrs_before" int (fun r -> r.tr_instrs_before)
+    |> field "instrs_after" int (fun r -> r.tr_instrs_after)
+    |> field "minor_words" words (fun r -> r.tr_minor_words)
+    |> field "major_words" words (fun r -> r.tr_major_words)
+    |> field "cached" bool (fun r -> r.tr_cached)
+    |> seal)
+
+(* The whole file: the version stamp, the tool and the records. *)
+let document : (string * record list) Json.codec =
+  Json.(
+    record (fun () tool records -> (tool, records))
+    |> field "version" (schema schema_version) (fun _ -> ())
+    |> field "tool" string fst
+    |> field "records" (list record_codec) snd
+    |> seal)
+
 let record_fields (r : record) : (string * string) list =
-  [
-    ("job", Printf.sprintf "\"%s\"" (json_escape r.tr_job));
-    ("kernel", Printf.sprintf "\"%s\"" (json_escape r.tr_kernel));
-    ("flow", Printf.sprintf "\"%s\"" (json_escape r.tr_flow));
-    ("stage", Printf.sprintf "\"%s\"" (json_escape r.tr_stage));
-    ("pass", Printf.sprintf "\"%s\"" (json_escape r.tr_pass));
-    ("seconds", Printf.sprintf "%.6f" r.tr_seconds);
-    ("instrs_before", string_of_int r.tr_instrs_before);
-    ("instrs_after", string_of_int r.tr_instrs_after);
-    ("minor_words", Printf.sprintf "%.0f" r.tr_minor_words);
-    ("major_words", Printf.sprintf "%.0f" r.tr_major_words);
-    ("cached", string_of_bool r.tr_cached);
-  ]
-
-let record_to_json (r : record) : string =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v)
-         (record_fields r))
-  ^ "}"
+  List.map (fun (k, v) -> (k, Json.to_string v)) (Json.fields record_codec r)
 
 let to_json ~(tool : string) (records : record list) : string =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"version\": %d, \"tool\": \"%s\", \"records\": [\n"
-       schema_version (json_escape tool));
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b ("  " ^ record_to_json r))
-    records;
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  Json.to_lines ~rows:[ "records" ] (document.enc (tool, records))
 
 let write_file ~tool path records =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (to_json ~tool records))
 
-(* ------------------------------------------------------------------ *)
-(* Schema validation                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let required_keys =
-  [
-    "job"; "kernel"; "flow"; "stage"; "pass"; "seconds"; "instrs_before";
-    "instrs_after"; "minor_words"; "major_words"; "cached";
-  ]
-
-(** Split the text of a JSON array of flat objects into the objects'
-    texts (no nested objects in the schema, so brace counting is
-    exact; braces inside strings are skipped). *)
-let split_objects (s : string) : string list =
-  let objs = ref [] in
-  let depth = ref 0 and start = ref 0 and in_str = ref false in
-  String.iteri
-    (fun i c ->
-      if !in_str then begin
-        if c = '"' && (i = 0 || s.[i - 1] <> '\\') then in_str := false
-      end
-      else
-        match c with
-        | '"' -> in_str := true
-        | '{' ->
-            if !depth = 0 then start := i;
-            incr depth
-        | '}' ->
-            decr depth;
-            if !depth = 0 then
-              objs := String.sub s !start (i - !start + 1) :: !objs
-        | _ -> ())
-    s;
-  List.rev !objs
-
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-(** Structural schema check of a serialized trace: version marker,
-    records array, and every record carrying exactly the required
-    keys. *)
+(** Parse the text and decode it with the schema's own codec: every
+    record must carry every key with a value of the right type, and
+    there must be at least one record. *)
 let validate (json : string) : (unit, string) result =
-  if not (contains ~needle:(Printf.sprintf "\"version\": %d" schema_version) json)
-  then Error (Printf.sprintf "missing \"version\": %d marker" schema_version)
-  else if not (contains ~needle:"\"records\": [" json) then
-    Error "missing \"records\" array"
-  else
-    let body =
-      (* everything after the records marker; the header object brace
-         is before it, so the remaining objects are exactly the
-         records *)
-      let marker = "\"records\": [" in
-      let rec find i =
-        if i + String.length marker > String.length json then -1
-        else if String.sub json i (String.length marker) = marker then i
-        else find (i + 1)
-      in
-      let i = find 0 in
-      String.sub json i (String.length json - i)
-    in
-    let objs = split_objects body in
-    if objs = [] then Error "trace has no records"
-    else
-      let bad =
-        List.concat_map
-          (fun o ->
-            List.filter_map
-              (fun k ->
-                if contains ~needle:(Printf.sprintf "\"%s\":" k) o then None
-                else Some (Printf.sprintf "record %s lacks key \"%s\"" o k))
-              required_keys)
-          objs
-      in
-      match bad with [] -> Ok () | e :: _ -> Error e
+  match Result.bind (Json.parse json) document.dec with
+  | Error e -> Error e
+  | Ok (_, []) -> Error "trace has no records"
+  | Ok _ -> Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate summary                                                  *)

@@ -32,8 +32,10 @@ val record_fields : record -> (string * string) list
 val to_json : tool:string -> record list -> string
 val write_file : tool:string -> string -> record list -> unit
 
-(** Structural schema check of a serialized trace: version marker,
-    records array, required keys on every record. *)
+(** Schema check of a serialized trace: it must parse as one JSON
+    document with the current version, a tool string and a non-empty
+    records array whose every record carries every key with a value of
+    the right type.  Errors name the key at fault. *)
 val validate : string -> (unit, string) result
 
 (** Per-(stage, pass) aggregate over a batch: run count, total/mean

@@ -1,4 +1,4 @@
-(** Versioned [dse.json] frontier export + structural validator.
+(** Versioned [dse.json] frontier export + schema validator.
 
     Schema, version {!schema_version} — one top-level object:
     {v
@@ -27,190 +27,163 @@
 
     Everything in the file is deterministic for a given cache state —
     wall-clock never appears, so a [--jobs 4] export is byte-identical
-    to a [--jobs 1] one.  {!validate} checks a serialized export
-    structurally (same style as the trace-schema validator); the CLI
-    validates what it just wrote, and CI asserts on that. *)
+    to a [--jobs 1] one.  The printer and {!validate} share one field
+    table per record: the validator parses the text and decodes it with
+    the tables the printer used.  The CLI validates what it just wrote,
+    and CI asserts on that. *)
 
 module E = Hls_backend.Estimate
 module K = Workloads.Kernels
+module Json = Support.Json
 
 let schema_version = 1
 
-let json_escape (s : string) =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* The file's records as it spells them: {!to_json} fills them from a
+   search outcome and {!validate} decodes them back. *)
 
-let point_to_json (p : Search.point) : string =
-  let c = Space.canonical p.Search.pt_config in
-  let r = p.Search.pt_report in
-  let partitions =
-    List.map
-      (fun (arr, _kind, factor, dim) ->
-        Printf.sprintf
-          "{\"array\": \"%s\", \"dim\": %d, \"factor\": %d}"
-          (json_escape arr) dim factor)
-      p.Search.pt_directives.K.partitions
+type point = {
+  label : string;
+  strategy : K.strategy;
+  ii : int;
+  unroll : int;
+  sched : Hls_backend.Backend.sched;
+  partitions : (string * int * int) list;  (** array, dim, factor *)
+  latency : int;
+  bram : int;
+  dsp : int;
+  ff : int;
+  lut : int;
+}
+
+type export = {
+  tool : string;
+  kernel : string;
+  space_size : int;
+  evaluated : int;
+  full_evals : int;
+  cache_hits : int;
+  stopped : string;
+  rounds : (int * int * int) list;  (** round, candidates, frontier size *)
+  frontier : point list;
+}
+
+let partition =
+  Json.(
+    record (fun a d f -> (a, d, f))
+    |> field "array" string (fun (a, _, _) -> a)
+    |> field "dim" int (fun (_, d, _) -> d)
+    |> field "factor" int (fun (_, _, f) -> f)
+    |> seal)
+
+let round =
+  Json.(
+    record (fun r c f -> (r, c, f))
+    |> field "round" int (fun (r, _, _) -> r)
+    |> field "candidates" int (fun (_, c, _) -> c)
+    |> field "frontier" int (fun (_, _, f) -> f)
+    |> seal)
+
+let point =
+  let strategy =
+    Json.enum (function K.Inner -> "inner" | K.Middle -> "middle")
+      [ K.Inner; K.Middle ]
+  and sched =
+    Json.enum Hls_backend.Backend.sched_name Hls_backend.Backend.all_scheds
   in
-  String.concat ""
-    [
-      "{";
-      Printf.sprintf "\"label\": \"%s\", " (json_escape p.Search.pt_label);
-      Printf.sprintf "\"strategy\": \"%s\", "
-        (match c.Space.c_strategy with
-        | K.Inner -> "inner"
-        | K.Middle -> "middle");
-      Printf.sprintf "\"ii\": %d, " c.Space.c_ii;
-      Printf.sprintf "\"unroll\": %d, " c.Space.c_unroll;
-      (* emitted only off the default, so static exports keep their
-         historical bytes *)
-      (match c.Space.c_sched with
-      | Hls_backend.Backend.Static -> ""
-      | Hls_backend.Backend.Dynamic -> "\"sched\": \"dynamic\", ");
-      Printf.sprintf "\"partitions\": [%s], "
-        (String.concat ", " partitions);
-      Printf.sprintf
-        "\"latency\": %d, \"bram\": %d, \"dsp\": %d, \"ff\": %d, \"lut\": %d"
-        r.E.latency r.E.resources.E.bram r.E.resources.E.dsp
-        r.E.resources.E.ff r.E.resources.E.lut;
-      "}";
-    ]
+  Json.(
+    record
+      (fun label strategy ii unroll sched partitions latency bram dsp ff lut ->
+        { label; strategy; ii; unroll; sched; partitions; latency; bram; dsp;
+          ff; lut })
+    |> field "label" string (fun p -> p.label)
+    |> field "strategy" strategy (fun p -> p.strategy)
+    |> field "ii" int (fun p -> p.ii)
+    |> field "unroll" int (fun p -> p.unroll)
+    (* left out for static points, so static exports keep their
+       historical bytes *)
+    |> field "sched" sched ~default:Hls_backend.Backend.Static ~elide:true
+         (fun p -> p.sched)
+    |> field "partitions" (list partition) (fun p -> p.partitions)
+    |> field "latency" int (fun p -> p.latency)
+    |> field "bram" int (fun p -> p.bram)
+    |> field "dsp" int (fun p -> p.dsp)
+    |> field "ff" int (fun p -> p.ff)
+    |> field "lut" int (fun p -> p.lut)
+    |> seal)
 
-let round_to_json (rs : Search.round_stat) : string =
-  Printf.sprintf "{\"round\": %d, \"candidates\": %d, \"frontier\": %d}"
-    rs.Search.rs_round rs.Search.rs_candidates rs.Search.rs_frontier
+let export =
+  Json.(
+    record
+      (fun () tool kernel space_size evaluated full_evals cache_hits stopped
+           rounds frontier ->
+        { tool; kernel; space_size; evaluated; full_evals; cache_hits;
+          stopped; rounds; frontier })
+    |> field "version" (schema schema_version) (fun _ -> ())
+    |> field "tool" string (fun x -> x.tool)
+    |> field "kernel" string (fun x -> x.kernel)
+    |> field "space_size" int (fun x -> x.space_size)
+    |> field "evaluated" int (fun x -> x.evaluated)
+    |> field "full_evals" int (fun x -> x.full_evals)
+    |> field "cache_hits" int (fun x -> x.cache_hits)
+    |> field "stopped" string (fun x -> x.stopped)
+    |> field "rounds" (list round) (fun x -> x.rounds)
+    |> field "frontier" (list point) (fun x -> x.frontier)
+    |> seal)
+
+let of_outcome ~tool (o : Search.outcome) : export =
+  let point (p : Search.point) =
+    let c = Space.canonical p.Search.pt_config and r = p.Search.pt_report in
+    {
+      label = p.Search.pt_label;
+      strategy = c.Space.c_strategy;
+      ii = c.Space.c_ii;
+      unroll = c.Space.c_unroll;
+      sched = c.Space.c_sched;
+      partitions =
+        List.map
+          (fun (arr, _kind, factor, dim) -> (arr, dim, factor))
+          p.Search.pt_directives.K.partitions;
+      latency = r.E.latency;
+      bram = r.E.resources.E.bram;
+      dsp = r.E.resources.E.dsp;
+      ff = r.E.resources.E.ff;
+      lut = r.E.resources.E.lut;
+    }
+  in
+  {
+    tool;
+    kernel = o.Search.o_kernel;
+    space_size = Space.size o.Search.o_space;
+    evaluated = o.Search.o_evaluated;
+    full_evals = o.Search.o_full_evals;
+    cache_hits = o.Search.o_cache_hits;
+    stopped = Search.stop_reason_name o.Search.o_stopped;
+    rounds =
+      List.map
+        (fun (rs : Search.round_stat) ->
+          (rs.Search.rs_round, rs.Search.rs_candidates, rs.Search.rs_frontier))
+        o.Search.o_rounds;
+    frontier = List.map point o.Search.o_frontier;
+  }
 
 (** Serialize an outcome.  [tool] is the driver's version string. *)
 let to_json ~(tool : string) (o : Search.outcome) : string =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"version\": %d, \"tool\": \"%s\",\n" schema_version
-       (json_escape tool));
-  Buffer.add_string b
-    (Printf.sprintf
-       " \"kernel\": \"%s\", \"space_size\": %d, \"evaluated\": %d, \
-        \"full_evals\": %d, \"cache_hits\": %d, \"stopped\": \"%s\",\n"
-       (json_escape o.Search.o_kernel)
-       (Space.size o.Search.o_space)
-       o.Search.o_evaluated o.Search.o_full_evals o.Search.o_cache_hits
-       (Search.stop_reason_name o.Search.o_stopped));
-  Buffer.add_string b " \"rounds\": [";
-  List.iteri
-    (fun i rs ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (round_to_json rs))
-    o.Search.o_rounds;
-  Buffer.add_string b "],\n \"frontier\": [\n";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b ("  " ^ point_to_json p))
-    o.Search.o_frontier;
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  Json.to_lines ~breaks:[ "kernel"; "rounds"; "frontier" ] ~rows:[ "frontier" ]
+    (export.enc (of_outcome ~tool o))
 
 let write_file ~tool path (o : Search.outcome) : unit =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (to_json ~tool o))
 
-(* ------------------------------------------------------------------ *)
-(* Schema validation                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-let header_keys =
-  [ "tool"; "kernel"; "space_size"; "evaluated"; "full_evals"; "cache_hits";
-    "stopped"; "rounds"; "frontier" ]
-
-let point_keys =
-  [ "label"; "strategy"; "ii"; "unroll"; "partitions"; "latency"; "bram";
-    "dsp"; "ff"; "lut" ]
-
-(** Split the text of the frontier array into the point objects' texts
-    (depth-1 objects; nested partition objects are depth 2). *)
-let split_points (s : string) : string list =
-  let objs = ref [] in
-  let depth = ref 0 and start = ref 0 and in_str = ref false in
-  String.iteri
-    (fun i c ->
-      if !in_str then begin
-        if c = '"' && (i = 0 || s.[i - 1] <> '\\') then in_str := false
-      end
-      else
-        match c with
-        | '"' -> in_str := true
-        | '{' ->
-            if !depth = 0 then start := i;
-            incr depth
-        | '}' ->
-            decr depth;
-            if !depth = 0 then
-              objs := String.sub s !start (i - !start + 1) :: !objs
-        | _ -> ())
-    s;
-  List.rev !objs
-
-(** Structural schema check of a serialized export: version marker,
-    required header keys, and every frontier point carrying the
-    required keys.  An empty frontier is an error — the search always
-    finds at least the baseline unless every config is infeasible, and
-    then the export should not be trusted. *)
+(** Schema check of a serialized export: it must decode with the
+    printer's own tables.  An empty frontier is an error — the search
+    always finds at least the baseline unless every config is
+    infeasible, and then the export should not be trusted. *)
 let validate (json : string) : (unit, string) result =
-  if
-    not
-      (contains ~needle:(Printf.sprintf "\"version\": %d" schema_version) json)
-  then Error (Printf.sprintf "missing \"version\": %d marker" schema_version)
-  else
-    match
-      List.find_opt
-        (fun k -> not (contains ~needle:(Printf.sprintf "\"%s\":" k) json))
-        header_keys
-    with
-    | Some k -> Error (Printf.sprintf "missing header key \"%s\"" k)
-    | None ->
-        let marker = "\"frontier\": [" in
-        let mlen = String.length marker in
-        let rec find i =
-          if i + mlen > String.length json then -1
-          else if String.sub json i mlen = marker then i
-          else find (i + 1)
-        in
-        let i = find 0 in
-        if i < 0 then Error "missing \"frontier\" array"
-        else
-          let body = String.sub json i (String.length json - i) in
-          let pts = split_points body in
-          if pts = [] then Error "frontier is empty"
-          else
-            let bad =
-              List.concat_map
-                (fun o ->
-                  List.filter_map
-                    (fun k ->
-                      if contains ~needle:(Printf.sprintf "\"%s\":" k) o then
-                        None
-                      else
-                        Some
-                          (Printf.sprintf "frontier point lacks key \"%s\"" k))
-                    point_keys)
-                pts
-            in
-            (match bad with [] -> Ok () | e :: _ -> Error e)
+  match Result.bind (Json.parse json) export.dec with
+  | Error e -> Error e
+  | Ok { frontier = []; _ } -> Error "frontier is empty"
+  | Ok _ -> Ok ()
 
 let validate_file (path : string) : (unit, string) result =
   match In_channel.with_open_text path In_channel.input_all with

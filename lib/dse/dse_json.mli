@@ -1,4 +1,4 @@
-(** Versioned [dse.json] frontier export + structural validator.
+(** Versioned [dse.json] frontier export + schema validator.
 
     The file is deterministic for a given cache state — wall-clock
     never appears, so a [--jobs 4] export is byte-identical to a
@@ -11,9 +11,10 @@ val to_json : tool:string -> Search.outcome -> string
 
 val write_file : tool:string -> string -> Search.outcome -> unit
 
-(** Structural schema check of a serialized export: version marker,
-    required header keys, every frontier point carrying the required
-    keys, and a non-empty frontier. *)
+(** Schema check of a serialized export: it must parse as one JSON
+    document with the current version, every header key and every
+    frontier point key present with a value of the right type, and a
+    non-empty frontier.  Errors name the key at fault. *)
 val validate : string -> (unit, string) result
 
 (** {!validate} on a file's contents. *)

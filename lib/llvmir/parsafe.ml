@@ -25,42 +25,33 @@ let verdict_to_string = function
         (String.concat "\n"
            (List.map (fun c -> "  " ^ conflict_to_string c) cs))
 
-let json_escape (s : string) =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = "\"" ^ json_escape s ^ "\""
-
-let conflict_to_json = function
-  | Global_write_write (fa, fb, g) ->
-      Printf.sprintf
-        "{\"kind\": \"write-write\", \"a\": %s, \"b\": %s, \"global\": %s}"
-        (jstr fa) (jstr fb) (jstr g)
-  | Global_read_write (fa, fb, g) ->
-      Printf.sprintf
-        "{\"kind\": \"read-write\", \"a\": %s, \"b\": %s, \"global\": %s}"
-        (jstr fa) (jstr fb) (jstr g)
+let conflict_to_json =
+  let open Support.Json in
+  let pair kind fa fb g =
+    Obj [ ("kind", Str kind); ("a", Str fa); ("b", Str fb); ("global", Str g) ]
+  in
+  function
+  | Global_write_write (fa, fb, g) -> pair "write-write" fa fb g
+  | Global_read_write (fa, fb, g) -> pair "read-write" fa fb g
   | Unknown_effects (f, reasons) ->
-      Printf.sprintf
-        "{\"kind\": \"unknown-effects\", \"function\": %s, \"reasons\": [%s]}"
-        (jstr f)
-        (String.concat ", " (List.map jstr reasons))
+      Obj
+        [
+          ("kind", Str "unknown-effects");
+          ("function", Str f);
+          ("reasons", (list string).enc reasons);
+        ]
 
-let to_json = function
-  | Safe -> "{\"verdict\": \"safe\"}"
-  | Unsafe cs ->
-      Printf.sprintf "{\"verdict\": \"unsafe\", \"conflicts\": [%s]}"
-        (String.concat ", " (List.map conflict_to_json cs))
+let to_json v =
+  let open Support.Json in
+  to_string
+    (match v with
+    | Safe -> Obj [ ("verdict", Str "safe") ]
+    | Unsafe cs ->
+        Obj
+          [
+            ("verdict", Str "unsafe");
+            ("conflicts", List (List.map conflict_to_json cs));
+          ])
 
 let check ?effects (m : Lmodule.t) : verdict =
   match m.Lmodule.funcs with

@@ -124,17 +124,6 @@ type request =
   | Ping
   | Shutdown
 
-let request_kind = function
-  | Compile _ -> "compile"
-  | Lint _ -> "lint"
-  | Opt _ -> "opt"
-  | Dse _ -> "dse"
-  | Fuzz _ -> "fuzz"
-  | List_kernels -> "list"
-  | Stats -> "stats"
-  | Ping -> "ping"
-  | Shutdown -> "shutdown"
-
 (* ------------------------------------------------------------------ *)
 (* Responses                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -211,17 +200,6 @@ type payload =
   | R_pong
   | R_shutdown
 
-let payload_kind = function
-  | R_compile _ -> "compile"
-  | R_lint _ -> "lint"
-  | R_opt _ -> "opt"
-  | R_dse _ -> "dse"
-  | R_fuzz _ -> "fuzz"
-  | R_list _ -> "list"
-  | R_stats _ -> "stats"
-  | R_pong -> "ping"
-  | R_shutdown -> "shutdown"
-
 (** How one request was answered. *)
 type reply =
   | Done of payload
@@ -243,626 +221,370 @@ type frame =
   | Event of event
 
 (* ------------------------------------------------------------------ *)
-(* Encoding                                                           *)
+(* JSON codec: one field table per record                             *)
 (* ------------------------------------------------------------------ *)
 
-let opt_int = function None -> Json.Null | Some i -> Json.Int i
-let opt_str = function None -> Json.Null | Some s -> Json.Str s
+(* Every table below is both the encoder and the decoder of its record.
+   Decoding is lenient where the table gives a default: an absent or
+   null member takes it, so hand-written client JSON stays short and
+   members added to schema v1 later stay optional. *)
 
-let opt_str_list = function
-  | None -> Json.Null
-  | Some xs -> Json.List (List.map (fun s -> Json.Str s) xs)
+let partition : (string * string * int * int) Json.codec =
+  {
+    enc =
+      (fun (a, kind, f, dim) ->
+        Json.List [ Json.Str a; Json.Str kind; Json.Int f; Json.Int dim ]);
+    dec =
+      (function
+      | Json.List [ Json.Str a; Json.Str kind; Json.Int f; Json.Int dim ] ->
+          Ok (a, kind, f, dim)
+      | _ -> Error "expected [array, kind, factor, dim]");
+  }
 
-let str_list xs = Json.List (List.map (fun s -> Json.Str s) xs)
+let directives =
+  Json.(
+    record (fun d_ii d_unroll d_strategy d_partitions ->
+        { d_ii; d_unroll; d_strategy; d_partitions })
+    |> opt "ii" int (fun d -> d.d_ii)
+    |> opt "unroll" int (fun d -> d.d_unroll)
+    |> field "strategy" string ~default:"inner" (fun d -> d.d_strategy)
+    |> field "partitions" (list partition) ~default:[] (fun d ->
+           d.d_partitions)
+    |> seal)
 
-let directives_to_json (d : directives) : Json.t =
-  Json.Obj
+let compile_req =
+  Json.(
+    record
+      (fun c_kernel c_flow c_sched c_directives c_clock_ns c_passes c_disable ->
+        { c_kernel; c_flow; c_sched; c_directives; c_clock_ns; c_passes;
+          c_disable })
+    |> field "kernel" string (fun c -> c.c_kernel)
+    |> field "flow" string ~default:"direct" (fun c -> c.c_flow)
+    (* the default keeps pre-1.6 schema-v1 encodings valid *)
+    |> field "sched" string ~default:"static" (fun c -> c.c_sched)
+    |> field "directives" directives ~default:no_directives (fun c ->
+           c.c_directives)
+    |> field "clock_ns" float ~default:10.0 (fun c -> c.c_clock_ns)
+    |> opt "passes" (list string) (fun c -> c.c_passes)
+    |> field "disable" (list string) ~default:[] (fun c -> c.c_disable)
+    |> seal)
+
+let lint_req =
+  Json.(
+    record
+      (fun l_kernel l_source l_directives l_rules l_werror l_top l_passes
+           l_disable ->
+        { l_kernel; l_source; l_directives; l_rules; l_werror; l_top;
+          l_passes; l_disable })
+    |> opt "kernel" string (fun l -> l.l_kernel)
+    |> opt "source" string (fun l -> l.l_source)
+    |> field "directives" directives ~default:no_directives (fun l ->
+           l.l_directives)
+    |> opt "rules" (list string) (fun l -> l.l_rules)
+    |> field "werror" bool ~default:false (fun l -> l.l_werror)
+    |> opt "top" string (fun l -> l.l_top)
+    |> opt "passes" (list string) (fun l -> l.l_passes)
+    |> field "disable" (list string) ~default:[] (fun l -> l.l_disable)
+    |> seal)
+
+let opt_req =
+  Json.(
+    record
+      (fun op_source op_synth op_passes op_parallel op_jobs op_parsafe
+           op_json ->
+        { op_source; op_synth; op_passes; op_parallel; op_jobs; op_parsafe;
+          op_json })
+    |> opt "source" string (fun o -> o.op_source)
+    |> opt "synth" int (fun o -> o.op_synth)
+    |> opt "passes" (list string) (fun o -> o.op_passes)
+    |> field "parallel" bool ~default:false (fun o -> o.op_parallel)
+    |> field "jobs" int ~default:1 (fun o -> o.op_jobs)
+    |> field "parsafe" bool ~default:false (fun o -> o.op_parsafe)
+    |> field "json" bool ~default:false (fun o -> o.op_json)
+    |> seal)
+
+let dse_req =
+  Json.(
+    record
+      (fun ds_kernel ds_sched ds_max_evals ds_rounds ds_stable ds_budget_bram
+           ds_budget_dsp ds_budget_lut ds_clock_ns ->
+        { ds_kernel; ds_sched; ds_max_evals; ds_rounds; ds_stable;
+          ds_budget_bram; ds_budget_dsp; ds_budget_lut; ds_clock_ns })
+    |> field "kernel" string (fun d -> d.ds_kernel)
+    |> field "sched" string ~default:"static" (fun d -> d.ds_sched)
+    |> opt "max_evals" int (fun d -> d.ds_max_evals)
+    |> opt "rounds" int (fun d -> d.ds_rounds)
+    |> opt "stable_rounds" int (fun d -> d.ds_stable)
+    |> opt "budget_bram" int (fun d -> d.ds_budget_bram)
+    |> opt "budget_dsp" int (fun d -> d.ds_budget_dsp)
+    |> opt "budget_lut" int (fun d -> d.ds_budget_lut)
+    |> field "clock_ns" float ~default:10.0 (fun d -> d.ds_clock_ns)
+    |> seal)
+
+let fuzz_req =
+  Json.(
+    record (fun f_seed f_count f_stages f_shrink f_jobs ->
+        { f_seed; f_count; f_stages; f_shrink; f_jobs })
+    |> field "seed" int ~default:42 (fun f -> f.f_seed)
+    |> field "count" int ~default:200 (fun f -> f.f_count)
+    |> field "stages" (list string) ~default:[ "lower"; "adapted"; "cpp" ]
+         (fun f -> f.f_stages)
+    |> field "shrink" bool ~default:true (fun f -> f.f_shrink)
+    |> field "jobs" int ~default:1 (fun f -> f.f_jobs)
+    |> seal)
+
+let request_cases =
+  Json.
     [
-      ("ii", opt_int d.d_ii);
-      ("unroll", opt_int d.d_unroll);
-      ("strategy", Json.Str d.d_strategy);
-      ( "partitions",
-        Json.List
-          (List.map
-             (fun (a, kind, f, dim) ->
-               Json.List
-                 [ Json.Str a; Json.Str kind; Json.Int f; Json.Int dim ])
-             d.d_partitions) );
+      case "compile" compile_req
+        (fun c -> Compile c)
+        (function Compile c -> Some c | _ -> None);
+      case "lint" lint_req
+        (fun l -> Lint l)
+        (function Lint l -> Some l | _ -> None);
+      case "opt" opt_req
+        (fun o -> Opt o)
+        (function Opt o -> Some o | _ -> None);
+      case "dse" dse_req
+        (fun d -> Dse d)
+        (function Dse d -> Some d | _ -> None);
+      case "fuzz" fuzz_req
+        (fun f -> Fuzz f)
+        (function Fuzz f -> Some f | _ -> None);
+      const "list" List_kernels;
+      const "stats" Stats;
+      const "ping" Ping;
+      const "shutdown" Shutdown;
     ]
 
-let request_fields : request -> (string * Json.t) list = function
-  | Compile c ->
-      [
-        ("kernel", Json.Str c.c_kernel);
-        ("flow", Json.Str c.c_flow);
-        ("sched", Json.Str c.c_sched);
-        ("directives", directives_to_json c.c_directives);
-        ("clock_ns", Json.Float c.c_clock_ns);
-        ("passes", opt_str_list c.c_passes);
-        ("disable", str_list c.c_disable);
-      ]
-  | Lint l ->
-      [
-        ("kernel", opt_str l.l_kernel);
-        ("source", opt_str l.l_source);
-        ("directives", directives_to_json l.l_directives);
-        ("rules", opt_str_list l.l_rules);
-        ("werror", Json.Bool l.l_werror);
-        ("top", opt_str l.l_top);
-        ("passes", opt_str_list l.l_passes);
-        ("disable", str_list l.l_disable);
-      ]
-  | Opt o ->
-      [
-        ("source", opt_str o.op_source);
-        ("synth", opt_int o.op_synth);
-        ("passes", opt_str_list o.op_passes);
-        ("parallel", Json.Bool o.op_parallel);
-        ("jobs", Json.Int o.op_jobs);
-        ("parsafe", Json.Bool o.op_parsafe);
-        ("json", Json.Bool o.op_json);
-      ]
-  | Dse d ->
-      [
-        ("kernel", Json.Str d.ds_kernel);
-        ("sched", Json.Str d.ds_sched);
-        ("max_evals", opt_int d.ds_max_evals);
-        ("rounds", opt_int d.ds_rounds);
-        ("stable_rounds", opt_int d.ds_stable);
-        ("budget_bram", opt_int d.ds_budget_bram);
-        ("budget_dsp", opt_int d.ds_budget_dsp);
-        ("budget_lut", opt_int d.ds_budget_lut);
-        ("clock_ns", Json.Float d.ds_clock_ns);
-      ]
-  | Fuzz f ->
-      [
-        ("seed", Json.Int f.f_seed);
-        ("count", Json.Int f.f_count);
-        ("stages", str_list f.f_stages);
-        ("shrink", Json.Bool f.f_shrink);
-        ("jobs", Json.Int f.f_jobs);
-      ]
-  | List_kernels | Stats | Ping | Shutdown -> []
+let request_kind = Json.tag request_cases
 
-(** The request object alone (no frame envelope) — what [mhlsc client
-    --request] accepts and what {!request_key} canonicalizes. *)
-let request_to_json (r : request) : Json.t =
-  Json.Obj (("kind", Json.Str (request_kind r)) :: request_fields r)
+(** The request object alone ([{"kind": ..., ...}], no frame envelope):
+    what [mhlsc client --request] accepts and what {!request_key}
+    canonicalizes. *)
+let request = Json.tagged "kind" request_cases
 
-let diag_to_json (d : Diag.t) : Json.t =
-  Json.Obj
+let request_to_json = request.enc
+let request_of_json = request.dec
+
+let compile_resp =
+  Json.(
+    record
+      (fun cr_kernel cr_flow cr_latency cr_ii cr_bram cr_dsp cr_lut cr_seconds
+           cr_from_cache cr_adaptor cr_report ->
+        { cr_kernel; cr_flow; cr_latency; cr_ii; cr_bram; cr_dsp; cr_lut;
+          cr_seconds; cr_from_cache; cr_adaptor; cr_report })
+    |> field "kernel" string (fun r -> r.cr_kernel)
+    |> field "flow" string (fun r -> r.cr_flow)
+    |> field "latency" int ~default:0 (fun r -> r.cr_latency)
+    |> field "ii" int ~default:0 (fun r -> r.cr_ii)
+    |> field "bram" int ~default:0 (fun r -> r.cr_bram)
+    |> field "dsp" int ~default:0 (fun r -> r.cr_dsp)
+    |> field "lut" int ~default:0 (fun r -> r.cr_lut)
+    |> field "seconds" float ~default:0.0 (fun r -> r.cr_seconds)
+    |> field "from_cache" bool ~default:false (fun r -> r.cr_from_cache)
+    |> opt "adaptor" string (fun r -> r.cr_adaptor)
+    |> field "report" string (fun r -> r.cr_report)
+    |> seal)
+
+let lint_resp =
+  Json.(
+    record (fun lr_diags -> { lr_diags })
+    |> field "diagnostics" (list Diag.codec) (fun r -> r.lr_diags)
+    |> seal)
+
+let opt_resp =
+  Json.(
+    record
+      (fun or_ir or_passes or_seconds or_par_status or_verdict or_safe ->
+        { or_ir; or_passes; or_seconds; or_par_status; or_verdict; or_safe })
+    |> field "ir" string (fun r -> r.or_ir)
+    |> field "passes" int ~default:0 (fun r -> r.or_passes)
+    |> field "seconds" float ~default:0.0 (fun r -> r.or_seconds)
+    |> opt "par_status" string (fun r -> r.or_par_status)
+    |> opt "verdict" string (fun r -> r.or_verdict)
+    |> field "safe" bool ~default:true (fun r -> r.or_safe)
+    |> seal)
+
+let best =
+  Json.(
+    record (fun label latency -> (label, latency))
+    |> field "label" string fst
+    |> field "latency" int ~default:0 snd
+    |> seal)
+
+let dse_resp =
+  Json.(
+    record (fun dr_report dr_best dr_json -> { dr_report; dr_best; dr_json })
+    |> field "report" string (fun r -> r.dr_report)
+    |> opt "best" best (fun r -> r.dr_best)
+    |> field "dse_json" string (fun r -> r.dr_json)
+    |> seal)
+
+let fuzz_resp =
+  Json.(
+    record (fun fr_report fr_failures -> { fr_report; fr_failures })
+    |> field "report" string (fun r -> r.fr_report)
+    |> field "failures" int ~default:0 (fun r -> r.fr_failures)
+    |> seal)
+
+let kernel_info =
+  Json.(
+    record (fun k_name k_description -> { k_name; k_description })
+    |> field "name" string (fun k -> k.k_name)
+    |> field "description" string (fun k -> k.k_description)
+    |> seal)
+
+let kernels =
+  Json.(record Fun.id |> field "kernels" (list kernel_info) Fun.id |> seal)
+
+let running =
+  Json.(
+    record (fun kind n -> (kind, n))
+    |> field "kind" string fst
+    |> field "n" int ~default:0 snd
+    |> seal)
+
+let latency_stat =
+  Json.(
+    record (fun ls_kind ls_count ls_p50_ms ls_p99_ms ->
+        { ls_kind; ls_count; ls_p50_ms; ls_p99_ms })
+    |> field "kind" string (fun l -> l.ls_kind)
+    |> field "count" int ~default:0 (fun l -> l.ls_count)
+    |> field "p50_ms" float ~default:0.0 (fun l -> l.ls_p50_ms)
+    |> field "p99_ms" float ~default:0.0 (fun l -> l.ls_p99_ms)
+    |> seal)
+
+let stats_resp =
+  Json.(
+    record
+      (fun st_served st_evaluated st_coalesced st_memo_hits st_busy
+           st_cache_hits st_cache_misses st_queue_depth st_queue_max
+           st_inflight st_running st_cancelled st_shed st_latency ->
+        { st_served; st_evaluated; st_coalesced; st_memo_hits; st_busy;
+          st_cache_hits; st_cache_misses; st_queue_depth; st_queue_max;
+          st_inflight; st_running; st_cancelled; st_shed; st_latency })
+    |> field "served" int ~default:0 (fun s -> s.st_served)
+    |> field "evaluated" int ~default:0 (fun s -> s.st_evaluated)
+    |> field "coalesced" int ~default:0 (fun s -> s.st_coalesced)
+    |> field "memo_hits" int ~default:0 (fun s -> s.st_memo_hits)
+    |> field "busy" int ~default:0 (fun s -> s.st_busy)
+    |> field "cache_hits" int ~default:0 (fun s -> s.st_cache_hits)
+    |> field "cache_misses" int ~default:0 (fun s -> s.st_cache_misses)
+    |> field "queue_depth" int ~default:0 (fun s -> s.st_queue_depth)
+    |> field "queue_max" int ~default:0 (fun s -> s.st_queue_max)
+    |> field "inflight" int ~default:0 (fun s -> s.st_inflight)
+    |> field "running" (list running) ~default:[] (fun s -> s.st_running)
+    |> field "cancelled" int ~default:0 (fun s -> s.st_cancelled)
+    |> field "shed" int ~default:0 (fun s -> s.st_shed)
+    |> field "latency" (list latency_stat) ~default:[] (fun s ->
+           s.st_latency)
+    |> seal)
+
+let payload_cases =
+  Json.
     [
-      ("rule", Json.Str d.Diag.rule);
-      ("severity", Json.Str (Diag.severity_name d.Diag.severity));
-      ("function", opt_str d.Diag.func);
-      ("location", opt_str d.Diag.location);
-      ("message", Json.Str d.Diag.message);
-      ("hint", opt_str d.Diag.hint);
+      case "compile" compile_resp
+        (fun r -> R_compile r)
+        (function R_compile r -> Some r | _ -> None);
+      case "lint" lint_resp
+        (fun r -> R_lint r)
+        (function R_lint r -> Some r | _ -> None);
+      case "opt" opt_resp
+        (fun r -> R_opt r)
+        (function R_opt r -> Some r | _ -> None);
+      case "dse" dse_resp
+        (fun r -> R_dse r)
+        (function R_dse r -> Some r | _ -> None);
+      case "fuzz" fuzz_resp
+        (fun r -> R_fuzz r)
+        (function R_fuzz r -> Some r | _ -> None);
+      case "list" kernels
+        (fun ks -> R_list ks)
+        (function R_list ks -> Some ks | _ -> None);
+      case "stats" stats_resp
+        (fun s -> R_stats s)
+        (function R_stats s -> Some s | _ -> None);
+      const "ping" R_pong;
+      const "shutdown" R_shutdown;
     ]
 
-let payload_fields : payload -> (string * Json.t) list = function
-  | R_compile r ->
+let payload_kind = Json.tag payload_cases
+
+let reply =
+  Json.(
+    tagged "status"
       [
-        ("kernel", Json.Str r.cr_kernel);
-        ("flow", Json.Str r.cr_flow);
-        ("latency", Json.Int r.cr_latency);
-        ("ii", Json.Int r.cr_ii);
-        ("bram", Json.Int r.cr_bram);
-        ("dsp", Json.Int r.cr_dsp);
-        ("lut", Json.Int r.cr_lut);
-        ("seconds", Json.Float r.cr_seconds);
-        ("from_cache", Json.Bool r.cr_from_cache);
-        ("adaptor", opt_str r.cr_adaptor);
-        ("report", Json.Str r.cr_report);
-      ]
-  | R_lint r ->
-      [ ("diagnostics", Json.List (List.map diag_to_json r.lr_diags)) ]
-  | R_opt r ->
-      [
-        ("ir", Json.Str r.or_ir);
-        ("passes", Json.Int r.or_passes);
-        ("seconds", Json.Float r.or_seconds);
-        ("par_status", opt_str r.or_par_status);
-        ("verdict", opt_str r.or_verdict);
-        ("safe", Json.Bool r.or_safe);
-      ]
-  | R_dse r ->
-      [
-        ("report", Json.Str r.dr_report);
-        ( "best",
-          match r.dr_best with
-          | None -> Json.Null
-          | Some (label, latency) ->
-              Json.Obj
-                [ ("label", Json.Str label); ("latency", Json.Int latency) ]
-        );
-        ("dse_json", Json.Str r.dr_json);
-      ]
-  | R_fuzz r ->
-      [
-        ("report", Json.Str r.fr_report);
-        ("failures", Json.Int r.fr_failures);
-      ]
-  | R_list ks ->
-      [
-        ( "kernels",
-          Json.List
-            (List.map
-               (fun k ->
-                 Json.Obj
-                   [
-                     ("name", Json.Str k.k_name);
-                     ("description", Json.Str k.k_description);
-                   ])
-               ks) );
-      ]
-  | R_stats s ->
-      [
-        ("served", Json.Int s.st_served);
-        ("evaluated", Json.Int s.st_evaluated);
-        ("coalesced", Json.Int s.st_coalesced);
-        ("memo_hits", Json.Int s.st_memo_hits);
-        ("busy", Json.Int s.st_busy);
-        ("cache_hits", Json.Int s.st_cache_hits);
-        ("cache_misses", Json.Int s.st_cache_misses);
-        ("queue_depth", Json.Int s.st_queue_depth);
-        ("queue_max", Json.Int s.st_queue_max);
-        ("inflight", Json.Int s.st_inflight);
-        ( "running",
-          Json.List
-            (List.map
-               (fun (kind, n) ->
-                 Json.Obj [ ("kind", Json.Str kind); ("n", Json.Int n) ])
-               s.st_running) );
-        ("cancelled", Json.Int s.st_cancelled);
-        ("shed", Json.Int s.st_shed);
-        ( "latency",
-          Json.List
-            (List.map
-               (fun l ->
-                 Json.Obj
-                   [
-                     ("kind", Json.Str l.ls_kind);
-                     ("count", Json.Int l.ls_count);
-                     ("p50_ms", Json.Float l.ls_p50_ms);
-                     ("p99_ms", Json.Float l.ls_p99_ms);
-                   ])
-               s.st_latency) );
-      ]
-  | R_pong | R_shutdown -> []
+        case "ok"
+          (tagged ~body:"payload" "kind" payload_cases)
+          (fun p -> Done p)
+          (function Done p -> Some p | _ -> None);
+        case "error"
+          (record Fun.id
+          |> field "diagnostics" (list Diag.codec) Fun.id
+          |> seal)
+          (fun ds -> Failed ds)
+          (function Failed ds -> Some ds | _ -> None);
+        case "busy"
+          (record Fun.id |> field "queue_depth" int ~default:0 Fun.id |> seal)
+          (fun depth -> Busy depth)
+          (function Busy depth -> Some depth | _ -> None);
+      ])
 
-let payload_to_json (p : payload) : Json.t =
-  Json.Obj (("kind", Json.Str (payload_kind p)) :: payload_fields p)
+let event =
+  Json.(
+    record (fun e_id e_stage e_pass e_seconds e_before e_after ->
+        { e_id; e_stage; e_pass; e_seconds; e_before; e_after })
+    |> field "id" int ~default:0 (fun e -> e.e_id)
+    |> field "stage" string (fun e -> e.e_stage)
+    |> field "pass" string (fun e -> e.e_pass)
+    |> field "seconds" float ~default:0.0 (fun e -> e.e_seconds)
+    |> field "before" int ~default:0 (fun e -> e.e_before)
+    |> field "after" int ~default:0 (fun e -> e.e_after)
+    |> seal)
 
-let frame_to_json : frame -> Json.t = function
-  | Request { q_id; q_stream; q_req } ->
-      Json.Obj
-        (("v", Json.Int version)
-        :: ("frame", Json.Str "request")
-        :: ("id", Json.Int q_id)
-        :: ("stream", Json.Bool q_stream)
-        :: ("kind", Json.Str (request_kind q_req))
-        :: request_fields q_req)
-  | Response { r_id; r_reply } -> (
-      let base =
-        [
-          ("v", Json.Int version);
-          ("frame", Json.Str "response");
-          ("id", Json.Int r_id);
-        ]
-      in
-      match r_reply with
-      | Done p ->
-          Json.Obj
-            (base
-            @ [
-                ("status", Json.Str "ok");
-                ("kind", Json.Str (payload_kind p));
-                ("payload", Json.Obj (payload_fields p));
-              ])
-      | Failed ds ->
-          Json.Obj
-            (base
-            @ [
-                ("status", Json.Str "error");
-                ("diagnostics", Json.List (List.map diag_to_json ds));
-              ])
-      | Busy depth ->
-          Json.Obj
-            (base
-            @ [ ("status", Json.Str "busy"); ("queue_depth", Json.Int depth) ]
-            ))
-  | Event e ->
-      Json.Obj
-        [
-          ("v", Json.Int version);
-          ("frame", Json.Str "event");
-          ("id", Json.Int e.e_id);
-          ("stage", Json.Str e.e_stage);
-          ("pass", Json.Str e.e_pass);
-          ("seconds", Json.Float e.e_seconds);
-          ("before", Json.Int e.e_before);
-          ("after", Json.Int e.e_after);
-        ]
+let frame =
+  Json.(
+    record (fun () f -> f)
+    |> field "v" (schema version) (fun _ -> ())
+    |> inline
+         (tagged "frame"
+            [
+              case "request"
+                (record (fun id stream req -> (id, stream, req))
+                |> field "id" int ~default:0 (fun (id, _, _) -> id)
+                |> field "stream" bool ~default:false (fun (_, s, _) -> s)
+                |> inline request (fun (_, _, req) -> req)
+                |> seal)
+                (fun (q_id, q_stream, q_req) ->
+                  Request { q_id; q_stream; q_req })
+                (function
+                  | Request { q_id; q_stream; q_req } ->
+                      Some (q_id, q_stream, q_req)
+                  | _ -> None);
+              case "response"
+                (record (fun id reply -> (id, reply))
+                |> field "id" int ~default:0 fst
+                |> inline reply snd
+                |> seal)
+                (fun (r_id, r_reply) -> Response { r_id; r_reply })
+                (function
+                  | Response { r_id; r_reply } -> Some (r_id, r_reply)
+                  | _ -> None);
+              case "event" event
+                (fun e -> Event e)
+                (function Event e -> Some e | _ -> None);
+            ])
+         Fun.id
+    |> seal)
 
-(* ------------------------------------------------------------------ *)
-(* Decoding                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let get_str name j =
-  match Json.str_member name j with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing string field '%s'" name)
-
-let get_opt_str name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some (Json.Str s) -> Ok (Some s)
-  | Some _ -> Error (Printf.sprintf "field '%s' must be a string" name)
-
-let get_opt_int name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some (Json.Int i) -> Ok (Some i)
-  | Some _ -> Error (Printf.sprintf "field '%s' must be an integer" name)
-
-let get_int ~default name j =
-  match get_opt_int name j with
-  | Ok None -> Ok default
-  | Ok (Some i) -> Ok i
-  | Error e -> Error e
-
-let get_bool ~default name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok default
-  | Some (Json.Bool b) -> Ok b
-  | Some _ -> Error (Printf.sprintf "field '%s' must be a boolean" name)
-
-let get_float ~default name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok default
-  | Some v -> (
-      match Json.to_float v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "field '%s' must be a number" name))
-
-let get_str_list ~default name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok default
-  | Some (Json.List xs) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.Str s :: rest -> go (s :: acc) rest
-        | _ -> Error (Printf.sprintf "field '%s' must be a string list" name)
-      in
-      go [] xs
-  | Some _ -> Error (Printf.sprintf "field '%s' must be a string list" name)
-
-let get_opt_str_list name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some _ -> (
-      match get_str_list ~default:[] name j with
-      | Ok xs -> Ok (Some xs)
-      | Error e -> Error e)
-
-let ( let* ) = Result.bind
-
-let directives_of_json (j : Json.t) : (directives, string) result =
-  match j with
-  | Json.Null -> Ok no_directives
-  | Json.Obj _ ->
-      let* d_ii = get_opt_int "ii" j in
-      let* d_unroll = get_opt_int "unroll" j in
-      let* d_strategy =
-        match get_opt_str "strategy" j with
-        | Ok None -> Ok "inner"
-        | Ok (Some s) -> Ok s
-        | Error e -> Error e
-      in
-      let* d_partitions =
-        match Json.member "partitions" j with
-        | None | Some Json.Null -> Ok []
-        | Some (Json.List xs) ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | Json.List
-                  [ Json.Str a; Json.Str kind; Json.Int f; Json.Int dim ]
-                :: rest ->
-                  go ((a, kind, f, dim) :: acc) rest
-              | _ ->
-                  Error
-                    "partitions entries must be [array, kind, factor, dim]"
-            in
-            go [] xs
-        | Some _ -> Error "field 'partitions' must be a list"
-      in
-      Ok { d_ii; d_unroll; d_strategy; d_partitions }
-  | _ -> Error "field 'directives' must be an object"
-
-let directives_member (j : Json.t) : (directives, string) result =
-  match Json.member "directives" j with
-  | None -> Ok no_directives
-  | Some d -> directives_of_json d
-
-(** Decode a request object ([{"kind": ..., ...}], no frame
-    envelope).  Missing optional fields take their defaults, so
-    hand-written client JSON stays short. *)
-let request_of_json (j : Json.t) : (request, string) result =
-  let* kind = get_str "kind" j in
-  match kind with
-  | "compile" ->
-      let* c_kernel = get_str "kernel" j in
-      let* c_flow =
-        match get_opt_str "flow" j with
-        | Ok None -> Ok "direct"
-        | Ok (Some f) -> Ok f
-        | Error e -> Error e
-      in
-      let* c_sched =
-        (* lenient default keeps pre-1.6 schema-v1 encodings valid *)
-        match get_opt_str "sched" j with
-        | Ok None -> Ok "static"
-        | Ok (Some s) -> Ok s
-        | Error e -> Error e
-      in
-      let* c_directives = directives_member j in
-      let* c_clock_ns = get_float ~default:10.0 "clock_ns" j in
-      let* c_passes = get_opt_str_list "passes" j in
-      let* c_disable = get_str_list ~default:[] "disable" j in
-      Ok
-        (Compile
-           { c_kernel; c_flow; c_sched; c_directives; c_clock_ns; c_passes;
-             c_disable })
-  | "lint" ->
-      let* l_kernel = get_opt_str "kernel" j in
-      let* l_source = get_opt_str "source" j in
-      let* l_directives = directives_member j in
-      let* l_rules = get_opt_str_list "rules" j in
-      let* l_werror = get_bool ~default:false "werror" j in
-      let* l_top = get_opt_str "top" j in
-      let* l_passes = get_opt_str_list "passes" j in
-      let* l_disable = get_str_list ~default:[] "disable" j in
-      Ok
-        (Lint
-           { l_kernel; l_source; l_directives; l_rules; l_werror; l_top;
-             l_passes; l_disable })
-  | "opt" ->
-      let* op_source = get_opt_str "source" j in
-      let* op_synth = get_opt_int "synth" j in
-      let* op_passes = get_opt_str_list "passes" j in
-      let* op_parallel = get_bool ~default:false "parallel" j in
-      let* op_jobs = get_int ~default:1 "jobs" j in
-      let* op_parsafe = get_bool ~default:false "parsafe" j in
-      let* op_json = get_bool ~default:false "json" j in
-      Ok
-        (Opt
-           { op_source; op_synth; op_passes; op_parallel; op_jobs;
-             op_parsafe; op_json })
-  | "dse" ->
-      let* ds_kernel = get_str "kernel" j in
-      let* ds_sched =
-        match get_opt_str "sched" j with
-        | Ok None -> Ok "static"
-        | Ok (Some s) -> Ok s
-        | Error e -> Error e
-      in
-      let* ds_max_evals = get_opt_int "max_evals" j in
-      let* ds_rounds = get_opt_int "rounds" j in
-      let* ds_stable = get_opt_int "stable_rounds" j in
-      let* ds_budget_bram = get_opt_int "budget_bram" j in
-      let* ds_budget_dsp = get_opt_int "budget_dsp" j in
-      let* ds_budget_lut = get_opt_int "budget_lut" j in
-      let* ds_clock_ns = get_float ~default:10.0 "clock_ns" j in
-      Ok
-        (Dse
-           { ds_kernel; ds_sched; ds_max_evals; ds_rounds; ds_stable;
-             ds_budget_bram; ds_budget_dsp; ds_budget_lut; ds_clock_ns })
-  | "fuzz" ->
-      let* f_seed = get_int ~default:42 "seed" j in
-      let* f_count = get_int ~default:200 "count" j in
-      let* f_stages =
-        get_str_list ~default:[ "lower"; "adapted"; "cpp" ] "stages" j
-      in
-      let* f_shrink = get_bool ~default:true "shrink" j in
-      let* f_jobs = get_int ~default:1 "jobs" j in
-      Ok (Fuzz { f_seed; f_count; f_stages; f_shrink; f_jobs })
-  | "list" -> Ok List_kernels
-  | "stats" -> Ok Stats
-  | "ping" -> Ok Ping
-  | "shutdown" -> Ok Shutdown
-  | k -> Error (Printf.sprintf "unknown request kind '%s'" k)
-
-let severity_of_name = function
-  | "note" -> Ok Diag.Note
-  | "warning" -> Ok Diag.Warning
-  | "error" -> Ok Diag.Error
-  | s -> Error (Printf.sprintf "unknown severity '%s'" s)
-
-let diag_of_json (j : Json.t) : (Diag.t, string) result =
-  let* rule = get_str "rule" j in
-  let* sev_name = get_str "severity" j in
-  let* severity = severity_of_name sev_name in
-  let* func = get_opt_str "function" j in
-  let* location = get_opt_str "location" j in
-  let* message = get_str "message" j in
-  let* hint = get_opt_str "hint" j in
-  Ok { Diag.rule; severity; func; location; message; hint }
-
-let diags_of_json (j : Json.t) name : (Diag.t list, string) result =
-  match Json.member name j with
-  | Some (Json.List xs) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | x :: rest -> (
-            match diag_of_json x with
-            | Ok d -> go (d :: acc) rest
-            | Error e -> Error e)
-      in
-      go [] xs
-  | _ -> Error (Printf.sprintf "missing diagnostics list '%s'" name)
-
-let payload_of_json ~(kind : string) (j : Json.t) :
-    (payload, string) result =
-  match kind with
-  | "compile" ->
-      let* cr_kernel = get_str "kernel" j in
-      let* cr_flow = get_str "flow" j in
-      let* cr_latency = get_int ~default:0 "latency" j in
-      let* cr_ii = get_int ~default:0 "ii" j in
-      let* cr_bram = get_int ~default:0 "bram" j in
-      let* cr_dsp = get_int ~default:0 "dsp" j in
-      let* cr_lut = get_int ~default:0 "lut" j in
-      let* cr_seconds = get_float ~default:0.0 "seconds" j in
-      let* cr_from_cache = get_bool ~default:false "from_cache" j in
-      let* cr_adaptor = get_opt_str "adaptor" j in
-      let* cr_report = get_str "report" j in
-      Ok
-        (R_compile
-           { cr_kernel; cr_flow; cr_latency; cr_ii; cr_bram; cr_dsp; cr_lut;
-             cr_seconds; cr_from_cache; cr_adaptor; cr_report })
-  | "lint" ->
-      let* lr_diags = diags_of_json j "diagnostics" in
-      Ok (R_lint { lr_diags })
-  | "opt" ->
-      let* or_ir = get_str "ir" j in
-      let* or_passes = get_int ~default:0 "passes" j in
-      let* or_seconds = get_float ~default:0.0 "seconds" j in
-      let* or_par_status = get_opt_str "par_status" j in
-      let* or_verdict = get_opt_str "verdict" j in
-      let* or_safe = get_bool ~default:true "safe" j in
-      Ok
-        (R_opt
-           { or_ir; or_passes; or_seconds; or_par_status; or_verdict; or_safe })
-  | "dse" ->
-      let* dr_report = get_str "report" j in
-      let* dr_best =
-        match Json.member "best" j with
-        | None | Some Json.Null -> Ok None
-        | Some b ->
-            let* label = get_str "label" b in
-            let* latency = get_int ~default:0 "latency" b in
-            Ok (Some (label, latency))
-      in
-      let* dr_json = get_str "dse_json" j in
-      Ok (R_dse { dr_report; dr_best; dr_json })
-  | "fuzz" ->
-      let* fr_report = get_str "report" j in
-      let* fr_failures = get_int ~default:0 "failures" j in
-      Ok (R_fuzz { fr_report; fr_failures })
-  | "list" -> (
-      match Json.member "kernels" j with
-      | Some (Json.List xs) ->
-          let rec go acc = function
-            | [] -> Ok (R_list (List.rev acc))
-            | x :: rest ->
-                let* k_name = get_str "name" x in
-                let* k_description = get_str "description" x in
-                go ({ k_name; k_description } :: acc) rest
-          in
-          go [] xs
-      | _ -> Error "missing 'kernels' list")
-  | "stats" ->
-      let* st_served = get_int ~default:0 "served" j in
-      let* st_evaluated = get_int ~default:0 "evaluated" j in
-      let* st_coalesced = get_int ~default:0 "coalesced" j in
-      let* st_memo_hits = get_int ~default:0 "memo_hits" j in
-      let* st_busy = get_int ~default:0 "busy" j in
-      let* st_cache_hits = get_int ~default:0 "cache_hits" j in
-      let* st_cache_misses = get_int ~default:0 "cache_misses" j in
-      let* st_queue_depth = get_int ~default:0 "queue_depth" j in
-      let* st_queue_max = get_int ~default:0 "queue_max" j in
-      (* The concurrency fields postdate schema v1's first release;
-         absent means zero, keeping old daemons readable. *)
-      let* st_inflight = get_int ~default:0 "inflight" j in
-      let* st_running =
-        match Json.member "running" j with
-        | None | Some Json.Null -> Ok []
-        | Some (Json.List xs) ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | x :: rest ->
-                  let* kind = get_str "kind" x in
-                  let* n = get_int ~default:0 "n" x in
-                  go ((kind, n) :: acc) rest
-            in
-            go [] xs
-        | Some _ -> Error "field 'running' must be a list"
-      in
-      let* st_cancelled = get_int ~default:0 "cancelled" j in
-      let* st_shed = get_int ~default:0 "shed" j in
-      let* st_latency =
-        match Json.member "latency" j with
-        | None | Some Json.Null -> Ok []
-        | Some (Json.List xs) ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | x :: rest ->
-                  let* ls_kind = get_str "kind" x in
-                  let* ls_count = get_int ~default:0 "count" x in
-                  let* ls_p50_ms = get_float ~default:0.0 "p50_ms" x in
-                  let* ls_p99_ms = get_float ~default:0.0 "p99_ms" x in
-                  go ({ ls_kind; ls_count; ls_p50_ms; ls_p99_ms } :: acc) rest
-            in
-            go [] xs
-        | Some _ -> Error "field 'latency' must be a list"
-      in
-      Ok
-        (R_stats
-           { st_served; st_evaluated; st_coalesced; st_memo_hits; st_busy;
-             st_cache_hits; st_cache_misses; st_queue_depth; st_queue_max;
-             st_inflight; st_running; st_cancelled; st_shed; st_latency })
-  | "ping" -> Ok R_pong
-  | "shutdown" -> Ok R_shutdown
-  | k -> Error (Printf.sprintf "unknown payload kind '%s'" k)
-
-let frame_of_json (j : Json.t) : (frame, string) result =
-  let* v = get_int ~default:0 "v" j in
-  if v <> version then
-    Error (Printf.sprintf "unsupported schema version %d (want %d)" v version)
-  else
-    let* shape = get_str "frame" j in
-    match shape with
-    | "request" ->
-        let* q_id = get_int ~default:0 "id" j in
-        let* q_stream = get_bool ~default:false "stream" j in
-        let* q_req = request_of_json j in
-        Ok (Request { q_id; q_stream; q_req })
-    | "response" -> (
-        let* r_id = get_int ~default:0 "id" j in
-        let* status = get_str "status" j in
-        match status with
-        | "ok" ->
-            let* kind = get_str "kind" j in
-            let* body =
-              match Json.member "payload" j with
-              | Some b -> Ok b
-              | None -> Error "missing 'payload'"
-            in
-            let* p = payload_of_json ~kind body in
-            Ok (Response { r_id; r_reply = Done p })
-        | "error" ->
-            let* ds = diags_of_json j "diagnostics" in
-            Ok (Response { r_id; r_reply = Failed ds })
-        | "busy" ->
-            let* depth = get_int ~default:0 "queue_depth" j in
-            Ok (Response { r_id; r_reply = Busy depth })
-        | s -> Error (Printf.sprintf "unknown response status '%s'" s))
-    | "event" ->
-        let* e_id = get_int ~default:0 "id" j in
-        let* e_stage = get_str "stage" j in
-        let* e_pass = get_str "pass" j in
-        let* e_seconds = get_float ~default:0.0 "seconds" j in
-        let* e_before = get_int ~default:0 "before" j in
-        let* e_after = get_int ~default:0 "after" j in
-        Ok (Event { e_id; e_stage; e_pass; e_seconds; e_before; e_after })
-    | s -> Error (Printf.sprintf "unknown frame shape '%s'" s)
+let frame_to_json = frame.enc
+let frame_of_json = frame.dec
 
 let frame_to_string (f : frame) : string = Json.to_string (frame_to_json f)
 
 let frame_of_string (s : string) : (frame, string) result =
-  let* j = Json.parse s in
-  frame_of_json j
+  Result.bind (Json.parse s) frame_of_json
 
 (* ------------------------------------------------------------------ *)
 (* Coalescing identity                                                *)
@@ -950,6 +672,8 @@ let read_exactly (fd : Unix.file_descr) (n : int) : (Bytes.t, string) result =
       | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   in
   go 0
+
+let ( let* ) = Result.bind
 
 let read_frame (fd : Unix.file_descr) : (frame, string) result =
   let* hdr = read_exactly fd 4 in

@@ -5,7 +5,8 @@
     wrong for {e analysis} output — a lint pass or compatibility check
     should report everything it finds in one run.  This module carries
     such findings: each diagnostic has a stable rule ID ([HLS001], ...),
-    a severity, a location, and renders to text or JSON.  A batch of
+    a severity, a location, and renders to text or JSON (through
+    {!Json}, whose {!codec} the serve protocol reuses).  A batch of
     diagnostics can be promoted ([-Werror]-style), summarized, and
     turned into a process exit code. *)
 
@@ -140,47 +141,33 @@ let render (ds : t list) : string =
 (* JSON rendering                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape (s : string) =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let codec : t Json.codec =
+  Json.(
+    record (fun rule severity func location message hint ->
+        { rule; severity; func; location; message; hint })
+    |> field "rule" string (fun d -> d.rule)
+    |> field "severity" (enum severity_name [ Note; Warning; Error ]) (fun d ->
+           d.severity)
+    |> opt "function" string (fun d -> d.func)
+    |> opt "location" string (fun d -> d.location)
+    |> field "message" string (fun d -> d.message)
+    |> opt "hint" string (fun d -> d.hint)
+    |> seal)
 
-let json_field k v = Printf.sprintf "\"%s\": %s" k v
-let json_string s = "\"" ^ json_escape s ^ "\""
-let json_opt = function None -> "null" | Some s -> json_string s
-
-let diag_to_json (d : t) =
-  "{"
-  ^ String.concat ", "
-      [
-        json_field "rule" (json_string d.rule);
-        json_field "severity" (json_string (severity_name d.severity));
-        json_field "function" (json_opt d.func);
-        json_field "location" (json_opt d.location);
-        json_field "message" (json_string d.message);
-        json_field "hint" (json_opt d.hint);
-      ]
-  ^ "}"
+let diag_to_json (d : t) = Json.to_string (codec.enc d)
 
 (** Whole batch as one JSON object:
     [{"diagnostics": [...], "errors": n, "warnings": n, "notes": n}]. *)
 let to_json (ds : t list) : string =
   let ds = sort ds in
-  Printf.sprintf
-    "{\"diagnostics\": [%s], \"errors\": %d, \"warnings\": %d, \"notes\": %d}"
-    (String.concat ", " (List.map diag_to_json ds))
-    (errors ds) (warnings ds) (count Note ds)
+  Json.to_string
+    (Json.Obj
+       [
+         ("diagnostics", (Json.list codec).enc ds);
+         ("errors", Json.Int (errors ds));
+         ("warnings", Json.Int (warnings ds));
+         ("notes", Json.Int (count Note ds));
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Interop with the fail-fast layer                                   *)

@@ -256,7 +256,7 @@ let test_trace_schema_rejects_malformed () =
     \   \"minor_words\": 0, \"major_words\": 0}\n\
      ]}"
   in
-  match Tr.validate missing_key with
+  (match Tr.validate missing_key with
   | Ok () -> Alcotest.fail "record lacking 'cached' must be rejected"
   | Error e ->
       Alcotest.(check bool)
@@ -268,7 +268,40 @@ let test_trace_schema_rejects_malformed () =
            in
            go 0
          in
-         contains ~needle:"cached" e)
+         contains ~needle:"cached" e));
+  (* the validator reads JSON, not spellings: damaged documents are
+     rejected and the same document without blanks is accepted *)
+  let record ?(cached = "false") () =
+    Printf.sprintf
+      {|{"job": "j", "kernel": "k", "flow": "direct-ir", "stage": "adaptor", "pass": "p", "seconds": 0.1, "instrs_before": 1, "instrs_after": 1, "minor_words": 0, "major_words": 0, "cached": %s}|}
+      cached
+  in
+  let head ?(version = "1") () =
+    Printf.sprintf "{\"version\": %s, \"tool\": \"t\", \"records\": [\n"
+      version
+  in
+  let doc ?version records =
+    head ?version () ^ "  " ^ String.concat ",\n  " records ^ "\n]}\n"
+  in
+  let reject name s =
+    if Result.is_ok (Tr.validate s) then Alcotest.failf "%s accepted" name
+  in
+  let accept name s =
+    match Tr.validate s with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s rejected: %s" name e
+  in
+  accept "well-formed trace" (doc [ record (); record () ]);
+  reject "truncated after the first record" (head () ^ "  " ^ record () ^ ",\n");
+  reject "trailing garbage" (doc [ record () ] ^ "]]");
+  reject "version 12" (doc ~version:"12" [ record () ]);
+  reject "key with no value" (doc [ record ~cached:"" () ]);
+  (* the sample has no blanks inside its strings *)
+  let squeeze s =
+    String.concat ""
+      (List.concat_map (String.split_on_char ' ') (String.split_on_char '\n' s))
+  in
+  accept "trace without blanks" (squeeze (doc [ record (); record () ]))
 
 (* ------------------------------------------------------------------ *)
 (* Parallel determinism                                               *)
