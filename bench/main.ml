@@ -57,12 +57,6 @@ let hdr title =
   Printf.printf "%s\n" title;
   Printf.printf "==================================================\n"
 
-let inner_ii (r : E.report) =
-  List.fold_left
-    (fun acc (l : E.loop_report) ->
-      match l.E.achieved_ii with Some ii -> max acc ii | None -> acc)
-    0 r.E.loops
-
 (* ------------------------------------------------------------------ *)
 (* Table 1: the syntax gap                                            *)
 (* ------------------------------------------------------------------ *)
@@ -129,8 +123,8 @@ let table2 () =
           string_of_int cb.E.latency;
           Printf.sprintf "%.3f"
             (float_of_int cb.E.latency /. float_of_int da.E.latency);
-          string_of_int (inner_ii da);
-          string_of_int (inner_ii cb);
+          string_of_int (E.inner_ii da);
+          string_of_int (E.inner_ii cb);
         ])
     kernels;
   T.print t;
@@ -219,8 +213,8 @@ let fig2 () =
           name;
           string_of_int direct.E.latency;
           string_of_int cpp.E.latency;
-          string_of_int (inner_ii direct);
-          string_of_int (inner_ii cpp);
+          string_of_int (E.inner_ii direct);
+          string_of_int (E.inner_ii cpp);
         ])
     cases;
   T.print t
@@ -259,9 +253,9 @@ let fig3 () =
               kname;
               string_of_int factor;
               string_of_int full.Flow.hls.E.latency;
-              string_of_int (inner_ii full.Flow.hls);
+              string_of_int (E.inner_ii full.Flow.hls);
               string_of_int flat.E.latency;
-              string_of_int (inner_ii flat);
+              string_of_int (E.inner_ii flat);
             ])
         [ 1; 2; 4; 8 ])
     [ "gemm"; "conv2d" ];
@@ -519,7 +513,7 @@ let ablation () =
       | r ->
           T.add_row t
             [ name;
-              Printf.sprintf "latency %d cycles, II %d" r.E.latency (inner_ii r) ]
+              Printf.sprintf "latency %d cycles, II %d" r.E.latency (E.inner_ii r) ]
       | exception E.Rejected errs ->
           T.add_row t
             [ name;

@@ -143,12 +143,6 @@ let pipeline_of ?top ?(strict = true) ~(passes : string list option)
       wrap (Adaptor.Pipeline.disable name p))
     (Ok base) disable
 
-let inner_ii (r : E.report) : int =
-  List.fold_left
-    (fun acc (l : E.loop_report) ->
-      match l.E.achieved_ii with Some ii -> max acc ii | None -> acc)
-    0 r.E.loops
-
 (* ------------------------------------------------------------------ *)
 (* Service handlers (shared by argv and daemon)                       *)
 (* ------------------------------------------------------------------ *)
@@ -192,7 +186,7 @@ let compile (env : env) ~(trace : Support.Tracing.hook)
               P.cr_kernel = k.K.kname;
               cr_flow = Flow.flow_name flow;
               cr_latency = r.E.latency;
-              cr_ii = inner_ii r;
+              cr_ii = E.inner_ii r;
               cr_bram = r.E.resources.E.bram;
               cr_dsp = r.E.resources.E.dsp;
               cr_lut = r.E.resources.E.lut;

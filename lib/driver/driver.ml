@@ -598,12 +598,6 @@ let parse_manifest (text : string) : (job list, Support.Diag.t) result =
 (* Rendering                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let inner_ii (r : E.report) =
-  List.fold_left
-    (fun acc (l : E.loop_report) ->
-      match l.E.achieved_ii with Some ii -> max acc ii | None -> acc)
-    0 r.E.loops
-
 (** Deterministic QoR table: depends only on job identities and compile
     results — never on wall time, worker count or cache state. *)
 let render_qor (b : batch_report) : string =
@@ -628,7 +622,7 @@ let render_qor (b : batch_report) : string =
               Flow.flow_name o.o_job.flow;
               "ok";
               string_of_int r.E.latency;
-              string_of_int (inner_ii r);
+              string_of_int (E.inner_ii r);
               string_of_int r.E.resources.E.bram;
               string_of_int r.E.resources.E.dsp;
               string_of_int r.E.resources.E.lut;

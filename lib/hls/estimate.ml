@@ -74,6 +74,13 @@ let qor_to_string (k : qor_key) : string =
   Printf.sprintf "lat=%d bram=%d dsp=%d ff=%d lut=%d" k.qk_latency k.qk_bram
     k.qk_dsp k.qk_ff k.qk_lut
 
+(** The largest achieved II over the report's loops; 0 when no loop
+    is pipelined. *)
+let inner_ii (r : report) : int =
+  List.fold_left
+    (fun acc l -> match l.achieved_ii with Some ii -> max acc ii | None -> acc)
+    0 r.loops
+
 (** BRAM banks an array occupies after partitioning. *)
 let bram_of_array (a : Directives.array_info) =
   let total_bits = Directives.total_elems a * a.Directives.elem_bits in

@@ -48,5 +48,9 @@ val qor_key : report -> qor_key
 val qor_compare : qor_key -> qor_key -> int
 val qor_to_string : qor_key -> string
 
+(** The largest achieved II over the report's loops; 0 when no loop
+    is pipelined. *)
+val inner_ii : report -> int
+
 (** BRAM banks an array occupies after partitioning. *)
 val bram_of_array : Directives.array_info -> int
