@@ -148,9 +148,9 @@ let pipeline_of ?top ?(strict = true) ~(passes : string list option)
 (* ------------------------------------------------------------------ *)
 
 (** Compile one kernel through the env's driver session — warm pool,
-    warm cache, per-request pipeline override.  Cached per-pass trace
-    records are replayed into [trace] so streaming clients see the
-    passes either way. *)
+    warm cache, per-request pipeline override.  The job's pass events
+    (the original run's, on a cache hit) are replayed into [trace] so
+    streaming clients see the passes either way. *)
 let compile (env : env) ~(trace : Support.Tracing.hook)
     (c : P.compile_req) : (P.compile_resp, Diag.t list) result =
   let* k = find_kernel c.P.c_kernel in
@@ -166,18 +166,7 @@ let compile (env : env) ~(trace : Support.Tracing.hook)
   let* outs = D.submit ~pipeline env.session [ job ] in
   match outs with
   | [ o ] -> (
-      List.iter
-        (fun (r : Mhls_driver.Trace.record) ->
-          trace
-            (Support.Tracing.with_alloc
-               ~minor_words:r.Mhls_driver.Trace.tr_minor_words
-               ~major_words:r.Mhls_driver.Trace.tr_major_words
-               (Support.Tracing.event ~stage:r.Mhls_driver.Trace.tr_stage
-                  ~pass:r.Mhls_driver.Trace.tr_pass
-                  ~seconds:r.Mhls_driver.Trace.tr_seconds
-                  ~before:r.Mhls_driver.Trace.tr_instrs_before
-                  ~after:r.Mhls_driver.Trace.tr_instrs_after)))
-        o.D.o_trace;
+      List.iter trace o.D.o_trace;
       match o.D.o_qor with
       | Error ds -> Error ds
       | Ok r ->
@@ -283,23 +272,20 @@ let opt (o : P.opt_req) : (P.opt_resp, Diag.t list) result =
           in
           go [] names
     in
-    let m', timings, par_status =
+    let m', seconds, par_status =
       if o.P.op_parallel then
         let fanout = Mhls_driver.Pool.fanout ~jobs:o.P.op_jobs in
-        let m', ts, status = LP.run_pipeline_parallel ~fanout passes m in
-        (m', ts, Some (LP.par_status_to_string status))
+        let m', seconds, status = LP.run_pipeline_parallel ~fanout passes m in
+        (m', seconds, Some (LP.par_status_to_string status))
       else
-        let m', ts = LP.run_pipeline passes m in
-        (m', ts, None)
-    in
-    let total =
-      List.fold_left (fun a (t : LP.timing) -> a +. t.LP.seconds) 0.0 timings
+        let m', seconds = LP.run_pipeline passes m in
+        (m', seconds, None)
     in
     Ok
       {
         P.or_ir = Llvmir.Lprinter.module_to_string m';
-        or_passes = List.length timings;
-        or_seconds = total;
+        or_passes = List.length passes;
+        or_seconds = seconds;
         or_par_status = par_status;
         or_verdict = None;
         or_safe = true;
@@ -434,7 +420,9 @@ let cosim ~(kernel : string) ~(directives : P.directives) :
 
 type adapt_resp = {
   a_ir : string;  (** legalized IR (stdout) *)
-  a_report : string;  (** rendered adaptor report (stderr) *)
+  a_report : string;
+      (** rendered adaptor report plus one line per pass with its wall
+          time, from the run's trace events (stderr) *)
 }
 
 (** Run the adaptor on raw IR source (this tool's textual dialect). *)
@@ -452,11 +440,19 @@ let adapt ~(source : string) ~(strict : bool)
         Error [ Diag.of_err ~rule:"HLS000" e ]
   in
   let* pipeline = pipeline_of ~strict ~passes ~disable () in
-  let* m', report = Adaptor.run ~pipeline m in
+  let trace, events = Support.Tracing.collector () in
+  let* m', report = Adaptor.run ~pipeline ~trace m in
+  let pass_lines =
+    List.filter_map
+      (fun (e : Support.Tracing.event) ->
+        if e.ev_stage <> "adaptor" then None
+        else Some (Printf.sprintf "  pass %-24s %.4fs\n" e.ev_pass e.ev_seconds))
+      (events ())
+  in
   Ok
     {
       a_ir = Llvmir.Lprinter.module_to_string m';
-      a_report = Adaptor.report_to_string report;
+      a_report = String.concat "" (Adaptor.report_to_string report :: pass_lines);
     }
 
 type synth_mlir_resp = {

@@ -29,7 +29,6 @@ type report = {
   issues_after : Compat.issue list;
   diagnostics : Support.Diag.t list;
       (** [issues_after] as accumulated diagnostics (HLS10x rules) *)
-  pass_seconds : (string * float) list;
 }
 
 let fresh_report () =
@@ -43,7 +42,6 @@ let fresh_report () =
     issues_before = [];
     issues_after = [];
     diagnostics = [];
-    pass_seconds = [];
   }
 
 (** The adaptor's pass pipeline as a first-class, ordered, named value
@@ -257,72 +255,52 @@ end
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(** One enabled adaptor pass as a pass-manager pass, updating [r]'s
+    stats as it runs.  Every adaptor pass rewrites instructions inside
+    a fixed block skeleton — labels, order and terminator targets
+    survive — so CFG-shaped analyses rebase across each step exactly as
+    in the LLVM cleanup pipeline.  The rewrites rebuild every function;
+    restoring physical identity on the unchanged ones lets the shared
+    manager keep their analyses and the verifier skip them. *)
+let manager_pass (r : report) ~top (p : Pipeline.pass) : Llvmir.Pass.pass =
+  {
+    Llvmir.Pass.name = p.Pipeline.pname;
+    preserves =
+      [ Llvmir.Analysis.Cfg; Llvmir.Analysis.Dominance; Llvmir.Analysis.Loop_info ];
+    run =
+      (fun am m ->
+        Llvmir.Lmodule.share_unchanged ~prev:m (p.Pipeline.prun r ~am ~top m));
+    fn_run = None;
+  }
+
 (** Run the adaptor pipeline.  Returns [Ok (module, report)], or — in
     strict mode, when error-severity compatibility issues remain —
     [Error diagnostics] with the {e complete} accumulated list.  No
     exception escapes; converting diagnostics to {!Support.Diag.Failed}
     is the CLI boundary's job (or use {!run_exn}).
 
+    The enabled passes run through {!Llvmir.Pass.run_pipeline}, so
     [?trace] receives one {!Support.Tracing.event} per executed pass
-    (stage ["adaptor"]). *)
-let run ?(pipeline = Pipeline.default) ?(trace = Support.Tracing.null)
-    (m : Llvmir.Lmodule.t) :
+    (stage ["adaptor"]) plus the analysis queries, and the final module
+    is verified once rather than after every pass. *)
+let run ?(pipeline = Pipeline.default) ?trace (m : Llvmir.Lmodule.t) :
     (Llvmir.Lmodule.t * report, Support.Diag.t list) result =
   let r = fresh_report () in
-  let am = Llvmir.Analysis.create ~trace () in
   let issues_before = Compat.check m in
-  let timings = ref [] in
-  (* instruction counts exist only for trace events; skip the module
-     walks entirely under the null hook *)
-  let traced = trace != Support.Tracing.null in
-  let step m (p : Pipeline.pass) =
-    if not p.Pipeline.enabled then m
-    else begin
-      let before = if traced then Llvmir.Lmodule.instr_count m else 0 in
-      let t0 = Sys.time () in
-      let m' = p.Pipeline.prun r ~am ~top:pipeline.Pipeline.top m in
-      (* adaptor passes rebuild every function; restoring physical
-         identity on the unchanged ones lets the shared manager keep
-         their analyses and the verifier skip them *)
-      let m' = Llvmir.Lmodule.share_unchanged ~prev:m m' in
-      (* Every adaptor pass rewrites instructions inside a fixed block
-         skeleton — labels, order and terminator targets survive — so
-         CFG-shaped analyses rebase across each step exactly as in the
-         LLVM pass pipeline.  [keep] also installs the index a pass's
-         cleanup DCE seeded for its output, so the verifier below
-         reads the flat storage the pass wrote. *)
-      Llvmir.Analysis.keep am
-        ~preserves:
-          [ Llvmir.Analysis.Cfg; Llvmir.Analysis.Dominance;
-            Llvmir.Analysis.Loop_info ]
-        m';
-      let seconds = Sys.time () -. t0 in
-      timings := (p.Pipeline.pname, seconds) :: !timings;
-      if traced then
-        trace
-          (Support.Tracing.event ~stage:"adaptor" ~pass:p.Pipeline.pname
-             ~seconds ~before ~after:(Llvmir.Lmodule.instr_count m'));
-      m'
-    end
+  let passes =
+    List.filter_map
+      (fun p ->
+        if p.Pipeline.enabled then
+          Some (manager_pass r ~top:pipeline.Pipeline.top p)
+        else None)
+      pipeline.Pipeline.passes
   in
-  let m = List.fold_left step m pipeline.Pipeline.passes in
-  (* One verification of the final module, not one per pass: the
-     verifier checks properties of the output, so this rejects exactly
-     what per-pass verification would; the incremental verifier only
-     re-checks functions that changed since their last accepted value,
-     so pristine functions cost nothing here. *)
-  Llvmir.Lverifier.verify_module ~am m;
+  let m, _ = Llvmir.Pass.run_pipeline ?trace ~stage:"adaptor" passes m in
+  (* the pipeline verifies only what a pass produced *)
+  if passes = [] then Llvmir.Lverifier.verify_module m;
   let issues_after = Compat.check m in
   let diagnostics = Compat.to_diagnostics issues_after in
-  let report =
-    {
-      r with
-      issues_before;
-      issues_after;
-      diagnostics;
-      pass_seconds = List.rev !timings;
-    }
-  in
+  let report = { r with issues_before; issues_after; diagnostics } in
   (* Strict mode gates on {e error}-severity issues only (warnings such
      as untranslated loop metadata lose directives but still compile),
      and reports the complete accumulated list — not just the first. *)
@@ -392,8 +370,4 @@ let report_to_string (r : report) =
   Buffer.add_string b
     (Printf.sprintf "interfaces: %d annotated, %d partitions\n"
        r.interfaces.Interfaces.interfaces r.interfaces.Interfaces.partitions);
-  List.iter
-    (fun (n, s) ->
-      Buffer.add_string b (Printf.sprintf "  pass %-24s %.4fs\n" n s))
-    r.pass_seconds;
   Buffer.contents b

@@ -18,7 +18,9 @@ module Translate_metadata = Translate_metadata
 module Interfaces = Interfaces
 module Compat = Compat
 
-(** Per-pass statistics and diagnostics accumulated over one run. *)
+(** Per-pass statistics and diagnostics accumulated over one run.  It
+    carries no times, so two runs of one input render the same text;
+    per-pass times are the [?trace] events of {!run}. *)
 type report = {
   intrinsics : Legalize_intrinsics.stats;
   descriptors : Eliminate_descriptors.stats;
@@ -29,7 +31,6 @@ type report = {
   issues_before : Compat.issue list;
   issues_after : Compat.issue list;
   diagnostics : Support.Diag.t list;
-  pass_seconds : (string * float) list;
 }
 
 val fresh_report : unit -> report
@@ -81,8 +82,11 @@ module Pipeline : sig
     ?top:string -> ?strict:bool -> string list -> (t, Support.Diag.t) result
 end
 
-(** Run the pipeline over a module.  Diagnostics of severity [Error]
-    (including strict-mode compat failures) produce [Error diags]. *)
+(** Run the pipeline's enabled passes over a module through
+    {!Llvmir.Pass.run_pipeline}: [?trace] receives one event per pass
+    (stage ["adaptor"]), and the output is verified even when every
+    pass is disabled.  Diagnostics of severity [Error] (including
+    strict-mode compat failures) produce [Error diags]. *)
 val run :
   ?pipeline:Pipeline.t ->
   ?trace:Support.Tracing.hook ->

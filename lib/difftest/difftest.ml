@@ -330,14 +330,14 @@ let run_batch ?(trace = Support.Tracing.null) ?mutate ?(stages = all_stages)
   let results =
     Mhls_driver.Pool.map ~jobs
       (fun index ->
-        let t0 = Sys.time () in
+        let t0 = Support.Tracing.now () in
         let c = gen_case ~seed ~index in
         let r =
           match run_case ?mutate ~stages c with
           | r -> r
           | exception e -> Some ("harness", describe_exn e)
         in
-        (index, c, r, Sys.time () -. t0))
+        (index, c, r, Support.Tracing.now () -. t0))
       idxs
   in
   List.iter

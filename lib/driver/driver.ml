@@ -41,8 +41,10 @@ module Diag = Support.Diag
     the bump is the cache epoch for the backend redesign; 1.7.0 added
     GC allocation fields to {!Support.Tracing.event}, which travels
     inside the marshalled payload — reading a 1.6.0 payload into the
-    new layout is undefined behaviour, so the bump is load-bearing). *)
-let tool_version = "mhlsc-1.7.0"
+    new layout is undefined behaviour, so the bump is load-bearing;
+    1.8.0 stores the events themselves instead of trace records, and
+    the adaptor report without per-pass times). *)
+let tool_version = "mhlsc-1.8.0"
 
 (* ------------------------------------------------------------------ *)
 (* Jobs                                                               *)
@@ -94,7 +96,7 @@ let directives_describe (d : K.directives) : string =
     no closures — {!Support.Diag.t} qualifies). *)
 type payload = {
   p_qor : (E.report, Diag.t list) result;
-  p_trace : Trace.record list;
+  p_trace : Support.Tracing.event list;
   p_seconds : float;  (** front-end compile seconds of the original run *)
   p_adaptor : string option;
       (** rendered adaptor report (direct-IR flow only) *)
@@ -107,7 +109,8 @@ type outcome = {
   o_seconds : float;
   o_from_cache : bool;
   o_adaptor : string option;  (** rendered adaptor report, if the flow had one *)
-  o_trace : Trace.record list;  (** [tr_cached] reflects [o_from_cache] *)
+  o_trace : Support.Tracing.event list;
+      (** the original run's events, also on a cache hit *)
 }
 
 type batch_report = {
@@ -119,7 +122,19 @@ type batch_report = {
 }
 
 let trace_records (b : batch_report) : Trace.record list =
-  List.concat_map (fun o -> o.o_trace) b.outcomes
+  List.concat_map
+    (fun o ->
+      List.map
+        (fun tr_event ->
+          {
+            Trace.tr_job = o.o_job.label;
+            tr_kernel = o.o_job.kernel;
+            tr_flow = Flow.flow_name o.o_job.flow;
+            tr_cached = o.o_from_cache;
+            tr_event;
+          })
+        o.o_trace)
+    b.outcomes
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                          *)
@@ -169,13 +184,7 @@ let compute ~(pipeline : Adaptor.Pipeline.t) (j : job) : payload =
               0.0,
               None )
       in
-      let records =
-        List.map
-          (Trace.of_event ~job:j.label ~kernel:j.kernel
-             ~flow:(Flow.flow_name j.flow) ~cached:false)
-          (events ())
-      in
-      { p_qor = qor; p_trace = records; p_seconds = seconds; p_adaptor = adaptor }
+      { p_qor = qor; p_trace = events (); p_seconds = seconds; p_adaptor = adaptor }
 
 (** The job's content address: hashes the {e printed input IR} (the
     kernel built under its directives), so any change to the kernel
@@ -211,42 +220,29 @@ let payload_of_string (s : string) : payload option =
 
 (** Run one job, consulting [cache] first. *)
 let run_job ~pipeline ~(cache : Cache.t option) (j : job) : outcome =
-  let fresh () =
-    let p = compute ~pipeline j in
-    ( p,
-      {
-        o_job = j;
-        o_qor = p.p_qor;
-        o_seconds = p.p_seconds;
-        o_from_cache = false;
-        o_adaptor = p.p_adaptor;
-        o_trace = p.p_trace;
-      } )
+  let outcome ~from_cache p =
+    {
+      o_job = j;
+      o_qor = p.p_qor;
+      o_seconds = p.p_seconds;
+      o_from_cache = from_cache;
+      o_adaptor = p.p_adaptor;
+      o_trace = p.p_trace;
+    }
   in
+  let fresh () = outcome ~from_cache:false (compute ~pipeline j) in
   match cache with
-  | None -> snd (fresh ())
+  | None -> fresh ()
   | Some cache -> (
       match cache_key ~pipeline j with
-      | None -> snd (fresh ())
+      | None -> fresh ()
       | Some key -> (
           match Option.bind (Cache.find cache key) payload_of_string with
-          | Some p ->
-              {
-                o_job = j;
-                o_qor = p.p_qor;
-                o_seconds = p.p_seconds;
-                o_from_cache = true;
-                o_adaptor = p.p_adaptor;
-                o_trace =
-                  List.map
-                    (fun (r : Trace.record) ->
-                      { r with Trace.tr_cached = true })
-                    p.p_trace;
-              }
+          | Some p -> outcome ~from_cache:true p
           | None ->
-              let p, o = fresh () in
+              let p = compute ~pipeline j in
               Cache.store cache key (payload_to_string p);
-              o))
+              outcome ~from_cache:false p))
 
 (* ------------------------------------------------------------------ *)
 (* Sessions: a live pool + cache accepting incremental submissions    *)
@@ -358,11 +354,11 @@ let run_batch ?pipeline ?cache_dir ?(jobs = 1) (js : job list) : batch_report
     =
   let jobs = max 1 (min jobs (max 1 (List.length js))) in
   with_session ?pipeline ?cache_dir ~jobs (fun s ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Support.Tracing.now () in
       let outcomes = submit_exn s js in
       {
         outcomes;
-        wall_seconds = Unix.gettimeofday () -. t0;
+        wall_seconds = Support.Tracing.now () -. t0;
         jobs_used = session_workers s;
         cache_hits = session_hits s;
         cache_misses = session_misses s;

@@ -62,7 +62,8 @@ type outcome = {
   o_seconds : float;
   o_from_cache : bool;
   o_adaptor : string option;  (** rendered adaptor report, if the flow had one *)
-  o_trace : Trace.record list;  (** [tr_cached] reflects [o_from_cache] *)
+  o_trace : Support.Tracing.event list;
+      (** the original run's pass events, also on a cache hit *)
 }
 
 type batch_report = {
@@ -73,6 +74,8 @@ type batch_report = {
   cache_misses : int;  (** both 0 when caching is disabled *)
 }
 
+(** Every outcome's events as trace-file records: each event plus its
+    job's identity and the outcome's [o_from_cache]. *)
 val trace_records : batch_report -> Trace.record list
 
 (** The job's content address, [None] for an unknown kernel: hashes

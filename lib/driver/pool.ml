@@ -61,10 +61,10 @@ let map ~(jobs : int) (f : 'a -> 'b) (xs : 'a list) : 'b list =
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 (** Fanout record handed to {!Llvmir.Pass.run_pipeline_parallel}: the
-    pool's {!map} plus a wall clock.  Lives here because [llvmir] sits
-    below both this pool and [unix] in the layering. *)
+    pool's {!map}.  Lives here because [llvmir] sits below this pool in
+    the layering. *)
 let fanout ~(jobs : int) : Llvmir.Pass.fanout =
-  { Llvmir.Pass.jobs; now = Unix.gettimeofday; map = (fun f xs -> map ~jobs f xs) }
+  { Llvmir.Pass.jobs; map = (fun f xs -> map ~jobs f xs) }
 
 (* ------------------------------------------------------------------ *)
 (* Live pool                                                          *)

@@ -10,8 +10,7 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 val default_jobs : unit -> int
 
 (** Fanout record for {!Llvmir.Pass.run_pipeline_parallel}: this
-    pool's {!map} with a [Unix.gettimeofday] wall clock for
-    worker-side timings. *)
+    pool's {!map}. *)
 val fanout : jobs:int -> Llvmir.Pass.fanout
 
 (** A live pool: workers are spawned once and reused by every {!run}. *)

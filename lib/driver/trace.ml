@@ -1,6 +1,7 @@
-(** Batch-level pass traces: per-job, per-pass records assembled from
-    {!Support.Tracing} events, emitted as JSON (one object per job per
-    pass) plus an aggregate summary table.
+(** Batch-level pass traces: the {!Support.Tracing} events of a batch,
+    each tagged with its job's identity and cache flag when the trace
+    file is written, emitted as JSON (one object per job per pass) plus
+    an aggregate summary table.
 
     Trace schema, version {!schema_version} — one top-level object:
     {v
@@ -17,36 +18,17 @@
     validator checks exactly the schema the printer writes; the golden
     schema test and CI both rely on it. *)
 
+module Ev = Support.Tracing
+
 type record = {
   tr_job : string;  (** job label the pass ran under *)
   tr_kernel : string;
   tr_flow : string;  (** ["direct-ir"] | ["hls-cpp"] *)
-  tr_stage : string;
-  tr_pass : string;
-  tr_seconds : float;
-  tr_instrs_before : int;
-  tr_instrs_after : int;
-  tr_minor_words : float;  (** words allocated on the minor heap *)
-  tr_major_words : float;  (** words allocated directly on the major heap *)
   tr_cached : bool;  (** served from the result cache, not re-run *)
+  tr_event : Ev.event;
 }
 
 let schema_version = 1
-
-let of_event ~job ~kernel ~flow ~cached (e : Support.Tracing.event) : record =
-  {
-    tr_job = job;
-    tr_kernel = kernel;
-    tr_flow = flow;
-    tr_stage = e.Support.Tracing.ev_stage;
-    tr_pass = e.Support.Tracing.ev_pass;
-    tr_seconds = e.Support.Tracing.ev_seconds;
-    tr_instrs_before = e.Support.Tracing.ev_instrs_before;
-    tr_instrs_after = e.Support.Tracing.ev_instrs_after;
-    tr_minor_words = e.Support.Tracing.ev_minor_words;
-    tr_major_words = e.Support.Tracing.ev_major_words;
-    tr_cached = cached;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                               *)
@@ -60,22 +42,23 @@ let words = { Json.float with enc = (fun w -> Json.Int (Float.to_int w)) }
 let record_codec : record Json.codec =
   Json.(
     record
-      (fun tr_job tr_kernel tr_flow tr_stage tr_pass tr_seconds
-           tr_instrs_before tr_instrs_after tr_minor_words tr_major_words
+      (fun tr_job tr_kernel tr_flow ev_stage ev_pass ev_seconds
+           ev_instrs_before ev_instrs_after ev_minor_words ev_major_words
            tr_cached ->
-        { tr_job; tr_kernel; tr_flow; tr_stage; tr_pass; tr_seconds;
-          tr_instrs_before; tr_instrs_after; tr_minor_words; tr_major_words;
-          tr_cached })
+        { tr_job; tr_kernel; tr_flow; tr_cached;
+          tr_event =
+            { Ev.ev_stage; ev_pass; ev_seconds; ev_instrs_before;
+              ev_instrs_after; ev_minor_words; ev_major_words } })
     |> field "job" string (fun r -> r.tr_job)
     |> field "kernel" string (fun r -> r.tr_kernel)
     |> field "flow" string (fun r -> r.tr_flow)
-    |> field "stage" string (fun r -> r.tr_stage)
-    |> field "pass" string (fun r -> r.tr_pass)
-    |> field "seconds" float (fun r -> r.tr_seconds)
-    |> field "instrs_before" int (fun r -> r.tr_instrs_before)
-    |> field "instrs_after" int (fun r -> r.tr_instrs_after)
-    |> field "minor_words" words (fun r -> r.tr_minor_words)
-    |> field "major_words" words (fun r -> r.tr_major_words)
+    |> field "stage" string (fun r -> r.tr_event.Ev.ev_stage)
+    |> field "pass" string (fun r -> r.tr_event.Ev.ev_pass)
+    |> field "seconds" float (fun r -> r.tr_event.Ev.ev_seconds)
+    |> field "instrs_before" int (fun r -> r.tr_event.Ev.ev_instrs_before)
+    |> field "instrs_after" int (fun r -> r.tr_event.Ev.ev_instrs_after)
+    |> field "minor_words" words (fun r -> r.tr_event.Ev.ev_minor_words)
+    |> field "major_words" words (fun r -> r.tr_event.Ev.ev_major_words)
     |> field "cached" bool (fun r -> r.tr_cached)
     |> seal)
 
@@ -120,16 +103,16 @@ let summary_table (records : record list) : string =
   in
   let order = ref [] in
   List.iter
-    (fun r ->
-      let k = (r.tr_stage, r.tr_pass) in
+    (fun { tr_event = e; _ } ->
+      let k = (e.Ev.ev_stage, e.Ev.ev_pass) in
       if not (Hashtbl.mem tbl k) then order := k :: !order;
       let n, secs, delta =
         Option.value ~default:(0, 0.0, 0) (Hashtbl.find_opt tbl k)
       in
       Hashtbl.replace tbl k
         ( n + 1,
-          secs +. r.tr_seconds,
-          delta + (r.tr_instrs_after - r.tr_instrs_before) ))
+          secs +. e.Ev.ev_seconds,
+          delta + (e.Ev.ev_instrs_after - e.Ev.ev_instrs_before) ))
     records;
   let t =
     Support.Table.create

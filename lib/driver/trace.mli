@@ -1,30 +1,17 @@
-(** Batch-level pass traces: per-job, per-pass records assembled from
-    {!Support.Tracing} events, emitted as versioned JSON plus an
-    aggregate summary table. *)
+(** Batch-level pass traces: the {!Support.Tracing} events of a batch,
+    each tagged with its job's identity and cache flag, emitted as
+    versioned JSON plus an aggregate summary table. *)
 
+(** One trace-file line: an event plus what the file adds to it. *)
 type record = {
   tr_job : string;  (** job label the pass ran under *)
   tr_kernel : string;
   tr_flow : string;  (** ["direct-ir"] | ["hls-cpp"] *)
-  tr_stage : string;
-  tr_pass : string;
-  tr_seconds : float;
-  tr_instrs_before : int;
-  tr_instrs_after : int;
-  tr_minor_words : float;  (** words allocated on the minor heap *)
-  tr_major_words : float;  (** words allocated directly on the major heap *)
   tr_cached : bool;  (** served from the result cache, not re-run *)
+  tr_event : Support.Tracing.event;
 }
 
 val schema_version : int
-
-val of_event :
-  job:string ->
-  kernel:string ->
-  flow:string ->
-  cached:bool ->
-  Support.Tracing.event ->
-  record
 
 (** The record's JSON fields, in canonical schema order. *)
 val record_fields : record -> (string * string) list

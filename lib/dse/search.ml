@@ -127,7 +127,7 @@ let search ?(params = default_params) ?scheds ?pipeline ?cache_dir
           (Pareto.frontier !archive)
       in
       let evaluate_round round cands =
-        let t0 = Unix.gettimeofday () in
+        let t0 = Support.Tracing.now () in
         let before = Pareto.size !archive in
         let js =
           List.map
@@ -173,7 +173,7 @@ let search ?(params = default_params) ?scheds ?pipeline ?cache_dir
         full := !full + !round_full;
         hits := !hits + !round_hits;
         let after = Pareto.size !archive in
-        let seconds = Unix.gettimeofday () -. t0 in
+        let seconds = Support.Tracing.now () -. t0 in
         rounds :=
           {
             rs_round = round;

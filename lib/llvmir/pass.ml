@@ -1,5 +1,5 @@
 (** Pass manager for LLVM-level transforms: named passes, pipelines,
-    optional verification between passes, per-pass timing, and an
+    optional verification between passes, per-pass trace events, and an
     {!Analysis} manager shared across the pipeline.
 
     Every pass declares which analyses it {e preserves}; after the
@@ -79,7 +79,12 @@ let licm =
 let default_pipeline =
   [ inline; mem2reg; constfold; cse; licm; dce; simplifycfg; constfold; dce ]
 
-type timing = { pass_name : string; seconds : float }
+(* This domain's allocation so far, as (minor words, major words).
+   [Gc.counters] counts the calling domain only, where the [Gc] stat
+   records add every other domain's sampled counters to it. *)
+let alloc_words () =
+  let minor, _, major = Gc.counters () in
+  (minor, major)
 
 (** Run a pipeline.  With [~verify:true] (default) the module is
     verified once after the final pass — the verifier's checks are
@@ -89,47 +94,49 @@ type timing = { pass_name : string; seconds : float }
     from their last accepted value).  [~verify_each:true] restores
     verification after {e every} pass, the debugging mode that
     attributes a miscompile to the pass that introduced it.  [?trace]
-    receives one {!Support.Tracing.event} per pass (stage ["llvm-opt"])
-    plus one per analysis query (stage ["analysis"], pass
-    ["<kind>:hit"] / ["<kind>:compute"]).  Returns the transformed
-    module and per-pass timings. *)
+    receives one {!Support.Tracing.event} per pass (stage [?stage],
+    default ["llvm-opt"]) plus one per analysis query (stage
+    ["analysis"], pass ["<kind>:hit"] / ["<kind>:compute"]).  Returns
+    the transformed module and the pipeline's wall time. *)
 let run_pipeline ?(verify = true) ?(verify_each = false)
-    ?(trace = Support.Tracing.null) (passes : pass list) (m : Lmodule.t) :
-    Lmodule.t * timing list =
+    ?(trace = Support.Tracing.null) ?(stage = "llvm-opt") (passes : pass list)
+    (m : Lmodule.t) : Lmodule.t * float =
+  let start = Support.Tracing.now () in
   let am = Analysis.create ~trace () in
-  let timings = ref [] in
-  (* the instruction counts and GC deltas exist only for the trace
-     event; under the null hook the walks and stat reads are pure
-     overhead on the hot path, so skip them entirely *)
-  let traced = trace != Support.Tracing.null in
-  let m' =
-    List.fold_left
-      (fun m p ->
-        let before = if traced then Lmodule.instr_count m else 0 in
-        let g0 = if traced then Some (Gc.quick_stat ()) else None in
-        let t0 = Sys.time () in
-        let m' = p.run am m in
-        let t1 = Sys.time () in
-        timings := { pass_name = p.name; seconds = t1 -. t0 } :: !timings;
-        Analysis.keep am ~preserves:p.preserves m';
-        if verify && verify_each then Lverifier.verify_module ~am m';
-        if traced then begin
-          let g1 = Gc.quick_stat () in
-          let g0 = Option.get g0 in
-          trace
-            (Support.Tracing.with_alloc
-               ~minor_words:(g1.Gc.minor_words -. g0.Gc.minor_words)
-               ~major_words:(g1.Gc.major_words -. g0.Gc.major_words)
-               (Support.Tracing.event ~stage:"llvm-opt" ~pass:p.name
-                  ~seconds:(t1 -. t0) ~before
-                  ~after:(Lmodule.instr_count m')))
-        end;
-        m')
-      m passes
+  let settle p m' =
+    Analysis.keep am ~preserves:p.preserves m';
+    if verify && verify_each then Lverifier.verify_module ~am m'
   in
+  (* the clock reads, instruction counts and GC deltas exist only for
+     the trace event; under the null hook they are pure overhead on the
+     hot path, so skip them entirely *)
+  let traced = trace != Support.Tracing.null in
+  let step m p =
+    if not traced then begin
+      let m' = p.run am m in
+      settle p m';
+      m'
+    end
+    else begin
+      let before = Lmodule.instr_count m in
+      let minor0, major0 = alloc_words () in
+      let t0 = Support.Tracing.now () in
+      let m' = p.run am m in
+      let seconds = Support.Tracing.now () -. t0 in
+      let minor1, major1 = alloc_words () in
+      settle p m';
+      trace
+        (Support.Tracing.with_alloc ~minor_words:(minor1 -. minor0)
+           ~major_words:(major1 -. major0)
+           (Support.Tracing.event ~stage ~pass:p.name ~seconds ~before
+              ~after:(Lmodule.instr_count m')));
+      m'
+    end
+  in
+  let m' = List.fold_left step m passes in
   if verify && (not verify_each) && passes <> [] then
     Lverifier.verify_module ~am m';
-  (m', List.rev !timings)
+  (m', Support.Tracing.now () -. start)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel-by-function execution                                     *)
@@ -138,22 +145,15 @@ let run_pipeline ?(verify = true) ?(verify_each = false)
 (** How to fan function-local work out.  Supplied by the caller (the
     driver's domain pool) so this library stays below the driver in
     the layering.  [map] must preserve input order and run [f] exactly
-    once per element; [now] is a wall clock for worker-side timings
-    ([Sys.time] measures whole-process CPU and would over-count under
-    parallelism). *)
+    once per element. *)
 type fanout = {
   jobs : int;
-  now : unit -> float;
-  map :
-    (Lmodule.func -> Lmodule.func * timing list) ->
-    Lmodule.func list ->
-    (Lmodule.func * timing list) list;
+  map : (Lmodule.func -> Lmodule.func) -> Lmodule.func list -> Lmodule.func list;
 }
 
-(** Inline fanout: no parallelism, [Sys.time] clock.  Useful as a
-    deterministic stand-in where no pool is available. *)
-let inline_fanout : fanout =
-  { jobs = 1; now = Sys.time; map = (fun f xs -> List.map f xs) }
+(** Inline fanout: no parallelism.  Useful as a deterministic
+    stand-in where no pool is available. *)
+let inline_fanout : fanout = { jobs = 1; map = List.map }
 
 type par_status =
   | Ran_parallel of int  (** function-local tail fanned out over this many functions *)
@@ -180,18 +180,20 @@ let split_func_local (passes : pass list) : pass list * pass list =
     local and [fanout.map] preserves order; the CI smoke test and the
     test suite assert exactly that.  On an [Unsafe] verdict (or a
     degenerate module/fanout) the whole pipeline runs sequentially and
-    the status says why.
+    the status says why.  The returned seconds are the wall time of
+    the whole call.
 
     Worker domains use fresh private {!Analysis} managers and the null
     trace hook (user trace hooks are not required to be domain-safe);
-    the coordinator emits one aggregated ["llvm-opt"] event for the
-    parallel tail. *)
+    the coordinator emits one ["llvm-opt"] event for the parallel
+    tail. *)
 let run_pipeline_parallel ?(verify = true) ?(trace = Support.Tracing.null)
     ~(fanout : fanout) (passes : pass list) (m : Lmodule.t) :
-    Lmodule.t * timing list * par_status =
+    Lmodule.t * float * par_status =
+  let start = Support.Tracing.now () in
   let fallback reason =
-    let m, ts = run_pipeline ~verify ~trace passes m in
-    (m, ts, Fell_back reason)
+    let m, _ = run_pipeline ~verify ~trace passes m in
+    (m, Support.Tracing.now () -. start, Fell_back reason)
   in
   if fanout.jobs <= 1 then fallback "jobs <= 1"
   else if List.length m.Lmodule.funcs <= 1 then
@@ -209,7 +211,7 @@ let run_pipeline_parallel ?(verify = true) ?(trace = Support.Tracing.null)
             (* no prologue verify: every function's final value is
                verified once in its worker below, which covers the
                prologue's output too *)
-            let m1, ts1 = run_pipeline ~verify:false ~trace prologue m in
+            let m1, _ = run_pipeline ~verify:false ~trace prologue m in
             (* Workers verify their function once after the whole tail,
                against [m1] (tail passes are function-local, so callee
                signatures never move): per-pass whole-module
@@ -222,64 +224,37 @@ let run_pipeline_parallel ?(verify = true) ?(trace = Support.Tracing.null)
                re-materialising and re-indexing the function. *)
             let worker (f : Lmodule.func) =
               let am = Analysis.create () in
-              let timings = ref [] in
               let f =
                 List.fold_left
                   (fun f p ->
-                    let fr = Option.get p.fn_run in
-                    let t0 = fanout.now () in
-                    let f' = fr am f in
-                    let t1 = fanout.now () in
-                    timings :=
-                      { pass_name = p.name; seconds = t1 -. t0 } :: !timings;
+                    let f' = (Option.get p.fn_run) am f in
                     Analysis.keep am ~preserves:p.preserves
                       { m1 with Lmodule.funcs = [ f' ] };
                     f')
                   f tail
               in
               if verify then Lverifier.verify_func ~am m1 f;
-              (f, List.rev !timings)
+              f
             in
             let traced = trace != Support.Tracing.null in
-            let g0 = if traced then Some (Gc.quick_stat ()) else None in
-            let t0 = Sys.time () in
-            let results = fanout.map worker m1.Lmodule.funcs in
-            let wall = Sys.time () -. t0 in
-            let funcs = List.map fst results in
+            let minor0, major0 = if traced then alloc_words () else (0., 0.) in
+            let t0 = Support.Tracing.now () in
+            let funcs = fanout.map worker m1.Lmodule.funcs in
             let m2 = { m1 with Lmodule.funcs = funcs } in
-            (* per-pass worker clock aggregated across functions *)
-            let agg =
-              List.map
-                (fun p ->
-                  {
-                    pass_name = p.name;
-                    seconds =
-                      List.fold_left
-                        (fun a (_, ts) ->
-                          List.fold_left
-                            (fun a t ->
-                              if t.pass_name = p.name then a +. t.seconds
-                              else a)
-                            a ts)
-                        0.0 results;
-                  })
-                tail
-            in
             (* coordinator-domain allocation only; worker-domain words
-               are invisible to this domain's [Gc.quick_stat] *)
+               are invisible to this domain's [Gc.counters] *)
             if traced then begin
-              let g1 = Gc.quick_stat () in
-              let g0 = Option.get g0 in
+              let seconds = Support.Tracing.now () -. t0 in
+              let minor1, major1 = alloc_words () in
               trace
-                (Support.Tracing.with_alloc
-                   ~minor_words:(g1.Gc.minor_words -. g0.Gc.minor_words)
-                   ~major_words:(g1.Gc.major_words -. g0.Gc.major_words)
+                (Support.Tracing.with_alloc ~minor_words:(minor1 -. minor0)
+                   ~major_words:(major1 -. major0)
                    (Support.Tracing.event ~stage:"llvm-opt"
-                      ~pass:"parallel-tail" ~seconds:wall
+                      ~pass:"parallel-tail" ~seconds
                       ~before:(Lmodule.instr_count m1)
                       ~after:(Lmodule.instr_count m2)))
             end;
-            (m2, ts1 @ agg, Ran_parallel (List.length funcs)))
+            (m2, Support.Tracing.now () -. start, Ran_parallel (List.length funcs)))
 
 let by_name = function
   | "inline" -> Some inline

@@ -1,5 +1,5 @@
 (** Pass manager for LLVM-level transforms: named passes, pipelines,
-    optional verification between passes, per-pass timing, and an
+    optional verification between passes, per-pass trace events, and an
     {!Analysis} manager shared across the pipeline.
 
     Every pass declares which analyses it {e preserves}; after the
@@ -37,8 +37,6 @@ val licm : pass
 (** The -O2-flavoured cleanup pipeline both flows run before HLS. *)
 val default_pipeline : pass list
 
-type timing = { pass_name : string; seconds : float }
-
 (** Run a pipeline.  With [~verify:true] (default) the module is
     verified once after the final pass: the verifier's checks are
     properties of the output, so one end-of-pipeline run rejects
@@ -47,34 +45,31 @@ type timing = { pass_name : string; seconds : float }
     accepted value.  [~verify_each:true] restores verification after
     {e every} pass — the debugging mode that attributes a miscompile
     to the pass that introduced it.  [?trace] receives one
-    {!Support.Tracing.event} per pass (stage ["llvm-opt"]) plus one
-    per analysis query (stage ["analysis"], pass ["<kind>:hit"] /
-    ["<kind>:compute"]).  Returns the transformed module and per-pass
-    timings. *)
+    {!Support.Tracing.event} per pass (stage [?stage], default
+    ["llvm-opt"]; the adaptor passes ["adaptor"]) plus one per analysis
+    query (stage ["analysis"], pass ["<kind>:hit"] /
+    ["<kind>:compute"]); per-pass times exist only as those events.
+    Returns the transformed module and the pipeline's wall time in
+    seconds ({!Support.Tracing.now}). *)
 val run_pipeline :
   ?verify:bool ->
   ?verify_each:bool ->
   ?trace:Support.Tracing.hook ->
+  ?stage:string ->
   pass list ->
   Lmodule.t ->
-  Lmodule.t * timing list
+  Lmodule.t * float
 
 (** How to fan function-local work out, supplied by the caller (the
     driver's domain pool — this library stays below the driver in the
     layering).  [map] must preserve input order and apply its callback
-    exactly once per element.  [now] is a wall clock for worker-side
-    timings: [Sys.time] measures whole-process CPU time and would
-    over-count under parallel domains. *)
+    exactly once per element. *)
 type fanout = {
   jobs : int;
-  now : unit -> float;
-  map :
-    (Lmodule.func -> Lmodule.func * timing list) ->
-    Lmodule.func list ->
-    (Lmodule.func * timing list) list;
+  map : (Lmodule.func -> Lmodule.func) -> Lmodule.func list -> Lmodule.func list;
 }
 
-(** Sequential stand-in fanout ([jobs = 1], [List.map], [Sys.time]). *)
+(** Sequential stand-in fanout ([jobs = 1], [List.map]). *)
 val inline_fanout : fanout
 
 type par_status =
@@ -102,13 +97,15 @@ val split_func_local : pass list -> pass list * pass list
     the full tail (which also covers the sequential prologue's output)
     — a miscompile is still caught before the module is reassembled,
     but is attributed to the pipeline as a whole rather than to one
-    pass (re-run sequentially with [~verify_each:true] to bisect). *)
+    pass (re-run sequentially with [~verify_each:true] to bisect).
+    The seconds are the wall time of the whole call, not a sum over
+    worker domains. *)
 val run_pipeline_parallel :
   ?verify:bool ->
   ?trace:Support.Tracing.hook ->
   fanout:fanout ->
   pass list ->
   Lmodule.t ->
-  Lmodule.t * timing list * par_status
+  Lmodule.t * float * par_status
 
 val by_name : string -> pass option

@@ -17,14 +17,14 @@ let ( let* ) = Result.bind
     not accept yet — covers the daemon-still-starting window. *)
 let connect ?(retry_for = 0.0) (addr : Unix.sockaddr) : (t, string) result =
   let domain = Unix.domain_of_sockaddr addr in
-  let deadline = Unix.gettimeofday () +. retry_for in
+  let deadline = Support.Tracing.now () +. retry_for in
   let rec go () =
     let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
     match Unix.connect fd addr with
     | () -> Ok { fd; next_id = 1 }
     | exception Unix.Unix_error (e, _, _) ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
-        if Unix.gettimeofday () < deadline then begin
+        if Support.Tracing.now () < deadline then begin
           Unix.sleepf 0.05;
           go ()
         end

@@ -206,14 +206,7 @@ type reply =
   | Failed of Diag.t list
   | Busy of int  (** rejected by admission control; carries queue depth *)
 
-type event = {
-  e_id : int;
-  e_stage : string;
-  e_pass : string;
-  e_seconds : float;
-  e_before : int;
-  e_after : int;
-}
+type event = { e_id : int; e_event : Support.Tracing.event }
 
 type frame =
   | Request of { q_id : int; q_stream : bool; q_req : request }
@@ -531,16 +524,18 @@ let reply =
           (function Busy depth -> Some depth | _ -> None);
       ])
 
+(* the allocation figures are not on the wire *)
 let event =
+  let module Ev = Support.Tracing in
   Json.(
-    record (fun e_id e_stage e_pass e_seconds e_before e_after ->
-        { e_id; e_stage; e_pass; e_seconds; e_before; e_after })
+    record (fun e_id stage pass seconds before after ->
+        { e_id; e_event = Ev.event ~stage ~pass ~seconds ~before ~after })
     |> field "id" int ~default:0 (fun e -> e.e_id)
-    |> field "stage" string (fun e -> e.e_stage)
-    |> field "pass" string (fun e -> e.e_pass)
-    |> field "seconds" float ~default:0.0 (fun e -> e.e_seconds)
-    |> field "before" int ~default:0 (fun e -> e.e_before)
-    |> field "after" int ~default:0 (fun e -> e.e_after)
+    |> field "stage" string (fun e -> e.e_event.Ev.ev_stage)
+    |> field "pass" string (fun e -> e.e_event.Ev.ev_pass)
+    |> field "seconds" float ~default:0.0 (fun e -> e.e_event.Ev.ev_seconds)
+    |> field "before" int ~default:0 (fun e -> e.e_event.Ev.ev_instrs_before)
+    |> field "after" int ~default:0 (fun e -> e.e_event.Ev.ev_instrs_after)
     |> seal)
 
 let frame =

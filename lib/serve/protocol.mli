@@ -193,14 +193,10 @@ type reply =
   | Failed of Diag.t list
   | Busy of int  (** rejected by admission control; carries queue depth *)
 
-type event = {
-  e_id : int;
-  e_stage : string;
-  e_pass : string;
-  e_seconds : float;
-  e_before : int;
-  e_after : int;
-}
+(** One pass event of the request [e_id].  The wire carries its
+    stage, pass, seconds and IR sizes; the allocation figures stay in
+    the daemon and decode as [0.]. *)
+type event = { e_id : int; e_event : Support.Tracing.event }
 
 type frame =
   | Request of { q_id : int; q_stream : bool; q_req : request }

@@ -123,7 +123,7 @@ type pending = {
   pd_stream : bool;
   pd_req : P.request;
   pd_key : string option;
-  pd_arrival : float;
+  pd_arrival : float;  (** {!Support.Tracing.now} at intake *)
 }
 
 (** A coalesced request group: one evaluation, [g_waiters] responses.
@@ -332,7 +332,7 @@ let reply_now (st : state) (p : pending) (r : P.reply) =
   st.served <- st.served + 1;
   record_latency st
     (P.request_kind p.pd_req)
-    ((Unix.gettimeofday () -. p.pd_arrival) *. 1000.0);
+    ((Support.Tracing.now () -. p.pd_arrival) *. 1000.0);
   respond st p.pd_fd p.pd_id r
 
 (* ------------------------------------------------------------------ *)
@@ -392,16 +392,7 @@ let forward_event (st : state) (gid : int) (ev : Support.Tracing.event) =
       List.iter
         (fun p ->
           if p.pd_stream then
-            send st p.pd_fd
-              (P.Event
-                 {
-                   P.e_id = p.pd_id;
-                   e_stage = ev.Support.Tracing.ev_stage;
-                   e_pass = ev.Support.Tracing.ev_pass;
-                   e_seconds = ev.Support.Tracing.ev_seconds;
-                   e_before = ev.Support.Tracing.ev_instrs_before;
-                   e_after = ev.Support.Tracing.ev_instrs_after;
-                 }))
+            send st p.pd_fd (P.Event { P.e_id = p.pd_id; e_event = ev }))
         (List.rev g.g_waiters)
 
 let complete (st : state) (gid : int) (reply : P.reply) =
@@ -526,7 +517,7 @@ let rec pump (st : state) =
 
 let enqueue (st : state) (fd : Unix.file_descr) ~id ~stream
     (req : P.request) =
-  let now = Unix.gettimeofday () in
+  let now = Support.Tracing.now () in
   let p =
     {
       pd_fd = fd;

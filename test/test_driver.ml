@@ -205,10 +205,10 @@ let test_cache_key_pinned () =
     D.cache_key ~pipeline:P.default (D.job ~sched ~kernel:"gemm" K.pipelined)
   in
   Alcotest.(check (option string))
-    "static gemm key" (Some "807c69d836cc74475dc847a95c963c48")
+    "static gemm key" (Some "918c707128c01235df59a129c968e517")
     (key Hls_backend.Backend.Static);
   Alcotest.(check (option string))
-    "dynamic gemm key" (Some "a0fd1427ab3acd901dab928c9103ed88")
+    "dynamic gemm key" (Some "945756cc9455b00252456fb103089659")
     (key Hls_backend.Backend.Dynamic)
 
 (* ------------------------------------------------------------------ *)
@@ -220,7 +220,8 @@ let test_trace_schema_golden () =
   let records = D.trace_records b in
   Alcotest.(check bool) "trace non-empty" true (records <> []);
   let stages =
-    List.sort_uniq compare (List.map (fun r -> r.Tr.tr_stage) records)
+    List.sort_uniq compare
+      (List.map (fun r -> r.Tr.tr_event.Support.Tracing.ev_stage) records)
   in
   Alcotest.(check bool)
     "adaptor stage traced" true
