@@ -107,6 +107,100 @@ entry:
   let m' = Opt_mem2reg.run m in
   Alcotest.(check int) "escaping alloca preserved" 1 (count_opcode is_alloca m')
 
+(* Rename every [%name] to [%vN], N in order of first appearance, so
+   two functions that differ only in register and label names print
+   identically. *)
+let alpha_normalize (text : string) : string =
+  let b = Buffer.create (String.length text) in
+  let names = Hashtbl.create 16 in
+  let is_name_char c =
+    match c with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' -> true
+    | _ -> false
+  in
+  let n = String.length text in
+  let rec go i =
+    if i < n then
+      if text.[i] <> '%' then begin
+        Buffer.add_char b text.[i];
+        go (i + 1)
+      end
+      else begin
+        let j = ref (i + 1) in
+        while !j < n && is_name_char text.[!j] do incr j done;
+        let name = String.sub text (i + 1) (!j - i - 1) in
+        let id =
+          match Hashtbl.find_opt names name with
+          | Some id -> id
+          | None ->
+              let id = Hashtbl.length names in
+              Hashtbl.replace names name id;
+              id
+        in
+        Buffer.add_string b (Printf.sprintf "%%v%d" id);
+        go !j
+      end
+  in
+  go 0;
+  Buffer.contents b
+
+(* Three allocas that all get a phi in the join block.  The phi order
+   and the [.phiN] names must follow the function's own layout, not the
+   ids the interner handed out for the alloca names: each interning
+   order of otherwise alpha-equivalent functions must promote to the
+   same code up to renaming. *)
+let test_mem2reg_interning_order () =
+  let promote order =
+    let names =
+      Array.init 3 (fun i ->
+          Printf.sprintf "m2r_%s_%d"
+            (String.concat "" (List.map string_of_int order))
+            i)
+    in
+    List.iter (fun i -> ignore (Support.Interner.intern names.(i))) order;
+    let text =
+      Printf.sprintf
+        {|define i64 @f(i1 %%c) {
+entry:
+  %%%s = alloca i64
+  %%%s = alloca i64
+  %%%s = alloca i64
+  br i1 %%c, label %%a, label %%b
+a:
+  store i64 1, i64* %%%s
+  store i64 3, i64* %%%s
+  store i64 5, i64* %%%s
+  br label %%join
+b:
+  store i64 2, i64* %%%s
+  store i64 4, i64* %%%s
+  store i64 6, i64* %%%s
+  br label %%join
+join:
+  %%l0 = load i64, i64* %%%s
+  %%l1 = load i64, i64* %%%s
+  %%l2 = load i64, i64* %%%s
+  %%s0 = sub i64 %%l0, %%l1
+  %%s1 = mul i64 %%s0, %%l2
+  ret i64 %%s1
+}|}
+        names.(0) names.(1) names.(2) names.(0) names.(1) names.(2) names.(0)
+        names.(1) names.(2) names.(0) names.(1) names.(2)
+    in
+    let m' = Opt_mem2reg.run (parse text) in
+    Lverifier.verify_module m';
+    Alcotest.(check int) "three phis" 3 (count_opcode is_phi m');
+    alpha_normalize (Lprinter.module_to_string m')
+  in
+  let want = promote [ 0; 1; 2 ] in
+  List.iter
+    (fun order ->
+      Alcotest.(check string)
+        (Printf.sprintf "interned in order %s"
+           (String.concat "," (List.map string_of_int order)))
+        want (promote order))
+    [ [ 0; 2; 1 ]; [ 1; 0; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ]; [ 2; 1; 0 ] ]
+
 (* ------------------------------------------------------------------ *)
 (* constfold / dce / cse / simplifycfg / licm                         *)
 (* ------------------------------------------------------------------ *)
@@ -402,6 +496,8 @@ let suite =
     Alcotest.test_case "mem2reg semantics" `Quick test_mem2reg_semantics;
     Alcotest.test_case "mem2reg loop-carried" `Quick test_mem2reg_loop_carried;
     Alcotest.test_case "mem2reg skips escaping" `Quick test_mem2reg_skips_escaping;
+    Alcotest.test_case "mem2reg independent of interning order" `Quick
+      test_mem2reg_interning_order;
     Alcotest.test_case "constfold" `Quick test_constfold;
     Alcotest.test_case "dce" `Quick test_dce;
     Alcotest.test_case "dce keeps side effects" `Quick test_dce_keeps_side_effects;
