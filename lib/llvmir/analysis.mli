@@ -53,6 +53,12 @@ val keep : t -> preserves:kind list -> Lmodule.t -> unit
     {!Iarena.compact} with {!Findex.of_arena} to guarantee it. *)
 val seed_findex : t -> Lmodule.func -> Findex.t -> unit
 
+(** [materialize ?am f a] — a pass that rewrote [f]'s rows in arena [a]
+    returns this: [f] with the blocks of [a]'s live rows, whose
+    compacted index is seeded into [am] (when given) for the next pass
+    and the verifier. *)
+val materialize : ?am:t -> Lmodule.func -> Iarena.t -> Lmodule.func
+
 (** Incremental-verification bookkeeping, used by {!Lverifier}.
     [verified am f] is true only when the verifier accepted exactly
     the physical value [f] under this manager; any cache reset for the

@@ -230,40 +230,29 @@ let compress_chains (subst : Lvalue.t Sym.Tbl.t) : Lvalue.t Sym.Tbl.t =
   Sym.Tbl.iter (fun n _ -> ignore (resolve_sym n [])) subst;
   resolved
 
-(** Substitute registers by name, resolving substitution chains, via a
-    single indexed walk: chains are path-compressed once, then only
-    the instructions the index lists as users of a substituted name
-    are rebuilt. *)
-let substitute (idx : t) (subst : Lvalue.t Sym.Tbl.t) : Lmodule.func =
-  if Sym.Tbl.length subst = 0 then idx.func
-  else begin
-    let a = idx.arena in
-    let resolved = compress_chains subst in
-    let affected = Bytes.make (max 1 (Iarena.n_instrs a)) '\000' in
-    Sym.Tbl.iter
-      (fun n _ -> iter_users idx n (fun k -> Bytes.set affected k '\001'))
-      subst;
-    let resolve v =
-      match v with
-      | Lvalue.Reg (n, _) -> (
-          match Sym.Tbl.find_opt resolved n with Some v' -> v' | None -> v)
-      | _ -> v
-    in
-    let blocks =
-      List.init (Iarena.n_blocks a) (fun bi ->
-          let insts = ref [] in
-          for k = Iarena.block_stop a bi - 1 downto Iarena.block_start a bi do
-            let i = Iarena.instr a k in
-            insts :=
-              (if Bytes.get affected k = '\001' then
-                 Linstr.map_operands resolve i
-               else i)
-              :: !insts
-          done;
-          { Lmodule.label = Iarena.block_label a bi; insts = !insts })
-    in
-    { idx.func with Lmodule.blocks }
-  end
+(** Write a substitution into the arena in place: chains are
+    path-compressed once, then every live instruction the index lists
+    as a user of a substituted name gets its operand slots rewritten.
+    Returns the compressed table for values held outside the arena. *)
+let rewrite_users (idx : t) (subst : Lvalue.t Sym.Tbl.t) : Lvalue.t Sym.Tbl.t =
+  let a = idx.arena in
+  let resolved = compress_chains subst in
+  Sym.Tbl.iter
+    (fun n _ ->
+      iter_users idx n (fun k ->
+          if not (Iarena.is_dead a k) then begin
+            let o = Iarena.op_off a k in
+            for s = o to o + Iarena.op_len a k - 1 do
+              match Iarena.opnd a s with
+              | Lvalue.Reg (r, _) -> (
+                  match Sym.Tbl.find_opt resolved r with
+                  | Some v' -> Iarena.set_opnd a k s v'
+                  | None -> ())
+              | _ -> ()
+            done
+          end))
+    subst;
+  resolved
 
 (** Convenience: substitute over a function without a prebuilt index —
     still one walk (compressed chains, one lookup per operand), but

@@ -101,11 +101,11 @@ val base_pointer : t -> Lvalue.t -> Sym.t option
     final value, so a rewrite resolves each operand with one lookup. *)
 val compress_chains : Lvalue.t Sym.Tbl.t -> Lvalue.t Sym.Tbl.t
 
-(** Substitute registers by name, resolving substitution chains, via a
-    single indexed walk: chains are path-compressed once, then only
-    the instructions the index lists as users of a substituted name
-    are rebuilt. *)
-val substitute : t -> Lvalue.t Sym.Tbl.t -> Lmodule.func
+(** [rewrite_users idx subst] writes the path-compressed [subst] into
+    the operand slots of every live user (per [idx]) of a substituted
+    name, in place in [idx]'s arena, and returns the compressed table.
+    The arena-backed passes' substitution step. *)
+val rewrite_users : t -> Lvalue.t Sym.Tbl.t -> Lvalue.t Sym.Tbl.t
 
 (** Convenience: substitute over a function without a prebuilt index. *)
 val substitute_func : Lvalue.t Sym.Tbl.t -> Lmodule.func -> Lmodule.func

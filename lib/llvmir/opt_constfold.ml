@@ -198,14 +198,7 @@ let run_func ?am (f : Lmodule.func) : Lmodule.func * bool =
   in
   go 8;
   if Iarena.live_count a = n then (f, false)
-  else begin
-    let f' = { f with Lmodule.blocks = Iarena.to_blocks a } in
-    (match am with
-    | Some am ->
-        Analysis.seed_findex am f' (Findex.of_arena f' (Iarena.compact a))
-    | None -> ());
-    (f', true)
-  end
+  else (Analysis.materialize ?am f a, true)
 
 let run ?am (m : Lmodule.t) : Lmodule.t =
   Lmodule.map_funcs (fun f -> fst (run_func ?am f)) m

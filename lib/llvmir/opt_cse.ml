@@ -91,32 +91,10 @@ let run_func ?am (f : func) : func * bool =
   if Iarena.n_blocks a > 0 then walk 0;
   if not !changed then (f, false)
   else begin
-    (* Rewrite the operand slots of surviving users through the
-       path-compressed substitution, then materialise — the arena is
-       the output, so the index of its compacted copy can seed the
-       analysis cache for the next pass and the verifier. *)
-    let resolved = Findex.compress_chains subst in
-    Sym.Tbl.iter
-      (fun n _ ->
-        Findex.iter_users idx n (fun k ->
-            if not (Iarena.is_dead a k) then begin
-              let o = Iarena.op_off a k in
-              for s = o to o + Iarena.op_len a k - 1 do
-                match Iarena.opnd a s with
-                | Lvalue.Reg (r, _) -> (
-                    match Sym.Tbl.find_opt resolved r with
-                    | Some v' -> Iarena.set_opnd a k s v'
-                    | None -> ())
-                | _ -> ()
-              done
-            end))
-      subst;
-    let f' = { f with blocks = Iarena.to_blocks a } in
-    (match am with
-    | Some am ->
-        Analysis.seed_findex am f' (Findex.of_arena f' (Iarena.compact a))
-    | None -> ());
-    (f', true)
+    (* the arena is the output: rewrite surviving users in place, then
+       materialise it *)
+    ignore (Findex.rewrite_users idx subst);
+    (Analysis.materialize ?am f a, true)
   end
 
 let run ?am (m : t) : t = map_funcs (fun f -> fst (run_func ?am f)) m

@@ -71,13 +71,6 @@ let run_func ?am (f : func) : func * bool =
   in
   drain ();
   if Iarena.live_count a = n then (f, false)
-  else begin
-    let f' = { f with blocks = Iarena.to_blocks a } in
-    (match am with
-    | Some am ->
-        Analysis.seed_findex am f' (Findex.of_arena f' (Iarena.compact a))
-    | None -> ());
-    (f', true)
-  end
+  else (Analysis.materialize ?am f a, true)
 
 let run ?am (m : t) : t = map_funcs (fun f -> fst (run_func ?am f)) m
