@@ -134,6 +134,27 @@ let test_compile_times_recorded () =
         true (c.Flow.seconds >= 0.0))
     (Flow.compare_flows (K.gemm ()))
 
+(* The adaptor runs through the pass manager, so its events carry the
+   allocation figures the cleanup pipeline's events carry. *)
+let test_adaptor_events_allocate () =
+  let trace, events = Support.Tracing.collector () in
+  ignore (Flow.run_exn ~trace (K.gemm ()) Flow.Direct_ir);
+  let adaptor =
+    List.filter
+      (fun (e : Support.Tracing.event) -> e.ev_stage = "adaptor")
+      (events ())
+  in
+  Alcotest.(check (list string))
+    "one event per adaptor pass"
+    (Adaptor.Pipeline.enabled_names Adaptor.Pipeline.default)
+    (List.map (fun (e : Support.Tracing.event) -> e.ev_pass) adaptor);
+  List.iter
+    (fun (e : Support.Tracing.event) ->
+      Alcotest.(check bool)
+        (e.ev_pass ^ " reports minor words")
+        true (e.ev_minor_words > 0.))
+    adaptor
+
 (* The bytes `mhlsc compare gemm` prints, with the wall-clock row
    masked. *)
 let golden_compare_gemm =
@@ -177,4 +198,6 @@ let suite =
       test_no_descriptor_ablation_rejected;
     Alcotest.test_case "compile times recorded" `Quick test_compile_times_recorded;
     Alcotest.test_case "compare grid bytes (gemm)" `Quick test_compare_grid_bytes;
+    Alcotest.test_case "adaptor events carry allocation" `Quick
+      test_adaptor_events_allocate;
   ]
