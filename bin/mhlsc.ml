@@ -529,7 +529,7 @@ let batch_cmd =
     let sched = ok_or_die (H.sched_of_name sched) in
     let b =
       ok_or_die
-        (H.batch
+        (H.batch ~events:(trace_out <> None)
            ~manifest:(Option.map read_file manifest)
            ~all_kernels ~both_flows ~sched ~jobs
            ~cache_dir:(cache_dir_opt cache_dir) ~clock_ns:clock

@@ -148,9 +148,11 @@ let pipeline_of ?top ?(strict = true) ~(passes : string list option)
 (* ------------------------------------------------------------------ *)
 
 (** Compile one kernel through the env's driver session — warm pool,
-    warm cache, per-request pipeline override.  The job's pass events
-    (the original run's, on a cache hit) are replayed into [trace] so
-    streaming clients see the passes either way. *)
+    warm cache, per-request pipeline override.  Under a live [trace]
+    hook (a streaming request) the job collects its pass events, and
+    they (the original run's, on a cache hit) are replayed into
+    [trace], so streaming clients see the passes either way; under
+    {!Support.Tracing.null} the job runs untraced. *)
 let compile (env : env) ~(trace : Support.Tracing.hook)
     (c : P.compile_req) : (P.compile_resp, Diag.t list) result =
   let* k = find_kernel c.P.c_kernel in
@@ -163,7 +165,8 @@ let compile (env : env) ~(trace : Support.Tracing.hook)
   let job =
     D.job ~flow ~sched ~clock_ns:c.P.c_clock_ns ~kernel:k.K.kname d
   in
-  let* outs = D.submit ~pipeline env.session [ job ] in
+  let events = trace != Support.Tracing.null in
+  let* outs = D.submit ~events ~pipeline env.session [ job ] in
   match outs with
   | [ o ] -> (
       List.iter trace o.D.o_trace;
@@ -494,8 +497,9 @@ let synth_mlir ~(source : string) ~(top : string option)
 
 (** Batch compilation from a manifest or the built-in grid.  [sched]
     picks the estimation backend for the built-in grid; manifest lines
-    choose their own via the [sched=] key. *)
-let batch ~(manifest : string option) ~(all_kernels : bool)
+    choose their own via the [sched=] key.  [?events] asks every job
+    for its pass events (the batch trace). *)
+let batch ?events ~(manifest : string option) ~(all_kernels : bool)
     ~(both_flows : bool) ?(sched = Hls_backend.Backend.Static)
     ~(jobs : int) ~(cache_dir : string option) ~(clock_ns : float)
     ~(passes : string list option) ~(disable : string list) () :
@@ -514,4 +518,4 @@ let batch ~(manifest : string option) ~(all_kernels : bool)
     | None, false ->
         Error [ P.protocol_error "batch needs a manifest or --all-kernels" ]
   in
-  Ok (D.run_batch ~pipeline ?cache_dir ~jobs js)
+  Ok (D.run_batch ?events ~pipeline ?cache_dir ~jobs js)

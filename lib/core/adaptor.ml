@@ -282,8 +282,9 @@ let manager_pass (r : report) ~top (p : Pipeline.pass) : Llvmir.Pass.pass =
     The enabled passes run through {!Llvmir.Pass.run_pipeline}, so
     [?trace] receives one {!Support.Tracing.event} per executed pass
     (stage ["adaptor"]) plus the analysis queries, and the final module
-    is verified once rather than after every pass. *)
-let run ?(pipeline = Pipeline.default) ?trace (m : Llvmir.Lmodule.t) :
+    is verified once rather than after every pass.  [?am] is the
+    compile job's analysis manager (see {!Llvmir.Pass.run_pipeline}). *)
+let run ?(pipeline = Pipeline.default) ?trace ?am (m : Llvmir.Lmodule.t) :
     (Llvmir.Lmodule.t * report, Support.Diag.t list) result =
   let r = fresh_report () in
   let issues_before = Compat.check m in
@@ -295,9 +296,9 @@ let run ?(pipeline = Pipeline.default) ?trace (m : Llvmir.Lmodule.t) :
         else None)
       pipeline.Pipeline.passes
   in
-  let m, _ = Llvmir.Pass.run_pipeline ?trace ~stage:"adaptor" passes m in
+  let m, _ = Llvmir.Pass.run_pipeline ?trace ~stage:"adaptor" ?am passes m in
   (* the pipeline verifies only what a pass produced *)
-  if passes = [] then Llvmir.Lverifier.verify_module m;
+  if passes = [] then Llvmir.Lverifier.verify_module ?am m;
   let issues_after = Compat.check m in
   let diagnostics = Compat.to_diagnostics issues_after in
   let report = { r with issues_before; issues_after; diagnostics } in

@@ -86,10 +86,14 @@ end
     {!Llvmir.Pass.run_pipeline}: [?trace] receives one event per pass
     (stage ["adaptor"]), and the output is verified even when every
     pass is disabled.  Diagnostics of severity [Error] (including
-    strict-mode compat failures) produce [Error diags]. *)
+    strict-mode compat failures) produce [Error diags].  [?am] is the
+    compile job's analysis manager: the passes reuse what earlier
+    stages built, and the estimator reuses what they leave (a fresh
+    manager without it). *)
 val run :
   ?pipeline:Pipeline.t ->
   ?trace:Support.Tracing.hook ->
+  ?am:Llvmir.Analysis.t ->
   Llvmir.Lmodule.t ->
   (Llvmir.Lmodule.t * report, Support.Diag.t list) result
 

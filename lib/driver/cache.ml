@@ -7,10 +7,11 @@
     entry and stale results can never be served — invalidation is
     structural, not temporal.
 
-    Writes go through a per-domain temporary file and an atomic
-    [Sys.rename], so concurrent workers (or concurrent batch runs
-    sharing a cache directory) never observe torn entries.  Hit/miss
-    counters are atomics for the same reason. *)
+    Writes go through a temporary file named after the writing process
+    and domain, then an atomic [Sys.rename], so concurrent workers (or
+    concurrent batch runs sharing a cache directory) never write one
+    temporary file or observe torn entries.  Hit/miss counters are
+    atomics for the same reason. *)
 
 type t = {
   dir : string;
@@ -41,24 +42,29 @@ let key (parts : string list) : string =
 
 let path t k = Filename.concat t.dir (k ^ ".cache")
 
-(** Look an entry up; counts a hit or a miss.  Unreadable or torn
-    entries are treated as misses. *)
-let find (t : t) (k : string) : string option =
-  match In_channel.with_open_bin (path t k) In_channel.input_all with
-  | data ->
-      Atomic.incr t.hits;
-      Some data
-  | exception Sys_error _ ->
-      Atomic.incr t.misses;
-      None
+(** Look an entry up and [decode] it; counts a hit, or a miss when the
+    entry is unreadable or [decode] rejects it. *)
+let find_decoded (t : t) (k : string) (decode : string -> 'a option) :
+    'a option =
+  let v =
+    match In_channel.with_open_bin (path t k) In_channel.input_all with
+    | data -> decode data
+    | exception Sys_error _ -> None
+  in
+  Atomic.incr (if Option.is_some v then t.hits else t.misses);
+  v
+
+let find t k = find_decoded t k Option.some
 
 (** Store an entry atomically (temp file + rename).  Concurrent stores
-    of the same key are benign: last rename wins, both contents are
+    of the same key are benign: each writer has its own temp file (pid
+    and domain in the name), last rename wins, and both contents are
     valid by construction. *)
 let store (t : t) (k : string) (data : string) : unit =
   let tmp =
     Filename.concat t.dir
-      (Printf.sprintf ".%s.tmp.%d" k (Domain.self () :> int))
+      (Printf.sprintf ".%s.tmp.%d.%d" k (Unix.getpid ())
+         (Domain.self () :> int))
   in
   Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc data);
   Sys.rename tmp (path t k)

@@ -15,8 +15,13 @@ val key : string list -> string
     entries are treated as misses. *)
 val find : t -> string -> string option
 
-(** Store an entry atomically.  Concurrent stores of one key are
-    benign: last rename wins. *)
+(** {!find} followed by a decoder: an entry the decoder rejects counts
+    as a miss, not a hit. *)
+val find_decoded : t -> string -> (string -> 'a option) -> 'a option
+
+(** Store an entry atomically.  Concurrent stores of one key, from
+    domains or processes, are benign: each writer has its own temp
+    file and the last rename wins. *)
 val store : t -> string -> string -> unit
 
 val hits : t -> int

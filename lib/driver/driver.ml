@@ -2,9 +2,10 @@
     directive config), executes them on a {!Pool} of OCaml 5 domains,
     and memoizes results in a persistent content-addressed {!Cache}
     keyed by (input IR, pipeline description, directives, tool
-    version) — a re-run of a sweep is near-instant.  Each job carries a
-    {!Support.Tracing} hook, so the batch yields a full per-pass JSON
-    trace ({!Trace}) alongside the QoR table.
+    version) — a re-run of a sweep is near-instant.  A job asked for
+    its events (or stored in the cache) carries a {!Support.Tracing}
+    collector, so the batch yields a full per-pass JSON trace
+    ({!Trace}) alongside the QoR table; other jobs run untraced.
 
     Two entry points:
 
@@ -110,7 +111,8 @@ type outcome = {
   o_from_cache : bool;
   o_adaptor : string option;  (** rendered adaptor report, if the flow had one *)
   o_trace : Support.Tracing.event list;
-      (** the original run's events, also on a cache hit *)
+      (** the run's events when they were asked for or the job went
+          through a cache (a hit replays the stored run's); else [] *)
 }
 
 type batch_report = {
@@ -140,11 +142,14 @@ let trace_records (b : batch_report) : Trace.record list =
 (* Execution                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Compile one job from scratch, capturing per-pass trace events.
-    Never raises: every failure mode becomes [Error diags] —
-    HLS000 for front-end compile errors, HLS902 for middle-end
-    rejection, HLS903 for an unknown kernel name. *)
-let compute ~(pipeline : Adaptor.Pipeline.t) (j : job) : payload =
+(** Compile one job from scratch, capturing per-pass trace events
+    only when [events] (counting instructions and reading the clock
+    and GC counters around every pass and analysis query is a
+    measurable share of a small job).  Never raises: every failure
+    mode becomes [Error diags] — HLS000 for front-end compile errors,
+    HLS902 for middle-end rejection, HLS903 for an unknown kernel
+    name. *)
+let compute ~events ~(pipeline : Adaptor.Pipeline.t) (j : job) : payload =
   match K.by_name j.kernel with
   | None ->
       {
@@ -159,7 +164,10 @@ let compute ~(pipeline : Adaptor.Pipeline.t) (j : job) : payload =
         p_adaptor = None;
       }
   | Some k ->
-      let hook, events = Support.Tracing.collector () in
+      let hook, collected =
+        if events then Support.Tracing.collector ()
+        else (Support.Tracing.null, fun () -> [])
+      in
       let qor, seconds, adaptor =
         match
           Flow.run ~directives:j.directives ~pipeline ~clock_ns:j.clock_ns
@@ -184,7 +192,7 @@ let compute ~(pipeline : Adaptor.Pipeline.t) (j : job) : payload =
               0.0,
               None )
       in
-      { p_qor = qor; p_trace = events (); p_seconds = seconds; p_adaptor = adaptor }
+      { p_qor = qor; p_trace = collected (); p_seconds = seconds; p_adaptor = adaptor }
 
 (** The job's content address: hashes the {e printed input IR} (the
     kernel built under its directives), so any change to the kernel
@@ -218,8 +226,11 @@ let payload_of_string (s : string) : payload option =
   | p -> Some p
   | exception _ -> None
 
-(** Run one job, consulting [cache] first. *)
-let run_job ~pipeline ~(cache : Cache.t option) (j : job) : outcome =
+(** Run one job, consulting [cache] first.  Events are collected when
+    [events] asks for them or the outcome is stored in [cache], whose
+    hits replay them. *)
+let run_job ?(events = false) ~pipeline ~(cache : Cache.t option) (j : job) :
+    outcome =
   let outcome ~from_cache p =
     {
       o_job = j;
@@ -230,17 +241,17 @@ let run_job ~pipeline ~(cache : Cache.t option) (j : job) : outcome =
       o_trace = p.p_trace;
     }
   in
-  let fresh () = outcome ~from_cache:false (compute ~pipeline j) in
+  let fresh () = outcome ~from_cache:false (compute ~events ~pipeline j) in
   match cache with
   | None -> fresh ()
   | Some cache -> (
       match cache_key ~pipeline j with
       | None -> fresh ()
       | Some key -> (
-          match Option.bind (Cache.find cache key) payload_of_string with
+          match Cache.find_decoded cache key payload_of_string with
           | Some p -> outcome ~from_cache:true p
           | None ->
-              let p = compute ~pipeline j in
+              let p = compute ~events:true ~pipeline j in
               Cache.store cache key (payload_to_string p);
               outcome ~from_cache:false p))
 
@@ -285,8 +296,8 @@ let create_session ?(pipeline = Adaptor.Pipeline.default) ?cache_dir
     [?pipeline] overrides the session's adaptor pipeline for this
     batch only (the serve daemon submits per-request pipelines into
     one long-lived session); cache keys include the pipeline, so the
-    shared cache stays sound. *)
-let submit ?pipeline (s : session) (js : job list) :
+    shared cache stays sound.  [?events] as for {!run_job}. *)
+let submit ?events ?pipeline (s : session) (js : job list) :
     (outcome list, Diag.t list) result =
   if s.s_closed then
     Error
@@ -298,7 +309,7 @@ let submit ?pipeline (s : session) (js : job list) :
   else begin
     let pipeline = Option.value pipeline ~default:s.s_pipeline in
     ignore (Atomic.fetch_and_add s.s_submitted (List.length js));
-    Ok (Pool.run s.s_pool (run_job ~pipeline ~cache:s.s_cache) js)
+    Ok (Pool.run s.s_pool (run_job ?events ~pipeline ~cache:s.s_cache) js)
   end
 
 (** [background s task] hands [task] to one of the session's worker
@@ -314,8 +325,8 @@ let background (s : session) (task : unit -> unit) : bool =
 
 (** {!submit} for callers that own a visibly open session (e.g. inside
     {!with_session}); raises {!Support.Diag.Failed} on a closed one. *)
-let submit_exn ?pipeline (s : session) (js : job list) : outcome list =
-  match submit ?pipeline s js with
+let submit_exn ?events ?pipeline (s : session) (js : job list) : outcome list =
+  match submit ?events ?pipeline s js with
   | Ok outs -> outs
   | Error ds -> raise (Diag.Failed ds)
 
@@ -350,12 +361,12 @@ let with_session ?pipeline ?cache_dir ?jobs (f : session -> 'a) : 'a =
     domains, so excess domains make an allocation-heavy workload
     {e slower}).  Results are deterministic for any worker count.
     One-shot wrapper over a {!session}. *)
-let run_batch ?pipeline ?cache_dir ?(jobs = 1) (js : job list) : batch_report
-    =
+let run_batch ?events ?pipeline ?cache_dir ?(jobs = 1) (js : job list) :
+    batch_report =
   let jobs = max 1 (min jobs (max 1 (List.length js))) in
   with_session ?pipeline ?cache_dir ~jobs (fun s ->
       let t0 = Support.Tracing.now () in
-      let outcomes = submit_exn s js in
+      let outcomes = submit_exn ?events s js in
       {
         outcomes;
         wall_seconds = Support.Tracing.now () -. t0;

@@ -63,7 +63,9 @@ type outcome = {
   o_from_cache : bool;
   o_adaptor : string option;  (** rendered adaptor report, if the flow had one *)
   o_trace : Support.Tracing.event list;
-      (** the original run's pass events, also on a cache hit *)
+      (** the run's pass events, or [[]]: only a run that asked for
+          events ([?events]) or went through a cache collects them (a
+          hit replays the stored run's) *)
 }
 
 type batch_report = {
@@ -83,8 +85,16 @@ val trace_records : batch_report -> Trace.record list
 val cache_key : pipeline:Adaptor.Pipeline.t -> job -> string option
 
 (** Run one job, consulting [cache] first.  Never raises: every
-    failure mode becomes [Error diags]. *)
-val run_job : pipeline:Adaptor.Pipeline.t -> cache:Cache.t option -> job -> outcome
+    failure mode becomes [Error diags].  Pass events are collected
+    when [events] (default [false]) asks for them or the outcome is
+    stored in [cache]; otherwise the job runs untraced and [o_trace]
+    is empty.  The QoR does not depend on [events]. *)
+val run_job :
+  ?events:bool ->
+  pipeline:Adaptor.Pipeline.t ->
+  cache:Cache.t option ->
+  job ->
+  outcome
 
 (* ------------------------------------------------------------------ *)
 (* Sessions: a live pool + cache accepting incremental submissions    *)
@@ -110,8 +120,10 @@ val create_session :
     across submissions.  [?pipeline] overrides the session pipeline
     for this batch only (cache keys include it, so the shared cache
     stays sound).  Submitting after {!close_session} is an [Error]
-    carrying an HLS904 diagnostic — never an exception. *)
+    carrying an HLS904 diagnostic — never an exception.  [?events] as
+    for {!run_job}. *)
 val submit :
+  ?events:bool ->
   ?pipeline:Adaptor.Pipeline.t ->
   session ->
   job list ->
@@ -119,7 +131,12 @@ val submit :
 
 (** {!submit} for callers that own a visibly open session; raises
     {!Support.Diag.Failed} where {!submit} returns [Error]. *)
-val submit_exn : ?pipeline:Adaptor.Pipeline.t -> session -> job list -> outcome list
+val submit_exn :
+  ?events:bool ->
+  ?pipeline:Adaptor.Pipeline.t ->
+  session ->
+  job list ->
+  outcome list
 
 (** [background s task] hands [task] to a session worker domain
     without blocking; [false] (nothing enqueued) on a closed session
@@ -147,8 +164,11 @@ val with_session :
   'a
 
 (** One-shot wrapper over a session: run a batch on up to [jobs]
-    domains with an optional result cache. *)
+    domains with an optional result cache.  [?events] as for
+    {!run_job}; {!trace_records} is empty without it unless the batch
+    used a cache. *)
 val run_batch :
+  ?events:bool ->
   ?pipeline:Adaptor.Pipeline.t ->
   ?cache_dir:string ->
   ?jobs:int ->

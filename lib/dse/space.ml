@@ -131,13 +131,14 @@ let find_index p xs =
     every axis would be dropped.  A frontend failure keeps all axes:
     the DSE jobs will surface the real diagnostics. *)
 let may_aliased_arrays (kernel : K.kernel) : string list =
-  match Flow.direct_ir_frontend (kernel.K.build K.no_directives) with
+  let am = L.Analysis.create () in
+  match Flow.direct_ir_frontend ~am (kernel.K.build K.no_directives) with
   | Error _ -> []
   | Ok (lm, _, _) ->
       let kernel_args = List.map fst kernel.K.args in
       List.concat_map
         (fun (f : L.Lmodule.func) ->
-          let idx = L.Findex.build f in
+          let idx = L.Analysis.findex ~am f in
           let ptrs =
             L.Lmodule.fold_insts
               (fun acc (i : L.Linstr.t) ->

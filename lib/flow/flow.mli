@@ -31,29 +31,40 @@ type result = {
 }
 
 (** Shared LLVM cleanup pipeline (stands in for Vitis' middle-end
-    [opt] run); also the cleanup stage of both flows. *)
+    [opt] run); also the cleanup stage of both flows.  [?am] is the
+    compile job's analysis manager (a fresh one without it). *)
 val llvm_cleanup :
-  ?trace:Support.Tracing.hook -> Llvmir.Lmodule.t -> Llvmir.Lmodule.t
+  ?am:Llvmir.Analysis.t ->
+  ?trace:Support.Tracing.hook ->
+  Llvmir.Lmodule.t ->
+  Llvmir.Lmodule.t
 
 (** Flow A front-end: mhir to HLS-ready LLVM IR through the adaptor.
     Returns [Error diagnostics] when the (strict) adaptor pipeline
-    leaves blocking compatibility issues; no exception escapes. *)
+    leaves blocking compatibility issues; no exception escapes.  The
+    verifier, the cleanup pipeline and the adaptor share [?am] (a
+    fresh manager without it), which afterwards holds the output's
+    analyses for the estimator or lint. *)
 val direct_ir_frontend :
   ?pipeline:Adaptor.Pipeline.t ->
   ?trace:Support.Tracing.hook ->
+  ?am:Llvmir.Analysis.t ->
   Mhir.Ir.modul ->
   (Llvmir.Lmodule.t * Adaptor.report * float, Support.Diag.t list)
   Stdlib.result
 
 (** Flow B front-end: mhir to HLS-ready LLVM IR through C++ text.
-    Returns (module, C++ source, seconds). *)
+    Returns (module, C++ source, seconds).  [?am] as for
+    {!direct_ir_frontend}. *)
 val hls_cpp_frontend :
   ?trace:Support.Tracing.hook ->
+  ?am:Llvmir.Analysis.t ->
   Mhir.Ir.modul ->
   Llvmir.Lmodule.t * string * float
 
 (** Lint a kernel: run Flow A's front-end without the strict gate and
-    hand the adapted IR to the {!Hls_backend.Lint} rule registry. *)
+    hand the adapted IR to the {!Hls_backend.Lint} rule registry,
+    under one analysis manager. *)
 val lint_kernel :
   ?directives:Workloads.Kernels.directives ->
   ?only:string list ->
@@ -65,7 +76,8 @@ val lint_kernel :
 (** Run one flow on a kernel and synthesize under the chosen
     scheduling discipline ([sched], default
     {!Hls_backend.Backend.Static}).  [Error diagnostics] when the
-    strict adaptor gate blocks (direct-IR flow only). *)
+    strict adaptor gate blocks (direct-IR flow only).  One analysis
+    manager, reporting to [trace], serves every stage of the job. *)
 val run :
   ?directives:Workloads.Kernels.directives ->
   ?pipeline:Adaptor.Pipeline.t ->

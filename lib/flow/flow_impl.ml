@@ -32,10 +32,10 @@ type result = {
 
 (** Shared LLVM cleanup pipeline (stands in for Vitis' middle-end
     [opt] run). *)
-let llvm_cleanup ?trace m =
+let llvm_cleanup ?am ?trace m =
   fst
-    (Llvmir.Pass.run_pipeline ~verify:true ?trace Llvmir.Pass.default_pipeline
-       m)
+    (Llvmir.Pass.run_pipeline ~verify:true ?trace ?am
+       Llvmir.Pass.default_pipeline m)
 
 (** Report one flow stage that started at [t0]; [sizes ()] is the IR
     size entering and leaving it.  Under the null hook no event is
@@ -49,9 +49,12 @@ let stage_event (trace : Support.Tracing.hook) ~stage ~pass ~t0 sizes =
 
 (** Flow A front-end: mhir to HLS-ready LLVM IR through the adaptor.
     Returns [Error diagnostics] when the (strict) adaptor pipeline
-    leaves blocking compatibility issues; no exception escapes. *)
+    leaves blocking compatibility issues; no exception escapes.  One
+    analysis manager ([?am], or a fresh one) serves the verifier, the
+    cleanup pipeline and the adaptor. *)
 let direct_ir_frontend ?(pipeline = Adaptor.Pipeline.default)
-    ?(trace = Support.Tracing.null) (m : Mhir.Ir.modul) :
+    ?(trace = Support.Tracing.null) ?(am = Llvmir.Analysis.create ~trace ())
+    (m : Mhir.Ir.modul) :
     (Llvmir.Lmodule.t * Adaptor.report * float, Support.Diag.t list)
     Stdlib.result =
   let t0 = Support.Tracing.now () in
@@ -59,11 +62,11 @@ let direct_ir_frontend ?(pipeline = Adaptor.Pipeline.default)
   let m = Mhir.Canonicalize.run m in
   let tl0 = Support.Tracing.now () in
   let lm = Lowering.Lower.lower_module ~style:Lowering.Lower.modern m in
-  Llvmir.Lverifier.verify_module lm;
+  Llvmir.Lverifier.verify_module ~am lm;
   stage_event trace ~stage:"lower" ~pass:"lower-modern" ~t0:tl0 (fun () ->
       (0, Llvmir.Lmodule.instr_count lm));
-  let lm = llvm_cleanup ~trace lm in
-  match Adaptor.run ~pipeline ~trace lm with
+  let lm = llvm_cleanup ~am ~trace lm in
+  match Adaptor.run ~pipeline ~trace ~am lm with
   | Ok (lm, report) -> Ok (lm, report, Support.Tracing.now () -. t0)
   | Error ds -> Error ds
 
@@ -90,12 +93,16 @@ let lint_kernel ?(directives = K.pipelined) ?only ?(werror = false) ?pipeline
         Adaptor.Pipeline.(
           default |> with_top (Some kernel.K.kname) |> relaxed)
   in
-  match direct_ir_frontend ~pipeline m with
-  | Ok (lm, _, _) -> Hls_backend.Lint.run ?only ~werror ~top:kernel.K.kname lm
+  let am = Llvmir.Analysis.create () in
+  match direct_ir_frontend ~pipeline ~am m with
+  | Ok (lm, _, _) ->
+      Hls_backend.Lint.run ?only ~werror ~top:kernel.K.kname ~am lm
   | Error ds -> ds (* unreachable: the pipeline is non-strict *)
 
-(** Flow B front-end: mhir to HLS-ready LLVM IR through C++ text. *)
-let hls_cpp_frontend ?(trace = Support.Tracing.null) (m : Mhir.Ir.modul) :
+(** Flow B front-end: mhir to HLS-ready LLVM IR through C++ text, with
+    one analysis manager for the verifier and the cleanup pipeline. *)
+let hls_cpp_frontend ?(trace = Support.Tracing.null)
+    ?(am = Llvmir.Analysis.create ~trace ()) (m : Mhir.Ir.modul) :
     Llvmir.Lmodule.t * string * float =
   let t0 = Support.Tracing.now () in
   Mhir.Verifier.verify_module m;
@@ -103,24 +110,28 @@ let hls_cpp_frontend ?(trace = Support.Tracing.null) (m : Mhir.Ir.modul) :
   let te0 = Support.Tracing.now () in
   let cpp = Hlscpp.Emit.emit_module m in
   let lm = Hlscpp.Ccodegen.compile cpp in
-  Llvmir.Lverifier.verify_module lm;
+  Llvmir.Lverifier.verify_module ~am lm;
   stage_event trace ~stage:"hls-cpp" ~pass:"emit-and-parse" ~t0:te0 (fun () ->
       (0, Llvmir.Lmodule.instr_count lm));
-  let lm = llvm_cleanup ~trace lm in
+  let lm = llvm_cleanup ~am ~trace lm in
   (lm, cpp, Support.Tracing.now () -. t0)
 
 (** Run one flow on a kernel and synthesize under the chosen
     scheduling discipline.  [Error diagnostics] when the strict
-    adaptor gate blocks (direct-IR flow only). *)
+    adaptor gate blocks (direct-IR flow only).  The job has one
+    analysis manager, reporting to [trace]: every stage from the first
+    verifier run to the estimator reuses what an earlier stage built. *)
 let run ?(directives = K.pipelined) ?pipeline ?clock_ns
     ?(sched = Hls_backend.Backend.Static) ?(trace = Support.Tracing.null)
     (kernel : K.kernel) (kind : flow_kind) :
     (result, Support.Diag.t list) Stdlib.result =
   let m = kernel.K.build directives in
+  let am = Llvmir.Analysis.create ~trace () in
   let synthesize lm =
     let t0 = Support.Tracing.now () in
     let hls =
-      Hls_backend.Backend.synthesize ?clock_ns ~sched ~top:kernel.K.kname lm
+      Hls_backend.Backend.synthesize ?clock_ns ~sched ~am ~top:kernel.K.kname
+        lm
     in
     stage_event trace ~stage:"hls"
       ~pass:("estimate-" ^ Hls_backend.Backend.sched_name sched)
@@ -131,7 +142,7 @@ let run ?(directives = K.pipelined) ?pipeline ?clock_ns
   in
   match kind with
   | Direct_ir -> (
-      match direct_ir_frontend ?pipeline ~trace m with
+      match direct_ir_frontend ?pipeline ~am ~trace m with
       | Error ds -> Error ds
       | Ok (lm, report, seconds) ->
           Ok
@@ -146,7 +157,7 @@ let run ?(directives = K.pipelined) ?pipeline ?clock_ns
               adaptor_report = Some report;
             })
   | Hls_cpp ->
-      let lm, cpp, seconds = hls_cpp_frontend ~trace m in
+      let lm, cpp, seconds = hls_cpp_frontend ~am ~trace m in
       Ok
         {
           kernel = kernel.K.kname;

@@ -191,14 +191,14 @@ let acc_merge a b =
     a b
 
 let synthesize ?(clock_ns = Op_model.default_clock_ns) ?(sched = Static)
-    ~(top : string) (m : Lmodule.t) : E.report =
+    ?(am = Analysis.create ()) ~(top : string) (m : Lmodule.t) : E.report =
   (match Adaptor_markers.legality_errors m with
   | [] -> ()
   | errs -> raise (E.Rejected errs));
   let f = Lmodule.find_func_exn m top in
-  let cfg = Cfg.build f in
-  let li = Loop_info.compute cfg in
-  let idx = Findex.build f in
+  let cfg = Analysis.cfg ~am f in
+  let li = Analysis.loop_info ~am f in
+  let idx = Analysis.findex ~am f in
   let arrays = Directives.arrays f in
   let ports_of =
     let tbl = Hashtbl.create 8 in

@@ -18,11 +18,14 @@ val channel_bits : int
 
 val channel_depth : int
 
-(** Estimate the top function under [sched] (default [Static]).
+(** Estimate the top function under [sched] (default [Static]).  The
+    CFG, loop nest and function index come from [?am], the compile
+    job's analysis manager (a fresh one without it).
     @raise Estimate.Rejected when the module is not synthesizable. *)
 val synthesize :
   ?clock_ns:float ->
   ?sched:sched ->
+  ?am:Llvmir.Analysis.t ->
   top:string ->
   Llvmir.Lmodule.t ->
   Estimate.report

@@ -164,9 +164,9 @@ let access_pos (cfg : Cfg.t) (a : Memdep.access) =
     (Sym.name (Cfg.label cfg a.Memdep.acc_block))
 
 (** HLS001 / HLS002 / HLS007 — loop-level rules. *)
-let lint_loops (buf : Diag.buffer) (f : Lmodule.func) (cfg : Cfg.t)
+let lint_loops (buf : Diag.buffer) (f : Lmodule.func) (idx : Findex.t)
     (li : Loop_info.t) =
-  let idx = Findex.build f in
+  let cfg = li.Loop_info.cfg in
   Array.iteri
     (fun j (l : Loop_info.loop) ->
       let header = Sym.name (Cfg.label cfg l.Loop_info.header) in
@@ -182,7 +182,7 @@ let lint_loops (buf : Diag.buffer) (f : Lmodule.func) (cfg : Cfg.t)
       match dirs.Directives.pipeline_ii with
       | None -> ()
       | Some target ->
-          let deps = Memdep.analyze_loop cfg li j in
+          let deps = Memdep.analyze_loop idx li j in
           let reg = register_rec_mii cfg li j idx in
           let mem =
             List.fold_left
@@ -244,8 +244,9 @@ let lint_loops (buf : Diag.buffer) (f : Lmodule.func) (cfg : Cfg.t)
     li.Loop_info.loops
 
 (** HLS003 — array-partition directives vs access patterns. *)
-let lint_partitions (buf : Diag.buffer) (f : Lmodule.func) (cfg : Cfg.t)
+let lint_partitions (buf : Diag.buffer) (f : Lmodule.func) (idx : Findex.t)
     (li : Loop_info.t) =
+  let cfg = li.Loop_info.cfg in
   let arrays = Directives.arrays f in
   let find_array n =
     List.find_opt (fun a -> a.Directives.aname = n) arrays
@@ -287,7 +288,7 @@ let lint_partitions (buf : Diag.buffer) (f : Lmodule.func) (cfg : Cfg.t)
     (fun j (l : Loop_info.loop) ->
       let dirs = Directives.loop_directives cfg li j in
       if dirs.Directives.pipeline_ii <> None then
-        match Memdep.iv_phi cfg li j with
+        match Memdep.iv_phi idx li j with
         | None -> ()
         | Some iv ->
             let header = Sym.name (Cfg.label cfg l.Loop_info.header) in
@@ -304,7 +305,7 @@ let lint_partitions (buf : Diag.buffer) (f : Lmodule.func) (cfg : Cfg.t)
                     match List.nth_opt forms fi with
                     | None -> ()
                     | Some form ->
-                        let c = Memdep.coeff_of form iv in
+                        let c = Alias.coeff_of form iv in
                         let flag msg hint =
                           let key = (a.Directives.aname, header, msg) in
                           if not (Hashtbl.mem seen key) then begin
@@ -350,11 +351,11 @@ let lint_partitions (buf : Diag.buffer) (f : Lmodule.func) (cfg : Cfg.t)
                                pipelined access"
                         end)
                 | _ -> ())
-              (Memdep.accesses_in cfg li j))
+              (Memdep.accesses_in idx li j))
     li.Loop_info.loops
 
 (** HLS004 — dead stores to local arrays. *)
-let lint_dead_stores (buf : Diag.buffer) (f : Lmodule.func) (cfg : Cfg.t) =
+let lint_dead_stores (buf : Diag.buffer) ~am (f : Lmodule.func) (cfg : Cfg.t) =
   List.iter
     (fun (ds : Dataflow.dead_store) ->
       Diag.add buf
@@ -364,11 +365,11 @@ let lint_dead_stores (buf : Diag.buffer) (f : Lmodule.func) (cfg : Cfg.t) =
            ~hint:"remove the store, or the whole array if it is write-only"
            "store to local array %%%s is never read (instruction %d)"
            ds.Dataflow.ds_array ds.Dataflow.ds_index))
-    (Dataflow.dead_stores cfg)
+    (Dataflow.dead_stores ~am cfg)
 
 (** HLS005 — unused parameters of the top function. *)
-let lint_unused_params (buf : Diag.buffer) (f : Lmodule.func) =
-  let idx = Findex.build f in
+let lint_unused_params (buf : Diag.buffer) (f : Lmodule.func) (idx : Findex.t)
+    =
   List.iter
     (fun (p : Lmodule.param) ->
       if not (Findex.is_used idx (Sym.intern p.Lmodule.pname)) then
@@ -386,7 +387,8 @@ let lint_unused_params (buf : Diag.buffer) (f : Lmodule.func) =
     array is visible as such; a [May_alias] access (an unresolvable
     pointer that might land in the array) makes the bank assignment
     unprovable, so the partition directive buys nothing. *)
-let lint_aliased_partitions (buf : Diag.buffer) (f : Lmodule.func) =
+let lint_aliased_partitions (buf : Diag.buffer) (f : Lmodule.func)
+    (idx : Findex.t) =
   let partitioned =
     List.filter
       (fun (p : Lmodule.param) ->
@@ -396,7 +398,6 @@ let lint_aliased_partitions (buf : Diag.buffer) (f : Lmodule.func) =
       f.Lmodule.params
   in
   if partitioned <> [] then begin
-    let idx = Findex.build f in
     let ptrs =
       List.rev
         (Lmodule.fold_insts
@@ -505,9 +506,12 @@ let lint_unreachable (buf : Diag.buffer) (f : Lmodule.func) (cfg : Cfg.t) =
     (HLS005); it defaults to the single function when [m] has exactly
     one.  [only] keeps just the listed rule IDs.  [werror] promotes
     warnings to errors.  A verifier failure yields a single [HLS000]
-    error for the offending function and skips its other rules. *)
+    error for the offending function and skips its other rules.
+    Every rule reads its analyses from [am] (a fresh manager without
+    it): under the manager that produced [m], the adaptor's indexes
+    are hits and functions it already verified are not re-verified. *)
 let run ?(only : string list option) ?(werror = false) ?(top : string option)
-    (m : Lmodule.t) : Diag.t list =
+    ?(am = Analysis.create ()) (m : Lmodule.t) : Diag.t list =
   let buf = Diag.create () in
   let top_name =
     match top with
@@ -522,7 +526,7 @@ let run ?(only : string list option) ?(werror = false) ?(top : string option)
      Diag.add buf (Diag.of_err ~rule:"HLS000" e));
   let eff =
     try
-      let e = Effects.summarize m in
+      let e = Analysis.effects ~am m in
       lint_global_conflicts buf m e;
       Some e
     with Support.Err.Compile_error e ->
@@ -532,16 +536,16 @@ let run ?(only : string list option) ?(werror = false) ?(top : string option)
   List.iter
     (fun (f : Lmodule.func) ->
       try
-        Lverifier.verify_func m f;
-        let cfg = Cfg.build f in
-        let li = Loop_info.compute cfg in
-        lint_loops buf f cfg li;
-        lint_partitions buf f cfg li;
-        lint_dead_stores buf f cfg;
+        Lverifier.verify_func ~am m f;
+        let idx = Analysis.findex ~am f and cfg = Analysis.cfg ~am f in
+        let li = Analysis.loop_info ~am f in
+        lint_loops buf f idx li;
+        lint_partitions buf f idx li;
+        lint_dead_stores buf ~am f cfg;
         lint_unreachable buf f cfg;
-        lint_aliased_partitions buf f;
+        lint_aliased_partitions buf f idx;
         if top_name = Some f.Lmodule.fname then begin
-          lint_unused_params buf f;
+          lint_unused_params buf f idx;
           Option.iter (fun e -> lint_unknown_callees buf e f) eff
         end
       with Support.Err.Compile_error e ->

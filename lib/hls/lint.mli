@@ -12,10 +12,13 @@ val catalog : (string * Diag.severity * string) list
 
 (** Lint the module.  [only] restricts to the given rule ids,
     [werror] upgrades warnings to errors, [top] narrows function-level
-    rules to one function. *)
+    rules to one function.  [am] is the analysis manager that produced
+    the module (a fresh one without it): its indexes are reused and
+    the functions it verified are not verified again. *)
 val run :
   ?only:string list ->
   ?werror:bool ->
   ?top:string ->
+  ?am:Llvmir.Analysis.t ->
   Llvmir.Lmodule.t ->
   Diag.t list

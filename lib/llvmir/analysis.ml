@@ -153,7 +153,7 @@ let loop_info_q (am : t) (f : Lmodule.func) : Loop_info.t =
   query am Loop_info f
     ~get:(fun e -> e.e_li)
     ~set:(fun e v -> e.e_li <- Some v)
-    ~compute:(fun () -> Loop_info.compute (cfg_q am f))
+    ~compute:(fun () -> Loop_info.compute (dominance_q am f))
 
 let module_report (am : t) ~(hit : bool) ~seconds (m : Lmodule.t) =
   let n = Lmodule.instr_count m in
@@ -174,7 +174,7 @@ let effects_q (am : t) (m : Lmodule.t) : Effects.t =
   | _ ->
       let traced = am.trace != Support.Tracing.null in
       let t0 = if traced then Support.Tracing.now () else 0.0 in
-      let e = Effects.summarize m in
+      let e = Effects.summarize ~findex:(findex_q am) m in
       am.m_effects <- Some (m, e);
       if traced then
         module_report am ~hit:false ~seconds:(Support.Tracing.now () -. t0) m;
@@ -195,7 +195,7 @@ let dominance ?am f =
 let loop_info ?am f =
   match am with
   | Some am -> loop_info_q am f
-  | None -> Loop_info.compute (Cfg.build f)
+  | None -> Loop_info.compute (Dominance.compute (Cfg.build f))
 
 let effects ?am m =
   match am with Some am -> effects_q am m | None -> Effects.summarize m

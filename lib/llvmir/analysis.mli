@@ -12,8 +12,13 @@ type kind = Findex | Cfg | Dominance | Loop_info | Effects
 
 val kind_name : kind -> string
 
-(** The manager.  One instance lives for one {!Pass.run_pipeline}
-    invocation (or one standalone pass run). *)
+(** The manager.  One instance lives for one compile job: the flow
+    driver creates it and hands it to every stage (verifier, cleanup
+    pipeline, adaptor, estimator, lint), so an analysis one stage built
+    is a hit for the next.  A stage called without [?am] makes its
+    own.  Consumers ask the manager instead of building a {!Findex},
+    {!Cfg} or {!Loop_info} themselves; only this module and the
+    analyses' own modules build them. *)
 type t
 
 val create : ?trace:Support.Tracing.hook -> unit -> t
@@ -49,7 +54,7 @@ val keep : t -> preserves:kind list -> Lmodule.t -> unit
     arena it just wrote).  The next {!keep} installs it for the entry
     whose function is physically [f]; a {!findex} query landing before
     that is served the seed directly.  [idx] must equal what
-    [Findex.build f] would compute — the pass pairs
+    indexing [f] from scratch would compute — the pass pairs
     {!Iarena.compact} with {!Findex.of_arena} to guarantee it. *)
 val seed_findex : t -> Lmodule.func -> Findex.t -> unit
 

@@ -121,7 +121,7 @@ let scan (globals : Sym.Set.t) (summaries : (string, footprint) Hashtbl.t)
     fp_unknown = List.sort_uniq compare !unknown;
   }
 
-let summarize (m : Lmodule.t) : t =
+let summarize ?(findex = Findex.build) (m : Lmodule.t) : t =
   let globals =
     List.fold_left
       (fun s (g : Lmodule.global) -> Sym.Set.add (Sym.intern g.Lmodule.gname) s)
@@ -148,7 +148,7 @@ let summarize (m : Lmodule.t) : t =
   List.iter
     (fun (f : Lmodule.func) ->
       Hashtbl.replace func_of f.Lmodule.fname f;
-      Hashtbl.replace idx_of f.Lmodule.fname (Findex.build f);
+      Hashtbl.replace idx_of f.Lmodule.fname (findex f);
       Lmodule.iter_insts
         (fun (i : Linstr.t) ->
           match i.op with

@@ -50,8 +50,10 @@ type t
 val is_inert_callee : string -> bool
 
 (** Bottom-up fixpoint over the call graph (recursion converges: the
-    per-function lattice is finite and joins are monotone). *)
-val summarize : Lmodule.t -> t
+    per-function lattice is finite and joins are monotone).  [findex]
+    supplies each function's index (default: a fresh build);
+    {!Analysis.effects} passes its own cached lookup. *)
+val summarize : ?findex:(Lmodule.func -> Findex.t) -> Lmodule.t -> t
 
 val footprint : t -> string -> footprint option
 

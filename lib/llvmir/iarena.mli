@@ -9,8 +9,8 @@
     membership.  Rows are in layout order, so intra-block ordering is
     index comparison and a block is a contiguous span.
 
-    The arena is built once per {!Findex.build} and is the storage hot
-    passes iterate: DCE, CSE, constant folding and GEP
+    The arena is built once per function index ({!Findex}) and is the
+    storage hot passes iterate: DCE, CSE, constant folding and GEP
     canonicalisation walk int arrays and the operand pool without
     touching the boxed [Linstr.t] records.  Boxed instructions are
     materialised only at the pass boundary ({!instr}, {!to_blocks}):

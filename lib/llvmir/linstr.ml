@@ -109,7 +109,7 @@ let operands i =
   | Unreachable -> []
 
 (** Apply [f] to each operand without building the operand list —
-    the allocation-free variant {!Findex.build} runs per operand. *)
+    the allocation-free variant the function index runs per operand. *)
 let iter_operands f i =
   match i.op with
   | IBin (_, a, b) | FBin (_, a, b) | Icmp (_, a, b) | Fcmp (_, a, b) ->

@@ -21,8 +21,11 @@ type t = {
   loop_of_block : int option array;  (** innermost loop containing block *)
 }
 
-let compute (cfg : Cfg.t) : t =
-  let dom = Dominance.compute cfg in
+(** The loop nest of [dom]'s CFG.  Takes the dominator tree rather
+    than computing one, so a caller holding the {!Analysis} manager's
+    tree never builds a second. *)
+let compute (dom : Dominance.t) : t =
+  let cfg = dom.Dominance.cfg in
   let n = Cfg.n_blocks cfg in
   (* back edges: succ edge u -> h where h dominates u *)
   let back_edges = ref [] in

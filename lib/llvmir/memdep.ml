@@ -23,8 +23,7 @@
     resolved (phi/select/call-defined) pair up as {b Unknown} instead
     of being silently treated as independent arrays.
 
-    The affine-form machinery lives in {!Alias} and is re-exported
-    here for compatibility with existing consumers.
+    The affine-form machinery ({!Alias.form}) lives in {!Alias}.
 
     SSA registers that the walker cannot expand stay {e atomic}: an
     atom defined outside the loop is a fixed unknown (it cancels when
@@ -36,22 +35,6 @@ open Linstr
 module Sym = Support.Interner
 
 (* ------------------------------------------------------------------ *)
-(* Affine forms — hosted by {!Alias}, re-exported for compatibility   *)
-(* ------------------------------------------------------------------ *)
-
-type form = Alias.form = { terms : (Sym.t * int) list; konst : int }
-
-let const_form = Alias.const_form
-let atom_form = Alias.atom_form
-let form_add = Alias.form_add
-let form_scale = Alias.form_scale
-let form_sub = Alias.form_sub
-let coeff_of = Alias.coeff_of
-let drop_atom = Alias.drop_atom
-let form_to_string = Alias.form_to_string
-let form_of = Alias.form_of
-
-(* ------------------------------------------------------------------ *)
 (* Accesses                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -61,20 +44,19 @@ type access = {
   acc_is_store : bool;
   acc_array : string;  (** root parameter / alloca / global *)
   acc_ptr : Lvalue.t;  (** the address operand, for alias queries *)
-  acc_subs : form list option;
+  acc_subs : Alias.form list option;
       (** one form per GEP index (leading pointer index included);
-          [None] when the address is not a single GEP from the root *)
+          [None] when the address is not a single GEP from the root
+          ({!Alias.subscripts}) *)
   acc_inst : Linstr.t;
 }
 
-(** Subscript forms of a pointer: requires the address to be one GEP
-    whose base resolves directly to the root (the canonical shape after
-    the adaptor's GEP canonicalization); anything else is opaque. *)
-let subscripts = Alias.subscripts
-
-(** All loads/stores whose block lies in loop [j]'s body. *)
-let accesses_in (cfg : Cfg.t) (li : Loop_info.t) (j : int) : access list =
-  let idx = Findex.build cfg.Cfg.func in
+(** All loads/stores whose block lies in loop [j]'s body.  Every
+    entry point below takes the function's index [idx] and loop nest
+    [li] (whose CFG it reads) from the caller, so a job's
+    {!Analysis} manager builds each once. *)
+let accesses_in (idx : Findex.t) (li : Loop_info.t) (j : int) : access list =
+  let cfg = li.Loop_info.cfg in
   let body = li.Loop_info.loops.(j).Loop_info.body in
   let out = ref [] in
   List.iter
@@ -92,7 +74,7 @@ let accesses_in (cfg : Cfg.t) (li : Loop_info.t) (j : int) : access list =
                     acc_is_store = is_store;
                     acc_array = Sym.name root;
                     acc_ptr = p;
-                    acc_subs = subscripts idx p;
+                    acc_subs = Alias.subscripts idx p;
                     acc_inst = i;
                   }
                   :: !out
@@ -124,11 +106,11 @@ let verdict_to_string = function
 
 (** Induction variable of loop [j]: the first header phi whose
     latch-incoming value is an integer add/sub of the phi itself. *)
-let iv_phi (cfg : Cfg.t) (li : Loop_info.t) (j : int) : Sym.t option =
+let iv_phi (idx : Findex.t) (li : Loop_info.t) (j : int) : Sym.t option =
+  let cfg = li.Loop_info.cfg in
   let l = li.Loop_info.loops.(j) in
   let header = Cfg.block cfg l.Loop_info.header in
   let latch_labels = List.map (Cfg.label cfg) l.Loop_info.latches in
-  let idx = Findex.build cfg.Cfg.func in
   List.find_map
     (fun (i : Linstr.t) ->
       match i.op with
@@ -166,16 +148,18 @@ let varies_in_loop (li : Loop_info.t) (j : int) (idx : Findex.t) (a : Sym.t) :
       List.mem (Findex.block_of_instr idx k) li.Loop_info.loops.(j).Loop_info.body
   | _ -> false
 
-let dim_test ~iv ~varies (s : form) (t : form) : dim_verdict =
-  let a_s = coeff_of s iv and a_t = coeff_of t iv in
-  let rest_s = drop_atom s iv and rest_t = drop_atom t iv in
-  let has_varying f = List.exists (fun (n, _) -> varies n) f.terms in
+let dim_test ~iv ~varies (s : Alias.form) (t : Alias.form) : dim_verdict =
+  let a_s = Alias.coeff_of s iv and a_t = Alias.coeff_of t iv in
+  let rest_s = Alias.drop_atom s iv and rest_t = Alias.drop_atom t iv in
+  let has_varying (f : Alias.form) =
+    List.exists (fun (n, _) -> varies n) f.terms
+  in
   if has_varying rest_s || has_varying rest_t then
     (* fresh values every iteration: the dimension cannot pin a
        distance, but neither can it rule dependence out *)
     DAny
   else
-    let delta = form_sub rest_s rest_t in
+    let delta = Alias.form_sub rest_s rest_t in
     if delta.terms <> [] then DUnknown  (* fixed but unknown offset *)
     else
       let c = delta.konst in
@@ -189,14 +173,13 @@ let dim_test ~iv ~varies (s : form) (t : form) : dim_verdict =
     are independent, a shared (known) root runs the per-dimension
     delta test, and an unresolvable root pair is {!Unknown} — never
     silently independent. *)
-let classify_pair (cfg : Cfg.t) (li : Loop_info.t) (j : int) (s : access)
+let classify_pair (idx : Findex.t) (li : Loop_info.t) (j : int) (s : access)
     (t : access) : verdict =
-  let idx = Findex.build cfg.Cfg.func in
   match Alias.base_alias idx s.acc_ptr t.acc_ptr with
   | Alias.No_alias -> Independent
   | Alias.May_alias -> Unknown
   | Alias.Must_alias -> (
-      match iv_phi cfg li j with
+      match iv_phi idx li j with
       | None -> Unknown
       | Some iv -> (
           match (s.acc_subs, t.acc_subs) with
@@ -250,12 +233,11 @@ let dep_to_string (cfg : Cfg.t) (d : dep) =
     dependence.  Pairing is by {!Alias.base_alias}, so accesses
     through unresolvable pointers pair with everything rather than
     being dropped. *)
-let analyze_loop (cfg : Cfg.t) (li : Loop_info.t) (j : int) : dep list =
-  let idx = Findex.build cfg.Cfg.func in
-  let accs = accesses_in cfg li j in
+let analyze_loop (idx : Findex.t) (li : Loop_info.t) (j : int) : dep list =
+  let accs = accesses_in idx li j in
   let deps = ref [] in
   let consider (s : access) (t : access) =
-    let v = classify_pair cfg li j s t in
+    let v = classify_pair idx li j s t in
     deps := { dep_array = s.acc_array; dep_src = s; dep_dst = t; dep_verdict = v } :: !deps
   in
   let stores = List.filter (fun a -> a.acc_is_store) accs in
@@ -280,10 +262,3 @@ let carried (deps : dep list) : dep list =
   List.filter
     (fun d -> match d.dep_verdict with Carried _ | Unknown -> true | _ -> false)
     deps
-
-(** Analyze every loop of a function: [(loop index, deps)] pairs. *)
-let analyze (f : Lmodule.func) : (int * dep list) list =
-  let cfg = Cfg.build f in
-  let li = Loop_info.compute cfg in
-  List.init (Array.length li.Loop_info.loops) (fun j ->
-      (j, analyze_loop cfg li j))

@@ -49,13 +49,18 @@ val default_pipeline : pass list
     ["llvm-opt"]; the adaptor passes ["adaptor"]) plus one per analysis
     query (stage ["analysis"], pass ["<kind>:hit"] /
     ["<kind>:compute"]); per-pass times exist only as those events.
-    Returns the transformed module and the pipeline's wall time in
-    seconds ({!Support.Tracing.now}). *)
+    [?am] is the compile job's {!Analysis} manager: the pipeline reuses
+    what earlier stages built for [m] and leaves its own results for
+    the next stage (analysis events then go to the manager's hook).
+    Without it the pipeline makes its own manager.  Returns the
+    transformed module and the pipeline's wall time in seconds
+    ({!Support.Tracing.now}). *)
 val run_pipeline :
   ?verify:bool ->
   ?verify_each:bool ->
   ?trace:Support.Tracing.hook ->
   ?stage:string ->
+  ?am:Analysis.t ->
   pass list ->
   Lmodule.t ->
   Lmodule.t * float

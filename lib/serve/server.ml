@@ -142,7 +142,7 @@ type group = {
 
 type client = {
   c_fd : Unix.file_descr;
-  mutable c_buf : string;  (** unconsumed bytes (partial frames) *)
+  c_frames : P.assembler;  (** the partial frame read so far *)
   mutable c_ready : group list;  (** queued groups owned here, FIFO *)
 }
 
@@ -161,6 +161,7 @@ type state = {
   exec : (unit -> unit) -> bool;
       (** run a thunk on a worker; [false] = run it inline *)
   clients : (Unix.file_descr, client) Hashtbl.t;
+  chunk : Bytes.t;  (** the reactor's read buffer, shared by all clients *)
   mutable rr : Unix.file_descr list;
       (** round-robin pick order; a client moves to the back after a
           group of theirs is started *)
@@ -589,21 +590,17 @@ let handle_frame (st : state) (fd : Unix.file_descr) = function
     must not kill the daemon), EAGAIN is a spurious wakeup, and any
     other error drops just this client — never the reactor. *)
 let rec read_client (st : state) (c : client) =
-  let chunk = Bytes.create 65536 in
-  match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
+  match Unix.read c.c_fd st.chunk 0 (Bytes.length st.chunk) with
   | 0 -> drop_client st c.c_fd
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_client st c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> drop_client st c.c_fd
   | n -> (
-      c.c_buf <- c.c_buf ^ Bytes.sub_string chunk 0 n;
-      match P.decode_frames c.c_buf with
+      match P.feed c.c_frames st.chunk 0 n with
       | Error msg ->
           st.cfg.log (Printf.sprintf "dropping client: %s" msg);
           drop_client st c.c_fd
-      | Ok (frames, rest) ->
-          c.c_buf <- rest;
-          List.iter (handle_frame st c.c_fd) frames)
+      | Ok frames -> List.iter (handle_frame st c.c_fd) frames)
 
 (* ------------------------------------------------------------------ *)
 (* Listeners and the reactor                                          *)
@@ -679,7 +676,8 @@ let tcp_listener (port : int) : Unix.file_descr =
 let rec accept_client (st : state) (lfd : Unix.file_descr) =
   match Unix.accept lfd with
   | fd, _ ->
-      Hashtbl.replace st.clients fd { c_fd = fd; c_buf = ""; c_ready = [] };
+      Hashtbl.replace st.clients fd
+        { c_fd = fd; c_frames = P.assembler (); c_ready = [] };
       st.rr <- st.rr @ [ fd ]
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_client st lfd
   | exception Unix.Unix_error _ -> ()
@@ -743,6 +741,7 @@ let serve ?(config = default_config) ?(counters = fun () -> (0, 0))
           counters;
           exec;
           clients = Hashtbl.create 16;
+          chunk = Bytes.create 65536;
           rr = [];
           by_key = Hashtbl.create 16;
           inflight = Hashtbl.create 16;

@@ -216,7 +216,7 @@ let test_cache_key_pinned () =
 (* ------------------------------------------------------------------ *)
 
 let test_trace_schema_golden () =
-  let b = D.run_batch (small_jobs ()) in
+  let b = D.run_batch ~events:true (small_jobs ()) in
   let records = D.trace_records b in
   Alcotest.(check bool) "trace non-empty" true (records <> []);
   let stages =
@@ -339,6 +339,161 @@ let test_batch_report_stats () =
     (List.length b.D.outcomes)
 
 (* ------------------------------------------------------------------ *)
+(* Events only for a reader                                           *)
+(* ------------------------------------------------------------------ *)
+
+let gemm_jobs () =
+  List.map
+    (fun flow -> D.job ~flow ~kernel:"gemm" K.pipelined)
+    [ Flow.Direct_ir; Flow.Hls_cpp ]
+
+let test_events_only_when_asked () =
+  List.iter
+    (fun j ->
+      let quiet = D.run_job ~pipeline:P.default ~cache:None j in
+      let traced = D.run_job ~events:true ~pipeline:P.default ~cache:None j in
+      Alcotest.(check int) (j.D.label ^ ": no events unless asked") 0
+        (List.length quiet.D.o_trace);
+      Alcotest.(check bool) (j.D.label ^ ": events when asked") true
+        (traced.D.o_trace <> []);
+      Alcotest.(check string) (j.D.label ^ ": same QoR either way")
+        (qor [ traced ]) (qor [ quiet ]);
+      Alcotest.(check bool) (j.D.label ^ ": same report either way") true
+        (quiet.D.o_qor = traced.D.o_qor))
+    (gemm_jobs ())
+
+(* The stage and pass events of a gemm job with their IR sizes: asking
+   for events must not change them.  The analysis queries in between
+   are left out, since which of them hit depends on how the stages
+   share the job's manager. *)
+let gemm_stage_events =
+  [
+    ( "gemm/direct-ir",
+      [ "lower lower-modern 0 66"; "llvm-opt inline 66 66";
+        "llvm-opt mem2reg 66 66"; "llvm-opt constfold 66 63";
+        "llvm-opt cse 63 63"; "llvm-opt licm 63 63"; "llvm-opt dce 63 63";
+        "llvm-opt simplifycfg 63 60"; "llvm-opt constfold 60 60";
+        "llvm-opt dce 60 60"; "adaptor legalize-intrinsics 60 58";
+        "adaptor eliminate-descriptors 58 28"; "adaptor typed-pointers 28 28";
+        "adaptor canonicalize-geps 28 28"; "adaptor translate-metadata 28 32";
+        "adaptor lower-interfaces 32 32"; "hls estimate-static 32 32" ] );
+    ( "gemm/hls-cpp",
+      [ "hls-cpp emit-and-parse 0 81"; "llvm-opt inline 81 81";
+        "llvm-opt mem2reg 81 63"; "llvm-opt constfold 63 63";
+        "llvm-opt cse 63 62"; "llvm-opt licm 62 62"; "llvm-opt dce 62 61";
+        "llvm-opt simplifycfg 61 58"; "llvm-opt constfold 58 58";
+        "llvm-opt dce 58 58"; "hls estimate-static 58 58" ] );
+  ]
+
+let test_events_keep_stages () =
+  List.iter
+    (fun j ->
+      let o = D.run_job ~events:true ~pipeline:P.default ~cache:None j in
+      let stages =
+        List.filter_map
+          (fun (e : Support.Tracing.event) ->
+            if e.Support.Tracing.ev_stage = "analysis" then None
+            else
+              Some
+                (Printf.sprintf "%s %s %d %d" e.Support.Tracing.ev_stage
+                   e.Support.Tracing.ev_pass e.Support.Tracing.ev_instrs_before
+                   e.Support.Tracing.ev_instrs_after))
+          o.D.o_trace
+      in
+      Alcotest.(check (list string))
+        (j.D.label ^ ": stages, passes and sizes")
+        (List.assoc j.D.label gemm_stage_events)
+        stages;
+      Alcotest.(check bool) (j.D.label ^ ": analysis queries traced") true
+        (List.exists
+           (fun (e : Support.Tracing.event) ->
+             e.Support.Tracing.ev_stage = "analysis")
+           o.D.o_trace))
+    (gemm_jobs ())
+
+let test_cache_stores_and_replays_events () =
+  let dir = fresh_dir () in
+  let c = Cache.create ~dir in
+  List.iter
+    (fun j ->
+      (* the cache needs the events for later hits, asked for or not *)
+      let miss = D.run_job ~events:false ~pipeline:P.default ~cache:(Some c) j in
+      let hit = D.run_job ~events:false ~pipeline:P.default ~cache:(Some c) j in
+      Alcotest.(check bool) (j.D.label ^ ": miss computed") false
+        miss.D.o_from_cache;
+      Alcotest.(check bool) (j.D.label ^ ": miss stored events") true
+        (miss.D.o_trace <> []);
+      Alcotest.(check bool) (j.D.label ^ ": hit served") true
+        hit.D.o_from_cache;
+      Alcotest.(check bool) (j.D.label ^ ": hit replays the events") true
+        (hit.D.o_trace = miss.D.o_trace))
+    (gemm_jobs ());
+  rm_rf dir
+
+(* ------------------------------------------------------------------ *)
+(* Cache robustness                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* An entry that does not decode is a miss, not a hit, and the job's
+   fresh result replaces it. *)
+let test_cache_undecodable_is_miss () =
+  let dir = fresh_dir () in
+  let c = Cache.create ~dir in
+  let j = D.job ~kernel:"gemm" K.pipelined in
+  let key = Option.get (D.cache_key ~pipeline:P.default j) in
+  Cache.store c key "not a payload";
+  let o = D.run_job ~pipeline:P.default ~cache:(Some c) j in
+  Alcotest.(check bool) "recomputed" false o.D.o_from_cache;
+  Alcotest.(check (pair int int)) "counted as a miss" (0, 1)
+    (Cache.hits c, Cache.misses c);
+  let o = D.run_job ~pipeline:P.default ~cache:(Some c) j in
+  Alcotest.(check bool) "replaced by the fresh result" true o.D.o_from_cache;
+  Alcotest.(check (pair int int)) "then a hit" (1, 1)
+    (Cache.hits c, Cache.misses c);
+  rm_rf dir
+
+(* Two processes store different multi-MiB payloads under one key, over
+   and over, while every process (this one too) looks the key up: a
+   lookup must find nothing or one payload intact.  The writers are a
+   helper executable: a process that has started domains cannot fork. *)
+let test_cache_two_processes () =
+  let dir = fresh_dir () in
+  let c = Cache.create ~dir in
+  let key = Cache.key [ "two-processes" ] and size = 3 lsl 20 in
+  let intact = function
+    | None -> true
+    | Some s -> String.length s = size && String.for_all (Char.equal s.[0]) s
+  in
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "cache_writer.exe"
+  in
+  let spawn byte =
+    Unix.create_process exe
+      [| exe; dir; key; byte; string_of_int size; "24" |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let running = ref [ spawn "a"; spawn "b" ] in
+  let torn = ref 0 and failed = ref 0 in
+  while !running <> [] do
+    if not (intact (Cache.find c key)) then incr torn;
+    running :=
+      List.filter
+        (fun pid ->
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ -> true
+          | _, Unix.WEXITED 0 -> false
+          | _ ->
+              incr failed;
+              false)
+        !running
+  done;
+  Alcotest.(check int) "writers saw only intact entries" 0 !failed;
+  Alcotest.(check int) "reader saw only intact entries" 0 !torn;
+  Alcotest.(check bool) "final entry intact" true
+    (match Cache.find c key with Some _ as e -> intact e | None -> false);
+  rm_rf dir
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -358,4 +513,14 @@ let suite =
     Alcotest.test_case "pool preserves order" `Quick test_pool_preserves_order;
     Alcotest.test_case "batch determinism" `Quick test_batch_determinism;
     Alcotest.test_case "batch report stats" `Quick test_batch_report_stats;
+    Alcotest.test_case "events only when asked" `Quick
+      test_events_only_when_asked;
+    Alcotest.test_case "events keep stages, passes and sizes" `Quick
+      test_events_keep_stages;
+    Alcotest.test_case "cache stores and replays events" `Quick
+      test_cache_stores_and_replays_events;
+    Alcotest.test_case "undecodable cache entry is a miss" `Quick
+      test_cache_undecodable_is_miss;
+    Alcotest.test_case "cache shared by two processes" `Quick
+      test_cache_two_processes;
   ]

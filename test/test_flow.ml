@@ -182,6 +182,60 @@ let test_compare_grid_bytes () =
       in
       Alcotest.(check string) "compare gemm bytes" golden_compare_gemm masked
 
+(* One analysis manager per job: mem2reg reuses the index the
+   front-end's verifier built, the estimator reuses the index and CFG
+   the last verification built, and every index the job builds is a
+   traced compute.  A pass's or the estimator's own queries are the
+   last ones before its event (the estimator asks for the CFG, the
+   loop nest, then the index). *)
+let test_one_manager_per_job () =
+  let k = Option.get (K.by_name "gemm") in
+  List.iter
+    (fun (kind, computes) ->
+      let hook, events = Support.Tracing.collector () in
+      ignore (Flow.run_exn ~trace:hook k kind);
+      let evs = events () in
+      let name = Flow.flow_name kind in
+      let pass (e : Support.Tracing.event) = e.Support.Tracing.ev_pass in
+      let is_query (e : Support.Tracing.event) =
+        e.Support.Tracing.ev_stage = "analysis"
+      in
+      (* the queries between the previous stage or pass event and the
+         first event [is_end] accepts, latest first *)
+      let queries_of what is_end =
+        let rec go acc = function
+          | [] -> Alcotest.failf "%s: no %s event" name what
+          | e :: rest ->
+              if is_end e then acc
+              else go (if is_query e then pass e :: acc else []) rest
+        in
+        go [] evs
+      in
+      (* is the latest query of this analysis a hit? *)
+      let hit kind qs =
+        List.find_opt (String.starts_with ~prefix:(kind ^ ":")) qs
+        = Some (kind ^ ":hit")
+      in
+      let mem2reg =
+        queries_of "mem2reg" (fun e ->
+            e.Support.Tracing.ev_stage = "llvm-opt" && pass e = "mem2reg")
+      in
+      Alcotest.(check bool) (name ^ ": mem2reg's index is a hit") true
+        (hit "findex" mem2reg);
+      let estimator =
+        queries_of "estimator" (fun e -> e.Support.Tracing.ev_stage = "hls")
+      in
+      Alcotest.(check bool) (name ^ ": estimator's index is a hit") true
+        (hit "findex" estimator);
+      Alcotest.(check bool) (name ^ ": estimator's CFG is a hit") true
+        (hit "cfg" estimator);
+      Alcotest.(check int)
+        (name ^ ": index builds")
+        computes
+        (List.length
+           (List.filter (fun e -> is_query e && pass e = "findex:compute") evs)))
+    [ (Flow.Direct_ir, 7); (Flow.Hls_cpp, 4) ]
+
 let suite =
   [
     Alcotest.test_case "cosim (all kernels x directives)" `Slow
@@ -200,4 +254,6 @@ let suite =
     Alcotest.test_case "compare grid bytes (gemm)" `Quick test_compare_grid_bytes;
     Alcotest.test_case "adaptor events carry allocation" `Quick
       test_adaptor_events_allocate;
+    Alcotest.test_case "one analysis manager per job" `Quick
+      test_one_manager_per_job;
   ]

@@ -99,7 +99,7 @@ let test_directive_extraction () =
   in
   let f = Lmodule.find_func_exn m "f" in
   let cfg = Cfg.build f in
-  let li = Loop_info.compute cfg in
+  let li = Loop_info.compute (Dominance.compute cfg) in
   Alcotest.(check int) "one loop" 1 (Array.length li.Loop_info.loops);
   let d = D.loop_directives cfg li 0 in
   Alcotest.(check (option int)) "pipeline II" (Some 1) d.D.pipeline_ii;

@@ -102,7 +102,7 @@ let test_dominance_frontiers () =
 let test_loop_detection () =
   let f = parse_fn loop_fn in
   let cfg = Cfg.build f in
-  let li = Loop_info.compute cfg in
+  let li = Loop_info.compute (Dominance.compute cfg) in
   Alcotest.(check int) "one loop" 1 (Array.length li.Loop_info.loops);
   let l = li.Loop_info.loops.(0) in
   Alcotest.(check string) "header label" "header"
@@ -113,7 +113,7 @@ let test_loop_detection () =
 let test_nested_loop_structure () =
   let f = parse_fn nested_loops in
   let cfg = Cfg.build f in
-  let li = Loop_info.compute cfg in
+  let li = Loop_info.compute (Dominance.compute cfg) in
   Alcotest.(check int) "two loops" 2 (Array.length li.Loop_info.loops);
   let depths =
     List.sort compare
@@ -133,13 +133,13 @@ let test_nested_loop_structure () =
 let test_trip_counts () =
   let f = parse_fn loop_fn in
   let cfg = Cfg.build f in
-  let li = Loop_info.compute cfg in
+  let li = Loop_info.compute (Dominance.compute cfg) in
   Alcotest.(check (option int)) "trip count 10" (Some 10) (Loop_info.trip_count li 0)
 
 let test_trip_count_with_step () =
   let f = parse_fn nested_loops in
   let cfg = Cfg.build f in
-  let li = Loop_info.compute cfg in
+  let li = Loop_info.compute (Dominance.compute cfg) in
   let counts =
     List.sort compare
       (List.filter_map
@@ -172,7 +172,7 @@ let test_lowered_gemm_loops () =
   let lm = Lowering.Lower.lower_module m in
   let f = Lmodule.find_func_exn lm "gemm" in
   let cfg = Cfg.build f in
-  let li = Loop_info.compute cfg in
+  let li = Loop_info.compute (Dominance.compute cfg) in
   Alcotest.(check int) "three loops" 3 (Array.length li.Loop_info.loops);
   let max_depth =
     Array.fold_left (fun acc l -> max acc l.Loop_info.depth) 0 li.Loop_info.loops

@@ -10,9 +10,7 @@ let parse_fn text =
 
 let analyze text =
   let f = parse_fn text in
-  let cfg = Cfg.build f in
-  let li = Loop_info.compute cfg in
-  (cfg, li)
+  (Findex.build f, Analysis.loop_info f)
 
 (* store A[i], load A[i-1]: flow dependence carried at distance 1 *)
 let shift_fn =
@@ -36,10 +34,10 @@ x:
 }|}
 
 let verdicts text =
-  let cfg, li = analyze text in
+  let idx, li = analyze text in
   List.map
     (fun (d : Memdep.dep) -> d.Memdep.dep_verdict)
-    (Memdep.analyze_loop cfg li 0)
+    (Memdep.analyze_loop idx li 0)
 
 let test_known_distance () =
   let vs = verdicts shift_fn in
@@ -51,9 +49,9 @@ let test_known_distance () =
   Alcotest.(check bool) "nothing unknown" false (List.mem Memdep.Unknown vs)
 
 let test_iv_phi () =
-  let cfg, li = analyze shift_fn in
+  let idx, li = analyze shift_fn in
   Alcotest.(check (option string)) "induction variable" (Some "i")
-    (Option.map Support.Interner.name (Memdep.iv_phi cfg li 0))
+    (Option.map Support.Interner.name (Memdep.iv_phi idx li 0))
 
 (* store A[2i], load A[2i+1]: interleaved, never collide *)
 let stride2_fn =
@@ -105,8 +103,8 @@ x:
 }|}
 
 let test_distinct_arrays () =
-  let cfg, li = analyze two_arrays_fn in
-  let deps = Memdep.analyze_loop cfg li 0 in
+  let idx, li = analyze two_arrays_fn in
+  let deps = Memdep.analyze_loop idx li 0 in
   (* only the store's self-pair on A remains, and it is intra *)
   Alcotest.(check bool) "no cross-array pairs" true
     (List.for_all (fun d -> d.Memdep.dep_array = "A") deps);
@@ -169,7 +167,7 @@ x:
 }|}
 
 let test_phi_pointer_pairs () =
-  let cfg, li = analyze phi_ptr_fn in
+  let idx, li = analyze phi_ptr_fn in
   (* the loop over %i is the innermost loop *)
   let j =
     Array.to_list li.Loop_info.loops
@@ -179,7 +177,7 @@ let test_phi_pointer_pairs () =
          (0, 0)
     |> fst
   in
-  let deps = Memdep.analyze_loop cfg li j in
+  let deps = Memdep.analyze_loop idx li j in
   Alcotest.(check bool)
     "load %A paired with store through phi pointer, verdict unknown" true
     (List.exists
@@ -204,8 +202,7 @@ let test_gemm_inner_loop () =
     Flow_util.frontend_exn (k.Workloads.Kernels.build d)
   in
   let f = Llvmir.Lmodule.find_func_exn lm "gemm" in
-  let cfg = Cfg.build f in
-  let li = Loop_info.compute cfg in
+  let idx = Findex.build f and li = Analysis.loop_info f in
   (* find the innermost loop (depth 3) *)
   let j =
     Option.get
@@ -214,12 +211,12 @@ let test_gemm_inner_loop () =
       |> List.find_opt (fun (_, l) -> l.Loop_info.depth = 3)
       |> Option.map fst)
   in
-  let carried = Memdep.carried (Memdep.analyze_loop cfg li j) in
+  let carried = Memdep.carried (Memdep.analyze_loop idx li j) in
   Alcotest.(check int) "no carried memory deps in gemm inner loop" 0
     (List.length carried);
   (* but the outer accesses do exist *)
   Alcotest.(check bool) "accesses collected" true
-    (List.length (Memdep.accesses_in cfg li j) >= 2)
+    (List.length (Memdep.accesses_in idx li j) >= 2)
 
 (* seidel-style in-place stencil: store A[i][j] vs load A[i][j+1]
    in the inner loop is carried at distance 1 *)
@@ -237,8 +234,7 @@ let test_seidel_carried () =
     Flow_util.frontend_exn (k.Workloads.Kernels.build d)
   in
   let f = Llvmir.Lmodule.find_func_exn lm "seidel2d" in
-  let cfg = Cfg.build f in
-  let li = Loop_info.compute cfg in
+  let idx = Findex.build f and li = Analysis.loop_info f in
   let deepest =
     Array.to_list li.Loop_info.loops
     |> List.mapi (fun j l -> (j, l.Loop_info.depth))
@@ -247,7 +243,7 @@ let test_seidel_carried () =
          (0, 0)
     |> fst
   in
-  let carried = Memdep.carried (Memdep.analyze_loop cfg li deepest) in
+  let carried = Memdep.carried (Memdep.analyze_loop idx li deepest) in
   Alcotest.(check bool) "in-place stencil has carried deps" true
     (carried <> []);
   Alcotest.(check bool) "distance-1 dependence detected" true

@@ -385,7 +385,54 @@ let test_incremental_framing () =
   checkb "oversized frame rejected" true
     (match P.decode_frames (Bytes.to_string huge) with
     | Error _ -> true
-    | Ok _ -> false)
+    | Ok _ -> false);
+  checkb "oversized frame rejected by the assembler" true
+    (match P.feed (P.assembler ()) huge 0 4 with
+    | Error _ -> true
+    | Ok _ -> false);
+  (* The reactor's assembler: a multi-MiB frame between two small ones,
+     delivered in 64 KiB reads and in 1-byte reads, yields exactly the
+     three frames, intact and in order. *)
+  let bulk =
+    P.Request
+      {
+        q_id = 3;
+        q_stream = false;
+        q_req =
+          (match opt_req with
+          | P.Opt o ->
+              P.Opt { o with op_source = Some (String.make (3 lsl 20) 'x') }
+          | r -> r);
+      }
+  in
+  let frames = [ f1; bulk; f2 ] in
+  let wire = Bytes.of_string (String.concat "" (List.map P.encode_frame frames)) in
+  let deliver piece =
+    let a = P.assembler () in
+    let got = ref [] in
+    let at = ref 0 in
+    while !at < Bytes.length wire do
+      let n = min piece (Bytes.length wire - !at) in
+      (match P.feed a wire !at n with
+      | Ok fs -> got := !got @ fs
+      | Error e -> Alcotest.fail e);
+      at := !at + n
+    done;
+    checki (Printf.sprintf "%d-byte reads: three frames" piece) 3
+      (List.length !got);
+    List.iter2
+      (fun want got ->
+        match got with
+        | Ok f ->
+            checkb
+              (Printf.sprintf "%d-byte reads: frame intact" piece)
+              true
+              (P.frame_to_string f = P.frame_to_string want)
+        | Error e -> Alcotest.fail e)
+      frames !got
+  in
+  deliver 65536;
+  deliver 1
 
 (* ------------------------------------------------------------------ *)
 (* Live daemon                                                        *)
