@@ -58,7 +58,7 @@ let check ?effects (m : Lmodule.t) : verdict =
   | [] | [ _ ] -> Safe
   | funcs ->
       let eff =
-        match effects with Some e -> e | None -> Effects.summarize m
+        match effects with Some e -> e | None -> Analysis.effects m
       in
       let fps =
         List.filter_map
