@@ -55,54 +55,66 @@ let kernel_arg =
   let doc = "Kernel name (see `mhlsc list`)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc)
 
-let pipeline_arg =
-  let doc = "Pipeline target II (0 disables pipelining)." in
-  Arg.(value & opt int 1 & info [ "pipeline"; "ii" ] ~docv:"II" ~doc)
-
-let strategy_arg =
-  let doc = "Directive strategy: $(b,inner) pipelines the reduction loop; \
-             $(b,middle) pipelines the second-innermost loop and fully \
-             unrolls the reduction." in
-  Arg.(value & opt (enum [ ("inner", "inner"); ("middle", "middle") ]) "inner"
-       & info [ "strategy" ] ~docv:"S" ~doc)
-
-let unroll_arg =
-  let doc = "Unroll factor for the innermost loop (inner strategy only)." in
-  Arg.(value & opt (some int) None & info [ "unroll" ] ~docv:"N" ~doc)
-
-let partition_arg =
-  let doc = "Array partition directive, repeatable: ARG:KIND:FACTOR:DIM \
-             (e.g. A:cyclic:4:2)." in
-  Arg.(value & opt_all string [] & info [ "partition" ] ~docv:"SPEC" ~doc)
+(* A flag taking a name from a knob's name table; the handlers resolve
+   it, as they do a request's. *)
+let names_arg (names : (string * _) list) default opt_name ~docv ~doc =
+  Arg.(
+    value
+    & opt (enum (List.map (fun (n, _) -> (n, n)) names)) default
+    & info [ opt_name ] ~docv ~doc)
 
 let clock_arg =
   let doc = "Target clock period in nanoseconds." in
-  Arg.(value & opt float 10.0 & info [ "clock" ] ~docv:"NS" ~doc)
+  Arg.(value & opt float P.default_clock_ns & info [ "clock" ] ~docv:"NS" ~doc)
 
 let flow_arg =
   let doc = "Flow: $(b,direct) (MLIR->LLVM IR->adaptor, the paper's \
-             proposal) or $(b,cpp) (MLIR->HLS C++->Clang, the baseline)." in
-  Arg.(value & opt (enum [ ("direct", "direct"); ("cpp", "cpp") ]) "direct"
-       & info [ "flow" ] ~docv:"FLOW" ~doc)
+             proposal) or $(b,cpp) (MLIR->HLS C++->Clang, the baseline); \
+             $(b,direct-ir) and $(b,hls-cpp) name the same flows." in
+  names_arg Flow.flow_names P.default_flow "flow" ~docv:"FLOW" ~doc
 
 let sched_arg =
   let doc = "Scheduling discipline of the estimation backend: \
              $(b,static) (list scheduling, the default) or $(b,dynamic) \
              (elastic/dataflow: units fire when operands arrive, loop II \
              emerges from token round-trip time)." in
-  Arg.(value & opt (enum [ ("static", "static"); ("dynamic", "dynamic") ])
-         "static"
-       & info [ "sched" ] ~docv:"SCHED" ~doc)
+  names_arg H.sched_names P.default_sched "sched" ~docv:"SCHED" ~doc
 
-(** Directive flags to the protocol's directive record ([ii <= 0]
-    disables pipelining inside the handler). *)
-let directives_of ~pipeline ~strategy ~unroll ~partitions : P.directives =
-  {
-    P.d_ii = Some pipeline;
-    d_unroll = unroll;
-    d_strategy = strategy;
-    d_partitions = ok_or_die (H.parse_partitions partitions);
-  }
+(** The directive flags of emit, synth, compare, cosim and lint, as a
+    request's directives ([--ii 0] disables pipelining). *)
+let directives_term : P.directives Term.t =
+  let ii =
+    let doc = "Pipeline target II (0 disables pipelining)." in
+    Arg.(value & opt int P.default_ii
+         & info [ "pipeline"; "ii" ] ~docv:"II" ~doc)
+  in
+  let strategy =
+    let doc = "Directive strategy: $(b,inner) pipelines the reduction loop; \
+               $(b,middle) pipelines the second-innermost loop and fully \
+               unrolls the reduction." in
+    names_arg H.strategy_names P.default_strategy "strategy" ~docv:"S" ~doc
+  in
+  let unroll =
+    let doc = "Unroll factor for the innermost loop (inner strategy only)." in
+    Arg.(value & opt (some int) None & info [ "unroll" ] ~docv:"N" ~doc)
+  in
+  let partitions =
+    let doc = "Array partition directive, repeatable: ARRAY:KIND:FACTOR:DIM \
+               (e.g. A:cyclic:4:2).  KIND is cyclic, block or complete, \
+               FACTOR at least 1, and DIM within the array's rank." in
+    let spec =
+      Arg.conv'
+        ( (fun s ->
+            Option.to_result (K.partition_of_string s)
+              ~none:(Printf.sprintf "bad partition spec '%s'" s)),
+          fun ppf p -> Format.pp_print_string ppf (K.partition_to_string p) )
+    in
+    Arg.(value & opt_all spec [] & info [ "partition" ] ~docv:"SPEC" ~doc)
+  in
+  let make ii d_strategy d_unroll d_partitions =
+    { P.d_ii = Some ii; d_unroll; d_strategy; d_partitions }
+  in
+  Term.(const make $ ii $ strategy $ unroll $ partitions)
 
 (* Adaptor pass-pipeline flags, shared by adapt / lint / synth / batch *)
 
@@ -121,7 +133,7 @@ let split_passes = Option.map (String.split_on_char ',')
 
 let jobs_arg =
   let doc = "Worker domains to compile on (1 = sequential)." in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt int P.default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let cache_dir_arg =
   let doc =
@@ -157,29 +169,26 @@ let stage_arg =
        & info [ "stage" ] ~docv:"STAGE" ~doc)
 
 let emit_cmd =
-  let run kernel stage pipeline strategy unroll partitions =
+  let run kernel stage directives =
     let k = find_kernel kernel in
-    let directives = directives_of ~pipeline ~strategy ~unroll ~partitions in
     print_string (ok_or_die (H.emit ~kernel:k.K.kname ~stage ~directives))
   in
   Cmd.v
     (Cmd.info "emit" ~doc:"Print a kernel's IR at a chosen stage.")
-    Term.(const run $ kernel_arg $ stage_arg $ pipeline_arg $ strategy_arg
-          $ unroll_arg $ partition_arg)
+    Term.(const run $ kernel_arg $ stage_arg $ directives_term)
 
 (* ------------------------------------------------------------------ *)
 (* synth (and its service-speak alias, compile)                       *)
 (* ------------------------------------------------------------------ *)
 
-let synth_run kernel flow sched pipeline strategy unroll partitions clock
-    verbose passes disable =
+let synth_run kernel flow sched directives clock verbose passes disable =
   let k = find_kernel kernel in
   let req =
     {
       P.c_kernel = k.K.kname;
       c_flow = flow;
       c_sched = sched;
-      c_directives = directives_of ~pipeline ~strategy ~unroll ~partitions;
+      c_directives = directives;
       c_clock_ns = clock;
       c_passes = split_passes passes;
       c_disable = disable;
@@ -198,9 +207,8 @@ let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print the adaptor report.")
 
 let synth_term =
-  Term.(const synth_run $ kernel_arg $ flow_arg $ sched_arg $ pipeline_arg
-        $ strategy_arg $ unroll_arg $ partition_arg $ clock_arg $ verbose_arg
-        $ passes_arg $ disable_pass_arg)
+  Term.(const synth_run $ kernel_arg $ flow_arg $ sched_arg $ directives_term
+        $ clock_arg $ verbose_arg $ passes_arg $ disable_pass_arg)
 
 let synth_cmd =
   Cmd.v
@@ -219,9 +227,8 @@ let compile_cmd =
 (* ------------------------------------------------------------------ *)
 
 let compare_cmd =
-  let run kernel pipeline strategy unroll partitions clock =
+  let run kernel directives clock =
     let k = find_kernel kernel in
-    let directives = directives_of ~pipeline ~strategy ~unroll ~partitions in
     print_string
       (R.compare
          (ok_or_die
@@ -229,17 +236,15 @@ let compare_cmd =
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Run both flows and compare QoR.")
-    Term.(const run $ kernel_arg $ pipeline_arg $ strategy_arg $ unroll_arg
-          $ partition_arg $ clock_arg)
+    Term.(const run $ kernel_arg $ directives_term $ clock_arg)
 
 (* ------------------------------------------------------------------ *)
 (* cosim                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let cosim_cmd =
-  let run kernel pipeline strategy unroll partitions =
+  let run kernel directives =
     let k = find_kernel kernel in
-    let directives = directives_of ~pipeline ~strategy ~unroll ~partitions in
     let cs = ok_or_die (H.cosim ~kernel:k.K.kname ~directives) in
     print_string (R.cosim cs);
     if not cs.Flow.ok then exit 1
@@ -248,8 +253,7 @@ let cosim_cmd =
     (Cmd.info "cosim"
        ~doc:"Co-simulate: mhir interpreter, both flows' LLVM IR, and the \
              OCaml reference must agree.")
-    Term.(const run $ kernel_arg $ pipeline_arg $ strategy_arg $ unroll_arg
-          $ partition_arg)
+    Term.(const run $ kernel_arg $ directives_term)
 
 (* ------------------------------------------------------------------ *)
 (* adapt                                                              *)
@@ -315,8 +319,7 @@ let lint_cmd =
          & info [ "rules" ] ~docv:"IDS"
              ~doc:"Comma-separated rule IDs to keep (e.g. HLS001,HLS004).")
   in
-  let run target list_rules json werror top rules pipeline strategy unroll
-      partitions passes disable =
+  let run target list_rules json werror top rules directives passes disable =
     if list_rules then begin
       print_string (R.rule_list ~json);
       exit 0
@@ -336,7 +339,7 @@ let lint_cmd =
       {
         P.l_kernel;
         l_source;
-        l_directives = directives_of ~pipeline ~strategy ~unroll ~partitions;
+        l_directives = directives;
         l_rules = split_passes rules;
         l_werror = werror;
         l_top = top;
@@ -355,8 +358,7 @@ let lint_cmd =
              analyses plus compatibility rules, reported all at once. \
              Exit code: 0 clean, 1 warnings, 2 errors.")
     Term.(const run $ target $ list_rules $ json $ werror $ top $ rules
-          $ pipeline_arg $ strategy_arg $ unroll_arg $ partition_arg
-          $ passes_arg $ disable_pass_arg)
+          $ directives_term $ passes_arg $ disable_pass_arg)
 
 (* ------------------------------------------------------------------ *)
 (* synth-mlir: compile a textual multi-level IR file                  *)
@@ -375,10 +377,6 @@ let synth_mlir_cmd =
              ~doc:"Top function (default: the first function).")
   in
   let run file top flow sched clock verbose =
-    let flow =
-      match flow with "cpp" -> Flow.Hls_cpp | _ -> Flow.Direct_ir
-    in
-    let sched = ok_or_die (H.sched_of_name sched) in
     let r =
       ok_or_die
         (H.synth_mlir ~source:(read_file file) ~top ~flow ~sched
@@ -444,9 +442,7 @@ let dse_cmd =
     let doc = "Estimation-backend axis of the space: $(b,static), \
                $(b,dynamic), or $(b,both) (the search then explores \
                scheduling discipline as one more axis)." in
-    Arg.(value & opt (enum [ ("static", "static"); ("dynamic", "dynamic");
-                             ("both", "both") ]) "static"
-         & info [ "sched" ] ~docv:"SCHED" ~doc)
+    names_arg H.dse_sched_names P.default_sched "sched" ~docv:"SCHED" ~doc
   in
   let max_evals =
     Arg.(value & opt int S.default_params.S.max_evals
@@ -522,11 +518,6 @@ let batch_cmd =
   in
   let run manifest all_kernels both_flows sched jobs cache_dir trace_out
       clock passes disable =
-    if manifest = None && not all_kernels then begin
-      prerr_endline "batch: need a MANIFEST file or --all-kernels";
-      exit 2
-    end;
-    let sched = ok_or_die (H.sched_of_name sched) in
     let b =
       ok_or_die
         (H.batch ~events:(trace_out <> None)
@@ -610,14 +601,6 @@ let opt_cmd =
          & info [ "json" ] ~doc:"With $(b,--parsafe): emit the verdict as JSON.")
   in
   let run file synth_n parallel llvm_passes jobs out parsafe json =
-    (match (file, synth_n) with
-    | Some _, Some _ ->
-        prerr_endline "opt: FILE.ll and --synth are mutually exclusive";
-        exit 2
-    | None, None ->
-        prerr_endline "opt: need FILE.ll or --synth N";
-        exit 2
-    | _ -> ());
     let req =
       {
         P.op_source = Option.map read_file file;
@@ -670,12 +653,13 @@ let fuzz_cmd =
     print_string r.P.fr_report;
     exit (if r.P.fr_failures = 0 then 0 else 1)
   in
+  let d = P.default_fuzz in
   let seed =
-    Arg.(value & opt int 42
+    Arg.(value & opt int d.P.f_seed
          & info [ "seed" ] ~docv:"N" ~doc:"Base seed for the run.")
   in
   let count =
-    Arg.(value & opt int 200
+    Arg.(value & opt int d.P.f_count
          & info [ "count" ] ~docv:"N" ~doc:"Number of random kernels to test.")
   in
   let stages =
@@ -685,11 +669,11 @@ let fuzz_cmd =
        $(b,adapted) (full direct-IR front-end incl. the adaptor) or \
        $(b,cpp) (HLS-C++ emission re-parsed by the mini-C front-end)."
     in
-    Arg.(value & opt_all string [ "lower"; "adapted"; "cpp" ]
+    Arg.(value & opt_all string d.P.f_stages
          & info [ "stages" ] ~docv:"STAGE" ~doc)
   in
   let shrink =
-    Arg.(value & opt bool true
+    Arg.(value & opt bool d.P.f_shrink
          & info [ "shrink" ] ~docv:"BOOL"
              ~doc:"Minimize mismatching kernels before reporting.")
   in
@@ -720,7 +704,7 @@ let serve_cmd =
              ~doc:"Additionally listen on loopback TCP port PORT.")
   in
   let queue_max =
-    Arg.(value & opt int 64
+    Arg.(value & opt int Mhls_serve.Server.default_config.queue_max
          & info [ "queue-max" ] ~docv:"N"
              ~doc:"Admission-control bound: pending requests beyond N are \
                    answered $(b,busy) instead of queueing.")

@@ -70,38 +70,44 @@ let find_kernel (name : string) : (K.kernel, Diag.t list) result =
             ~hint:"try `mhlsc list`";
         ]
 
-let flow_of_name : string -> (Flow.flow_kind, Diag.t list) result = function
-  | "direct" | "direct-ir" -> Ok Flow.Direct_ir
-  | "cpp" | "hls-cpp" -> Ok Flow.Hls_cpp
-  | f ->
-      Error [ P.protocol_error "unknown flow '%s' (want direct or cpp)" f ]
+(* The name tables a request's knobs resolve through, each built from
+   its owner; [Flow.flow_names] is one too. *)
+let named name all = List.map (fun v -> (name v, v)) all
 
-let sched_of_name (s : string) :
-    (Hls_backend.Backend.sched, Diag.t list) result =
-  match Hls_backend.Backend.sched_of_name s with
-  | Some sc -> Ok sc
+let sched_names =
+  named Hls_backend.Backend.sched_name Hls_backend.Backend.all_scheds
+
+let strategy_names = named K.strategy_name K.all_strategies
+
+(** The DSE request's backend axis: one discipline, or [both]. *)
+let dse_sched_names =
+  List.map (fun (n, s) -> (n, [ s ])) sched_names
+  @ [ ("both", Hls_backend.Backend.all_scheds) ]
+
+(** A knob's name looked up in its table; an unknown name is an HLS905
+    diagnostic listing the accepted ones. *)
+let resolve what (names : (string * 'a) list) (s : string) :
+    ('a, Diag.t list) result =
+  match List.assoc_opt s names with
+  | Some v -> Ok v
   | None ->
       Error
-        [ P.protocol_error "unknown sched '%s' (want static or dynamic)" s ]
+        [
+          P.protocol_error "unknown %s '%s' (want %s)" what s
+            (String.concat ", " (List.map fst names));
+        ]
 
-(** The DSE request's backend axis: [static], [dynamic], or [both]. *)
-let scheds_of_name :
-    string -> (Hls_backend.Backend.sched list, Diag.t list) result = function
-  | "both" -> Ok Hls_backend.Backend.all_scheds
-  | s -> Result.map (fun sc -> [ sc ]) (sched_of_name s)
-
-let strategy_of_name : string -> (K.strategy, Diag.t list) result = function
-  | "inner" -> Ok K.Inner
-  | "middle" -> Ok K.Middle
-  | s ->
-      Error
-        [ P.protocol_error "unknown strategy '%s' (want inner or middle)" s ]
-
-(** Protocol directives to kernel directives; [ii <= 0] disables
-    pipelining, mirroring the CLI's [--pipeline 0]. *)
-let directives_of_protocol (d : P.directives) :
+(** Protocol directives to [k]'s directives; [ii <= 0] disables
+    pipelining, mirroring the CLI's [--pipeline 0], and every partition
+    must be one [k] can honour ({!K.check_partitions}). *)
+let directives_of_protocol (k : K.kernel) (d : P.directives) :
     (K.directives, Diag.t list) result =
-  let* strategy = strategy_of_name d.P.d_strategy in
+  let* strategy = resolve "strategy" strategy_names d.P.d_strategy in
+  let* () =
+    Result.map_error
+      (fun e -> [ P.protocol_error "%s" e ])
+      (K.check_partitions k d.P.d_partitions)
+  in
   Ok
     {
       K.pipeline_ii =
@@ -110,22 +116,6 @@ let directives_of_protocol (d : P.directives) :
       K.strategy;
       K.partitions = d.P.d_partitions;
     }
-
-(** Parse repeatable CLI [--partition ARG:KIND:FACTOR:DIM] specs into
-    protocol form. *)
-let parse_partitions (specs : string list) :
-    ((string * string * int * int) list, Diag.t list) result =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | spec :: rest -> (
-        match String.split_on_char ':' spec with
-        | [ a; kind; f; d ] -> (
-            match (int_of_string_opt f, int_of_string_opt d) with
-            | Some f, Some d -> go ((a, kind, f, d) :: acc) rest
-            | _ -> Error [ P.protocol_error "bad partition spec: %s" spec ])
-        | _ -> Error [ P.protocol_error "bad partition spec: %s" spec ])
-  in
-  go [] specs
 
 (** Resolve pass-pipeline knobs; unknown pass names are HLS900
     diagnostics (from the pipeline registry), never exceptions. *)
@@ -156,9 +146,9 @@ let pipeline_of ?top ?(strict = true) ~(passes : string list option)
 let compile (env : env) ~(trace : Support.Tracing.hook)
     (c : P.compile_req) : (P.compile_resp, Diag.t list) result =
   let* k = find_kernel c.P.c_kernel in
-  let* flow = flow_of_name c.P.c_flow in
-  let* sched = sched_of_name c.P.c_sched in
-  let* d = directives_of_protocol c.P.c_directives in
+  let* flow = resolve "flow" Flow.flow_names c.P.c_flow in
+  let* sched = resolve "sched" sched_names c.P.c_sched in
+  let* d = directives_of_protocol k c.P.c_directives in
   let* pipeline =
     pipeline_of ~top:k.K.kname ~passes:c.P.c_passes ~disable:c.P.c_disable ()
   in
@@ -215,7 +205,7 @@ let lint (l : P.lint_req) : (P.lint_resp, Diag.t list) result =
           Ok { P.lr_diags = [ Diag.of_err ~rule:"HLS000" e ] })
   | Some name, None ->
       let* k = find_kernel name in
-      let* d = directives_of_protocol l.P.l_directives in
+      let* d = directives_of_protocol k l.P.l_directives in
       let* pipeline =
         pipeline_of ~top:k.K.kname ~passes:l.P.l_passes ~disable:l.P.l_disable
           ()
@@ -301,7 +291,7 @@ let dse ?cache_dir ~(jobs : int) ~(trace : Support.Tracing.hook)
     (d : P.dse_req) : (P.dse_resp, Diag.t list) result =
   let module S = Mhls_dse.Search in
   let* k = find_kernel d.P.ds_kernel in
-  let* scheds = scheds_of_name d.P.ds_sched in
+  let* scheds = resolve "sched" dse_sched_names d.P.ds_sched in
   let dp = S.default_params in
   let params =
     {
@@ -333,20 +323,13 @@ let dse ?cache_dir ~(jobs : int) ~(trace : Support.Tracing.hook)
 let fuzz ?repro_dir ~(trace : Support.Tracing.hook) (f : P.fuzz_req) :
     (P.fuzz_resp, Diag.t list) result =
   let module F = Mhls_difftest.Difftest in
+  let stage_names = named F.stage_name F.all_stages in
   let* stages =
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | s :: rest -> (
-          match F.stage_of_name s with
-          | Some st -> go (st :: acc) rest
-          | None ->
-              Error
-                [
-                  P.protocol_error
-                    "unknown stage %S (expected lower, adapted or cpp)" s;
-                ])
-    in
-    go [] f.P.f_stages
+    List.fold_right
+      (fun s acc ->
+        let* st = resolve "stage" stage_names s in
+        Result.map (List.cons st) acc)
+      f.P.f_stages (Ok [])
   in
   let r =
     F.run_batch ~trace ~stages ~shrink:f.P.f_shrink ?repro_dir
@@ -388,7 +371,7 @@ type emit_stage = Mhir | Mhir_generic | Llvm | Adapted | Cpp
 let emit ~(kernel : string) ~(stage : emit_stage)
     ~(directives : P.directives) : (string, Diag.t list) result =
   let* k = find_kernel kernel in
-  let* d = directives_of_protocol directives in
+  let* d = directives_of_protocol k directives in
   let m = k.K.build d in
   match stage with
   | Mhir -> Ok (Mhir.Printer.module_to_string m)
@@ -411,14 +394,14 @@ let emit ~(kernel : string) ~(stage : emit_stage)
 let compare_kernel ~(kernel : string) ~(directives : P.directives)
     ~(clock_ns : float) : (Flow.result list, Diag.t list) result =
   let* k = find_kernel kernel in
-  let* d = directives_of_protocol directives in
+  let* d = directives_of_protocol k directives in
   Ok (Flow.compare_flows ~directives:d ~clock_ns k)
 
 (** Three-way co-simulation. *)
 let cosim ~(kernel : string) ~(directives : P.directives) :
     (Flow.cosim_outcome, Diag.t list) result =
   let* k = find_kernel kernel in
-  let* d = directives_of_protocol directives in
+  let* d = directives_of_protocol k directives in
   Ok (Flow.cosim ~directives:d k)
 
 type adapt_resp = {
@@ -463,10 +446,13 @@ type synth_mlir_resp = {
   sm_aux : string;  (** adaptor report / generated C++ for [-v] (stderr) *)
 }
 
-(** Compile a textual multi-level IR module end-to-end. *)
-let synth_mlir ~(source : string) ~(top : string option)
-    ~(flow : Flow.flow_kind) ?(sched = Hls_backend.Backend.Static)
-    ~(clock_ns : float) () : (synth_mlir_resp, Diag.t list) result =
+(** Compile a textual multi-level IR module end-to-end; [flow] and
+    [sched] are names, as in a compile request. *)
+let synth_mlir ~(source : string) ~(top : string option) ~(flow : string)
+    ~(sched : string) ~(clock_ns : float) () :
+    (synth_mlir_resp, Diag.t list) result =
+  let* flow = resolve "flow" Flow.flow_names flow in
+  let* sched = resolve "sched" sched_names sched in
   let* m =
     match
       let m = Mhir.Parser.parse_module source in
@@ -496,14 +482,15 @@ let synth_mlir ~(source : string) ~(top : string option)
   Ok { sm_report = Hls_backend.Report.render r; sm_aux = aux }
 
 (** Batch compilation from a manifest or the built-in grid.  [sched]
-    picks the estimation backend for the built-in grid; manifest lines
+    names the estimation backend for the built-in grid; manifest lines
     choose their own via the [sched=] key.  [?events] asks every job
     for its pass events (the batch trace). *)
 let batch ?events ~(manifest : string option) ~(all_kernels : bool)
-    ~(both_flows : bool) ?(sched = Hls_backend.Backend.Static)
-    ~(jobs : int) ~(cache_dir : string option) ~(clock_ns : float)
+    ~(both_flows : bool) ~(sched : string) ~(jobs : int)
+    ~(cache_dir : string option) ~(clock_ns : float)
     ~(passes : string list option) ~(disable : string list) () :
     (D.batch_report, Diag.t list) result =
+  let* sched = resolve "sched" sched_names sched in
   let* pipeline = pipeline_of ~passes ~disable () in
   let* js =
     match (manifest, all_kernels) with

@@ -60,34 +60,31 @@ type job = {
   clock_ns : float;
 }
 
+(* Static jobs keep the historical label shape; dynamic ones are tagged
+   so both disciplines coexist in one batch. *)
+let sched_tag = function
+  | Hls_backend.Backend.Static -> ""
+  | Hls_backend.Backend.Dynamic -> "/dyn"
+
 let job ?label ?(flow = Flow.Direct_ir)
-    ?(sched = Hls_backend.Backend.Static) ?(clock_ns = 10.0) ~kernel
-    directives =
+    ?(sched = Hls_backend.Backend.Static)
+    ?(clock_ns = Hls_backend.Op_model.default_clock_ns) ~kernel directives =
   let label =
     match label with
     | Some l -> l
-    | None -> (
-        (* static keeps the historical label shape; dynamic jobs are
-           tagged so both disciplines coexist in one batch *)
-        match sched with
-        | Hls_backend.Backend.Static ->
-            Printf.sprintf "%s/%s" kernel (Flow.flow_name flow)
-        | Hls_backend.Backend.Dynamic ->
-            Printf.sprintf "%s/%s/dyn" kernel (Flow.flow_name flow))
+    | None ->
+        Printf.sprintf "%s/%s%s" kernel (Flow.flow_name flow) (sched_tag sched)
   in
   { label; kernel; flow; sched; directives; clock_ns }
 
 (** Canonical description of a directive configuration — part of the
     cache identity and human-readable in traces. *)
 let directives_describe (d : K.directives) : string =
+  let int = function None -> "-" | Some n -> string_of_int n in
   Printf.sprintf "ii=%s;unroll=%s;strategy=%s;parts=%s"
-    (match d.K.pipeline_ii with None -> "-" | Some ii -> string_of_int ii)
-    (match d.K.unroll with None -> "-" | Some u -> string_of_int u)
-    (match d.K.strategy with K.Inner -> "inner" | K.Middle -> "middle")
-    (String.concat "+"
-       (List.map
-          (fun (a, kind, f, dim) -> Printf.sprintf "%s:%s:%d:%d" a kind f dim)
-          d.K.partitions))
+    (int d.K.pipeline_ii) (int d.K.unroll)
+    (K.strategy_name d.K.strategy)
+    (String.concat "+" (List.map K.partition_to_string d.K.partitions))
 
 (* ------------------------------------------------------------------ *)
 (* Outcomes                                                           *)
@@ -219,12 +216,21 @@ let cache_key ~(pipeline : Adaptor.Pipeline.t) (j : job) : string option =
              Printf.sprintf "%.3f" j.clock_ns;
            ])
 
-let payload_to_string (p : payload) : string = Marshal.to_string p []
+(* A stored payload is its marshalled bytes behind their digest.  Bytes
+   that fail the digest are a miss and never reach [Marshal], which on
+   damaged input can crash the process or decode a wrong report. *)
+let payload_to_string (p : payload) : string =
+  let m = Marshal.to_string p [] in
+  Digest.string m ^ m
 
 let payload_of_string (s : string) : payload option =
-  match (Marshal.from_string s 0 : payload) with
-  | p -> Some p
-  | exception _ -> None
+  let n = String.length s - 16 in
+  if n < 0 || not (Digest.equal (Digest.substring s 16 n) (String.sub s 0 16))
+  then None
+  else
+    match (Marshal.from_string s 16 : payload) with
+    | p -> Some p
+    | exception _ -> None
 
 (** Run one job, consulting [cache] first.  Events are collected when
     [events] asks for them or the outcome is stored in [cache], whose
@@ -392,8 +398,8 @@ let default_grid : (string * K.directives) list =
     Static jobs keep the historical labels; dynamic jobs append
     ["/dyn"]. *)
 let all_kernel_jobs ?(flows = [ Flow.Direct_ir ])
-    ?(scheds = [ Hls_backend.Backend.Static ]) ?(clock_ns = 10.0) () :
-    job list =
+    ?(scheds = [ Hls_backend.Backend.Static ])
+    ?(clock_ns = Hls_backend.Op_model.default_clock_ns) () : job list =
   List.concat_map
     (fun k ->
       List.concat_map
@@ -405,201 +411,97 @@ let all_kernel_jobs ?(flows = [ Flow.Direct_ir ])
                   job
                     ~label:
                       (Printf.sprintf "%s/%s/%s%s" k.K.kname cfg
-                         (Flow.flow_name flow)
-                         (match sched with
-                         | Hls_backend.Backend.Static -> ""
-                         | Hls_backend.Backend.Dynamic -> "/dyn"))
+                         (Flow.flow_name flow) (sched_tag sched))
                     ~flow ~sched ~clock_ns ~kernel:k.K.kname d)
                 default_grid)
             scheds)
         flows)
     (K.all ())
 
-let manifest_diag lineno fmt =
-  Support.Diag.error ~rule:"HLS901"
-    ~func:(Printf.sprintf "manifest:%d" lineno)
-    fmt
+(* The manifest's keys: each value is parsed by its knob's owner and
+   set on the line's job, or rejected with a message naming it. *)
+let manifest_keys : (string * (string -> job -> (job, string) result)) list =
+  let key name want of_string set =
+    ( name,
+      fun v j ->
+        match of_string v with
+        | Some x -> Ok (set x j)
+        | None -> Error (Printf.sprintf "bad %s '%s' (want %s)" name v want) )
+  in
+  let one_of name all = "one of " ^ String.concat ", " (List.map name all) in
+  let directives f j = { j with directives = f j.directives } in
+  let module B = Hls_backend.Backend in
+  [
+    ("label", fun label j -> Ok { j with label });
+    key "flow" (one_of fst Flow.flow_names) Flow.flow_of_name (fun flow j ->
+        { j with flow });
+    key "sched" (one_of B.sched_name B.all_scheds) B.sched_of_name
+      (fun sched j -> { j with sched });
+    key "ii" "an integer" int_of_string_opt (fun n ->
+        directives (fun d ->
+            { d with K.pipeline_ii = (if n <= 0 then None else Some n) }));
+    key "unroll" "an integer" int_of_string_opt (fun n ->
+        directives (fun d -> { d with K.unroll = Some n }));
+    key "strategy"
+      (one_of K.strategy_name K.all_strategies)
+      K.strategy_of_name
+      (fun strategy -> directives (fun d -> { d with K.strategy }));
+    key "clock" "a float" float_of_string_opt (fun clock_ns j ->
+        { j with clock_ns });
+    key "partition" "ARRAY:KIND:FACTOR:DIM" K.partition_of_string (fun p ->
+        directives (fun d -> { d with K.partitions = d.K.partitions @ [ p ] }));
+  ]
 
-(** Parse a job manifest.  One job per line:
+(** Parse a job manifest.  One job per line, [#] comments:
     {v
-    # comment
-    <kernel> [flow=direct|cpp] [sched=static|dynamic] [label=NAME] [ii=N]
-             [strategy=inner|middle] [unroll=N]
-             [partition=ARG:KIND:FACTOR:DIM]* [clock=NS]
+    <kernel> [key=value]...
     v}
-    Unknown kernels, keys or malformed values are reported as
-    HLS-style diagnostics, never exceptions. *)
+    with the keys of {!manifest_keys}.  A line starts unpipelined,
+    from {!K.no_directives}.  Unknown kernels or keys, malformed values
+    and partitions the kernel cannot honour are HLS901 diagnostics at
+    [manifest:N], never exceptions. *)
 let parse_manifest (text : string) : (job list, Support.Diag.t) result =
+  let ( let* ) = Result.bind in
   let parse_line lineno line =
-    let line =
-      match String.index_opt line '#' with
-      | Some i -> String.sub line 0 i
-      | None -> line
+    let err fmt =
+      Diag.error ~rule:"HLS901" ~func:(Printf.sprintf "manifest:%d" lineno) fmt
     in
+    let apply j opt =
+      let* j = j in
+      match String.index_opt opt '=' with
+      | None -> Error (err "malformed option '%s' (expected key=value)" opt)
+      | Some i -> (
+          let key = String.sub opt 0 i in
+          let v = String.sub opt (i + 1) (String.length opt - i - 1) in
+          match List.assoc_opt key manifest_keys with
+          | None -> Error (err "unknown manifest option '%s'" key)
+          | Some set -> Result.map_error (err "%s") (set v j))
+    in
+    let line = List.hd (String.split_on_char '#' line) in
     match
-      String.split_on_char ' ' (String.trim line)
-      |> List.filter (fun s -> s <> "")
+      String.split_on_char ' ' (String.trim line) |> List.filter (( <> ) "")
     with
     | [] -> Ok None
-    | kernel :: opts ->
-        if K.by_name kernel = None then
-          Error
-            (manifest_diag lineno
-               "unknown kernel '%s' in manifest" kernel)
-        else
-          let rec apply j partitions = function
-            | [] ->
-                Ok
-                  (Some
-                     {
-                       j with
-                       directives =
-                         {
-                           j.directives with
-                           K.partitions = List.rev partitions;
-                         };
-                     })
-            | opt :: rest -> (
-                match String.index_opt opt '=' with
-                | None ->
-                    Error
-                      (manifest_diag lineno
-                         "malformed option '%s' (expected key=value)" opt)
-                | Some i -> (
-                    let key = String.sub opt 0 i in
-                    let v =
-                      String.sub opt (i + 1) (String.length opt - i - 1)
-                    in
-                    let int_v () =
-                      match int_of_string_opt v with
-                      | Some n -> Ok n
-                      | None ->
-                          Error
-                            (manifest_diag lineno
-                               "option %s wants an integer, got '%s'" key v)
-                    in
-                    match key with
-                    | "label" -> apply { j with label = v } partitions rest
-                    | "flow" -> (
-                        match v with
-                        | "direct" ->
-                            apply { j with flow = Flow.Direct_ir } partitions
-                              rest
-                        | "cpp" ->
-                            apply { j with flow = Flow.Hls_cpp } partitions
-                              rest
-                        | _ ->
-                            Error
-                              (manifest_diag lineno
-                                 "flow must be 'direct' or 'cpp', got '%s'" v)
-                        )
-                    | "sched" -> (
-                        match Hls_backend.Backend.sched_of_name v with
-                        | Some sched -> apply { j with sched } partitions rest
-                        | None ->
-                            Error
-                              (manifest_diag lineno
-                                 "sched must be 'static' or 'dynamic', got \
-                                  '%s'"
-                                 v))
-                    | "ii" -> (
-                        match int_v () with
-                        | Error d -> Error d
-                        | Ok n ->
-                            apply
-                              {
-                                j with
-                                directives =
-                                  {
-                                    j.directives with
-                                    K.pipeline_ii =
-                                      (if n <= 0 then None else Some n);
-                                  };
-                              }
-                              partitions rest)
-                    | "unroll" -> (
-                        match int_v () with
-                        | Error d -> Error d
-                        | Ok n ->
-                            apply
-                              {
-                                j with
-                                directives =
-                                  { j.directives with K.unroll = Some n };
-                              }
-                              partitions rest)
-                    | "strategy" -> (
-                        match v with
-                        | "inner" ->
-                            apply
-                              {
-                                j with
-                                directives =
-                                  { j.directives with K.strategy = K.Inner };
-                              }
-                              partitions rest
-                        | "middle" ->
-                            apply
-                              {
-                                j with
-                                directives =
-                                  { j.directives with K.strategy = K.Middle };
-                              }
-                              partitions rest
-                        | _ ->
-                            Error
-                              (manifest_diag lineno
-                                 "strategy must be 'inner' or 'middle', got \
-                                  '%s'"
-                                 v))
-                    | "clock" -> (
-                        match float_of_string_opt v with
-                        | Some f ->
-                            apply { j with clock_ns = f } partitions rest
-                        | None ->
-                            Error
-                              (manifest_diag lineno
-                                 "clock wants a float, got '%s'" v))
-                    | "partition" -> (
-                        match String.split_on_char ':' v with
-                        | [ a; kind; f; d ] -> (
-                            match
-                              (int_of_string_opt f, int_of_string_opt d)
-                            with
-                            | Some f, Some d ->
-                                apply j ((a, kind, f, d) :: partitions) rest
-                            | _ ->
-                                Error
-                                  (manifest_diag lineno
-                                     "bad partition spec '%s' (want \
-                                      ARG:KIND:FACTOR:DIM)"
-                                     v))
-                        | _ ->
-                            Error
-                              (manifest_diag lineno
-                                 "bad partition spec '%s' (want \
-                                  ARG:KIND:FACTOR:DIM)"
-                                 v))
-                    | _ ->
-                        Error
-                          (manifest_diag lineno
-                             "unknown manifest option '%s'" key)))
-          in
-          apply
-            (job ~label:(Printf.sprintf "%s:%d" kernel lineno) ~kernel
-               K.no_directives)
-            [] opts
+    | kernel :: opts -> (
+        match K.by_name kernel with
+        | None -> Error (err "unknown kernel '%s' in manifest" kernel)
+        | Some k ->
+            let label = Printf.sprintf "%s:%d" kernel lineno in
+            let j = job ~label ~kernel K.no_directives in
+            let* j = List.fold_left apply (Ok j) opts in
+            let* () =
+              Result.map_error (err "%s")
+                (K.check_partitions k j.directives.K.partitions)
+            in
+            Ok (Some j))
   in
-  let lines = String.split_on_char '\n' text in
   let rec go lineno acc = function
     | [] -> Ok (List.rev acc)
-    | l :: rest -> (
-        match parse_line lineno l with
-        | Error d -> Error d
-        | Ok None -> go (lineno + 1) acc rest
-        | Ok (Some j) -> go (lineno + 1) (j :: acc) rest)
+    | l :: rest ->
+        let* j = parse_line lineno l in
+        go (lineno + 1) (Option.to_list j @ acc) rest
   in
-  go 1 [] lines
+  go 1 [] (String.split_on_char '\n' text)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                          *)

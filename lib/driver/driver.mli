@@ -192,8 +192,13 @@ val all_kernel_jobs :
   unit ->
   job list
 
-(** Parse a job manifest (one job per line; [#] comments).  Unknown
-    kernels, keys or malformed values are HLS901 diagnostics. *)
+(** Parse a job manifest (one job per line; [#] comments).  Each key's
+    value is parsed by its knob's owner ({!Flow.flow_of_name},
+    {!Hls_backend.Backend.sched_of_name}, {!K.strategy_of_name},
+    {!K.partition_of_string}).  A line starts from {!K.no_directives},
+    unpipelined.  Unknown kernels or keys, malformed values and
+    partitions the kernel cannot honour ({!K.check_partitions}) are
+    HLS901 diagnostics at [manifest:N]. *)
 val parse_manifest : string -> (job list, Support.Diag.t) result
 
 (* ------------------------------------------------------------------ *)

@@ -8,7 +8,7 @@
     { "version": 1,
       "tool": "<tool version>",
       "records": [
-        { "job": "...", "kernel": "...", "flow": "direct-ir",
+        { "job": "...", "kernel": "...", "flow": "...",
           "stage": "adaptor", "pass": "typed-pointers",
           "seconds": 0.000123, "instrs_before": 120,
           "instrs_after": 118, "minor_words": 20480,
@@ -23,7 +23,7 @@ module Ev = Support.Tracing
 type record = {
   tr_job : string;  (** job label the pass ran under *)
   tr_kernel : string;
-  tr_flow : string;  (** ["direct-ir"] | ["hls-cpp"] *)
+  tr_flow : string;  (** {!Flow.flow_name} *)
   tr_cached : bool;  (** served from the result cache, not re-run *)
   tr_event : Ev.event;
 }

@@ -6,7 +6,7 @@
 type record = {
   tr_job : string;  (** job label the pass ran under *)
   tr_kernel : string;
-  tr_flow : string;  (** ["direct-ir"] | ["hls-cpp"] *)
+  tr_flow : string;  (** {!Flow.flow_name} *)
   tr_cached : bool;  (** served from the result cache, not re-run *)
   tr_event : Support.Tracing.event;
 }

@@ -13,7 +13,7 @@
       "rounds": [
         { "round": 1, "candidates": 8, "frontier": 3 }, ... ],
       "frontier": [
-        { "label": "middle-ii1-u1-A4-B4", "strategy": "middle",
+        { "label": "middle-ii1-u1-A4-B4", "strategy": <strategy>,
           "ii": 1, "unroll": 1,
           "partitions": [ { "array": "A", "dim": 2, "factor": 4 }, ... ],
           "latency": 310, "bram": 8, "dsp": 20, "ff": 1480,
@@ -85,8 +85,7 @@ let round =
 
 let point =
   let strategy =
-    Json.enum (function K.Inner -> "inner" | K.Middle -> "middle")
-      [ K.Inner; K.Middle ]
+    Json.enum K.strategy_name K.all_strategies
   and sched =
     Json.enum Hls_backend.Backend.sched_name Hls_backend.Backend.all_scheds
   in

@@ -46,7 +46,7 @@ let default_params =
     max_rounds = 16;
     stable_rounds = 2;
     budget = no_budget;
-    clock_ns = 10.0;
+    clock_ns = Hls_backend.Op_model.default_clock_ns;
   }
 
 (** One evaluated, feasible, non-dominated design point. *)

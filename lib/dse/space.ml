@@ -251,7 +251,7 @@ let of_kernel ?(scheds = [ B.Static ]) (kernel : K.kernel) : t =
   {
     sp_kernel = kernel.K.kname;
     sp_inner_trip = inner_trip;
-    sp_strategies = [ K.Inner; K.Middle ];
+    sp_strategies = K.all_strategies;
     sp_scheds = scheds;
     sp_iis = [ 0; 1; 2; 4; 8 ];
     sp_unrolls = pow2_ladder ~limit:inner_trip;
@@ -280,7 +280,7 @@ let canonical (c : config) : config =
 let describe (c : config) : string =
   let c = canonical c in
   Printf.sprintf "%s-ii%d-u%d%s%s"
-    (match c.c_strategy with K.Inner -> "inner" | K.Middle -> "middle")
+    (K.strategy_name c.c_strategy)
     c.c_ii c.c_unroll
     (String.concat ""
        (List.map (fun (a, f) -> Printf.sprintf "-%s%d" a f) c.c_parts))

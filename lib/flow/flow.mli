@@ -17,7 +17,14 @@
 
 type flow_kind = Direct_ir | Hls_cpp
 
+(** The canonical name that labels, reports and cache keys print. *)
 val flow_name : flow_kind -> string
+
+(** Every name a flag, manifest or request accepts: each flow's
+    {!flow_name} and its short alias ([direct], [cpp]). *)
+val flow_names : (string * flow_kind) list
+
+val flow_of_name : string -> flow_kind option
 
 type result = {
   kernel : string;

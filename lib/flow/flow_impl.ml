@@ -19,6 +19,12 @@ type flow_kind = Direct_ir | Hls_cpp
 
 let flow_name = function Direct_ir -> "direct-ir" | Hls_cpp -> "hls-cpp"
 
+let flow_names =
+  [ ("direct", Direct_ir); ("direct-ir", Direct_ir);
+    ("cpp", Hls_cpp); ("hls-cpp", Hls_cpp) ]
+
+let flow_of_name s = List.assoc_opt s flow_names
+
 type result = {
   kernel : string;
   kind : flow_kind;

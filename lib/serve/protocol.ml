@@ -49,22 +49,33 @@ let sentinel_id = -1
 (* Requests                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Wire defaults, for the codec tables below and the CLI's flags; a
+   test ties each to its owner's parser or default. *)
+
+let default_flow = "direct"
+let default_sched = "static"
+let default_strategy = "inner"
+let default_ii = 1
+let default_clock_ns = 10.0
+let default_jobs = 1
+
 (** Directive configuration, mirroring [Workloads.Kernels.directives]
     structurally so the protocol layer needs no kernel knowledge. *)
 type directives = {
   d_ii : int option;  (** pipeline target II; [None] disables *)
   d_unroll : int option;
-  d_strategy : string;  (** ["inner"] | ["middle"] *)
+  d_strategy : string;  (** a [Workloads.Kernels] strategy name *)
   d_partitions : (string * string * int * int) list;
       (** (array, kind, factor, dim) *)
 }
 
-let no_directives =
-  { d_ii = Some 1; d_unroll = None; d_strategy = "inner"; d_partitions = [] }
+let pipelined_directives =
+  { d_ii = Some default_ii; d_unroll = None; d_strategy = default_strategy;
+    d_partitions = [] }
 
 type compile_req = {
   c_kernel : string;
-  c_flow : string;  (** ["direct"] | ["cpp"] *)
+  c_flow : string;  (** a [Flow] flow name *)
   c_sched : string;  (** ["static"] | ["dynamic"] *)
   c_directives : directives;
   c_clock_ns : float;
@@ -113,6 +124,10 @@ type fuzz_req = {
   f_jobs : int;
 }
 
+let default_fuzz =
+  { f_seed = 42; f_count = 200; f_stages = [ "lower"; "adapted"; "cpp" ];
+    f_shrink = true; f_jobs = default_jobs }
+
 type request =
   | Compile of compile_req
   | Lint of lint_req
@@ -130,7 +145,7 @@ type request =
 
 type compile_resp = {
   cr_kernel : string;
-  cr_flow : string;  (** canonical flow name, e.g. ["direct-ir"] *)
+  cr_flow : string;  (** the canonical [Flow.flow_name] *)
   cr_latency : int;
   cr_ii : int;
   cr_bram : int;
@@ -240,7 +255,7 @@ let directives =
         { d_ii; d_unroll; d_strategy; d_partitions })
     |> opt "ii" int (fun d -> d.d_ii)
     |> opt "unroll" int (fun d -> d.d_unroll)
-    |> field "strategy" string ~default:"inner" (fun d -> d.d_strategy)
+    |> field "strategy" string ~default:default_strategy (fun d -> d.d_strategy)
     |> field "partitions" (list partition) ~default:[] (fun d ->
            d.d_partitions)
     |> seal)
@@ -252,12 +267,12 @@ let compile_req =
         { c_kernel; c_flow; c_sched; c_directives; c_clock_ns; c_passes;
           c_disable })
     |> field "kernel" string (fun c -> c.c_kernel)
-    |> field "flow" string ~default:"direct" (fun c -> c.c_flow)
+    |> field "flow" string ~default:default_flow (fun c -> c.c_flow)
     (* the default keeps pre-1.6 schema-v1 encodings valid *)
-    |> field "sched" string ~default:"static" (fun c -> c.c_sched)
-    |> field "directives" directives ~default:no_directives (fun c ->
+    |> field "sched" string ~default:default_sched (fun c -> c.c_sched)
+    |> field "directives" directives ~default:pipelined_directives (fun c ->
            c.c_directives)
-    |> field "clock_ns" float ~default:10.0 (fun c -> c.c_clock_ns)
+    |> field "clock_ns" float ~default:default_clock_ns (fun c -> c.c_clock_ns)
     |> opt "passes" (list string) (fun c -> c.c_passes)
     |> field "disable" (list string) ~default:[] (fun c -> c.c_disable)
     |> seal)
@@ -271,7 +286,7 @@ let lint_req =
           l_passes; l_disable })
     |> opt "kernel" string (fun l -> l.l_kernel)
     |> opt "source" string (fun l -> l.l_source)
-    |> field "directives" directives ~default:no_directives (fun l ->
+    |> field "directives" directives ~default:pipelined_directives (fun l ->
            l.l_directives)
     |> opt "rules" (list string) (fun l -> l.l_rules)
     |> field "werror" bool ~default:false (fun l -> l.l_werror)
@@ -291,7 +306,7 @@ let opt_req =
     |> opt "synth" int (fun o -> o.op_synth)
     |> opt "passes" (list string) (fun o -> o.op_passes)
     |> field "parallel" bool ~default:false (fun o -> o.op_parallel)
-    |> field "jobs" int ~default:1 (fun o -> o.op_jobs)
+    |> field "jobs" int ~default:default_jobs (fun o -> o.op_jobs)
     |> field "parsafe" bool ~default:false (fun o -> o.op_parsafe)
     |> field "json" bool ~default:false (fun o -> o.op_json)
     |> seal)
@@ -304,26 +319,26 @@ let dse_req =
         { ds_kernel; ds_sched; ds_max_evals; ds_rounds; ds_stable;
           ds_budget_bram; ds_budget_dsp; ds_budget_lut; ds_clock_ns })
     |> field "kernel" string (fun d -> d.ds_kernel)
-    |> field "sched" string ~default:"static" (fun d -> d.ds_sched)
+    |> field "sched" string ~default:default_sched (fun d -> d.ds_sched)
     |> opt "max_evals" int (fun d -> d.ds_max_evals)
     |> opt "rounds" int (fun d -> d.ds_rounds)
     |> opt "stable_rounds" int (fun d -> d.ds_stable)
     |> opt "budget_bram" int (fun d -> d.ds_budget_bram)
     |> opt "budget_dsp" int (fun d -> d.ds_budget_dsp)
     |> opt "budget_lut" int (fun d -> d.ds_budget_lut)
-    |> field "clock_ns" float ~default:10.0 (fun d -> d.ds_clock_ns)
+    |> field "clock_ns" float ~default:default_clock_ns (fun d -> d.ds_clock_ns)
     |> seal)
 
 let fuzz_req =
   Json.(
     record (fun f_seed f_count f_stages f_shrink f_jobs ->
         { f_seed; f_count; f_stages; f_shrink; f_jobs })
-    |> field "seed" int ~default:42 (fun f -> f.f_seed)
-    |> field "count" int ~default:200 (fun f -> f.f_count)
-    |> field "stages" (list string) ~default:[ "lower"; "adapted"; "cpp" ]
-         (fun f -> f.f_stages)
-    |> field "shrink" bool ~default:true (fun f -> f.f_shrink)
-    |> field "jobs" int ~default:1 (fun f -> f.f_jobs)
+    |> field "seed" int ~default:default_fuzz.f_seed (fun f -> f.f_seed)
+    |> field "count" int ~default:default_fuzz.f_count (fun f -> f.f_count)
+    |> field "stages" (list string) ~default:default_fuzz.f_stages (fun f ->
+           f.f_stages)
+    |> field "shrink" bool ~default:default_fuzz.f_shrink (fun f -> f.f_shrink)
+    |> field "jobs" int ~default:default_fuzz.f_jobs (fun f -> f.f_jobs)
     |> seal)
 
 let request_cases =

@@ -32,22 +32,37 @@ val sentinel_id : int
 (* Requests                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(** Wire defaults: what an absent member decodes to, and the CLI's
+    flag defaults.  Names are spelled as [Flow], [Hls_backend.Backend]
+    and [Workloads.Kernels] parse them; the clock is
+    [Hls_backend.Op_model.default_clock_ns]. *)
+
+val default_flow : string
+val default_sched : string
+val default_strategy : string
+val default_ii : int
+val default_clock_ns : float
+val default_jobs : int
+
 type directives = {
   d_ii : int option;  (** pipeline target II; [None] disables *)
   d_unroll : int option;
-  d_strategy : string;  (** ["inner"] | ["middle"] *)
+  d_strategy : string;  (** a [Workloads.Kernels] strategy name *)
   d_partitions : (string * string * int * int) list;
       (** (array, kind, factor, dim) *)
 }
 
-val no_directives : directives
+(** The directives of a request without a ["directives"] member: II
+    {!default_ii}, {!default_strategy}.  A ["directives"] object
+    without ["ii"] decodes to [d_ii = None], unpipelined. *)
+val pipelined_directives : directives
 
 type compile_req = {
   c_kernel : string;
-  c_flow : string;  (** ["direct"] | ["cpp"] *)
+  c_flow : string;  (** a [Flow] flow name *)
   c_sched : string;
-      (** ["static"] | ["dynamic"]; decoder defaults to ["static"], so
-          pre-1.6 schema-v1 encodings stay valid *)
+      (** a discipline name; the decoder's default keeps pre-1.6
+          schema-v1 encodings valid *)
   c_directives : directives;
   c_clock_ns : float;
   c_passes : string list option;  (** exact adaptor pipeline, if given *)
@@ -77,9 +92,7 @@ type opt_req = {
 
 type dse_req = {
   ds_kernel : string;
-  ds_sched : string;
-      (** ["static"] | ["dynamic"] | ["both"]; decoder defaults to
-          ["static"] *)
+  ds_sched : string;  (** a discipline name, or ["both"] *)
   ds_max_evals : int option;
   ds_rounds : int option;
   ds_stable : int option;
@@ -96,6 +109,8 @@ type fuzz_req = {
   f_shrink : bool;
   f_jobs : int;
 }
+
+val default_fuzz : fuzz_req
 
 type request =
   | Compile of compile_req
@@ -116,7 +131,7 @@ val request_kind : request -> string
 
 type compile_resp = {
   cr_kernel : string;
-  cr_flow : string;  (** canonical flow name, e.g. ["direct-ir"] *)
+  cr_flow : string;  (** the canonical [Flow.flow_name] *)
   cr_latency : int;
   cr_ii : int;
   cr_bram : int;

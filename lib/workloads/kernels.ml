@@ -26,6 +26,24 @@ type directives = {
       (** (argument, kind, factor, dim) *)
 }
 
+let all_strategies = [ Inner; Middle ]
+
+let strategy_name = function Inner -> "inner" | Middle -> "middle"
+
+let strategy_of_name s =
+  List.find_opt (fun st -> strategy_name st = s) all_strategies
+
+let partition_to_string (a, kind, factor, dim) =
+  Printf.sprintf "%s:%s:%d:%d" a kind factor dim
+
+let partition_of_string s =
+  match String.split_on_char ':' s with
+  | [ a; kind; f; d ] -> (
+      match (int_of_string_opt f, int_of_string_opt d) with
+      | Some f, Some d -> Some (a, kind, f, d)
+      | _ -> None)
+  | _ -> None
+
 let no_directives =
   { pipeline_ii = None; unroll = None; strategy = Inner; partitions = [] }
 
@@ -49,6 +67,26 @@ type kernel = {
   build : directives -> Ir.modul;  (** top function named [kname] *)
   reference : float array list -> unit;  (** in-place on flat arrays *)
 }
+
+(** [Ok ()] when the estimator can honour every partition directive on
+    [k]; else the first spec it would silently ignore or misread. *)
+let check_partitions (k : kernel) parts : (unit, string) result =
+  let check ((a, kind, factor, dim) as p) =
+    let bad why =
+      Error (Printf.sprintf "partition %s: %s" (partition_to_string p) why)
+    in
+    match List.assoc_opt a k.args with
+    | None -> bad (Printf.sprintf "%s has no argument %s" k.kname a)
+    | Some dims ->
+        let rank = List.length dims in
+        if not (List.mem kind [ "cyclic"; "block"; "complete" ]) then
+          bad "kind must be cyclic, block or complete"
+        else if factor < 1 then bad "factor must be at least 1"
+        else if dim < 1 || dim > rank then
+          bad (Printf.sprintf "dim must be 1 to %d, the rank of %s" rank a)
+        else Ok ()
+  in
+  List.fold_left (fun acc p -> Result.bind acc (fun () -> check p)) (Ok ()) parts
 
 (* ------------------------------------------------------------------ *)
 (* Builder helpers                                                    *)

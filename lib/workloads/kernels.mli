@@ -7,6 +7,14 @@
 
 type strategy = Inner | Middle
 
+val all_strategies : strategy list
+
+(** The name flags, requests, manifests, cache keys and DSE labels
+    spell the strategy with. *)
+val strategy_name : strategy -> string
+
+val strategy_of_name : string -> strategy option
+
 (** Directive bundle applied when building a kernel: where to pipeline
     ([strategy]), target II, unroll factor, and array partitioning as
     [(array, kind, factor, dim)]. *)
@@ -17,6 +25,13 @@ type directives = {
   partitions : (string * string * int * int) list;
 }
 
+(** [ARRAY:KIND:FACTOR:DIM], a partition's spelling in flags,
+    manifests and cache keys. *)
+val partition_to_string : string * string * int * int -> string
+
+val partition_of_string : string -> (string * string * int * int) option
+
+(** Unpipelined: what a manifest line starts from. *)
 val no_directives : directives
 val pipelined : directives
 val optimized : ?factor:int -> parts:(string * int) list -> unit -> directives
@@ -29,6 +44,13 @@ type kernel = {
   build : directives -> Mhir.Ir.modul;
   reference : float array list -> unit;
 }
+
+(** [Ok ()] when the estimator can honour every partition: the array
+    is one of the kernel's [args], the kind is cyclic, block or
+    complete, the factor at least 1 and the dim within the array's
+    rank.  Otherwise an [Error] naming the first that is not. *)
+val check_partitions :
+  kernel -> (string * string * int * int) list -> (unit, string) result
 
 val gemm : ?n:int -> unit -> kernel
 val mm2 : ?n:int -> unit -> kernel

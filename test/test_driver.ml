@@ -339,6 +339,104 @@ let test_batch_report_stats () =
     (List.length b.D.outcomes)
 
 (* ------------------------------------------------------------------ *)
+(* Manifests                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The README's example manifest. *)
+let readme_manifest =
+  {|# kernel [label=..] [flow=direct|cpp] [sched=static|dynamic] [ii=N]
+#        [strategy=inner|middle] [unroll=N]
+#        [partition=ARR:cyclic:F:DIM]... [clock=NS]
+gemm   label=fast ii=1 strategy=middle unroll=4 partition=A:cyclic:4:2
+conv2d flow=cpp ii=2
+|}
+
+let job_testable =
+  Alcotest.testable
+    (fun ppf (j : D.job) ->
+      Format.fprintf ppf "%s %s %s %s %s %g" j.D.label j.D.kernel
+        (Flow.flow_name j.D.flow)
+        (Hls_backend.Backend.sched_name j.D.sched)
+        (D.directives_describe j.D.directives)
+        j.D.clock_ns)
+    ( = )
+
+let test_manifest_parses () =
+  let text = readme_manifest ^ "mvt sched=dynamic clock=5 ii=0\ngemm\n" in
+  let js =
+    match D.parse_manifest text with
+    | Ok js -> js
+    | Error d -> Alcotest.failf "rejected: %s" (Support.Diag.to_string d)
+  in
+  let expect label kernel flow sched directives clock_ns =
+    { D.label; kernel; flow; sched; directives; clock_ns }
+  in
+  Alcotest.(check (list job_testable))
+    "jobs"
+    [
+      expect "fast" "gemm" Flow.Direct_ir Hls_backend.Backend.Static
+        {
+          K.pipeline_ii = Some 1;
+          unroll = Some 4;
+          strategy = K.Middle;
+          partitions = [ ("A", "cyclic", 4, 2) ];
+        }
+        10.0;
+      expect "conv2d:5" "conv2d" Flow.Hls_cpp Hls_backend.Backend.Static
+        { K.no_directives with K.pipeline_ii = Some 2 }
+        10.0;
+      expect "mvt:6" "mvt" Flow.Direct_ir Hls_backend.Backend.Dynamic
+        K.no_directives 5.0;
+      expect "gemm:7" "gemm" Flow.Direct_ir Hls_backend.Backend.Static
+        K.no_directives 10.0;
+    ]
+    js;
+  (* a bare line starts unpipelined, unlike a compile request or
+     `mhlsc synth gemm`, whose directives default to II 1 *)
+  let bare = List.nth js 3 in
+  let latency (o : D.outcome) =
+    match o.D.o_qor with
+    | Ok r -> r.Hls_backend.Estimate.latency
+    | Error _ -> Alcotest.fail "gemm failed"
+  in
+  Alcotest.(check (list int))
+    "bare gemm line vs II 1" [ 42036; 18740 ]
+    (List.map latency
+       (D.run_batch [ bare; { bare with D.directives = K.pipelined } ])
+         .D.outcomes)
+
+(* Every rejected line is one HLS901 diagnostic at manifest:N that
+   names the offending token. *)
+let test_manifest_errors () =
+  List.iter
+    (fun (text, line, token) ->
+      match D.parse_manifest text with
+      | Ok _ -> Alcotest.failf "accepted %S" text
+      | Error d ->
+          Alcotest.(check string) (text ^ ": rule") "HLS901" d.Support.Diag.rule;
+          Alcotest.(check (option string))
+            (text ^ ": line")
+            (Some (Printf.sprintf "manifest:%d" line))
+            d.Support.Diag.func;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S names %S" text d.Support.Diag.message token)
+            true
+            (Str_find.contains d.Support.Diag.message token))
+    [
+      ("nosuch ii=1\n", 1, "nosuch");
+      ("gemm\n# c\ngemm fast\n", 3, "fast");
+      ("\ngemm bogus=1\n", 2, "bogus");
+      ("gemm ii=two\n", 1, "two");
+      ("gemm unroll=4x\n", 1, "4x");
+      ("gemm clock=fast\n", 1, "fast");
+      ("gemm flow=vhdl\n", 1, "vhdl");
+      ("gemm sched=vliw\n", 1, "vliw");
+      ("gemm strategy=outer\n", 1, "outer");
+      ("gemm partition=A:cyclic:4\n", 1, "A:cyclic:4");
+      ("gemm partition=A:cyclic:four:2\n", 1, "A:cyclic:four:2");
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Events only for a reader                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -452,6 +550,41 @@ let test_cache_undecodable_is_miss () =
     (Cache.hits c, Cache.misses c);
   rm_rf dir
 
+(* A stored entry with one byte flipped, or cut short, is a miss that
+   recomputes the original report, never a crash or a different
+   report served as a hit. *)
+let test_cache_damaged_entry_is_miss () =
+  let dir = fresh_dir () in
+  let c = Cache.create ~dir in
+  let j = D.job ~kernel:"gemm" K.pipelined in
+  let key = Option.get (D.cache_key ~pipeline:P.default j) in
+  let expected = qor [ D.run_job ~pipeline:P.default ~cache:(Some c) j ] in
+  let entry =
+    In_channel.with_open_bin
+      (Filename.concat dir (key ^ ".cache"))
+      In_channel.input_all
+  in
+  let n = String.length entry in
+  let flipped at =
+    String.mapi (fun i ch -> if i = at then Char.chr (Char.code ch lxor 0x5a) else ch) entry
+  in
+  let damaged =
+    List.init ((n + 6) / 7) (fun i -> flipped (7 * i))
+    @ List.map (String.sub entry 0) [ 0; 1; 15; 16; 17; n / 2; n - 1 ]
+  in
+  List.iteri
+    (fun i bytes ->
+      Cache.store c key bytes;
+      let o = D.run_job ~pipeline:P.default ~cache:(Some c) j in
+      Alcotest.(check bool) (Printf.sprintf "damage %d: a miss" i) false
+        o.D.o_from_cache;
+      Alcotest.(check string) (Printf.sprintf "damage %d: same report" i)
+        expected (qor [ o ]))
+    damaged;
+  Alcotest.(check int) "every damaged entry missed" (List.length damaged + 1)
+    (Cache.misses c);
+  rm_rf dir
+
 (* Two processes store different multi-MiB payloads under one key, over
    and over, while every process (this one too) looks the key up: a
    lookup must find nothing or one payload intact.  The writers are a
@@ -513,6 +646,8 @@ let suite =
     Alcotest.test_case "pool preserves order" `Quick test_pool_preserves_order;
     Alcotest.test_case "batch determinism" `Quick test_batch_determinism;
     Alcotest.test_case "batch report stats" `Quick test_batch_report_stats;
+    Alcotest.test_case "manifest parses" `Quick test_manifest_parses;
+    Alcotest.test_case "manifest errors" `Quick test_manifest_errors;
     Alcotest.test_case "events only when asked" `Quick
       test_events_only_when_asked;
     Alcotest.test_case "events keep stages, passes and sizes" `Quick
@@ -521,6 +656,8 @@ let suite =
       test_cache_stores_and_replays_events;
     Alcotest.test_case "undecodable cache entry is a miss" `Quick
       test_cache_undecodable_is_miss;
+    Alcotest.test_case "damaged cache entry is a miss" `Quick
+      test_cache_damaged_entry_is_miss;
     Alcotest.test_case "cache shared by two processes" `Quick
       test_cache_two_processes;
   ]

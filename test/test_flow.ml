@@ -169,7 +169,7 @@ latency ratio (cpp/direct): 1.000
 let test_compare_grid_bytes () =
   let c =
     Mhls_cli.Handlers.compare_kernel ~kernel:"gemm"
-      ~directives:Mhls_serve.Protocol.no_directives ~clock_ns:10.0
+      ~directives:Mhls_serve.Protocol.pipelined_directives ~clock_ns:10.0
   in
   match c with
   | Error _ -> Alcotest.fail "compare gemm failed"

@@ -43,7 +43,7 @@ let compile_min =
       c_kernel = "fir";
       c_flow = "cpp";
       c_sched = "static";
-      c_directives = P.no_directives;
+      c_directives = P.pipelined_directives;
       c_clock_ns = 10.0;
       c_passes = None;
       c_disable = [];
@@ -54,7 +54,7 @@ let lint_req =
     {
       l_kernel = Some "gemm";
       l_source = None;
-      l_directives = P.no_directives;
+      l_directives = P.pipelined_directives;
       l_rules = Some [ "HLS201" ];
       l_werror = true;
       l_top = Some "gemm";
@@ -336,7 +336,109 @@ let test_lenient_defaults () =
           check "default sched" "static" c.P.c_sched;
           Alcotest.(check (float 1e-9)) "default clock" 10.0 c.P.c_clock_ns;
           checkb "default passes" true (c.P.c_passes = None)
-      | Ok r -> Alcotest.failf "wrong kind %s" (P.request_kind r))
+      | Ok r -> Alcotest.failf "wrong kind %s" (P.request_kind r));
+  (* the directive defaults (II 1) apply only when "directives" is
+     absent: an object without "ii" compiles unpipelined *)
+  let env = H.create_env () in
+  List.iter
+    (fun (json, latency) ->
+      match Result.bind (Support.Json.parse json) P.request_of_json with
+      | Ok (P.Compile c) -> (
+          match H.compile env ~trace:Support.Tracing.null c with
+          | Ok r -> checki json latency r.P.cr_latency
+          | Error _ -> Alcotest.failf "%s failed" json)
+      | _ -> Alcotest.failf "%s: not a compile request" json)
+    [
+      ({|{"kind": "compile", "kernel": "gemm"}|}, 18740);
+      ({|{"kind": "compile", "kernel": "gemm", "directives": {}}|}, 42036);
+      ( {|{"kind": "compile", "kernel": "gemm", "directives": {"strategy": "inner"}}|},
+        42036 );
+    ];
+  H.close_env env
+
+(* Each wire default is a name its owner parses to the value the
+   library defaults to. *)
+let test_wire_defaults_owned () =
+  let module K = Workloads.Kernels in
+  let j = Mhls_driver.Driver.job ~kernel:"gemm" K.no_directives in
+  checkb "flow" true (Flow.flow_of_name P.default_flow = Some j.flow);
+  checkb "sched" true
+    (Hls_backend.Backend.sched_of_name P.default_sched = Some j.sched);
+  checkb "strategy" true
+    (K.strategy_of_name P.default_strategy = Some K.no_directives.K.strategy);
+  checkb "pipelined directives" true
+    (H.directives_of_protocol (K.gemm ()) P.pipelined_directives
+    = Ok K.pipelined);
+  List.iter
+    (fun (what, clock) ->
+      Alcotest.(check (float 0.)) what Hls_backend.Op_model.default_clock_ns
+        clock)
+    [
+      ("wire clock", P.default_clock_ns);
+      ("job clock", j.clock_ns);
+      ("dse clock", Mhls_dse.Search.default_params.clock_ns);
+    ]
+
+(* A partition spec the estimator cannot honour is rejected by name, by
+   the request resolver (HLS905) and by a manifest (HLS901), instead of
+   compiling as if unpartitioned. *)
+let test_partition_check () =
+  let env = H.create_env () in
+  let compile spec =
+    H.compile env ~trace:Support.Tracing.null
+      {
+        c_kernel = "gemm";
+        c_flow = P.default_flow;
+        c_sched = P.default_sched;
+        c_directives =
+          {
+            P.pipelined_directives with
+            d_strategy = "middle";
+            d_partitions = [ spec ];
+          };
+        c_clock_ns = P.default_clock_ns;
+        c_passes = None;
+        c_disable = [];
+      }
+  in
+  let name = Workloads.Kernels.partition_to_string in
+  List.iter
+    (fun (spec, bram) ->
+      match compile spec with
+      | Ok r -> checki (name spec ^ " BRAM") bram r.P.cr_bram
+      | Error _ -> Alcotest.failf "%s rejected" (name spec))
+    [ (("A", "cyclic", 4, 2), 6); (("A", "block", 2, 1), 4);
+      (("B", "complete", 1, 1), 2) ];
+  List.iter
+    (fun spec ->
+      let text = name spec in
+      (match compile spec with
+      | Ok _ -> Alcotest.failf "%s compiled" text
+      | Error ds ->
+          checkb (text ^ ": one HLS905 naming it") true
+            (match ds with
+            | [ d ] ->
+                d.Support.Diag.rule = P.rule_protocol
+                && Str_find.contains d.Support.Diag.message text
+            | _ -> false));
+      match
+        Mhls_driver.Driver.parse_manifest
+          ("gemm strategy=middle partition=" ^ text)
+      with
+      | Ok _ -> Alcotest.failf "manifest accepted %s" text
+      | Error d ->
+          checkb (text ^ ": HLS901 at manifest:1 naming it") true
+            (d.Support.Diag.rule = "HLS901"
+            && d.Support.Diag.func = Some "manifest:1"
+            && Str_find.contains d.Support.Diag.message text))
+    [
+      ("A", "foo", 4, 2);
+      ("A", "cyclic", 0, 2);
+      ("A", "cyclic", 4, 0);
+      ("A", "cyclic", 4, 3);
+      ("Z", "cyclic", 4, 2);
+    ];
+  H.close_env env
 
 let test_request_key () =
   (* Identical content gives identical keys; jobs that must never be
@@ -447,7 +549,7 @@ let compile_kernel name =
       c_kernel = name;
       c_flow = "direct";
       c_sched = "static";
-      c_directives = P.no_directives;
+      c_directives = P.pipelined_directives;
       c_clock_ns = 10.0;
       c_passes = None;
       c_disable = [];
@@ -550,7 +652,7 @@ let test_daemon () =
                   P.c_kernel = "gemm";
                   c_flow = "direct";
                   c_sched = "static";
-                  c_directives = P.no_directives;
+                  c_directives = P.pipelined_directives;
                   c_clock_ns = 10.0;
                   c_passes = None;
                   c_disable = [];
@@ -634,7 +736,7 @@ let test_daemon () =
                {
                  l_kernel = Some "gemm";
                  l_source = None;
-                 l_directives = P.no_directives;
+                 l_directives = P.pipelined_directives;
                  l_rules = None;
                  l_werror = false;
                  l_top = None;
@@ -652,7 +754,7 @@ let test_daemon () =
             {
               P.l_kernel = Some "gemm";
               l_source = None;
-              l_directives = P.no_directives;
+              l_directives = P.pipelined_directives;
               l_rules = None;
               l_werror = false;
               l_top = None;
@@ -1031,6 +1133,10 @@ let suite =
     Alcotest.test_case "request round-trip" `Quick test_request_roundtrip;
     Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
     Alcotest.test_case "lenient request defaults" `Quick test_lenient_defaults;
+    Alcotest.test_case "wire defaults match their owners" `Quick
+      test_wire_defaults_owned;
+    Alcotest.test_case "partition specs checked against the kernel" `Quick
+      test_partition_check;
     Alcotest.test_case "request keys" `Quick test_request_key;
     Alcotest.test_case "incremental framing" `Quick test_incremental_framing;
     Alcotest.test_case "daemon end-to-end" `Quick test_daemon;
