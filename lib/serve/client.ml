@@ -97,19 +97,11 @@ let request ?(stream = false) ?on_event (c : t) (req : P.request) :
 let pipeline ?on_event (c : t) (reqs : P.request list) :
     (P.reply list, string) result =
   let ids = List.map (fun _ -> fresh_id c) reqs in
-  let wire =
-    String.concat ""
-      (List.map2
-         (fun id req ->
-           P.encode_frame (P.Request { q_id = id; q_stream = false; q_req = req }))
-         ids reqs)
-  in
-  let b = Bytes.of_string wire in
-  let rec write_all at =
-    if at < Bytes.length b then
-      write_all (at + Unix.write c.fd b at (Bytes.length b - at))
-  in
-  (try write_all 0
+  (try
+     P.write_frames c.fd
+       (List.map2
+          (fun id req -> P.Request { q_id = id; q_stream = false; q_req = req })
+          ids reqs)
    with Unix.Unix_error (e, _, _) -> raise (Failure (Unix.error_message e)));
   let* rs = collect ?on_event c ids in
   Ok (List.map snd rs)

@@ -619,16 +619,15 @@ let request_key (r : request) : string option =
     prefix must not make the server allocate unbounded memory. *)
 let max_frame_bytes = 64 * 1024 * 1024
 
+(* One string: the body is printed after 4 reserved bytes of its own
+   buffer, which then take its length. *)
 let encode_frame (f : frame) : string =
-  let body = frame_to_string f in
-  let n = String.length body in
-  let b = Bytes.create (4 + n) in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
-  Bytes.blit_string body 0 b 4 n;
-  Bytes.to_string b
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "\000\000\000\000";
+  Json.to_buffer b (frame_to_json f);
+  let s = Buffer.to_bytes b in
+  Bytes.set_int32_be s 0 (Int32.of_int (Bytes.length s - 4));
+  Bytes.unsafe_to_string s
 
 (* The body length announced by the 4-byte big-endian prefix at [at]. *)
 let body_length (b : Bytes.t) (at : int) : (int, string) result =
@@ -637,69 +636,104 @@ let body_length (b : Bytes.t) (at : int) : (int, string) result =
   else Ok n
 
 (** Incremental frame assembly for the non-blocking reactor: the
-    frame's bytes accumulate in one buffer (the 4-byte length prefix,
-    then exactly the announced body), and the body is decoded once
-    complete.  Receiving a frame therefore costs time linear in its
-    size however it is split into reads, and memory grows with what
-    has arrived, not with what the prefix announces. *)
+    4-byte length prefix, then exactly the announced body, decoded once
+    complete.  The body buffer grows as bytes arrive, doubling but
+    never past the announced length: so memory grows with what has
+    arrived, not with what the prefix announces, and a complete body
+    fills its buffer exactly and is decoded without another copy.
+    Receiving a frame costs time linear in its size however it is
+    split into reads. *)
 type assembler = {
-  a_buf : Buffer.t;
+  mutable a_buf : Bytes.t;  (** the prefix until it is in, then the body *)
+  mutable a_have : int;  (** bytes of [a_buf] filled *)
   mutable a_len : int;  (** announced body length; -1 until the prefix is in *)
 }
 
-let assembler () = { a_buf = Buffer.create 4096; a_len = -1 }
+let assembler () = { a_buf = Bytes.create 4; a_have = 0; a_len = -1 }
 
-let feed (a : assembler) (buf : Bytes.t) (off : int) (len : int) :
-    ((frame, string) result list, string) result =
+(* Feed [len] bytes of [buf] from [off]; returns the completed frames
+   and where it stopped.  With [hold], bytes of an incomplete prefix or
+   body are copied into [a] (the reactor reuses its read buffer);
+   without, [a] stops in front of them and leaves them to the caller. *)
+let assemble ~hold (a : assembler) (buf : Bytes.t) (off : int) (len : int) :
+    ((frame, string) result list * int, string) result =
   let stop = off + len in
   let rec go pos acc =
-    let have = Buffer.length a.a_buf in
-    if a.a_len < 0 && have = 4 then
-      match body_length (Buffer.to_bytes a.a_buf) 0 with
+    if a.a_len < 0 && a.a_have = 4 then
+      match body_length a.a_buf 0 with
       | Error e -> Error e
       | Ok n ->
           a.a_len <- n;
+          a.a_buf <- Bytes.empty;
+          a.a_have <- 0;
           go pos acc
-    else if a.a_len >= 0 && have = 4 + a.a_len then begin
-      let body = Buffer.sub a.a_buf 4 a.a_len in
-      Buffer.reset a.a_buf;
+    else if a.a_have = a.a_len then begin
+      (* the body fills [a_buf], which is never written again *)
+      let body = Bytes.unsafe_to_string a.a_buf in
+      a.a_buf <- Bytes.create 4;
+      a.a_have <- 0;
       a.a_len <- -1;
       go pos (frame_of_string body :: acc)
     end
-    else if pos >= stop then Ok (List.rev acc)
     else
-      let want = if a.a_len < 0 then 4 else 4 + a.a_len in
-      let k = min (want - have) (stop - pos) in
-      Buffer.add_subbytes a.a_buf buf pos k;
-      go (pos + k) acc
+      let want = if a.a_len < 0 then 4 else a.a_len in
+      let k = min (want - a.a_have) (stop - pos) in
+      if pos >= stop || ((not hold) && a.a_have + k < want) then
+        Ok (List.rev acc, pos)
+      else begin
+        if a.a_have + k > Bytes.length a.a_buf then begin
+          let cap = max (a.a_have + k) (2 * Bytes.length a.a_buf) in
+          let grown = Bytes.create (min want cap) in
+          Bytes.blit a.a_buf 0 grown 0 a.a_have;
+          a.a_buf <- grown
+        end;
+        Bytes.blit buf pos a.a_buf a.a_have k;
+        a.a_have <- a.a_have + k;
+        go (pos + k) acc
+      end
   in
   go off []
+
+let feed (a : assembler) (buf : Bytes.t) (off : int) (len : int) :
+    ((frame, string) result list, string) result =
+  Result.map fst (assemble ~hold:true a buf off len)
 
 (** Split as many complete frames as possible off the head of [buf];
     returns the decoded frames (or per-frame decode errors) and the
     unconsumed tail.  [Error] on an oversized length prefix (the
     connection should be dropped).  A fresh {!assembler} fed the whole
-    string: the tail is what it holds back. *)
+    string, holding nothing back: the tail is the rest of [buf], and
+    [buf] itself when no frame was complete. *)
 let decode_frames (buf : string) :
     ((frame, string) result list * string, string) result =
   let a = assembler () in
   Result.map
-    (fun frames -> (frames, Buffer.contents a.a_buf))
-    (feed a (Bytes.unsafe_of_string buf) 0 (String.length buf))
+    (fun (frames, stop) ->
+      (* only an incomplete frame's prefix reached [a] *)
+      let from = if a.a_len < 0 then stop else stop - 4 in
+      let tail =
+        if from = 0 then buf else String.sub buf from (String.length buf - from)
+      in
+      (frames, tail))
+    (assemble ~hold:false a (Bytes.unsafe_of_string buf) 0 (String.length buf))
 
 (* Blocking single-frame IO over a file descriptor (client side and
    tests; the server uses the incremental {!assembler}). *)
 
-let write_frame (fd : Unix.file_descr) (f : frame) : unit =
-  let s = encode_frame f in
-  let b = Bytes.of_string s in
+let write_string (fd : Unix.file_descr) (s : string) : unit =
   let rec go at =
-    if at < Bytes.length b then
-      match Unix.write fd b at (Bytes.length b - at) with
+    if at < String.length s then
+      match Unix.write_substring fd s at (String.length s - at) with
       | n -> go (at + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go at
   in
   go 0
+
+let write_frame (fd : Unix.file_descr) (f : frame) : unit =
+  write_string fd (encode_frame f)
+
+let write_frames (fd : Unix.file_descr) (fs : frame list) : unit =
+  write_string fd (String.concat "" (List.map encode_frame fs))
 
 let read_exactly (fd : Unix.file_descr) (n : int) : (Bytes.t, string) result =
   let b = Bytes.create n in
@@ -720,4 +754,5 @@ let read_frame (fd : Unix.file_descr) : (frame, string) result =
   let* hdr = read_exactly fd 4 in
   let* len = body_length hdr 0 in
   let* body = read_exactly fd len in
-  frame_of_string (Bytes.to_string body)
+  (* [body] is this function's own and is never written again *)
+  frame_of_string (Bytes.unsafe_to_string body)

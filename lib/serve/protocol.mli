@@ -259,14 +259,16 @@ val encode_frame : frame -> string
     buffer; returns the decoded frames (or per-frame decode errors)
     and the unconsumed tail.  [Error] on an oversized length prefix
     (the connection should be dropped).  Runs the {!assembler} the
-    server reads with, over the whole buffer at once. *)
+    server reads with, over the whole buffer at once; the tail is the
+    buffer itself when no frame is complete. *)
 val decode_frames :
   string -> ((frame, string) result list * string, string) result
 
 (** Incremental frame assembly for a non-blocking reader: the length
     prefix first, then exactly the announced body, decoded once
     complete, so a frame costs time linear in its size however it is
-    split into reads. *)
+    split into reads.  Memory grows with the bytes that have arrived,
+    never with the announced length alone. *)
 type assembler
 
 val assembler : unit -> assembler
@@ -285,5 +287,8 @@ val feed :
 (** Blocking single-frame IO (client side and tests; the server uses
     the incremental {!assembler}). *)
 val write_frame : Unix.file_descr -> frame -> unit
+
+(** The frames, in order, in one write. *)
+val write_frames : Unix.file_descr -> frame list -> unit
 
 val read_frame : Unix.file_descr -> (frame, string) result

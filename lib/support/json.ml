@@ -26,22 +26,6 @@ type t =
 (* Printing                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let escape (s : string) =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let float_to_string (f : float) =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.1f" f
@@ -50,9 +34,27 @@ let float_to_string (f : float) =
     let s = Printf.sprintf "%.15g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
+(* Only the quote, the backslash and the C0 controls are escaped; every
+   other byte, non-ASCII included, is copied as it is, one blit per run
+   of such bytes. *)
 let write_string buf s =
   Buffer.add_char buf '"';
-  Buffer.add_string buf (escape s);
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring buf s !run (i - !run);
+      run := i + 1;
+      Buffer.add_char buf '\\';
+      match c with
+      | '"' | '\\' -> Buffer.add_char buf c
+      | '\n' -> Buffer.add_char buf 'n'
+      | '\t' -> Buffer.add_char buf 't'
+      | '\r' -> Buffer.add_char buf 'r'
+      | c -> Buffer.add_string buf (Printf.sprintf "u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring buf s !run (String.length s - !run);
   Buffer.add_char buf '"'
 
 let rec write buf = function
@@ -79,6 +81,8 @@ let rec write buf = function
           write buf v)
         fields;
       Buffer.add_char buf '}'
+
+let to_buffer = write
 
 let to_string (v : t) : string =
   let buf = Buffer.create 256 in
@@ -145,56 +149,80 @@ let parse (src : string) : (t, string) result =
     end
     else fail (Printf.sprintf "expected '%s'" word)
   in
-  let parse_hex4 () =
+  let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
     let h = String.sub src !pos 4 in
+    let hex = function
+      | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+      | _ -> false
+    in
+    if not (String.for_all hex h) then fail "bad \\u escape";
     pos := !pos + 4;
-    match int_of_string_opt ("0x" ^ h) with
-    | Some c -> c
-    | None -> fail "bad \\u escape"
+    int_of_string ("0x" ^ h)
   in
-  let utf8_add buf code =
-    (* encode a Unicode scalar value as UTF-8 *)
-    if code < 0x80 then Buffer.add_char buf (Char.chr code)
-    else if code < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  (* The code point of a [\u] escape whose [u] was just read.  A high
+     surrogate must be followed by a [\u] low surrogate, and the pair
+     is one code point; an unpaired surrogate is an error. *)
+  let code_point () =
+    let hi = hex4 () in
+    if hi land 0xF800 <> 0xD800 then hi
+    else if
+      hi < 0xDC00 && !pos + 2 <= n && src.[!pos] = '\\' && src.[!pos + 1] = 'u'
+    then begin
+      pos := !pos + 2;
+      let lo = hex4 () in
+      if lo land 0xFC00 <> 0xDC00 then fail "unpaired surrogate";
+      0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
     end
-    else begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
+    else fail "unpaired surrogate"
   in
+  (* The escape whose backslash was just read, appended to [buf]. *)
+  let unescape buf =
+    if !pos >= n then fail "unterminated escape";
+    let e = src.[!pos] in
+    advance ();
+    match e with
+    | '"' | '\\' | '/' -> Buffer.add_char buf e
+    | 'n' -> Buffer.add_char buf '\n'
+    | 't' -> Buffer.add_char buf '\t'
+    | 'r' -> Buffer.add_char buf '\r'
+    | 'b' -> Buffer.add_char buf '\b'
+    | 'f' -> Buffer.add_char buf '\012'
+    | 'u' -> Buffer.add_utf_8_uchar buf (Uchar.of_int (code_point ()))
+    | _ -> fail "bad escape"
+  in
+  (* The index of the next quote or backslash at or after [i]; every
+     other byte, raw control bytes included, belongs to the string. *)
+  let rec run_end i =
+    if i >= n then begin
+      pos := n;
+      fail "unterminated string"
+    end
+    else
+      match String.unsafe_get src i with
+      | '"' | '\\' -> i
+      | _ -> run_end (i + 1)
+  in
+  (* A string without escapes is one [String.sub]; otherwise the runs
+     between escapes are blitted into a buffer. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = src.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
-          if !pos >= n then fail "unterminated escape";
-          let e = src.[!pos] in
-          advance ();
-          match e with
-          | '"' -> Buffer.add_char buf '"'; go ()
-          | '\\' -> Buffer.add_char buf '\\'; go ()
-          | '/' -> Buffer.add_char buf '/'; go ()
-          | 'n' -> Buffer.add_char buf '\n'; go ()
-          | 't' -> Buffer.add_char buf '\t'; go ()
-          | 'r' -> Buffer.add_char buf '\r'; go ()
-          | 'b' -> Buffer.add_char buf '\b'; go ()
-          | 'f' -> Buffer.add_char buf '\012'; go ()
-          | 'u' ->
-              utf8_add buf (parse_hex4 ());
-              go ()
-          | _ -> fail "bad escape")
-      | c -> Buffer.add_char buf c; go ()
+    let rec go buf =
+      let start = !pos in
+      let stop = run_end start in
+      pos := stop + 1;
+      match (src.[stop], buf) with
+      | '"', None -> String.sub src start (stop - start)
+      | c, _ ->
+          let b = match buf with Some b -> b | None -> Buffer.create 256 in
+          Buffer.add_substring b src start (stop - start);
+          if c = '"' then Buffer.contents b
+          else begin
+            unescape b;
+            go (Some b)
+          end
     in
-    go ()
+    go None
   in
   let parse_number () =
     let start = !pos in

@@ -12,8 +12,12 @@ type t =
   | Obj of (string * t) list
 
 (** Deterministic single-line rendering ([", "]-separated, [": "]
-    after keys). *)
+    after keys).  Strings escape only the quote, the backslash and the
+    control bytes below 0x20; every other byte is copied raw. *)
 val to_string : t -> string
+
+(** [to_buffer b v] appends [to_string v] to [b]. *)
+val to_buffer : Buffer.t -> t -> unit
 
 (** A file rendering of a top-level object: {!to_string}, except that a
     field named in [breaks] starts a new line (indented one space), and
@@ -22,7 +26,10 @@ val to_string : t -> string
 val to_lines : ?breaks:string list -> rows:string list -> t -> string
 
 (** Parse one JSON document; [Error] carries a byte offset and reason.
-    Trailing non-whitespace is an error. *)
+    Trailing non-whitespace is an error.  String bytes other than
+    escapes are kept as they are; [\uXXXX] decodes to the UTF-8 bytes
+    of the code point, a surrogate pair to one four-byte sequence, and
+    an unpaired surrogate is an error. *)
 val parse : string -> (t, string) result
 
 (** [member k v] is field [k] of object [v], if any. *)

@@ -4,6 +4,7 @@ let () =
   Alcotest.run "mlir-hls-adaptor"
     [
       ("support", Test_support.suite);
+      ("json", Test_json.suite);
       ("affine", Test_affine.suite);
       ("mhir", Test_mhir.suite);
       ("mhir-interp", Test_mhir_interp.suite);

@@ -536,6 +536,94 @@ let test_incremental_framing () =
   deliver 65536;
   deliver 1
 
+(* Frames carrying arbitrary byte strings (the codec tests'
+   generators), fed to one assembler in pieces of 1 byte to 64 KiB,
+   come out as [frame_of_string] of each body, in order.  The same
+   wire as one string leaves no tail, and cut anywhere it leaves the
+   incomplete frame as the tail. *)
+let frame_carrying i s =
+  match i mod 3 with
+  | 0 ->
+      P.Request
+        {
+          q_id = i;
+          q_stream = false;
+          q_req =
+            (match opt_req with
+            | P.Opt o -> P.Opt { o with op_source = Some s }
+            | r -> r);
+        }
+  | 1 ->
+      P.Response
+        {
+          r_id = i;
+          r_reply =
+            P.Done
+              (P.R_opt
+                 { P.or_ir = s; or_passes = 3; or_seconds = 0.25;
+                   or_par_status = None; or_verdict = Some s; or_safe = true });
+        }
+  | _ ->
+      P.Response
+        {
+          r_id = i;
+          r_reply = P.Failed [ Support.Diag.error ~rule:"HLS903" "%s" s ];
+        }
+
+let prop_split_feed =
+  let open QCheck.Gen in
+  let strings =
+    list_size (int_range 1 4)
+      (frequency [ (12, Test_json.gen_bytes); (1, Test_json.gen_large) ])
+  in
+  let pieces =
+    list_size (int_range 1 50)
+      (frequency [ (1, int_range 1 8); (2, int_range 1 65536) ])
+  in
+  QCheck.Test.make ~name:"frames survive any split" ~count:60
+    (QCheck.make
+       ~print:(fun (ss, ps) ->
+         Printf.sprintf "strings %s, pieces %s"
+           (String.concat " " (List.map Test_json.print_bytes ss))
+           (String.concat " " (List.map string_of_int ps)))
+       (pair strings pieces))
+    (fun (ss, ps) ->
+      let frames = List.mapi frame_carrying ss in
+      let want =
+        List.map (fun f -> P.frame_of_string (P.frame_to_string f)) frames
+      in
+      let wire = String.concat "" (List.map P.encode_frame frames) in
+      let a = P.assembler () in
+      let ps = Array.of_list ps in
+      let rec go at i acc =
+        if at >= String.length wire then Ok (List.concat (List.rev acc))
+        else
+          let k = min ps.(i mod Array.length ps) (String.length wire - at) in
+          match P.feed a (Bytes.unsafe_of_string wire) at k with
+          | Ok fs -> go (at + k) (i + 1) (fs :: acc)
+          | Error e -> Error e
+      in
+      (* cut after the first [ps.(0)] bytes: the frames that end by
+         the cut, and the rest of the cut as the tail *)
+      let cut = min ps.(0) (String.length wire) in
+      let ends =
+        let at = ref 0 in
+        List.map
+          (fun f ->
+            at := !at + String.length (P.encode_frame f);
+            !at)
+          frames
+      in
+      let whole = List.length (List.filter (fun e -> e <= cut) ends) in
+      let consumed = if whole = 0 then 0 else List.nth ends (whole - 1) in
+      let cut_want =
+        ( List.filteri (fun i _ -> i < whole) want,
+          String.sub wire consumed (cut - consumed) )
+      in
+      go 0 0 [] = Ok want
+      && P.decode_frames wire = Ok (want, "")
+      && P.decode_frames (String.sub wire 0 cut) = Ok cut_want)
+
 (* ------------------------------------------------------------------ *)
 (* Live daemon                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -843,6 +931,52 @@ let test_sentinel_id () =
       | Ok r -> Alcotest.failf "shutdown: %s" (render_reply r)
       | Error e -> Alcotest.failf "shutdown: %s" e)
 
+let test_unicode_over_socket () =
+  (* U+1F600 as Python's json.dumps sends it, a surrogate pair, comes
+     back in the HLS903 message as its four UTF-8 bytes; a lone
+     surrogate is a bad frame, answered HLS905 under the sentinel id.
+     The replies are checked after shutdown, so a failure cannot leave
+     the daemon running. *)
+  let replies =
+    with_daemon (fun sock c ->
+        let fd = raw_connect sock in
+        let ask kernel =
+          let body =
+            {|{"v": 1, "frame": "request", "id": 1, "kind": "compile", |}
+            ^ Printf.sprintf {|"kernel": "%s"}|} kernel
+          in
+          let prefix = Bytes.create 4 in
+          Bytes.set_int32_be prefix 0 (Int32.of_int (String.length body));
+          let wire = Bytes.to_string prefix ^ body in
+          ignore (Unix.write_substring fd wire 0 (String.length wire));
+          P.read_frame fd
+        in
+        let replies =
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              let pair = ask {|k\ud83d\ude00|} in
+              let lone = ask {|k\ud83d|} in
+              [ pair; lone ])
+        in
+        ignore (Client.request c P.Shutdown);
+        replies)
+  in
+  let diag = function
+    | Ok (P.Response { r_id; r_reply = P.Failed [ d ] }) ->
+        (r_id, d.Support.Diag.rule, d.Support.Diag.message)
+    | Ok f -> Alcotest.failf "unexpected frame %s" (P.frame_to_string f)
+    | Error e -> Alcotest.failf "read: %s" e
+  in
+  match List.map diag replies with
+  | [ (id, rule, msg); (id', rule', _) ] ->
+      checki "request id" 1 id;
+      check "unknown kernel" "HLS903" rule;
+      check "name decoded to UTF-8" "unknown kernel 'k\xF0\x9F\x98\x80'" msg;
+      checki "sentinel id" P.sentinel_id id';
+      check "lone surrogate" P.rule_protocol rule'
+  | _ -> Alcotest.fail "two replies"
+
 let test_latency_ring_bounded () =
   (* The per-kind latency store is a bounded ring: after far more than
      its capacity of samples, the reported count must stay at the
@@ -1139,10 +1273,13 @@ let suite =
       test_partition_check;
     Alcotest.test_case "request keys" `Quick test_request_key;
     Alcotest.test_case "incremental framing" `Quick test_incremental_framing;
+    QCheck_alcotest.to_alcotest prop_split_feed;
     Alcotest.test_case "daemon end-to-end" `Quick test_daemon;
     Alcotest.test_case "socket removed on shutdown" `Quick test_socket_removed;
     Alcotest.test_case "sentinel id for unattributable errors" `Quick
       test_sentinel_id;
+    Alcotest.test_case "non-ASCII kernel name over the socket" `Quick
+      test_unicode_over_socket;
     Alcotest.test_case "latency ring bounded" `Quick test_latency_ring_bounded;
     Alcotest.test_case "daemon survives signals mid-read" `Quick
       test_signal_survival;
