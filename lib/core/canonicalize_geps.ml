@@ -112,7 +112,7 @@ let run_func ?(stats = fresh_stats ()) ?am (f : Lmodule.func) : Lmodule.func =
       end
     end
   done;
-  if not (!any_merge || !any_widen) then fst (Opt_dce.run_func f)
+  if not (!any_merge || !any_widen) then fst (Opt_dce.run_func ?am f)
   else begin
     let blocks =
       List.init (Iarena.n_blocks a) (fun bi ->

@@ -131,8 +131,6 @@ let check_func (f : Lmodule.func) : issue list =
 let check (m : Lmodule.t) : issue list =
   List.concat_map check_func m.funcs
 
-let is_hls_ready m = check m = []
-
 (** Histogram of issue kinds (for Table 1). *)
 let summarize (issues : issue list) : (string * int) list =
   let tbl = Hashtbl.create 8 in

@@ -40,11 +40,9 @@ type stats = {
   mutable descriptors : int;  (** descriptor chains eliminated *)
   mutable delinearized : int;  (** GEPs rebuilt with full rank *)
   mutable flat_fallback : int;  (** GEPs that kept a 1-D view *)
-  mutable extracts : int;  (** extractvalue uses replaced *)
 }
 
-let fresh_stats () =
-  { descriptors = 0; delinearized = 0; flat_fallback = 0; extracts = 0 }
+let fresh_stats () = { descriptors = 0; delinearized = 0; flat_fallback = 0 }
 
 (** Is [ty] shaped like a rank-[r] memref descriptor? *)
 let descriptor_rank (ty : Ltype.t) : int option =
@@ -229,7 +227,6 @@ let run_func ?(stats = fresh_stats ()) ?(delinearize = true) ?am
     | ExtractValue (Lvalue.Reg (agg, _), path)
       when Sym.Tbl.mem desc_tbl agg -> (
         let info = Sym.Tbl.find desc_tbl agg in
-        stats.extracts <- stats.extracts + 1;
         match path with
         | [ 0 ] | [ 1 ] ->
             Sym.Tbl.replace subst i.result info.data;

@@ -9,9 +9,6 @@ let spec_pipeline = "_ssdm_op_SpecPipeline"
 let spec_unroll = "_ssdm_op_SpecUnroll"
 let spec_trip_count = "_ssdm_op_SpecLoopTripCount"
 
-let is_spec_op name =
-  String.length name >= 9 && String.sub name 0 9 = "_ssdm_op_"
-
 (** Modern loop-metadata keys translated by the adaptor. *)
 let md_pipeline_enable = "llvm.loop.pipeline.enable"
 

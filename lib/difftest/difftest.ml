@@ -32,19 +32,11 @@ type stage = Lower | Adapted | Cpp
 let all_stages = [ Lower; Adapted; Cpp ]
 let stage_name = function Lower -> "lower" | Adapted -> "adapted" | Cpp -> "cpp"
 
-let stage_of_name = function
-  | "lower" -> Some Lower
-  | "adapted" -> Some Adapted
-  | "cpp" -> Some Cpp
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Cases                                                              *)
 (* ------------------------------------------------------------------ *)
 
 type case = {
-  c_seed : int;
-  c_index : int;
   c_spec : Spec.t;
   c_ints : int array;  (** [max_dim²] input ints (i32-normalized) *)
   c_floats : float array;  (** [max_dim²] dyadic input floats *)
@@ -67,8 +59,6 @@ let gen_case ~seed ~index =
   let floats = Array.init input_slots (fun _ -> Spec.dyadic rng) in
   let n = Support.Int_sem.norm ~width:32 (Rng.pick rng Spec.interesting) in
   {
-    c_seed = seed;
-    c_index = index;
     c_spec = spec;
     c_ints = ints;
     c_floats = floats;

@@ -27,8 +27,6 @@ let next t =
   t.state <- Int64.add t.state golden;
   mix t.state
 
-let create seed = { state = mix (Int64.of_int seed) }
-
 (** The stream for case [index] of run [seed]; independent of every
     other case's stream. *)
 let case ~seed ~index =

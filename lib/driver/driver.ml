@@ -269,8 +269,6 @@ type session = {
   s_pipeline : Adaptor.Pipeline.t;
   s_cache : Cache.t option;
   s_pool : Pool.t;
-  s_submitted : int Atomic.t;
-      (** atomic: {!background} tasks submit from worker domains *)
   mutable s_closed : bool;
 }
 
@@ -286,7 +284,6 @@ let create_session ?(pipeline = Adaptor.Pipeline.default) ?cache_dir
     s_pipeline = pipeline;
     s_cache = Option.map (fun dir -> Cache.create ~dir) cache_dir;
     s_pool = Pool.create ~oversubscribe ~jobs ();
-    s_submitted = Atomic.make 0;
     s_closed = false;
   }
 
@@ -314,7 +311,6 @@ let submit ?events ?pipeline (s : session) (js : job list) :
       ]
   else begin
     let pipeline = Option.value pipeline ~default:s.s_pipeline in
-    ignore (Atomic.fetch_and_add s.s_submitted (List.length js));
     Ok (Pool.run s.s_pool (run_job ?events ~pipeline ~cache:s.s_cache) js)
   end
 
@@ -331,13 +327,11 @@ let background (s : session) (task : unit -> unit) : bool =
 
 (** {!submit} for callers that own a visibly open session (e.g. inside
     {!with_session}); raises {!Support.Diag.Failed} on a closed one. *)
-let submit_exn ?events ?pipeline (s : session) (js : job list) : outcome list =
-  match submit ?events ?pipeline s js with
+let submit_exn ?events (s : session) (js : job list) : outcome list =
+  match submit ?events s js with
   | Ok outs -> outs
   | Error ds -> raise (Diag.Failed ds)
 
-let session_pipeline (s : session) = s.s_pipeline
-let session_submitted (s : session) = Atomic.get s.s_submitted
 let session_workers (s : session) = Pool.size s.s_pool
 
 let session_hits (s : session) =

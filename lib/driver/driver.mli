@@ -133,7 +133,6 @@ val submit :
     {!Support.Diag.Failed} where {!submit} returns [Error]. *)
 val submit_exn :
   ?events:bool ->
-  ?pipeline:Adaptor.Pipeline.t ->
   session ->
   job list ->
   outcome list
@@ -146,8 +145,6 @@ val submit_exn :
     multi-job batches into this same session. *)
 val background : session -> (unit -> unit) -> bool
 
-val session_pipeline : session -> Adaptor.Pipeline.t
-val session_submitted : session -> int
 val session_workers : session -> int
 val session_hits : session -> int
 val session_misses : session -> int

@@ -77,15 +77,3 @@ let is_antichain (es : 'a entry list) : bool =
         (fun b -> a.e_key = b.e_key || not (dominates a.e_obj b.e_obj))
         es)
     es
-
-(** Minimal element under a projection (smallest [f] value; entry key
-    breaks ties), e.g. lowest latency on the frontier. *)
-let min_by (f : 'a entry -> int) (t : 'a t) : 'a entry option =
-  List.fold_left
-    (fun acc e ->
-      match acc with
-      | None -> Some e
-      | Some m ->
-          if f e < f m || (f e = f m && e.e_key < m.e_key) then Some e
-          else acc)
-    None (frontier t)

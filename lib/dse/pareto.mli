@@ -35,6 +35,3 @@ val frontier : 'a t -> 'a entry list
 
 (** True when no entry dominates another (law tests). *)
 val is_antichain : 'a entry list -> bool
-
-(** Minimal element under a projection (entry key breaks ties). *)
-val min_by : ('a entry -> int) -> 'a t -> 'a entry option

@@ -31,13 +31,10 @@ module Sym = Support.Interner
 type partition_axis = {
   pa_array : string;  (** argument name *)
   pa_dim : int;  (** 1-based partitioned dimension *)
-  pa_dim_size : int;  (** extent of that dimension *)
   pa_factors : int list;  (** ascending, starts with 1 = off *)
 }
 
 type t = {
-  sp_kernel : string;
-  sp_inner_trip : int;  (** smallest innermost-loop trip count *)
   sp_strategies : K.strategy list;
   sp_scheds : B.sched list;  (** estimation backends on the axis *)
   sp_iis : int list;  (** ascending; 0 = no pipeline directive *)
@@ -238,7 +235,6 @@ let of_kernel ?(scheds = [ B.Static ]) (kernel : K.kernel) : t =
           {
             pa_array = name;
             pa_dim = dim;
-            pa_dim_size = dim_size;
             pa_factors = pow2_ladder ~limit:dim_size;
           }
           :: acc)
@@ -249,8 +245,6 @@ let of_kernel ?(scheds = [ B.Static ]) (kernel : K.kernel) : t =
     match List.sort_uniq compare scheds with [] -> [ B.Static ] | ss -> ss
   in
   {
-    sp_kernel = kernel.K.kname;
-    sp_inner_trip = inner_trip;
     sp_strategies = K.all_strategies;
     sp_scheds = scheds;
     sp_iis = [ 0; 1; 2; 4; 8 ];

@@ -5,13 +5,10 @@
 type partition_axis = {
   pa_array : string;  (** argument name *)
   pa_dim : int;  (** 1-based partitioned dimension *)
-  pa_dim_size : int;  (** extent of that dimension *)
   pa_factors : int list;  (** ascending, starts with 1 = off *)
 }
 
 type t = {
-  sp_kernel : string;
-  sp_inner_trip : int;  (** smallest innermost-loop trip count *)
   sp_strategies : Workloads.Kernels.strategy list;
   sp_scheds : Hls_backend.Backend.sched list;
       (** estimation backends on the axis *)

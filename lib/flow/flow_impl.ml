@@ -39,9 +39,7 @@ type result = {
 (** Shared LLVM cleanup pipeline (stands in for Vitis' middle-end
     [opt] run). *)
 let llvm_cleanup ?am ?trace m =
-  fst
-    (Llvmir.Pass.run_pipeline ~verify:true ?trace ?am
-       Llvmir.Pass.default_pipeline m)
+  fst (Llvmir.Pass.run_pipeline ?trace ?am Llvmir.Pass.default_pipeline m)
 
 (** Report one flow stage that started at [t0]; [sizes ()] is the IR
     size entering and leaving it.  Under the null hook no event is
@@ -79,9 +77,9 @@ let direct_ir_frontend ?(pipeline = Adaptor.Pipeline.default)
 (** Exception-raising convenience for process boundaries (CLI, bench):
     raises {!Support.Diag.Failed} where {!direct_ir_frontend} returns
     [Error]. *)
-let direct_ir_frontend_exn ?pipeline ?trace (m : Mhir.Ir.modul) :
+let direct_ir_frontend_exn (m : Mhir.Ir.modul) :
     Llvmir.Lmodule.t * Adaptor.report * float =
-  match direct_ir_frontend ?pipeline ?trace m with
+  match direct_ir_frontend m with
   | Ok x -> x
   | Error ds -> raise (Support.Diag.Failed ds)
 

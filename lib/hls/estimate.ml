@@ -1,8 +1,7 @@
 (** The estimator's report vocabulary: report and loop-report
-    records, the {!Rejected} error, QoR ordering keys, and array BRAM
-    banks.  {!Backend.synthesize} produces a {!report} under either
-    scheduling discipline; everything downstream reads this one
-    shape. *)
+    records, the {!Rejected} error, and array BRAM banks.
+    {!Backend.synthesize} produces a {!report} under either scheduling
+    discipline; everything downstream reads this one shape. *)
 
 type resources = { bram : int; dsp : int; ff : int; lut : int }
 
@@ -42,37 +41,6 @@ type report = {
 (** The module is outside the HLS-readable subset (run the adaptor
     first).  The payload lists the reasons. *)
 exception Rejected of string list
-
-(** Stable comparable key over a report's quality-of-result numbers.
-    Gives consumers (DSE, regression diffing) a total order that is
-    independent of the report's non-QoR payload (loop list, warnings),
-    so sorting and deduplication are deterministic across runs. *)
-type qor_key = {
-  qk_latency : int;
-  qk_bram : int;
-  qk_dsp : int;
-  qk_ff : int;
-  qk_lut : int;
-}
-
-let qor_key (r : report) : qor_key =
-  {
-    qk_latency = r.latency;
-    qk_bram = r.resources.bram;
-    qk_dsp = r.resources.dsp;
-    qk_ff = r.resources.ff;
-    qk_lut = r.resources.lut;
-  }
-
-(** Lexicographic: latency, then bram, dsp, ff, lut. *)
-let qor_compare (a : qor_key) (b : qor_key) : int =
-  compare
-    (a.qk_latency, a.qk_bram, a.qk_dsp, a.qk_ff, a.qk_lut)
-    (b.qk_latency, b.qk_bram, b.qk_dsp, b.qk_ff, b.qk_lut)
-
-let qor_to_string (k : qor_key) : string =
-  Printf.sprintf "lat=%d bram=%d dsp=%d ff=%d lut=%d" k.qk_latency k.qk_bram
-    k.qk_dsp k.qk_ff k.qk_lut
 
 (** The largest achieved II over the report's loops; 0 when no loop
     is pipelined. *)

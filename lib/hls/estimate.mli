@@ -36,18 +36,6 @@ type report = {
     the reasons. *)
 exception Rejected of string list
 
-type qor_key = {
-  qk_latency : int;
-  qk_bram : int;
-  qk_dsp : int;
-  qk_ff : int;
-  qk_lut : int;
-}
-
-val qor_key : report -> qor_key
-val qor_compare : qor_key -> qor_key -> int
-val qor_to_string : qor_key -> string
-
 (** The largest achieved II over the report's loops; 0 when no loop
     is pipelined. *)
 val inner_ii : report -> int

@@ -32,8 +32,8 @@
     - [HLS101]–[HLS106] — the {!Adaptor.Compat} issue family
       re-reported as accumulated diagnostics.
 
-    The analyses behind the rules are {!Llvmir.Dataflow} (liveness /
-    dead stores), {!Llvmir.Memdep} (loop-carried dependence distances),
+    The analyses behind the rules are {!Llvmir.Dataflow} (dead
+    stores), {!Llvmir.Memdep} (loop-carried dependence distances),
     {!Llvmir.Alias} / {!Llvmir.Effects} / {!Llvmir.Parsafe}
     (aliasing, effect footprints, cross-function conflicts) and
     {!Directives} (pipeline/partition requests). *)

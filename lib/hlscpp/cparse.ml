@@ -46,11 +46,6 @@ let ty_of_ident = function
   | "double" -> Some Cdouble
   | _ -> None
 
-let is_type_kw s =
-  match cur s with
-  | Tident w -> ty_of_ident w <> None
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Expressions (precedence climbing)                                  *)
 (* ------------------------------------------------------------------ *)

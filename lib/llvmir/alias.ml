@@ -39,17 +39,6 @@ let form_sub a b = form_add a (form_scale (-1) b)
 let coeff_of (f : form) (n : Sym.t) = Option.value ~default:0 (List.assoc_opt n f.terms)
 let drop_atom (f : form) (n : Sym.t) = { f with terms = List.remove_assoc n f.terms }
 
-let form_to_string (f : form) =
-  let ts =
-    List.map
-      (fun (n, c) ->
-        if c = 1 then "%" ^ Sym.name n
-        else Printf.sprintf "%d*%%%s" c (Sym.name n))
-      f.terms
-  in
-  let parts = ts @ (if f.konst <> 0 || ts = [] then [ string_of_int f.konst ] else []) in
-  String.concat " + " parts
-
 (** Expand a value into an affine form over atoms.  Registers with a
     non-affine definition become atoms themselves, which keeps the
     result sound: an SSA register has exactly one value per dynamic
@@ -104,12 +93,6 @@ let form_of (idx : Findex.t) (v : Lvalue.t) : form option =
 (* ------------------------------------------------------------------ *)
 
 type root = Rparam of int | Ralloca | Rglobal | Runknown
-
-let root_to_string = function
-  | Rparam i -> Printf.sprintf "param(%d)" i
-  | Ralloca -> "alloca"
-  | Rglobal -> "global"
-  | Runknown -> "unknown"
 
 let root_of ?globals (idx : Findex.t) (v : Lvalue.t) :
     (Sym.t * root) option =
@@ -197,9 +180,8 @@ let verdict_to_string = function
 
 let known = function Rparam _ | Ralloca | Rglobal -> true | Runknown -> false
 
-let base_alias ?globals (idx : Findex.t) (p : Lvalue.t) (q : Lvalue.t) :
-    verdict =
-  match (root_of ?globals idx p, root_of ?globals idx q) with
+let base_alias (idx : Findex.t) (p : Lvalue.t) (q : Lvalue.t) : verdict =
+  match (root_of idx p, root_of idx q) with
   | None, _ | _, None -> May_alias
   | Some (np, rp), Some (nq, rq) ->
       (* the same root symbol is the same region whatever its
@@ -211,7 +193,7 @@ let base_alias ?globals (idx : Findex.t) (p : Lvalue.t) (q : Lvalue.t) :
 let is_const_zero (f : form) = f.terms = [] && f.konst = 0
 let is_const_nonzero (f : form) = f.terms = [] && f.konst <> 0
 
-let alias ?globals (idx : Findex.t) (p : Lvalue.t) (q : Lvalue.t) : verdict =
+let alias (idx : Findex.t) (p : Lvalue.t) (q : Lvalue.t) : verdict =
   let same_reg =
     match (p, q) with
     | Lvalue.Reg (a, _), Lvalue.Reg (b, _) -> Sym.equal a b
@@ -220,7 +202,7 @@ let alias ?globals (idx : Findex.t) (p : Lvalue.t) (q : Lvalue.t) : verdict =
   in
   if same_reg then Must_alias
   else
-    match (root_of ?globals idx p, root_of ?globals idx q) with
+    match (root_of idx p, root_of idx q) with
     | None, _ | _, None -> May_alias
     | Some (np, rp), Some (nq, rq) ->
         if Sym.equal np nq then

@@ -33,7 +33,6 @@ val form_sub : form -> form -> form
 val form_scale : int -> form -> form
 val coeff_of : form -> Sym.t -> int
 val drop_atom : form -> Sym.t -> form
-val form_to_string : form -> string
 
 (** Expand a value into an affine form over atoms; registers with a
     non-affine definition become atoms themselves. *)
@@ -48,8 +47,6 @@ type root =
   | Ralloca  (** locally allocated storage *)
   | Rglobal  (** module global *)
   | Runknown  (** phi/select/load/call/[inttoptr]-defined pointer *)
-
-val root_to_string : root -> string
 
 (** Root symbol and classification of a pointer value; [None] for
     values that are not register/global pointers (e.g. [null]).
@@ -80,8 +77,7 @@ val verdict_to_string : verdict -> string
     subscripts), [No_alias] for distinct known roots, [May_alias]
     when either root is unresolvable.  This is the question a
     dependence analysis asks before running its own subscript test. *)
-val base_alias :
-  ?globals:Sym.Set.t -> Findex.t -> Lvalue.t -> Lvalue.t -> verdict
+val base_alias : Findex.t -> Lvalue.t -> Lvalue.t -> verdict
 
 (** Point-alias query: can these two addresses be equal {e at the same
     program point} (one valuation of the atoms)?  Symmetric;
@@ -89,5 +85,4 @@ val base_alias :
     pointers compare subscript deltas (all-zero ⟹ must, any provably
     nonzero constant ⟹ no); GEPs walking different source types are
     never compared element-wise. *)
-val alias :
-  ?globals:Sym.Set.t -> Findex.t -> Lvalue.t -> Lvalue.t -> verdict
+val alias : Findex.t -> Lvalue.t -> Lvalue.t -> verdict

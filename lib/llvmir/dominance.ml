@@ -6,7 +6,6 @@ type t = {
   cfg : Cfg.t;
   idom : int array;  (** immediate dominator; [idom.(entry) = entry];
                          [-1] for unreachable blocks *)
-  rpo_number : int array;
   children : int list array;  (** dominator-tree children *)
 }
 
@@ -49,7 +48,7 @@ let compute (cfg : Cfg.t) : t =
   for i = n - 1 downto 1 do
     if idom.(i) <> -1 then children.(idom.(i)) <- i :: children.(idom.(i))
   done;
-  { cfg; idom; rpo_number; children }
+  { cfg; idom; children }
 
 (** Rebase a cached dominator tree onto a rewritten function value.
     Only valid when the rewrite preserved the CFG shape — the

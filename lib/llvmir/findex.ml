@@ -35,7 +35,6 @@ type t = {
   mutable n_edges : int;
   res_local : int array;  (** arena index -> local id of result, -1 *)
   pool_local : int array;  (** operand slot -> local id, -1 for non-regs *)
-  block_index : int Sym.Tbl.t;  (** label -> block number *)
 }
 
 let grow_int a n = Array.append a (Array.make (max n (Array.length a)) 0)
@@ -94,7 +93,6 @@ let of_arena (f : Lmodule.func) (a : Iarena.t) : t =
       n_edges = 0;
       res_local = Array.make (max 1 n) (-1);
       pool_local = Array.make (max 1 (Iarena.pool_len a)) (-1);
-      block_index = Sym.Tbl.create (cap (Iarena.n_blocks a));
     }
   in
   List.iteri
@@ -103,9 +101,6 @@ let of_arena (f : Lmodule.func) (a : Iarena.t) : t =
       Bytes.set t.def_kind l '\001';
       t.def_ix.(l) <- i)
     f.params;
-  for bi = 0 to Iarena.n_blocks a - 1 do
-    Sym.Tbl.replace t.block_index (Iarena.block_label a bi) bi
-  done;
   for k = 0 to n - 1 do
     let r = Iarena.result a k in
     if not (Sym.is_empty r) then begin
@@ -143,8 +138,6 @@ let n_instrs t = Iarena.n_instrs t.arena
 let n_blocks t = Iarena.n_blocks t.arena
 let instr t k = Iarena.instr t.arena k
 let block_of_instr t k = Iarena.block_of t.arena k
-let block_label t bi = Iarena.block_label t.arena bi
-let block_number t label = Sym.Tbl.find_opt t.block_index label
 let n_locals t = t.n_locals
 let local_of t n = match Sym.Tbl.find_opt t.locals n with Some l -> l | None -> -1
 let local_of_slot t s = t.pool_local.(s)
@@ -166,9 +159,6 @@ let def t n = def_of_local t (local_of t n)
 (** Defining instruction; [None] for parameters and unknown names. *)
 let def_instr t n =
   match def t n with Some (Instr k) -> Some (instr t k) | _ -> None
-
-(** Is [n] defined here at all (parameter or instruction result)? *)
-let defines t n = def t n <> None
 
 let iter_users t n f =
   let l = local_of t n in

@@ -44,8 +44,6 @@ val n_blocks : t -> int
 val instr : t -> int -> Linstr.t
 
 val block_of_instr : t -> int -> int
-val block_label : t -> int -> Sym.t
-val block_number : t -> Sym.t -> int option
 
 (** Unique def site of an SSA name; [None] for names the function does
     not define (undefined references). *)
@@ -53,9 +51,6 @@ val def : t -> Sym.t -> def_site option
 
 (** Defining instruction; [None] for parameters and unknown names. *)
 val def_instr : t -> Sym.t -> Linstr.t option
-
-(** Is [n] defined here at all (parameter or instruction result)? *)
-val defines : t -> Sym.t -> bool
 
 (** {1 Dense local-id view}
 

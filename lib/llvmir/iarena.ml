@@ -358,7 +358,6 @@ let sub t k = (t.opc.(k) lsr 8) land 0xff
 let ibinop t k = code_ibinop (sub t k)
 let fbinop t k = code_fbinop (sub t k)
 let icmp t k = code_icmp (sub t k)
-let fcmp t k = code_fcmp (sub t k)
 let cast t k = code_cast (sub t k)
 let opword t k = t.opc.(k)
 let inbounds t k = t.opc.(k) land inbounds_bit <> 0
@@ -371,8 +370,6 @@ let aux1 t k = t.aux1.(k)
 let ty_of_ix t ix = t.types.data.(ix)
 let callee t k = t.strs.data.(t.aux0.(k))
 let xt t i = t.xt.data.(i)
-let label_off t k = t.sof.(k)
-let label_at t i = t.st.data.(i)
 let pool_len t = t.pool.len
 let opnd t s = t.pool.data.(s)
 

@@ -82,7 +82,6 @@ val ibinop : t -> int -> Linstr.ibinop
 
 val fbinop : t -> int -> Linstr.fbinop
 val icmp : t -> int -> Linstr.icmp
-val fcmp : t -> int -> Linstr.fcmp
 val cast : t -> int -> Linstr.cast
 
 (** Full opcode word (tag, sub and flag bits) — a ready-made first key
@@ -113,13 +112,6 @@ val callee : t -> int -> string
 
 (** Int pool read (switch case values, aggregate paths). *)
 val xt : t -> int -> int
-
-(** Label pool: [label_off] is the row's span start; [Br] has one
-    label, [CondBr] two, [Switch] the default then one per case, [Phi]
-    one per incoming operand. *)
-val label_off : t -> int -> int
-
-val label_at : t -> int -> Sym.t
 
 (** {1 Operand pool} *)
 

@@ -66,19 +66,18 @@ let fbin b op x y = emit_value b (Lvalue.type_of x) (FBin (op, x, y))
 let icmp b p x y = emit_value b Ltype.I1 (Icmp (p, x, y))
 let fcmp b p x y = emit_value b Ltype.I1 (Fcmp (p, x, y))
 let select b c x y = emit_value b (Lvalue.type_of x) (Select (c, x, y))
-let freeze b v = emit_value b (Lvalue.type_of v) (Freeze v)
 
-let alloca b ?(count = 1) ~name elem_ty =
-  emit_value b ~name (Ltype.ptr elem_ty) (Alloca (elem_ty, count))
+let alloca b ~name elem_ty =
+  emit_value b ~name (Ltype.ptr elem_ty) (Alloca (elem_ty, 1))
 
 (** Alloca producing an opaque pointer (modern lowering style). *)
-let alloca_opaque b ?(count = 1) ~name elem_ty =
-  emit_value b ~name Ltype.opaque_ptr (Alloca (elem_ty, count))
+let alloca_opaque b ~name elem_ty =
+  emit_value b ~name Ltype.opaque_ptr (Alloca (elem_ty, 1))
 
 let load b ty ptr = emit_value b ty (Load (ty, ptr))
 let store b v ptr = emit b (Linstr.make (Store (v, ptr)))
 
-let gep b ?(inbounds = true) ?(opaque = false) ~src_ty base idxs =
+let gep b ?(opaque = false) ~src_ty base idxs =
   (* Result pointer type: walk [src_ty] through the trailing indices. *)
   let rec walk ty = function
     | [] -> ty
@@ -91,16 +90,16 @@ let gep b ?(inbounds = true) ?(opaque = false) ~src_ty base idxs =
     | _ :: rest -> walk src_ty rest
   in
   let ty = if opaque then Ltype.opaque_ptr else Ltype.ptr pointee in
-  emit_value b ty (Gep { inbounds; src_ty; base; idxs })
+  emit_value b ty (Gep { inbounds = true; src_ty; base; idxs })
 
 let cast b c v ty = emit_value b ty (Cast (c, v, ty))
 
-let call b ?(name = "call") ~ret callee args =
+let call b ~ret callee args =
   if Ltype.equal ret Ltype.Void then begin
     emit b (Linstr.make (Call { callee; ret; args }));
     Lvalue.Const (Lvalue.CUndef Ltype.Void)
   end
-  else emit_value b ~name ret (Call { callee; ret; args })
+  else emit_value b ~name:"call" ret (Call { callee; ret; args })
 
 let extractvalue b agg path ty = emit_value b ty (ExtractValue (agg, path))
 

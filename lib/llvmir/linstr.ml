@@ -61,8 +61,8 @@ type t = {
 
 (** [result] is accepted as text and interned here, so construction
     sites stay string-typed; [""] means void. *)
-let make ?(imeta = []) ?(result = "") ?(ty = Ltype.Void) op =
-  { result = Sym.intern result; ty; op; imeta }
+let make ?(result = "") ?(ty = Ltype.Void) op =
+  { result = Sym.intern result; ty; op; imeta = [] }
 
 (** Result name as text ([""] when void). *)
 let result_name i = Sym.name i.result
@@ -107,36 +107,6 @@ let operands i =
   | CondBr (c, _, _) -> [ c ]
   | Switch (v, _, _) -> [ v ]
   | Unreachable -> []
-
-(** Apply [f] to each operand without building the operand list —
-    the allocation-free variant the function index runs per operand. *)
-let iter_operands f i =
-  match i.op with
-  | IBin (_, a, b) | FBin (_, a, b) | Icmp (_, a, b) | Fcmp (_, a, b) ->
-      f a;
-      f b
-  | Alloca _ | Br _ | Ret None | Unreachable -> ()
-  | Load (_, p) -> f p
-  | Store (v, p) ->
-      f v;
-      f p
-  | Gep { base; idxs; _ } ->
-      f base;
-      List.iter f idxs
-  | Cast (_, v, _) | Freeze v -> f v
-  | Select (c, a, b) ->
-      f c;
-      f a;
-      f b
-  | Phi incoming -> List.iter (fun (v, _) -> f v) incoming
-  | Call { args; _ } -> List.iter f args
-  | ExtractValue (a, _) -> f a
-  | InsertValue (a, v, _) ->
-      f a;
-      f v
-  | Ret (Some v) -> f v
-  | CondBr (c, _, _) -> f c
-  | Switch (v, _, _) -> f v
 
 (** Rebuild the instruction with operands mapped through [f]. *)
 let map_operands f i =

@@ -455,8 +455,7 @@ let run st fname args = run_func st (Lmodule.find_func_exn st.modul fname) args
 (* ------------------------------------------------------------------ *)
 
 (** Allocate a flat float array of [n] elements; returns its address. *)
-let alloc_floats st ?(ty = Ltype.Float) n =
-  alloc st (Ltype.Array (n, ty))
+let alloc_floats st n = alloc st (Ltype.Array (n, Ltype.Float))
 
 let write_floats st addr (vals : float array) =
   Array.iteri
@@ -470,16 +469,16 @@ let read_floats st addr n =
       | Some RUndef | None -> 0.0
       | Some _ -> fail "read_floats: non-float slot")
 
-let alloc_ints st ?(ty = Ltype.I32) n = alloc st (Ltype.Array (n, ty))
+let alloc_ints st n = alloc st (Ltype.Array (n, Ltype.I32))
 
-let write_ints st addr ?(size = 4) (vals : int array) =
+let write_ints st addr (vals : int array) =
   Array.iteri
-    (fun i v -> Hashtbl.replace st.mem (addr + (i * size)) (RInt v))
+    (fun i v -> Hashtbl.replace st.mem (addr + (i * 4)) (RInt v))
     vals
 
-let read_ints st addr ?(size = 4) n =
+let read_ints st addr n =
   Array.init n (fun i ->
-      match Hashtbl.find_opt st.mem (addr + (i * size)) with
+      match Hashtbl.find_opt st.mem (addr + (i * 4)) with
       | Some (RInt v) -> v
       | Some RUndef | None -> 0
       | Some _ -> fail "read_ints: non-int slot")

@@ -72,12 +72,6 @@ let find_decl m name = List.find_opt (fun d -> d.dname = name) m.decls
 let ensure_decl m (d : decl) =
   if find_decl m d.dname <> None then m else { m with decls = d :: m.decls }
 
-let replace_func m f =
-  {
-    m with
-    funcs = List.map (fun g -> if g.fname = f.fname then f else g) m.funcs;
-  }
-
 let map_funcs fn m = { m with funcs = List.map fn m.funcs }
 
 (** [share_unchanged ~prev m] — wherever a function of [m] is

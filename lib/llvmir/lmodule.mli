@@ -52,7 +52,6 @@ val find_decl : t -> string -> decl option
 (** Add a declaration if not already present. *)
 val ensure_decl : t -> decl -> t
 
-val replace_func : t -> func -> t
 val map_funcs : (func -> func) -> t -> t
 
 (** [share_unchanged ~prev m] — reuse [prev]'s physical function

@@ -30,7 +30,6 @@ let is_float = function Float | Double -> true | _ -> false
 let is_pointer = function Ptr _ -> true | _ -> false
 let is_opaque_pointer = function Ptr None -> true | _ -> false
 let is_aggregate = function Array _ | Struct _ -> true | _ -> false
-let is_first_class = function Void -> false | _ -> true
 
 let int_width = function
   | I1 -> 1
@@ -96,8 +95,6 @@ let rec to_string = function
   | Array (n, t) -> Printf.sprintf "[%d x %s]" n (to_string t)
   | Struct fields ->
       "{ " ^ String.concat ", " (List.map to_string fields) ^ " }"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let equal (a : t) (b : t) = a = b
 

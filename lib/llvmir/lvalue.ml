@@ -56,10 +56,6 @@ let const_int_value = function
   | Const (CInt (v, _)) -> Some v
   | _ -> None
 
-let const_float_value = function
-  | Const (CFloat (v, _)) -> Some v
-  | _ -> None
-
 (** Same SSA register? *)
 let same_reg a b =
   match (a, b) with Reg (x, _), Reg (y, _) -> Sym.equal x y | _ -> false

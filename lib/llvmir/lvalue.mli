@@ -39,7 +39,6 @@ val typed_to_string : t -> string
 
 val is_const : t -> bool
 val const_int_value : t -> int option
-val const_float_value : t -> float option
 
 (** Same SSA register? *)
 val same_reg : t -> t -> bool

@@ -215,16 +215,6 @@ type dep = {
   dep_verdict : verdict;
 }
 
-let dep_to_string (cfg : Cfg.t) (d : dep) =
-  let pos (a : access) =
-    Printf.sprintf "%s@%%%s"
-      (if a.acc_is_store then "store" else "load")
-      (Sym.name (Cfg.label cfg a.acc_block))
-  in
-  Printf.sprintf "%s: %s -> %s: %s" d.dep_array (pos d.dep_src)
-    (pos d.dep_dst)
-    (verdict_to_string d.dep_verdict)
-
 (** All dependence pairs (at least one store) whose base regions may
     overlap inside loop [j], with their verdicts.  Store/store pairs
     are included once ([src] is always a store); a store is also

@@ -10,6 +10,21 @@ open Linstr
 open Lmodule
 module Sym = Support.Interner
 
+(* The preheader runs even when the loop body does not (a zero-trip
+   loop, a guarded block), so a hoisted instruction must not trap.
+   Division and remainder trap on a zero divisor, and the signed ones
+   overflow on -1: like LLVM, speculate them only when the divisor is
+   a constant that rules both out. *)
+let speculatable (i : Linstr.t) =
+  match i.op with
+  | IBin (((SDiv | SRem | UDiv | URem) as op), _, d) -> (
+      match d with
+      | Lvalue.Const (Lvalue.CInt (c, ty)) ->
+          let c = Support.Int_sem.norm ~width:(Ltype.int_width ty) c in
+          c <> 0 && (c <> -1 || op = UDiv || op = URem)
+      | _ -> false)
+  | _ -> true
+
 let run_func ?am (f : func) : func * bool =
   let cfg = Analysis.cfg ?am f in
   let li = Analysis.loop_info ?am f in
@@ -55,6 +70,7 @@ let run_func ?am (f : func) : func * bool =
             let hoisted = ref [] in
             let invariant (i : Linstr.t) =
               Linstr.is_pure i
+              && speculatable i
               && (match i.op with Phi _ -> false | _ -> true)
               && List.for_all
                    (fun v ->

@@ -1,5 +1,5 @@
 (** Pass manager for LLVM-level transforms: named passes, pipelines,
-    optional verification between passes, per-pass trace events, and an
+    verification of the pipeline's output, per-pass trace events, and an
     {!Analysis} manager shared across the pipeline.
 
     Every pass declares which analyses it {e preserves}; after the
@@ -86,30 +86,10 @@ let alloc_words () =
   let minor, _, major = Gc.counters () in
   (minor, major)
 
-(** Run a pipeline.  With [~verify:true] (default) the module is
-    verified once after the final pass — the verifier's checks are
-    properties of the output, so one end-of-pipeline run rejects
-    exactly what per-pass runs would, at a fraction of the cost (the
-    incremental verifier re-checks only functions that still differ
-    from their last accepted value).  [~verify_each:true] restores
-    verification after {e every} pass, the debugging mode that
-    attributes a miscompile to the pass that introduced it.  [?trace]
-    receives one {!Support.Tracing.event} per pass (stage [?stage],
-    default ["llvm-opt"]) plus one per analysis query (stage
-    ["analysis"], pass ["<kind>:hit"] / ["<kind>:compute"]).  [?am]
-    is the job's manager, whose analyses of [m] the first pass reuses
-    and whose hook receives the analysis events; without it the
-    pipeline makes its own, reporting to [?trace].  Returns the
-    transformed module and the pipeline's wall time. *)
-let run_pipeline ?(verify = true) ?(verify_each = false)
-    ?(trace = Support.Tracing.null) ?(stage = "llvm-opt")
-    ?(am = Analysis.create ~trace ()) (passes : pass list) (m : Lmodule.t) :
-    Lmodule.t * float =
-  let start = Support.Tracing.now () in
-  let settle p m' =
-    Analysis.keep am ~preserves:p.preserves m';
-    if verify && verify_each then Lverifier.verify_module ~am m'
-  in
+(* The passes alone, one trace event each, without verifying the
+   result. *)
+let run_passes ~trace ~stage ~am (passes : pass list) (m : Lmodule.t) =
+  let settle p m' = Analysis.keep am ~preserves:p.preserves m' in
   (* the clock reads, instruction counts and GC deltas exist only for
      the trace event; under the null hook they are pure overhead on the
      hot path, so skip them entirely *)
@@ -136,9 +116,26 @@ let run_pipeline ?(verify = true) ?(verify_each = false)
       m'
     end
   in
-  let m' = List.fold_left step m passes in
-  if verify && (not verify_each) && passes <> [] then
-    Lverifier.verify_module ~am m';
+  List.fold_left step m passes
+
+(** Run a pipeline and verify the module once after the final pass —
+    the verifier's checks are properties of the output, so one
+    end-of-pipeline run rejects exactly what per-pass runs would, at a
+    fraction of the cost (the incremental verifier re-checks only
+    functions that still differ from their last accepted value).
+    [?trace] receives one {!Support.Tracing.event} per pass (stage
+    [?stage], default ["llvm-opt"]) plus one per analysis query (stage
+    ["analysis"], pass ["<kind>:hit"] / ["<kind>:compute"]).  [?am]
+    is the job's manager, whose analyses of [m] the first pass reuses
+    and whose hook receives the analysis events; without it the
+    pipeline makes its own, reporting to [?trace].  Returns the
+    transformed module and the pipeline's wall time. *)
+let run_pipeline ?(trace = Support.Tracing.null) ?(stage = "llvm-opt")
+    ?(am = Analysis.create ~trace ()) (passes : pass list) (m : Lmodule.t) :
+    Lmodule.t * float =
+  let start = Support.Tracing.now () in
+  let m' = run_passes ~trace ~stage ~am passes m in
+  if passes <> [] then Lverifier.verify_module ~am m';
   (m', Support.Tracing.now () -. start)
 
 (* ------------------------------------------------------------------ *)
@@ -189,17 +186,13 @@ let split_func_local (passes : pass list) : pass list * pass list =
     The coordinator's one manager computes the {!Effects} summary
     the verdict reads and serves the sequential prologue (or the
     fallback pipeline), which reuses the function indexes the summary
-    built.  Worker domains use fresh private {!Analysis} managers and
-    the null trace hook (user trace hooks are not required to be
-    domain-safe); the coordinator emits one ["llvm-opt"] event for the
-    parallel tail. *)
-let run_pipeline_parallel ?(verify = true) ?(trace = Support.Tracing.null)
-    ~(fanout : fanout) (passes : pass list) (m : Lmodule.t) :
-    Lmodule.t * float * par_status =
+    built.  Worker domains use fresh private {!Analysis} managers. *)
+let run_pipeline_parallel ~(fanout : fanout) (passes : pass list)
+    (m : Lmodule.t) : Lmodule.t * float * par_status =
   let start = Support.Tracing.now () in
-  let am = Analysis.create ~trace () in
+  let am = Analysis.create () in
   let fallback reason =
-    let m, _ = run_pipeline ~verify ~trace ~am passes m in
+    let m, _ = run_pipeline ~am passes m in
     (m, Support.Tracing.now () -. start, Fell_back reason)
   in
   if fanout.jobs <= 1 then fallback "jobs <= 1"
@@ -217,13 +210,13 @@ let run_pipeline_parallel ?(verify = true) ?(trace = Support.Tracing.null)
             (* no prologue verify: every function's final value is
                verified once in its worker below, which covers the
                prologue's output too *)
-            let m1, _ = run_pipeline ~verify:false ~trace ~am prologue m in
+            let m1 =
+              run_passes ~trace:Support.Tracing.null ~stage:"llvm-opt" ~am
+                prologue m
+            in
             (* Workers verify their function once after the whole tail,
                against [m1] (tail passes are function-local, so callee
-               signatures never move): per-pass whole-module
-               re-verification is the sequential path's attribution
-               aid, and paying it n times per pass here would cost more
-               than the fan-out wins back.  Each arena-backed pass
+               signatures never move).  Each arena-backed pass
                seeds its output's function index ({!Analysis.seed_findex},
                installed by [keep] below), so the scoped verification
                reads the flat storage the passes wrote instead of
@@ -239,28 +232,13 @@ let run_pipeline_parallel ?(verify = true) ?(trace = Support.Tracing.null)
                     f')
                   f tail
               in
-              if verify then Lverifier.verify_func ~am m1 f;
+              Lverifier.verify_func ~am m1 f;
               f
             in
-            let traced = trace != Support.Tracing.null in
-            let minor0, major0 = if traced then alloc_words () else (0., 0.) in
-            let t0 = Support.Tracing.now () in
             let funcs = fanout.map worker m1.Lmodule.funcs in
-            let m2 = { m1 with Lmodule.funcs = funcs } in
-            (* coordinator-domain allocation only; worker-domain words
-               are invisible to this domain's [Gc.counters] *)
-            if traced then begin
-              let seconds = Support.Tracing.now () -. t0 in
-              let minor1, major1 = alloc_words () in
-              trace
-                (Support.Tracing.with_alloc ~minor_words:(minor1 -. minor0)
-                   ~major_words:(major1 -. major0)
-                   (Support.Tracing.event ~stage:"llvm-opt"
-                      ~pass:"parallel-tail" ~seconds
-                      ~before:(Lmodule.instr_count m1)
-                      ~after:(Lmodule.instr_count m2)))
-            end;
-            (m2, Support.Tracing.now () -. start, Ran_parallel (List.length funcs)))
+            ( { m1 with Lmodule.funcs = funcs },
+              Support.Tracing.now () -. start,
+              Ran_parallel (List.length funcs) ))
 
 let by_name = function
   | "inline" -> Some inline

@@ -1,5 +1,5 @@
 (** Pass manager for LLVM-level transforms: named passes, pipelines,
-    optional verification between passes, per-pass trace events, and an
+    verification of the pipeline's output, per-pass trace events, and an
     {!Analysis} manager shared across the pipeline.
 
     Every pass declares which analyses it {e preserves}; after the
@@ -37,14 +37,12 @@ val licm : pass
 (** The -O2-flavoured cleanup pipeline both flows run before HLS. *)
 val default_pipeline : pass list
 
-(** Run a pipeline.  With [~verify:true] (default) the module is
-    verified once after the final pass: the verifier's checks are
+(** Run a pipeline and verify the module once after the final pass
+    (not at all for an empty pipeline): the verifier's checks are
     properties of the output, so one end-of-pipeline run rejects
     exactly what per-pass verification would, and the incremental
     verifier re-checks only functions that changed since their last
-    accepted value.  [~verify_each:true] restores verification after
-    {e every} pass — the debugging mode that attributes a miscompile
-    to the pass that introduced it.  [?trace] receives one
+    accepted value.  [?trace] receives one
     {!Support.Tracing.event} per pass (stage [?stage], default
     ["llvm-opt"]; the adaptor passes ["adaptor"]) plus one per analysis
     query (stage ["analysis"], pass ["<kind>:hit"] /
@@ -56,8 +54,6 @@ val default_pipeline : pass list
     transformed module and the pipeline's wall time in seconds
     ({!Support.Tracing.now}). *)
 val run_pipeline :
-  ?verify:bool ->
-  ?verify_each:bool ->
   ?trace:Support.Tracing.hook ->
   ?stage:string ->
   ?am:Analysis.t ->
@@ -98,16 +94,12 @@ val split_func_local : pass list -> pass list * pass list
     at most one function, the verdict is [Unsafe], or no pass in the
     pipeline tail is function-local.
 
-    With [~verify:true], each worker verifies its function once after
-    the full tail (which also covers the sequential prologue's output)
-    — a miscompile is still caught before the module is reassembled,
-    but is attributed to the pipeline as a whole rather than to one
-    pass (re-run sequentially with [~verify_each:true] to bisect).
-    The seconds are the wall time of the whole call, not a sum over
-    worker domains. *)
+    Each worker verifies its function once after the full tail (which
+    also covers the sequential prologue's output), so a miscompile is
+    caught before the module is reassembled, attributed to the
+    pipeline as a whole rather than to one pass.  The seconds are the
+    wall time of the whole call, not a sum over worker domains. *)
 val run_pipeline_parallel :
-  ?verify:bool ->
-  ?trace:Support.Tracing.hook ->
   fanout:fanout ->
   pass list ->
   Lmodule.t ->

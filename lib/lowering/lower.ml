@@ -30,37 +30,16 @@ module Sym = Support.Interner
 
 let fail = Support.Err.fail ~pass:"lowering"
 
-type style = {
-  opaque_pointers : bool;
-  use_descriptors : bool;
-  modern_intrinsics : bool;
-  emit_lifetimes : bool;
-  emit_assumes : bool;
-  loop_metadata : bool;
-}
+(** [Modern] is what [mlir-translate] produces today (LLVM 14+
+    dialect): opaque pointers, memref descriptors, modern intrinsics,
+    lifetime markers and assumes.  [Classic] emits none of them (typed
+    pointers, nested-array GEPs, compare-and-select min/max); tests use
+    it to cross-check the adaptor against a direct lowering.  Both
+    attach the loop metadata. *)
+type style = Modern | Classic
 
-(** What [mlir-translate] produces today (LLVM 14+ dialect). *)
-let modern =
-  {
-    opaque_pointers = true;
-    use_descriptors = true;
-    modern_intrinsics = true;
-    emit_lifetimes = true;
-    emit_assumes = true;
-    loop_metadata = true;
-  }
-
-(** A conservative classic style (typed pointers, no descriptors); used
-    by tests to cross-check the adaptor against a direct lowering. *)
-let classic =
-  {
-    opaque_pointers = false;
-    use_descriptors = false;
-    modern_intrinsics = false;
-    emit_lifetimes = false;
-    emit_assumes = false;
-    loop_metadata = true;
-  }
+let modern = Modern
+let classic = Classic
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                              *)
@@ -86,15 +65,12 @@ and memref_array_ty (t : Types.ty) : Ltype.t =
         (lower_scalar_ty elem)
   | _ -> fail "memref_array_ty: not a memref"
 
-(** Descriptor struct type for a rank-[r] memref. *)
-let descriptor_ty (style : style) (t : Types.ty) : Ltype.t =
+(** Descriptor struct type for a rank-[r] memref (modern style). *)
+let descriptor_ty (t : Types.ty) : Ltype.t =
   match t with
-  | Types.Memref (shape, elem) ->
+  | Types.Memref (shape, _) ->
       let rank = List.length shape in
-      let p =
-        if style.opaque_pointers then Ltype.opaque_ptr
-        else Ltype.ptr (lower_scalar_ty elem)
-      in
+      let p = Ltype.opaque_ptr in
       Ltype.Struct
         [ p; p; Ltype.I64; Ltype.Array (rank, Ltype.I64); Ltype.Array (rank, Ltype.I64) ]
   | _ -> fail "descriptor_ty: not a memref"
@@ -148,13 +124,6 @@ let need_decl env (d : Llvmir.Lmodule.decl) =
   if not (List.exists (fun (x : Llvmir.Lmodule.decl) -> x.dname = d.dname) env.decls)
   then env.decls <- d :: env.decls
 
-let elem_lty env (r : memref_repr) =
-  ignore env;
-  lower_scalar_ty r.elem
-
-let ptr_ty env elem =
-  if env.style.opaque_pointers then Ltype.opaque_ptr else Ltype.ptr elem
-
 (* ------------------------------------------------------------------ *)
 (* Descriptor construction                                            *)
 (* ------------------------------------------------------------------ *)
@@ -162,7 +131,7 @@ let ptr_ty env elem =
 (** Pack a bare data pointer into a full descriptor with static
     shape/stride fields — the [insertvalue] chain MLIR emits. *)
 let build_descriptor env (mty : Types.ty) (data : Lvalue.t) : Lvalue.t =
-  let dty = descriptor_ty env.style mty in
+  let dty = descriptor_ty mty in
   let shape, _elem =
     match mty with
     | Types.Memref (s, e) -> (s, e)
@@ -188,10 +157,9 @@ let build_descriptor env (mty : Types.ty) (data : Lvalue.t) : Lvalue.t =
     in modern style (each access re-extracts, as MLIR's generated code
     does before instcombine cleans it up). *)
 let data_ptr env (r : memref_repr) : Lvalue.t =
-  match (env.style.use_descriptors, r.desc) with
-  | true, Some d ->
-      B.extractvalue env.b d [ 1 ] (ptr_ty env (lower_scalar_ty r.elem))
-  | _ -> r.base_ptr
+  match r.desc with
+  | Some d -> B.extractvalue env.b d [ 1 ] Ltype.opaque_ptr
+  | None -> r.base_ptr
 
 (* ------------------------------------------------------------------ *)
 (* Subscript lowering                                                 *)
@@ -251,7 +219,7 @@ let lower_map env (map : Affine_map.t) (operands : Lvalue.t list) :
     type. *)
 let access_addr env (r : memref_repr) (idxs : Lvalue.t list) : Lvalue.t =
   let elem = lower_scalar_ty r.elem in
-  if env.style.use_descriptors then begin
+  if env.style = Modern then begin
     let strides = strides_of_shape r.shape in
     let lin =
       List.fold_left2
@@ -267,7 +235,7 @@ let access_addr env (r : memref_repr) (idxs : Lvalue.t list) : Lvalue.t =
     in
     let lin = match lin with Some v -> v | None -> Lvalue.ci64 0 in
     let ptr = data_ptr env r in
-    B.gep env.b ~opaque:env.style.opaque_pointers ~src_ty:elem ptr [ lin ]
+    B.gep env.b ~opaque:true ~src_ty:elem ptr [ lin ]
   end
   else begin
     let arr_ty = memref_array_ty (Types.Memref (r.shape, r.elem)) in
@@ -393,7 +361,7 @@ and lower_op env fctx (rest : Ir.op list) (o : Ir.op) : unit =
   | "arith.shrui" -> bind1 (B.ibin b LShr (lv 0) (lv 1))
   | "arith.maxsi" | "arith.minsi" | "arith.maxui" | "arith.minui" ->
       let x = lv 0 and y = lv 1 in
-      if env.style.modern_intrinsics then begin
+      if env.style = Modern then begin
         let ty = Lvalue.type_of x in
         let name =
           (match o.Ir.name with
@@ -441,7 +409,7 @@ and lower_op env fctx (rest : Ir.op list) (o : Ir.op) : unit =
       let r = res () in
       (* defer if the unique use is a later addf in this block *)
       let fused =
-        env.style.modern_intrinsics
+        env.style = Modern
         && Hashtbl.find_opt fctx.uses r.Ir.id = Some 1
         && List.exists
              (fun (o2 : Ir.op) ->
@@ -497,14 +465,13 @@ and lower_op env fctx (rest : Ir.op list) (o : Ir.op) : unit =
         | _ -> fail "memref.alloc: bad type"
       in
       let data =
-        if env.style.opaque_pointers then
-          B.alloca_opaque b ~name:"buf" arr_ty
-        else
-          let p = B.alloca b ~name:"buf" arr_ty in
-          (* classic: keep nested-array pointer; bitcast to elem* not needed *)
-          p
+        match env.style with
+        | Modern -> B.alloca_opaque b ~name:"buf" arr_ty
+        | Classic ->
+            (* keep the nested-array pointer; no bitcast to elem* *)
+            B.alloca b ~name:"buf" arr_ty
       in
-      if env.style.emit_lifetimes then begin
+      if env.style = Modern then begin
         let pty = Lvalue.type_of data in
         need_decl env
           {
@@ -517,13 +484,12 @@ and lower_op env fctx (rest : Ir.op list) (o : Ir.op) : unit =
              [ Lvalue.ci64 (Ltype.sizeof arr_ty); data ])
       end;
       let desc =
-        if env.style.use_descriptors then
-          Some (build_descriptor env r.Ir.ty data)
+        if env.style = Modern then Some (build_descriptor env r.Ir.ty data)
         else None
       in
       Hashtbl.replace env.memrefs r.Ir.id { desc; base_ptr = data; shape; elem }
   | "memref.dealloc" ->
-      if env.style.emit_lifetimes then begin
+      if env.style = Modern then begin
         let r = lookup_memref env (operand 0) in
         let pty = Lvalue.type_of r.base_ptr in
         need_decl env
@@ -616,7 +582,7 @@ and lower_counted_loop env fctx ~(lb : Lvalue.t) ~(ub : Lvalue.t)
     | [] -> fail "loop region lacks induction variable"
   in
   (* optional assume: trip count positive — a modern-IR-ism *)
-  if env.style.emit_assumes then begin
+  if env.style = Modern then begin
     need_decl env
       { dname = "llvm.assume"; dret = Ltype.Void; dargs = [ Ltype.I1 ] };
     let pos = B.icmp b Linstr.ISle lb ub in
@@ -684,26 +650,24 @@ and lower_counted_loop env fctx ~(lb : Lvalue.t) ~(ub : Lvalue.t)
     (Linstr.make ~result:next_name ~ty:Ltype.I64
        (Linstr.IBin (Linstr.Add, iv, step)));
   B.br b header;
-  if env.style.loop_metadata then begin
-    let md = ref [] in
-    List.iter
-      (fun (k, a) ->
-        match (k, a) with
-        | "hls.pipeline", Attr.Int ii ->
-            md := ("llvm.loop.pipeline.enable", Linstr.MInt 1)
-                  :: ("llvm.loop.pipeline.ii", Linstr.MInt ii) :: !md
-        | "hls.pipeline", Attr.Bool true ->
-            md := ("llvm.loop.pipeline.enable", Linstr.MInt 1) :: !md
-        | "hls.unroll", Attr.Int f ->
-            md := ("llvm.loop.unroll.count", Linstr.MInt f) :: !md
-        | "hls.unroll", Attr.Bool true ->
-            md := ("llvm.loop.unroll.full", Linstr.MInt 1) :: !md
-        | "hls.tripcount", Attr.Int t ->
-            md := ("llvm.loop.tripcount", Linstr.MInt t) :: !md
-        | _ -> ())
-      dir_attrs;
-    if !md <> [] then B.annotate_last b !md
-  end;
+  let md = ref [] in
+  List.iter
+    (fun (k, a) ->
+      match (k, a) with
+      | "hls.pipeline", Attr.Int ii ->
+          md := ("llvm.loop.pipeline.enable", Linstr.MInt 1)
+                :: ("llvm.loop.pipeline.ii", Linstr.MInt ii) :: !md
+      | "hls.pipeline", Attr.Bool true ->
+          md := ("llvm.loop.pipeline.enable", Linstr.MInt 1) :: !md
+      | "hls.unroll", Attr.Int f ->
+          md := ("llvm.loop.unroll.count", Linstr.MInt f) :: !md
+      | "hls.unroll", Attr.Bool true ->
+          md := ("llvm.loop.unroll.full", Linstr.MInt 1) :: !md
+      | "hls.tripcount", Attr.Int t ->
+          md := ("llvm.loop.tripcount", Linstr.MInt t) :: !md
+      | _ -> ())
+    dir_attrs;
+  if !md <> [] then B.annotate_last b !md;
   (* exit *)
   B.start_block b exit;
   (* patch iter phis with latch incoming (the yielded values) *)
@@ -846,12 +810,11 @@ let lower_func (style : style) (mhf : Ir.func) : Llvmir.Lmodule.func * Llvmir.Lm
         let hint = if v.Ir.hint = "" then "arg" ^ string_of_int v.Ir.id else v.Ir.hint in
         let pname = B.fresh_name b hint in
         match v.Ir.ty with
-        | Types.Memref (_, elem) ->
+        | Types.Memref _ ->
             let pty =
-              if style.opaque_pointers then Ltype.opaque_ptr
-              else if style.use_descriptors then
-                Ltype.ptr (lower_scalar_ty elem)
-              else Ltype.ptr (memref_array_ty v.Ir.ty)
+              match style with
+              | Modern -> Ltype.opaque_ptr
+              | Classic -> Ltype.ptr (memref_array_ty v.Ir.ty)
             in
             { Llvmir.Lmodule.pname; pty; pattrs = [] }
         | t -> { Llvmir.Lmodule.pname; pty = lower_scalar_ty t; pattrs = [] })
@@ -865,7 +828,7 @@ let lower_func (style : style) (mhf : Ir.func) : Llvmir.Lmodule.func * Llvmir.Lm
       | Types.Memref (shape, elem) ->
           let bare = Lvalue.reg p.Llvmir.Lmodule.pname p.Llvmir.Lmodule.pty in
           let desc =
-            if style.use_descriptors then Some (build_descriptor env v.Ir.ty bare)
+            if style = Modern then Some (build_descriptor env v.Ir.ty bare)
             else None
           in
           Hashtbl.replace env.memrefs v.Ir.id

@@ -136,5 +136,3 @@ let rec to_string = function
       Printf.sprintf "(%s floordiv %s)" (to_string a) (to_string b)
   | CeilDiv (a, b) ->
       Printf.sprintf "(%s ceildiv %s)" (to_string a) (to_string b)
-
-let pp fmt e = Format.pp_print_string fmt (to_string e)

@@ -60,6 +60,4 @@ let to_string m =
     symp
     (String.concat ", " (List.map Affine_expr.to_string m.exprs))
 
-let pp fmt m = Format.pp_print_string fmt (to_string m)
-
 let equal (a : t) (b : t) = a = b

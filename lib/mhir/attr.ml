@@ -19,18 +19,13 @@ let rec to_string = function
   | Map m -> Affine_map.to_string m
   | List l -> "[" ^ String.concat ", " (List.map to_string l) ^ "]"
 
-let pp fmt a = Format.pp_print_string fmt (to_string a)
-
 (* Typed accessors: raise [Invalid_argument] on kind mismatch so dialect
    verifiers surface malformed attributes early. *)
 
 let as_int = function Int i -> i | a -> invalid_arg ("Attr.as_int: " ^ to_string a)
 let as_float = function Float f -> f | Int i -> float_of_int i | a -> invalid_arg ("Attr.as_float: " ^ to_string a)
-let as_bool = function Bool b -> b | a -> invalid_arg ("Attr.as_bool: " ^ to_string a)
 let as_str = function Str s -> s | a -> invalid_arg ("Attr.as_str: " ^ to_string a)
-let as_type = function Type t -> t | a -> invalid_arg ("Attr.as_type: " ^ to_string a)
 let as_map = function Map m -> m | a -> invalid_arg ("Attr.as_map: " ^ to_string a)
-let as_list = function List l -> l | a -> invalid_arg ("Attr.as_list: " ^ to_string a)
 
 (** Lookup in an attribute dictionary. *)
 let find attrs key = List.assoc_opt key attrs

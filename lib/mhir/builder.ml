@@ -111,13 +111,6 @@ let divf b x y = binop b "arith.divf" check_float x y
 let maxf b x y = binop b "arith.maximumf" check_float x y
 let minf b x y = binop b "arith.minimumf" check_float x y
 
-let negf b x =
-  check_float "arith.negf" x;
-  let r = new_value b x.ty in
-  emit b
-    { name = "arith.negf"; operands = [ x ]; results = [ r ]; attrs = []; regions = [] };
-  r
-
 type cmpi_pred = Eq | Ne | Slt | Sle | Sgt | Sge | Ult | Ule | Ugt | Uge
 
 let string_of_cmpi = function
@@ -193,20 +186,17 @@ let cast b name check_src v ty =
 
 let index_cast b v ty = cast b "arith.index_cast" check_int v ty
 let sitofp b v ty = cast b "arith.sitofp" check_int v ty
-let fptosi b v ty = cast b "arith.fptosi" check_float v ty
-let extf b v ty = cast b "arith.extf" check_float v ty
-let truncf b v ty = cast b "arith.truncf" check_float v ty
 
 (* ------------------------------------------------------------------ *)
 (* memref                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let memref_alloc ?(alloca = false) b ty =
+let memref_alloc b ty =
   if not (Types.is_memref ty) then fail "memref.alloc: result must be memref";
   let r = new_value b ty in
   emit b
     {
-      name = (if alloca then "memref.alloca" else "memref.alloc");
+      name = "memref.alloc";
       operands = [];
       results = [ r ];
       attrs = [];
@@ -214,70 +204,9 @@ let memref_alloc ?(alloca = false) b ty =
     };
   r
 
-let memref_dealloc b v =
-  emit b
-    { name = "memref.dealloc"; operands = [ v ]; results = []; attrs = []; regions = [] }
-
-let check_subscript name mem idxs =
-  match mem.ty with
-  | Types.Memref (shape, elem) ->
-      if List.length shape <> List.length idxs then
-        fail "%s: rank mismatch (%d subscripts for %s)" name
-          (List.length idxs) (Types.to_string mem.ty);
-      List.iter
-        (fun i ->
-          if not (Types.equal i.ty Types.Index) then
-            fail "%s: subscripts must have index type" name)
-        idxs;
-      elem
-  | _ -> fail "%s: base must be a memref, got %s" name (Types.to_string mem.ty)
-
-let memref_load b mem idxs =
-  let elem = check_subscript "memref.load" mem idxs in
-  let r = new_value b elem in
-  emit b
-    {
-      name = "memref.load";
-      operands = mem :: idxs;
-      results = [ r ];
-      attrs = [];
-      regions = [];
-    };
-  r
-
-let memref_store b v mem idxs =
-  let elem = check_subscript "memref.store" mem idxs in
-  if not (Types.equal v.ty elem) then
-    fail "memref.store: value type %s does not match element type %s"
-      (Types.to_string v.ty) (Types.to_string elem);
-  emit b
-    {
-      name = "memref.store";
-      operands = v :: mem :: idxs;
-      results = [];
-      attrs = [];
-      regions = [];
-    }
-
 (* ------------------------------------------------------------------ *)
 (* affine                                                             *)
 (* ------------------------------------------------------------------ *)
-
-let affine_apply b map operands =
-  if Affine_map.num_results map <> 1 then
-    fail "affine.apply: map must have exactly one result";
-  if List.length operands <> map.Affine_map.num_dims + map.Affine_map.num_syms
-  then fail "affine.apply: wrong number of operands";
-  let r = new_value b Types.Index in
-  emit b
-    {
-      name = "affine.apply";
-      operands;
-      results = [ r ];
-      attrs = [ ("map", Attr.Map map) ];
-      regions = [];
-    };
-  r
 
 let affine_load b mem ~map operands =
   (match mem.ty with

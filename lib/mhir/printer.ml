@@ -214,5 +214,3 @@ let module_to_string ?(generic = false) (m : modul) =
   "module {\n"
   ^ String.concat "\n" (List.map (func_to_string ~generic) m.funcs)
   ^ "}\n"
-
-let print ?generic m = print_string (module_to_string ?generic m)

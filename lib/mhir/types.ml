@@ -18,7 +18,6 @@ type fn_ty = { inputs : ty list; outputs : ty list }
 
 let is_int = function I1 | I32 | I64 | Index -> true | _ -> false
 let is_float = function F32 | F64 -> true | _ -> false
-let is_scalar t = is_int t || is_float t
 let is_memref = function Memref _ -> true | _ -> false
 
 (** Bit-width of an integer type (Index counts as 64). *)
@@ -29,12 +28,12 @@ let int_width = function
   | t -> invalid_arg "Types.int_width: not an integer type"
   [@@warning "-27"]
 
-let memref ?(elem = F32) shape =
+let memref shape =
   List.iter
     (fun d ->
       if d <= 0 then invalid_arg "Types.memref: dimensions must be static and positive")
     shape;
-  Memref (shape, elem)
+  Memref (shape, F32)
 
 (** Number of scalar elements in a memref type. *)
 let memref_size = function
@@ -52,8 +51,6 @@ let rec to_string = function
       Printf.sprintf "memref<%sx%s>"
         (String.concat "x" (List.map string_of_int shape))
         (to_string elem)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let equal (a : ty) (b : ty) = a = b
 

@@ -94,7 +94,7 @@ let request ?(stream = false) ?on_event (c : t) (req : P.request) :
     reply (returned in request order).  Because the frames travel in
     one segment, the server reads them in a single intake wave — so
     identical requests in [reqs] are guaranteed to coalesce. *)
-let pipeline ?on_event (c : t) (reqs : P.request list) :
+let pipeline (c : t) (reqs : P.request list) :
     (P.reply list, string) result =
   let ids = List.map (fun _ -> fresh_id c) reqs in
   (try
@@ -103,5 +103,5 @@ let pipeline ?on_event (c : t) (reqs : P.request list) :
           (fun id req -> P.Request { q_id = id; q_stream = false; q_req = req })
           ids reqs)
    with Unix.Unix_error (e, _, _) -> raise (Failure (Unix.error_message e)));
-  let* rs = collect ?on_event c ids in
+  let* rs = collect c ids in
   Ok (List.map snd rs)

@@ -31,7 +31,6 @@ val request :
     one segment, the server reads them in a single intake wave — so
     identical requests in the list are guaranteed to coalesce. *)
 val pipeline :
-  ?on_event:(Protocol.event -> unit) ->
   t ->
   Protocol.request list ->
   (Protocol.reply list, string) result

@@ -59,7 +59,6 @@ let create () = { items = [] }
 let add (b : buffer) (d : t) = b.items <- d :: b.items
 let add_all (b : buffer) (ds : t list) = List.iter (add b) ds
 let contents (b : buffer) : t list = List.rev b.items
-let is_empty (b : buffer) = b.items = []
 
 (* ------------------------------------------------------------------ *)
 (* Batch queries                                                      *)
@@ -186,7 +185,3 @@ let of_err ~rule (e : Err.t) : t =
     message = Printf.sprintf "[%s] %s" e.Err.pass e.Err.message;
     hint = Option.map (fun c -> "in: " ^ c) e.Err.context;
   }
-
-(** Raise {!Failed} when the batch contains errors; otherwise return it. *)
-let check_errors (ds : t list) : t list =
-  if errors ds > 0 then raise (Failed ds) else ds

@@ -29,8 +29,6 @@ let to_string { severity; pass; message; context } =
   let ctx = match context with None -> "" | Some c -> "\n  in: " ^ c in
   Printf.sprintf "[%s] %s: %s%s" pass sev message ctx
 
-let pp fmt_ e = Format.pp_print_string fmt_ (to_string e)
-
 (** [guard ~pass cond msg] raises when [cond] is false. *)
 let guard ?context ~pass cond msg =
   if not cond then fail ?context ~pass "%s" msg

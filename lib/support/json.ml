@@ -332,9 +332,7 @@ let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List xs -> Some xs | _ -> None
 
 let str_member k v = Option.bind (member k v) to_str
-let int_member k v = Option.bind (member k v) to_int
 let float_member k v = Option.bind (member k v) to_float
-let bool_member k v = Option.bind (member k v) to_bool
 let list_member k v = Option.bind (member k v) to_list
 
 (* ------------------------------------------------------------------ *)

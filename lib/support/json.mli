@@ -47,9 +47,7 @@ val to_list : t -> t list option
 (** [Option.bind (member k v)] over the matching accessor. *)
 val str_member : string -> t -> string option
 
-val int_member : string -> t -> int option
 val float_member : string -> t -> float option
-val bool_member : string -> t -> bool option
 val list_member : string -> t -> t list option
 
 (** {1 Codecs}

@@ -1064,8 +1064,7 @@ let mmcall ?(n = 12) () : kernel =
 (* ------------------------------------------------------------------ *)
 
 (** The evaluation suite (paper-style kernel set). *)
-let all ?scale () : kernel list =
-  ignore scale;
+let all () : kernel list =
   [
     gemm ();
     mm2 ();

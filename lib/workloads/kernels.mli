@@ -68,6 +68,6 @@ val seidel2d : ?n:int -> unit -> kernel
 val mmcall : ?n:int -> unit -> kernel
 
 (** Every kernel at its default problem size. *)
-val all : ?scale:int -> unit -> kernel list
+val all : unit -> kernel list
 
 val by_name : string -> kernel option

@@ -440,6 +440,40 @@ let test_report_identical_across_runs () =
       Alcotest.(check string) (Printf.sprintf "run %d" i) first (render ()))
     [ 2; 3 ]
 
+(* canonicalize-geps changes nothing in gemm, so its cleanup DCE reads
+   the function index the pass itself got from the job's manager: the
+   queries between the typed-pointers and canonicalize-geps events
+   include a hit. *)
+let test_canonicalize_geps_reuses_index () =
+  let lm = gemm_modern () in
+  let trace, events = Support.Tracing.collector () in
+  let am = Analysis.create ~trace () in
+  (match A.run ~trace ~am lm with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "adaptor rejected gemm");
+  let rec after_typed_pointers = function
+    | [] -> Alcotest.fail "no typed-pointers event"
+    | (e : Support.Tracing.event) :: rest ->
+        if e.ev_stage = "adaptor" && e.ev_pass = "typed-pointers" then rest
+        else after_typed_pointers rest
+  in
+  let rec queries acc = function
+    | [] -> Alcotest.fail "no canonicalize-geps event"
+    | (e : Support.Tracing.event) :: rest ->
+        if e.ev_stage = "adaptor" then begin
+          Alcotest.(check string) "next adaptor pass" "canonicalize-geps"
+            e.ev_pass;
+          List.rev acc
+        end
+        else queries (e.ev_pass :: acc) rest
+  in
+  let qs = queries [] (after_typed_pointers (events ())) in
+  Alcotest.(check bool)
+    ("canonicalize-geps queries include a findex hit: "
+    ^ String.concat ", " qs)
+    true
+    (List.mem "findex:hit" qs)
+
 let suite =
   [
     Alcotest.test_case "legalize smax" `Quick test_legalize_smax;
@@ -453,6 +487,8 @@ let suite =
     Alcotest.test_case "typed pointers default i8*" `Quick test_typed_pointers_default_i8;
     Alcotest.test_case "gep merge" `Quick test_gep_merge;
     Alcotest.test_case "gep index widening" `Quick test_gep_index_widening;
+    Alcotest.test_case "gep cleanup reuses the job's index" `Quick
+      test_canonicalize_geps_reuses_index;
     Alcotest.test_case "metadata translation" `Quick test_metadata_translation;
     Alcotest.test_case "interface lowering" `Quick test_interface_lowering;
     Alcotest.test_case "full adaptor (all kernels)" `Quick test_full_adaptor_on_all_kernels;

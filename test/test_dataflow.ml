@@ -1,93 +1,11 @@
-(** Tests for the generic dataflow framework: liveness and reaching
-    definitions on diamond/loop CFGs, and dead-store detection. *)
+(** Tests for dead-store detection. *)
 
 open Llvmir
-module SS = Dataflow.SymSet
-
-let sym = Support.Interner.intern
 
 let parse_fn text =
   let m = Lparser.parse_module text in
   Lverifier.verify_module m;
   List.hd m.Lmodule.funcs
-
-let idx cfg l = Cfg.index_of_exn cfg l
-
-let diamond =
-  {|define i64 @f(i1 %c, i64 %x, i64 %y) {
-entry:
-  %a = add i64 %x, 1
-  br i1 %c, label %l, label %r
-l:
-  %b = add i64 %a, 2
-  br label %join
-r:
-  br label %join
-join:
-  %p = phi i64 [ %b, %l ], [ %y, %r ]
-  ret i64 %p
-}|}
-
-let test_liveness_diamond () =
-  let cfg = Cfg.build (parse_fn diamond) in
-  let lv = Dataflow.liveness cfg in
-  let mem r b = SS.mem (sym r) lv.Dataflow.live_in.(idx cfg b) in
-  let memo r b = SS.mem (sym r) lv.Dataflow.live_out.(idx cfg b) in
-  Alcotest.(check bool) "a live into l" true (mem "a" "l");
-  Alcotest.(check bool) "a dead into r" false (mem "a" "r");
-  (* phi operands are edge uses: %y is live out of r, %b out of l,
-     and neither is live into join *)
-  Alcotest.(check bool) "y live into r" true (mem "y" "r");
-  Alcotest.(check bool) "b live out of l" true (memo "b" "l");
-  Alcotest.(check bool) "b not live into join" false (mem "b" "join");
-  Alcotest.(check bool) "y not live into join" false (mem "y" "join");
-  Alcotest.(check bool) "y live out of entry" true (memo "y" "entry");
-  Alcotest.(check bool) "nothing live out of join" true
-    (SS.is_empty lv.Dataflow.live_out.(idx cfg "join"))
-
-let loop_fn =
-  {|define void @f() {
-entry:
-  br label %header
-header:
-  %i = phi i64 [ 0, %entry ], [ %i.next, %latch ]
-  %c = icmp slt i64 %i, 10
-  br i1 %c, label %body, label %exit
-body:
-  br label %latch
-latch:
-  %i.next = add i64 %i, 1
-  br label %header
-exit:
-  ret void
-}|}
-
-let test_liveness_loop () =
-  let cfg = Cfg.build (parse_fn loop_fn) in
-  let lv = Dataflow.liveness cfg in
-  let mem r b = SS.mem (sym r) lv.Dataflow.live_in.(idx cfg b) in
-  (* %i flows around the loop: used in the latch, so live through body *)
-  Alcotest.(check bool) "i live into body" true (mem "i" "body");
-  Alcotest.(check bool) "i live into latch" true (mem "i" "latch");
-  Alcotest.(check bool) "i dead into exit" false (mem "i" "exit");
-  (* %i.next is consumed by the back-edge phi use inside the latch *)
-  Alcotest.(check bool) "i.next not live into latch" false
-    (mem "i.next" "latch")
-
-let test_reaching_defs () =
-  let cfg = Cfg.build (parse_fn diamond) in
-  let rd = Dataflow.reaching_definitions cfg in
-  let reaches name b =
-    Dataflow.DefSet.exists
-      (fun (n, _, _) -> n = sym name)
-      rd.Dataflow.reach_in.(idx cfg b)
-  in
-  Alcotest.(check bool) "b reaches join" true (reaches "b" "join");
-  Alcotest.(check bool) "b does not reach r" false (reaches "b" "r");
-  Alcotest.(check bool) "a reaches both arms" true
-    (reaches "a" "l" && reaches "a" "r");
-  (* parameters reach everywhere *)
-  Alcotest.(check bool) "param x reaches join" true (reaches "x" "join")
 
 let dead_store_fn =
   {|define void @f([16 x float]* %out) {
@@ -163,14 +81,41 @@ let test_may_read_keeps_store () =
   Alcotest.(check int) "store read on one path is live" 0
     (List.length (Dataflow.dead_stores cfg))
 
+(* the only read of the stored value is in the next iteration: the
+   fixpoint must carry it around the back edge *)
+let loop_carried_fn =
+  {|define float @f(i64 %n) {
+entry:
+  %tmp = alloca [16 x float]
+  %p0 = getelementptr inbounds [16 x float], [16 x float]* %tmp, i64 0, i64 0
+  br label %header
+header:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %body ]
+  %acc = phi float [ 0.0, %entry ], [ %acc.next, %body ]
+  %c = icmp slt i64 %i, %n
+  br i1 %c, label %body, label %exit
+body:
+  %v = load float, float* %p0
+  %acc.next = fadd float %acc, %v
+  store float %acc.next, float* %p0
+  %i.next = add i64 %i, 1
+  br label %header
+exit:
+  ret float %acc
+}|}
+
+let test_loop_carried_read_keeps_store () =
+  let cfg = Cfg.build (parse_fn loop_carried_fn) in
+  Alcotest.(check int) "store read in the next iteration is live" 0
+    (List.length (Dataflow.dead_stores cfg))
+
 let suite =
   [
-    Alcotest.test_case "liveness diamond" `Quick test_liveness_diamond;
-    Alcotest.test_case "liveness loop" `Quick test_liveness_loop;
-    Alcotest.test_case "reaching definitions" `Quick test_reaching_defs;
     Alcotest.test_case "dead store found" `Quick test_dead_store_found;
     Alcotest.test_case "read store kept" `Quick test_read_store_not_flagged;
     Alcotest.test_case "escaping store kept" `Quick
       test_escaping_store_not_flagged;
     Alcotest.test_case "may-read keeps store" `Quick test_may_read_keeps_store;
+    Alcotest.test_case "loop-carried read keeps store" `Quick
+      test_loop_carried_read_keeps_store;
   ]

@@ -79,9 +79,7 @@ let ult_spec =
 
 let ult_case =
   {
-    F.c_seed = 0;
-    c_index = 0;
-    c_spec = ult_spec;
+    F.c_spec = ult_spec;
     c_ints = Array.make F.input_slots (-5);
     c_floats = Array.make F.input_slots 0.0;
     c_n = 0;

@@ -381,6 +381,84 @@ exit:
   in
   Alcotest.(check int) "licm preserves semantics" (run m) (run m')
 
+(* f(a, b, n): a loop of n iterations whose body divides a by [divisor]. *)
+let div_loop divisor =
+  String.concat divisor
+    [
+      {|define i64 @f(i64 %a, i64 %b, i64 %n) {
+entry:
+  br label %header
+header:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %body ]
+  %s = phi i64 [ 0, %entry ], [ %s.next, %body ]
+  %c = icmp slt i64 %i, %n
+  br i1 %c, label %body, label %exit
+body:
+  %q = sdiv i64 %a, |};
+      {|
+  %s.next = add i64 %s, %q
+  %i.next = add i64 %i, 1
+  br label %header
+exit:
+  ret i64 %s
+}|};
+    ]
+
+(* The same loop, with the division behind a b != 0 guard. *)
+let guarded_div =
+  {|define i64 @f(i64 %a, i64 %b, i64 %n) {
+entry:
+  br label %header
+header:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %latch ]
+  %s = phi i64 [ 0, %entry ], [ %s.next, %latch ]
+  %c = icmp slt i64 %i, %n
+  br i1 %c, label %body, label %exit
+body:
+  %nz = icmp ne i64 %b, 0
+  br i1 %nz, label %div, label %latch
+div:
+  %q = sdiv i64 %a, %b
+  br label %latch
+latch:
+  %v = phi i64 [ %q, %div ], [ 0, %body ]
+  %s.next = add i64 %s, %v
+  %i.next = add i64 %i, 1
+  br label %header
+exit:
+  ret i64 %s
+}|}
+
+let test_licm_keeps_trapping_division () =
+  let run name m args =
+    let st = Linterp.create m in
+    match Linterp.run st "f" (List.map (fun v -> Linterp.RInt v) args) with
+    | Some (Linterp.RInt v) -> v
+    | _ -> Alcotest.failf "%s: no integer result" name
+    | exception Support.Err.Compile_error e ->
+        Alcotest.failf "%s: %s" name (Support.Err.to_string e)
+  in
+  List.iter
+    (fun (name, text, n) ->
+      let m = parse text in
+      let args = [ 7; 0; n ] in
+      Alcotest.(check int) (name ^ ": input") 0 (run name m args);
+      Alcotest.(check int) (name ^ ": after licm") 0
+        (run (name ^ " after licm") (Opt_licm.run m) args);
+      Alcotest.(check int) (name ^ ": after the default pipeline") 0
+        (run (name ^ " after the default pipeline")
+           (fst (Pass.run_pipeline Pass.default_pipeline m))
+           args))
+    [ ("zero-trip loop", div_loop "%b", 0); ("guarded", guarded_div, 3) ];
+  (* a constant divisor other than 0 and -1 cannot trap: still hoisted *)
+  let m = parse (div_loop "4") in
+  let entry = Lmodule.entry (Lmodule.find_func_exn (Opt_licm.run m) "f") in
+  Alcotest.(check bool) "division by 4 hoisted" true
+    (List.exists
+       (fun (i : Linstr.t) ->
+         match i.Linstr.op with Linstr.IBin (Linstr.SDiv, _, _) -> true | _ -> false)
+       entry.Lmodule.insts)
+
 (* ------------------------------------------------------------------ *)
 (* Differential: full pipeline on all kernels                         *)
 (* ------------------------------------------------------------------ *)
@@ -506,6 +584,8 @@ let suite =
     Alcotest.test_case "simplifycfg constant branch" `Quick test_simplifycfg_folds_constant_branch;
     Alcotest.test_case "simplifycfg merges chains" `Quick test_simplifycfg_merges_chains;
     Alcotest.test_case "licm hoists" `Quick test_licm_hoists;
+    Alcotest.test_case "licm keeps trapping division" `Quick
+      test_licm_keeps_trapping_division;
     Alcotest.test_case "pipeline differential (all kernels)" `Quick test_pipeline_differential;
     Alcotest.test_case "pipeline shrinks IR" `Quick test_pipeline_shrinks_ir;
     Alcotest.test_case "inline pass" `Quick test_inline_pass;

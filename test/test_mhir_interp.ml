@@ -1,5 +1,5 @@
 (** Semantics tests for the mhir interpreter, plus differential tests
-    for the mhir-level passes (canonicalize, affine->scf). *)
+    for the mhir-level canonicalizer. *)
 
 open Mhir
 
@@ -215,28 +215,6 @@ let test_canonicalize_removes_dead_code () =
   Alcotest.(check int) "everything dead is gone" 1
     (Ir.op_count (List.hd m.Ir.funcs))
 
-let test_affine_to_scf_preserves_semantics () =
-  List.iter
-    (fun k ->
-      let plain = kernel_outputs k in
-      let lowered = kernel_outputs ~transform:Affine_to_scf.run k in
-      check_same_outputs k.Workloads.Kernels.kname plain lowered)
-    (Workloads.Kernels.all ())
-
-let test_affine_to_scf_removes_affine_ops () =
-  let m =
-    Affine_to_scf.run
-      ((Workloads.Kernels.gemm ()).Workloads.Kernels.build
-         Workloads.Kernels.no_directives)
-  in
-  Verifier.verify_module m;
-  let affine_ops = ref 0 in
-  List.iter
-    (Ir.walk_func (fun o ->
-         if Dialect.dialect_of o.Ir.name = "affine" then incr affine_ops))
-    m.Ir.funcs;
-  Alcotest.(check int) "no affine ops remain" 0 !affine_ops
-
 let suite =
   [
     Alcotest.test_case "arith semantics" `Quick test_arith_semantics;
@@ -252,8 +230,4 @@ let suite =
       test_canonicalize_folds_constants;
     Alcotest.test_case "canonicalize removes dead code" `Quick
       test_canonicalize_removes_dead_code;
-    Alcotest.test_case "affine->scf preserves semantics" `Quick
-      test_affine_to_scf_preserves_semantics;
-    Alcotest.test_case "affine->scf removes affine ops" `Quick
-      test_affine_to_scf_removes_affine_ops;
   ]

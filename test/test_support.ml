@@ -19,23 +19,6 @@ let test_namegen_no_collisions () =
   let uniq = List.sort_uniq compare names in
   Alcotest.(check int) "100 fresh names are distinct" 100 (List.length uniq)
 
-let test_union_find () =
-  let u = Support.Union_find.create 8 in
-  Alcotest.(check bool) "initially disjoint" false (Support.Union_find.same u 0 1);
-  ignore (Support.Union_find.union u 0 1);
-  ignore (Support.Union_find.union u 2 3);
-  Alcotest.(check bool) "0~1" true (Support.Union_find.same u 0 1);
-  Alcotest.(check bool) "2~3" true (Support.Union_find.same u 2 3);
-  Alcotest.(check bool) "0!~2" false (Support.Union_find.same u 0 2);
-  ignore (Support.Union_find.union u 1 2);
-  Alcotest.(check bool) "transitive merge" true (Support.Union_find.same u 0 3)
-
-let test_union_find_idempotent () =
-  let u = Support.Union_find.create 4 in
-  let r1 = Support.Union_find.union u 0 1 in
-  let r2 = Support.Union_find.union u 0 1 in
-  Alcotest.(check int) "re-union returns same root" r1 r2
-
 let test_table_render () =
   let t = Support.Table.create ~aligns:[ Support.Table.Left; Support.Table.Right ] [ "name"; "n" ] in
   Support.Table.add_row t [ "a"; "1" ];
@@ -74,8 +57,6 @@ let suite =
     Alcotest.test_case "namegen basic" `Quick test_namegen_basic;
     Alcotest.test_case "namegen reserve" `Quick test_namegen_reserve;
     Alcotest.test_case "namegen no collisions" `Quick test_namegen_no_collisions;
-    Alcotest.test_case "union-find basic" `Quick test_union_find;
-    Alcotest.test_case "union-find idempotent" `Quick test_union_find_idempotent;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table missing cells" `Quick test_table_missing_cells;
     Alcotest.test_case "err fail raises" `Quick test_err_fail_raises;
