@@ -112,7 +112,7 @@ let run_func ?(stats = fresh_stats ()) ?am (f : Lmodule.func) : Lmodule.func =
       end
     end
   done;
-  if not (!any_merge || !any_widen) then fst (Opt_dce.run_func ?am f)
+  if not (!any_merge || !any_widen) then Opt_dce.run_func ?am f
   else begin
     let blocks =
       List.init (Iarena.n_blocks a) (fun bi ->
@@ -126,7 +126,7 @@ let run_func ?(stats = fresh_stats ()) ?am (f : Lmodule.func) : Lmodule.func =
           done;
           { Lmodule.label = Iarena.block_label a bi; insts = !insts })
     in
-    fst (Opt_dce.run_func { f with Lmodule.blocks })
+    Opt_dce.run_func { f with Lmodule.blocks }
   end
 
 let run ?stats ?am (m : Lmodule.t) : Lmodule.t =

@@ -344,7 +344,7 @@ let run_func ?(stats = fresh_stats ()) ?(delinearize = true) ?am
   let f' = Findex.substitute_func subst f' in
   (* the insertvalue chains are now dead; [?am] lets the cleanup DCE
      cache (and seed) the index it builds for the verifier *)
-  fst (Opt_dce.run_func ?am f')
+  Opt_dce.run_func ?am f'
   end
 
 let run ?stats ?delinearize ?am (m : Lmodule.t) : Lmodule.t =

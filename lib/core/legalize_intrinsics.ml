@@ -119,7 +119,7 @@ let run_func ?(stats = fresh_stats ()) ?am (f : Lmodule.func) : Lmodule.func =
      live.  The cleanup DCE (and its per-function index build) is pure
      overhead unless something was dropped; [?am] lets it cache (and
      seed) the index it builds, so the post-pass verifier reuses it *)
-  if !dropped_here then fst (Opt_dce.run_func ?am f') else f'
+  if !dropped_here then Opt_dce.run_func ?am f' else f'
 
 let run ?stats ?am (m : Lmodule.t) : Lmodule.t =
   let m = Lmodule.map_funcs (run_func ?stats ?am) m in

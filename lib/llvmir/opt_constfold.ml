@@ -52,7 +52,7 @@ let fold_icmp p ty a b =
   let a = Linterp.norm_int ty a and b = Linterp.norm_int ty b in
   if Linterp.icmp_eval p a b then 1 else 0
 
-let run_func ?am (f : Lmodule.func) : Lmodule.func * bool =
+let run_func ?am (f : Lmodule.func) : Lmodule.func =
   (* Under a manager the post-verify index for [f] is already cached,
      so its arena is free; standalone, encode without index tables. *)
   let a =
@@ -197,8 +197,6 @@ let run_func ?am (f : Lmodule.func) : Lmodule.func * bool =
     end
   in
   go 8;
-  if Iarena.live_count a = n then (f, false)
-  else (Analysis.materialize ?am f a, true)
+  if Iarena.live_count a = n then f else Analysis.materialize ?am f a
 
-let run ?am (m : Lmodule.t) : Lmodule.t =
-  Lmodule.map_funcs (fun f -> fst (run_func ?am f)) m
+let run ?am (m : Lmodule.t) : Lmodule.t = Lmodule.map_funcs (run_func ?am) m

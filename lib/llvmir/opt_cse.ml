@@ -20,7 +20,7 @@
 open Lmodule
 module Sym = Support.Interner
 
-let run_func ?am (f : func) : func * bool =
+let run_func ?am (f : func) : func =
   let dom = Analysis.dominance ?am f in
   let idx = Analysis.findex ?am f in
   let a = Findex.arena idx in
@@ -89,12 +89,12 @@ let run_func ?am (f : func) : func * bool =
     List.iter (fun key -> Hashtbl.remove avail key) !added
   in
   if Iarena.n_blocks a > 0 then walk 0;
-  if not !changed then (f, false)
+  if not !changed then f
   else begin
     (* the arena is the output: rewrite surviving users in place, then
        materialise it *)
     ignore (Findex.rewrite_users idx subst);
-    (Analysis.materialize ?am f a, true)
+    Analysis.materialize ?am f a
   end
 
-let run ?am (m : t) : t = map_funcs (fun f -> fst (run_func ?am f)) m
+let run ?am (m : t) : t = map_funcs (run_func ?am) m

@@ -26,7 +26,7 @@ let pure_intrinsic name =
   || starts_with "llvm.fma." || starts_with "llvm.fabs."
   || starts_with "llvm.sqrt."
 
-let run_func ?am (f : func) : func * bool =
+let run_func ?am (f : func) : func =
   let idx = Analysis.findex ?am f in
   let a = Findex.arena idx in
   let n = Iarena.n_instrs a in
@@ -70,7 +70,6 @@ let run_func ?am (f : func) : func * bool =
         drain ()
   in
   drain ();
-  if Iarena.live_count a = n then (f, false)
-  else (Analysis.materialize ?am f a, true)
+  if Iarena.live_count a = n then f else Analysis.materialize ?am f a
 
-let run ?am (m : t) : t = map_funcs (fun f -> fst (run_func ?am f)) m
+let run ?am (m : t) : t = map_funcs (run_func ?am) m

@@ -216,20 +216,11 @@ let inline_one (m : t) (f : func) : func option =
 
 (** Inline all calls to module-defined functions, to a fixed point
     (bounded to keep pathological recursion from diverging). *)
-let run_func (m : t) (f : func) : func * bool =
-  let changed = ref false in
+let run_func (m : t) (f : func) : func =
   let rec go f fuel =
     if fuel = 0 then f
-    else
-      match inline_one m f with
-      | Some f' ->
-          changed := true;
-          go f' (fuel - 1)
-      | None -> f
+    else match inline_one m f with Some f' -> go f' (fuel - 1) | None -> f
   in
-  let f' = go f 64 in
-  (f', !changed)
+  go f 64
 
-let run (m : t) : t =
-  let funcs = List.map (fun f -> fst (run_func m f)) m.funcs in
-  { m with funcs }
+let run (m : t) : t = { m with funcs = List.map (run_func m) m.funcs }

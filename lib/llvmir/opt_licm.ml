@@ -25,10 +25,10 @@ let speculatable (i : Linstr.t) =
       | _ -> false)
   | _ -> true
 
-let run_func ?am (f : func) : func * bool =
+let run_func ?am (f : func) : func =
   let cfg = Analysis.cfg ?am f in
   let li = Analysis.loop_info ?am f in
-  if Array.length li.Loop_info.loops = 0 then (f, false)
+  if Array.length li.Loop_info.loops = 0 then f
   else begin
     let changed = ref false in
     (* process innermost-first so hoisted code can cascade outward *)
@@ -118,8 +118,7 @@ let run_func ?am (f : func) : func * bool =
             end
         | _ -> ())
       order;
-    if !changed then ({ f with blocks = Array.to_list blocks }, true)
-    else (f, false)
+    if !changed then { f with blocks = Array.to_list blocks } else f
   end
 
-let run ?am (m : t) : t = map_funcs (fun f -> fst (run_func ?am f)) m
+let run ?am (m : t) : t = map_funcs (run_func ?am) m

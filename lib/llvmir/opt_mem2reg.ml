@@ -59,11 +59,11 @@ let promotable (a : Iarena.t) : alloca_info list =
   done;
   !found
 
-let run_func ?am (f : func) : func * bool =
+let run_func ?am (f : func) : func =
   let idx = Analysis.findex ?am f in
   let a = Findex.arena idx in
   let allocas = promotable a in
-  if allocas = [] then (f, false)
+  if allocas = [] then f
   else begin
     let cfg = Analysis.cfg ?am f in
     let dom = Analysis.dominance ?am f in
@@ -219,7 +219,7 @@ let run_func ?am (f : func) : func * bool =
           done;
           { label = Iarena.block_label a bi; insts = phi_insts @ !insts })
     in
-    ({ f with blocks = final_blocks }, true)
+    { f with blocks = final_blocks }
   end
 
-let run ?am (m : t) : t = map_funcs (fun f -> fst (run_func ?am f)) m
+let run ?am (m : t) : t = map_funcs (run_func ?am) m

@@ -169,22 +169,16 @@ let merge_blocks ?am (f : func) : func * bool =
     ({ f with blocks = List.map fixup !blocks }, true)
   end
 
-let run_func ?am (f : func) : func * bool =
-  let changed_total = ref false in
+let run_func ?am (f : func) : func =
   let rec go f n =
     if n = 0 then f
     else begin
       let f, c1 = fold_const_branches f in
       let f, c2 = remove_unreachable ?am f in
       let f, c3 = merge_blocks ?am f in
-      if c1 || c2 || c3 then begin
-        changed_total := true;
-        go f (n - 1)
-      end
-      else f
+      if c1 || c2 || c3 then go f (n - 1) else f
     end
   in
-  let f' = go f 64 in
-  (f', !changed_total)
+  go f 64
 
-let run ?am (m : t) : t = map_funcs (fun f -> fst (run_func ?am f)) m
+let run ?am (m : t) : t = map_funcs (run_func ?am) m

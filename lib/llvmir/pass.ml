@@ -46,32 +46,32 @@ let inline =
 let mem2reg =
   { name = "mem2reg"; preserves = cfg_shape;
     run = (fun am m -> Opt_mem2reg.run ~am m);
-    fn_run = Some (fun am f -> fst (Opt_mem2reg.run_func ~am f)) }
+    fn_run = Some (fun am f -> Opt_mem2reg.run_func ~am f) }
 
 let dce =
   { name = "dce"; preserves = cfg_shape;
     run = (fun am m -> Opt_dce.run ~am m);
-    fn_run = Some (fun am f -> fst (Opt_dce.run_func ~am f)) }
+    fn_run = Some (fun am f -> Opt_dce.run_func ~am f) }
 
 let constfold =
   { name = "constfold"; preserves = cfg_shape;
     run = (fun am m -> Opt_constfold.run ~am m);
-    fn_run = Some (fun am f -> fst (Opt_constfold.run_func ~am f)) }
+    fn_run = Some (fun am f -> Opt_constfold.run_func ~am f) }
 
 let cse =
   { name = "cse"; preserves = cfg_shape;
     run = (fun am m -> Opt_cse.run ~am m);
-    fn_run = Some (fun am f -> fst (Opt_cse.run_func ~am f)) }
+    fn_run = Some (fun am f -> Opt_cse.run_func ~am f) }
 
 let simplifycfg =
   { name = "simplifycfg"; preserves = [ Analysis.Effects ];
     run = (fun am m -> Opt_simplifycfg.run ~am m);
-    fn_run = Some (fun am f -> fst (Opt_simplifycfg.run_func ~am f)) }
+    fn_run = Some (fun am f -> Opt_simplifycfg.run_func ~am f) }
 
 let licm =
   { name = "licm"; preserves = cfg_shape;
     run = (fun am m -> Opt_licm.run ~am m);
-    fn_run = Some (fun am f -> fst (Opt_licm.run_func ~am f)) }
+    fn_run = Some (fun am f -> Opt_licm.run_func ~am f) }
 
 (** The -O2-flavoured cleanup pipeline both flows run before HLS.
     Inlining comes first: Vitis flattens the design into the top

@@ -71,18 +71,28 @@ let rec write buf = function
           write buf x)
         xs;
       Buffer.add_char buf ']'
-  | Obj fields ->
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj (first :: rest) ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string buf ", ";
-          write_string buf k;
-          Buffer.add_string buf ": ";
-          write buf v)
-        fields;
-      Buffer.add_char buf '}'
+      write_member buf first;
+      write_members buf rest
+
+and write_member buf (k, v) =
+  write_string buf k;
+  Buffer.add_string buf ": ";
+  write buf v
+
+(* The members after an object's first, then its closing brace. *)
+and write_members buf members =
+  List.iter
+    (fun m ->
+      Buffer.add_string buf ", ";
+      write_member buf m)
+    members;
+  Buffer.add_char buf '}'
 
 let to_buffer = write
+let members_to_buffer = write_members
 
 let to_string (v : t) : string =
   let buf = Buffer.create 256 in

@@ -19,6 +19,12 @@ val to_string : t -> string
 (** [to_buffer b v] appends [to_string v] to [b]. *)
 val to_buffer : Buffer.t -> t -> unit
 
+(** [members_to_buffer b ms] appends what {!to_buffer} prints of an
+    object after its first member: [", "] and each member of [ms], then
+    the closing brace.  A printer that wrote an object's head itself
+    ends the object with it. *)
+val members_to_buffer : Buffer.t -> (string * t) list -> unit
+
 (** A file rendering of a top-level object: {!to_string}, except that a
     field named in [breaks] starts a new line (indented one space), and
     a list field named in [rows] puts each element on its own line

@@ -158,7 +158,8 @@ let ref_matmul ~n ~m ~k cdat adat bdat =
 (* gemm                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let gemm ?(n = 16) () : kernel =
+let gemm () : kernel =
+  let n = 16 in
   {
     kname = "gemm";
     description = Printf.sprintf "C = A x B (dense %dx%d matmul)" n n;
@@ -190,7 +191,8 @@ let gemm ?(n = 16) () : kernel =
 (* 2mm: tmp = A x B; D = tmp x C  (exercises a local buffer)          *)
 (* ------------------------------------------------------------------ *)
 
-let mm2 ?(n = 12) () : kernel =
+let mm2 () : kernel =
+  let n = 12 in
   {
     kname = "mm2";
     description = "D = (A x B) x C with an on-chip temporary";
@@ -227,7 +229,8 @@ let mm2 ?(n = 12) () : kernel =
 (* 3mm                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let mm3 ?(n = 10) () : kernel =
+let mm3 () : kernel =
+  let n = 10 in
   {
     kname = "mm3";
     description = "G = (A x B) x (C x D)";
@@ -271,7 +274,8 @@ let mm3 ?(n = 10) () : kernel =
 (* atax: y = A^T (A x)                                                *)
 (* ------------------------------------------------------------------ *)
 
-let atax ?(n = 24) () : kernel =
+let atax () : kernel =
+  let n = 24 in
   {
     kname = "atax";
     description = "y = A^T (A x)";
@@ -350,7 +354,8 @@ let atax ?(n = 24) () : kernel =
 (* bicg: s = A^T r ; q = A p                                          *)
 (* ------------------------------------------------------------------ *)
 
-let bicg ?(n = 24) () : kernel =
+let bicg () : kernel =
+  let n = 24 in
   {
     kname = "bicg";
     description = "s = A^T r; q = A p";
@@ -419,7 +424,8 @@ let bicg ?(n = 24) () : kernel =
 (* mvt: x1 += A y1 ; x2 += A^T y2                                     *)
 (* ------------------------------------------------------------------ *)
 
-let mvt ?(n = 24) () : kernel =
+let mvt () : kernel =
+  let n = 24 in
   {
     kname = "mvt";
     description = "x1 += A y1; x2 += A^T y2";
@@ -489,7 +495,8 @@ let mvt ?(n = 24) () : kernel =
 (* gesummv: y = alpha A x + beta B x                                  *)
 (* ------------------------------------------------------------------ *)
 
-let gesummv ?(n = 24) () : kernel =
+let gesummv () : kernel =
+  let n = 24 in
   let alpha = 1.5 and beta = 1.2 in
   {
     kname = "gesummv";
@@ -558,7 +565,8 @@ let gesummv ?(n = 24) () : kernel =
 (* fir: y[i] = sum_k h[k] x[i+k]                                      *)
 (* ------------------------------------------------------------------ *)
 
-let fir ?(n = 64) ?(taps = 8) () : kernel =
+let fir () : kernel =
+  let n = 64 and taps = 8 in
   let outn = n - taps + 1 in
   {
     kname = "fir";
@@ -619,7 +627,8 @@ let fir ?(n = 64) ?(taps = 8) () : kernel =
 (* conv2d: valid convolution with a KxK kernel                        *)
 (* ------------------------------------------------------------------ *)
 
-let conv2d ?(h = 16) ?(w = 16) ?(k = 3) () : kernel =
+let conv2d () : kernel =
+  let h = 16 and w = 16 and k = 3 in
   let oh = h - k + 1 and ow = w - k + 1 in
   {
     kname = "conv2d";
@@ -710,7 +719,8 @@ let conv2d ?(h = 16) ?(w = 16) ?(k = 3) () : kernel =
 (* jacobi2d: one 5-point stencil sweep                                *)
 (* ------------------------------------------------------------------ *)
 
-let jacobi2d ?(n = 16) () : kernel =
+let jacobi2d () : kernel =
+  let n = 16 in
   {
     kname = "jacobi2d";
     description = "one 5-point Jacobi sweep over an NxN grid";
@@ -783,7 +793,8 @@ let jacobi2d ?(n = 16) () : kernel =
 (* syrk: C = A A^T + C (symmetric rank-k update, full form)           *)
 (* ------------------------------------------------------------------ *)
 
-let syrk ?(n = 14) () : kernel =
+let syrk () : kernel =
+  let n = 14 in
   {
     kname = "syrk";
     description = "C = A A^T + C (rank-k update)";
@@ -841,7 +852,8 @@ let syrk ?(n = 14) () : kernel =
 (* doitgen: rank-3 tensor contraction (exercises rank-3 memrefs)      *)
 (* ------------------------------------------------------------------ *)
 
-let doitgen ?(r = 6) ?(q = 6) ?(p = 8) () : kernel =
+let doitgen () : kernel =
+  let r = 6 and q = 6 and p = 8 in
   {
     kname = "doitgen";
     description = "A[r][q][:] = A[r][q][:] x C4 (rank-3 tensor contraction)";
@@ -925,7 +937,8 @@ let doitgen ?(r = 6) ?(q = 6) ?(p = 8) () : kernel =
 (* seidel2d: in-place Gauss–Seidel sweep (loop-carried through memory) *)
 (* ------------------------------------------------------------------ *)
 
-let seidel2d ?(n = 14) () : kernel =
+let seidel2d () : kernel =
+  let n = 14 in
   {
     kname = "seidel2d";
     description = "one in-place Gauss-Seidel sweep over an NxN grid";
@@ -1004,7 +1017,8 @@ let seidel2d ?(n = 14) () : kernel =
 (* user-function calls in the C round-trip, and HLS inlining)         *)
 (* ------------------------------------------------------------------ *)
 
-let mmcall ?(n = 12) () : kernel =
+let mmcall () : kernel =
+  let n = 12 in
   {
     kname = "mmcall";
     description = "C = A x B with the row computation in a helper function";

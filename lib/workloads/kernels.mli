@@ -52,22 +52,22 @@ type kernel = {
 val check_partitions :
   kernel -> (string * string * int * int) list -> (unit, string) result
 
-val gemm : ?n:int -> unit -> kernel
-val mm2 : ?n:int -> unit -> kernel
-val mm3 : ?n:int -> unit -> kernel
-val atax : ?n:int -> unit -> kernel
-val bicg : ?n:int -> unit -> kernel
-val mvt : ?n:int -> unit -> kernel
-val gesummv : ?n:int -> unit -> kernel
-val fir : ?n:int -> ?taps:int -> unit -> kernel
-val conv2d : ?h:int -> ?w:int -> ?k:int -> unit -> kernel
-val jacobi2d : ?n:int -> unit -> kernel
-val syrk : ?n:int -> unit -> kernel
-val doitgen : ?r:int -> ?q:int -> ?p:int -> unit -> kernel
-val seidel2d : ?n:int -> unit -> kernel
-val mmcall : ?n:int -> unit -> kernel
+val gemm : unit -> kernel
+val mm2 : unit -> kernel
+val mm3 : unit -> kernel
+val atax : unit -> kernel
+val bicg : unit -> kernel
+val mvt : unit -> kernel
+val gesummv : unit -> kernel
+val fir : unit -> kernel
+val conv2d : unit -> kernel
+val jacobi2d : unit -> kernel
+val syrk : unit -> kernel
+val doitgen : unit -> kernel
+val seidel2d : unit -> kernel
+val mmcall : unit -> kernel
 
-(** Every kernel at its default problem size. *)
+(** Every kernel, each at its one fixed problem size. *)
 val all : unit -> kernel list
 
 val by_name : string -> kernel option
