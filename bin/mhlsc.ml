@@ -756,7 +756,6 @@ let serve_cmd =
     let default = Mhls_serve.Server.default_config in
     let config =
       {
-        default with
         Mhls_serve.Server.socket_path = Some socket;
         tcp_port = tcp;
         queue_max;

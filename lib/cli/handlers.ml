@@ -213,9 +213,12 @@ let lint (l : P.lint_req) : (P.lint_resp, Diag.t list) result =
       Ok { P.lr_diags = Flow.lint_kernel ~directives:d ~pipeline ?only ~werror k }
 
 (** Run the LLVM cleanup pipeline (or just the parallel-safety
-    checker) on source text or a generated [--synth N] module. *)
+    checker) on source text or a generated [--synth N] module.  The
+    source is verified under the manager the sequential pipeline then
+    reuses, so no function is indexed or verified twice. *)
 let opt (o : P.opt_req) : (P.opt_resp, Diag.t list) result =
   let module LP = Llvmir.Pass in
+  let am = Llvmir.Analysis.create () in
   let* m =
     match (o.P.op_source, o.P.op_synth) with
     | Some _, Some _ ->
@@ -225,7 +228,7 @@ let opt (o : P.opt_req) : (P.opt_resp, Diag.t list) result =
     | Some src, None -> (
         match
           let m = Llvmir.Lparser.parse_module src in
-          Llvmir.Lverifier.verify_module m;
+          Llvmir.Lverifier.verify_module ~am m;
           m
         with
         | m -> Ok m
@@ -234,7 +237,7 @@ let opt (o : P.opt_req) : (P.opt_resp, Diag.t list) result =
     | None, Some n -> Ok (Mhls_driver.Synth.many_kernels ~n)
   in
   if o.P.op_parsafe then
-    let v = Llvmir.Parsafe.check m in
+    let v = Llvmir.Parsafe.check ~effects:(Llvmir.Analysis.effects ~am m) m in
     let safe =
       match v with Llvmir.Parsafe.Safe -> true | Llvmir.Parsafe.Unsafe _ -> false
     in
@@ -271,7 +274,7 @@ let opt (o : P.opt_req) : (P.opt_resp, Diag.t list) result =
         let m', seconds, status = LP.run_pipeline_parallel ~fanout passes m in
         (m', seconds, Some (LP.par_status_to_string status))
       else
-        let m', seconds = LP.run_pipeline passes m in
+        let m', seconds = LP.run_pipeline ~am passes m in
         (m', seconds, None)
     in
     Ok
@@ -411,14 +414,17 @@ type adapt_resp = {
           time, from the run's trace events (stderr) *)
 }
 
-(** Run the adaptor on raw IR source (this tool's textual dialect). *)
+(** Run the adaptor on raw IR source (this tool's textual dialect),
+    verifying the source under the manager the adaptor then reuses. *)
 let adapt ~(source : string) ~(strict : bool)
     ~(passes : string list option) ~(disable : string list) () :
     (adapt_resp, Diag.t list) result =
+  let trace, events = Support.Tracing.collector () in
+  let am = Llvmir.Analysis.create ~trace () in
   let* m =
     match
       let m = Llvmir.Lparser.parse_module source in
-      Llvmir.Lverifier.verify_module m;
+      Llvmir.Lverifier.verify_module ~am m;
       m
     with
     | m -> Ok m
@@ -426,8 +432,7 @@ let adapt ~(source : string) ~(strict : bool)
         Error [ Diag.of_err ~rule:"HLS000" e ]
   in
   let* pipeline = pipeline_of ~strict ~passes ~disable () in
-  let trace, events = Support.Tracing.collector () in
-  let* m', report = Adaptor.run ~pipeline ~trace m in
+  let* m', report = Adaptor.run ~pipeline ~trace ~am m in
   let pass_lines =
     List.filter_map
       (fun (e : Support.Tracing.event) ->
@@ -447,7 +452,8 @@ type synth_mlir_resp = {
 }
 
 (** Compile a textual multi-level IR module end-to-end; [flow] and
-    [sched] are names, as in a compile request. *)
+    [sched] are names, as in a compile request.  Front-end and
+    estimator failures are diagnostics, as for a compile job. *)
 let synth_mlir ~(source : string) ~(top : string option) ~(flow : string)
     ~(sched : string) ~(clock_ns : float) () :
     (synth_mlir_resp, Diag.t list) result =
@@ -469,17 +475,19 @@ let synth_mlir ~(source : string) ~(top : string option) ~(flow : string)
     | None, f :: _ -> Ok f.Mhir.Ir.fname
     | None, [] -> Error [ P.protocol_error "module has no functions" ]
   in
-  let* lm, aux =
-    match flow with
-    | Flow.Direct_ir ->
-        let* lm, report, _ = Flow.direct_ir_frontend m in
-        Ok (lm, Adaptor.report_to_string report)
-    | Flow.Hls_cpp ->
-        let lm, cpp, _ = Flow.hls_cpp_frontend m in
-        Ok (lm, cpp)
-  in
-  let r = Hls_backend.Backend.synthesize ~clock_ns ~sched ~top lm in
-  Ok { sm_report = Hls_backend.Report.render r; sm_aux = aux }
+  Result.join
+    (D.guard ~label:top (fun () ->
+         let* lm, aux =
+           match flow with
+           | Flow.Direct_ir ->
+               let* lm, report, _ = Flow.direct_ir_frontend m in
+               Ok (lm, Adaptor.report_to_string report)
+           | Flow.Hls_cpp ->
+               let lm, cpp, _ = Flow.hls_cpp_frontend m in
+               Ok (lm, cpp)
+         in
+         let r = Hls_backend.Backend.synthesize ~clock_ns ~sched ~top lm in
+         Ok { sm_report = Hls_backend.Report.render r; sm_aux = aux }))
 
 (** Batch compilation from a manifest or the built-in grid.  [sched]
     names the estimation backend for the built-in grid; manifest lines

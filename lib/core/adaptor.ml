@@ -267,10 +267,10 @@ let manager_pass (r : report) ~top (p : Pipeline.pass) : Llvmir.Pass.pass =
     Llvmir.Pass.name = p.Pipeline.pname;
     preserves =
       [ Llvmir.Analysis.Cfg; Llvmir.Analysis.Dominance; Llvmir.Analysis.Loop_info ];
-    run =
-      (fun am m ->
-        Llvmir.Lmodule.share_unchanged ~prev:m (p.Pipeline.prun r ~am ~top m));
-    fn_run = None;
+    body =
+      Llvmir.Pass.Whole_module
+        (fun am m ->
+          Llvmir.Lmodule.share_unchanged ~prev:m (p.Pipeline.prun r ~am ~top m));
   }
 
 (** Run the adaptor pipeline.  Returns [Ok (module, report)], or — in
@@ -297,8 +297,6 @@ let run ?(pipeline = Pipeline.default) ?trace ?am (m : Llvmir.Lmodule.t) :
       pipeline.Pipeline.passes
   in
   let m, _ = Llvmir.Pass.run_pipeline ?trace ~stage:"adaptor" ?am passes m in
-  (* the pipeline verifies only what a pass produced *)
-  if passes = [] then Llvmir.Lverifier.verify_module ?am m;
   let issues_after = Compat.check m in
   let diagnostics = Compat.to_diagnostics issues_after in
   let report = { r with issues_before; issues_after; diagnostics } in

@@ -22,9 +22,9 @@ type stats = { mutable merged : int; mutable widened : int }
 
 let fresh_stats () = { merged = 0; widened = 0 }
 
-let run_func ?(stats = fresh_stats ()) ?am (f : Lmodule.func) : Lmodule.func =
+let run_func ~stats ~am (f : Lmodule.func) : Lmodule.func =
   let names = Lmodule.namegen f in
-  let idx = Analysis.findex ?am f in
+  let idx = Analysis.findex ~am f in
   let a = Findex.arena idx in
   let n = Iarena.n_instrs a in
   (* start-of-round snapshot of rows modified this round, so intra-
@@ -112,7 +112,7 @@ let run_func ?(stats = fresh_stats ()) ?am (f : Lmodule.func) : Lmodule.func =
       end
     end
   done;
-  if not (!any_merge || !any_widen) then Opt_dce.run_func ?am f
+  if not (!any_merge || !any_widen) then Opt_dce.run_func ~am f
   else begin
     let blocks =
       List.init (Iarena.n_blocks a) (fun bi ->
@@ -126,8 +126,11 @@ let run_func ?(stats = fresh_stats ()) ?am (f : Lmodule.func) : Lmodule.func =
           done;
           { Lmodule.label = Iarena.block_label a bi; insts = !insts })
     in
-    Opt_dce.run_func { f with Lmodule.blocks }
+    (* a manager of its own: querying this mid-pass value under the
+       job's manager would evict the CFG and dominator tree it carries
+       for [f] *)
+    Opt_dce.run_func ~am:(Analysis.create ()) { f with Lmodule.blocks }
   end
 
-let run ?stats ?am (m : Lmodule.t) : Lmodule.t =
-  Lmodule.map_funcs (run_func ?stats ?am) m
+let run ~stats ~am (m : Lmodule.t) : Lmodule.t =
+  Lmodule.map_funcs (run_func ~stats ~am) m

@@ -162,8 +162,7 @@ let match_strides (terms : (Lvalue.t option * int) list) (strides : int list) :
 
 (** [delinearize = false] keeps every access on a flat 1-D view (the
     ablation of the paper's "keep more expression details" step). *)
-let run_func ?(stats = fresh_stats ()) ?(delinearize = true) ?am
-    (f : Lmodule.func) : Lmodule.func =
+let run_func ~stats ~delinearize ~am (f : Lmodule.func) : Lmodule.func =
   (* Cheap pre-scan: descriptors only ever enter a function through an
      [insertvalue] of descriptor-shaped aggregate type.  Without one,
      discovery finds nothing and every rewrite below is the identity,
@@ -181,7 +180,7 @@ let run_func ?(stats = fresh_stats ()) ?(delinearize = true) ?am
   in
   if not has_descriptor then f
   else
-  let fidx = Analysis.findex ?am f in
+  let fidx = Analysis.findex ~am f in
   let names = Lmodule.namegen f in
   (* 1. discover descriptors *)
   let desc_tbl : desc_info Sym.Tbl.t = Sym.Tbl.create 8 in
@@ -342,10 +341,10 @@ let run_func ?(stats = fresh_stats ()) ?(delinearize = true) ?am
   in
   let f' = Lmodule.rewrite_insts rw f in
   let f' = Findex.substitute_func subst f' in
-  (* the insertvalue chains are now dead; [?am] lets the cleanup DCE
-     cache (and seed) the index it builds for the verifier *)
-  Opt_dce.run_func ?am f'
+  (* the insertvalue chains are now dead; [am] caches (and seeds) the
+     index the cleanup DCE builds for the verifier *)
+  Opt_dce.run_func ~am f'
   end
 
-let run ?stats ?delinearize ?am (m : Lmodule.t) : Lmodule.t =
-  Lmodule.map_funcs (run_func ?stats ?delinearize ?am) m
+let run ~stats ~delinearize ~am (m : Lmodule.t) : Lmodule.t =
+  Lmodule.map_funcs (run_func ~stats ~delinearize ~am) m

@@ -23,7 +23,7 @@ let parse_partition (s : string) : (string * int * int) option =
       | _ -> None)
   | _ -> None
 
-let run_func ?(stats = fresh_stats ()) (f : Lmodule.func) : Lmodule.func =
+let run_func ~stats (f : Lmodule.func) : Lmodule.func =
   let partition_for name =
     List.find_map
       (fun (k, v) ->
@@ -64,10 +64,10 @@ let run_func ?(stats = fresh_stats ()) (f : Lmodule.func) : Lmodule.func =
 
 (** Apply to the named top function (or every function when [top] is
     [None]). *)
-let run ?stats ?top (m : Lmodule.t) : Lmodule.t =
+let run ~stats ?top (m : Lmodule.t) : Lmodule.t =
   Lmodule.map_funcs
     (fun f ->
       match top with
       | Some t when f.Lmodule.fname <> t -> f
-      | _ -> run_func ?stats f)
+      | _ -> run_func ~stats f)
     m

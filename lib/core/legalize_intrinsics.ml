@@ -39,7 +39,7 @@ let needs_work (f : Lmodule.func) : bool =
         b.insts)
     f.blocks
 
-let run_func ?(stats = fresh_stats ()) ?am (f : Lmodule.func) : Lmodule.func =
+let run_func ~stats ~am (f : Lmodule.func) : Lmodule.func =
   if not (needs_work f) then f
   else
   let names = Lmodule.namegen f in
@@ -117,12 +117,12 @@ let run_func ?(stats = fresh_stats ()) ?am (f : Lmodule.func) : Lmodule.func =
      its operand chain — the min/max/abs/fmuladd/freeze rewrites
      replace a value in place, every operand they forward was already
      live.  The cleanup DCE (and its per-function index build) is pure
-     overhead unless something was dropped; [?am] lets it cache (and
-     seed) the index it builds, so the post-pass verifier reuses it *)
-  if !dropped_here then Opt_dce.run_func ?am f' else f'
+     overhead unless something was dropped; [am] caches (and seeds)
+     the index it builds, so the post-pass verifier reuses it *)
+  if !dropped_here then Opt_dce.run_func ~am f' else f'
 
-let run ?stats ?am (m : Lmodule.t) : Lmodule.t =
-  let m = Lmodule.map_funcs (run_func ?stats ?am) m in
+let run ~stats ~am (m : Lmodule.t) : Lmodule.t =
+  let m = Lmodule.map_funcs (run_func ~stats ~am) m in
   (* prune declarations of now-unused modern intrinsics *)
   let used = Hashtbl.create 16 in
   List.iter

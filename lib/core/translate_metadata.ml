@@ -19,7 +19,7 @@ type stats = { mutable loops : int; mutable markers : int }
 
 let fresh_stats () = { loops = 0; markers = 0 }
 
-let run_func ?(stats = fresh_stats ()) (f : Lmodule.func) :
+let run_func ~stats (f : Lmodule.func) :
     Lmodule.func * Lmodule.decl list =
   (* collect per-header marker lists from latch-branch metadata *)
   let markers : Linstr.t list Sym.Tbl.t = Sym.Tbl.create 8 in
@@ -146,12 +146,12 @@ let run_func ?(stats = fresh_stats ()) (f : Lmodule.func) :
   in
   ({ f with blocks }, !decls)
 
-let run ?stats (m : Lmodule.t) : Lmodule.t =
+let run ~stats (m : Lmodule.t) : Lmodule.t =
   let decls = ref m.decls in
   let funcs =
     List.map
       (fun f ->
-        let f', ds = run_func ?stats f in
+        let f', ds = run_func ~stats f in
         List.iter
           (fun (d : Lmodule.decl) ->
             if

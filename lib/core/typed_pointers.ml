@@ -45,7 +45,7 @@ let rec walk_gep_ty ty idxs =
           | _ -> None)
       | _ -> None)
 
-let run_func ?(stats = fresh_stats ())
+let run_func ~stats
     ~(signatures : (string, Ltype.t list * Ltype.t) Hashtbl.t)
     (f : Lmodule.func) : Lmodule.func =
   (* pointee : register/param symbol -> inferred pointee type *)
@@ -225,7 +225,7 @@ let run_func ?(stats = fresh_stats ())
 (** Module-level driver.  Functions are processed in definition order;
     signatures of processed functions refine later call-site
     inference. *)
-let run ?stats (m : Lmodule.t) : Lmodule.t =
+let run ~stats (m : Lmodule.t) : Lmodule.t =
   let signatures : (string, Ltype.t list * Ltype.t) Hashtbl.t =
     Hashtbl.create 8
   in
@@ -236,7 +236,7 @@ let run ?stats (m : Lmodule.t) : Lmodule.t =
   let funcs =
     List.map
       (fun f ->
-        let f' = run_func ?stats ~signatures f in
+        let f' = run_func ~stats ~signatures f in
         Hashtbl.replace signatures f'.Lmodule.fname
           ( List.map (fun (p : Lmodule.param) -> p.pty) f'.Lmodule.params,
             f'.Lmodule.ret_ty );

@@ -139,6 +139,21 @@ let trace_records (b : batch_report) : Trace.record list =
 (* Execution                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(** [f ()], with a front-end compile error as HLS000 and a middle-end
+    rejection as HLS902 (attributed to [label]). *)
+let guard ~(label : string) (f : unit -> 'a) : ('a, Diag.t list) result =
+  match f () with
+  | v -> Ok v
+  | exception Support.Err.Compile_error e ->
+      Error [ Diag.of_err ~rule:"HLS000" e ]
+  | exception E.Rejected errs ->
+      Error
+        (Diag.error ~rule:"HLS902" ~func:label
+           "rejected by HLS middle-end (%d issues)" (List.length errs)
+        :: List.map
+             (fun msg -> Diag.error ~rule:"HLS902" ~func:label "%s" msg)
+             errs)
+
 (** Compile one job from scratch, capturing per-pass trace events
     only when [events] (counting instructions and reading the clock
     and GC counters around every pass and analysis query is a
@@ -167,27 +182,15 @@ let compute ~events ~(pipeline : Adaptor.Pipeline.t) (j : job) : payload =
       in
       let qor, seconds, adaptor =
         match
-          Flow.run ~directives:j.directives ~pipeline ~clock_ns:j.clock_ns
-            ~sched:j.sched ~trace:hook k j.flow
+          guard ~label:j.label (fun () ->
+              Flow.run ~directives:j.directives ~pipeline ~clock_ns:j.clock_ns
+                ~sched:j.sched ~trace:hook k j.flow)
         with
-        | Ok r ->
+        | Ok (Ok r) ->
             ( Ok r.Flow.hls,
               r.Flow.seconds,
               Option.map Adaptor.report_to_string r.Flow.adaptor_report )
-        | Error ds -> (Error ds, 0.0, None)
-        | exception Support.Err.Compile_error e ->
-            (Error [ Diag.of_err ~rule:"HLS000" e ], 0.0, None)
-        | exception E.Rejected errs ->
-            ( Error
-                (Diag.error ~rule:"HLS902" ~func:j.label
-                   "rejected by HLS middle-end (%d issues)"
-                   (List.length errs)
-                :: List.map
-                     (fun msg ->
-                       Diag.error ~rule:"HLS902" ~func:j.label "%s" msg)
-                     errs),
-              0.0,
-              None )
+        | Ok (Error ds) | Error ds -> (Error ds, 0.0, None)
       in
       { p_qor = qor; p_trace = collected (); p_seconds = seconds; p_adaptor = adaptor }
 

@@ -84,6 +84,11 @@ val trace_records : batch_report -> Trace.record list
     the printed input IR plus every knob that affects the result. *)
 val cache_key : pipeline:Adaptor.Pipeline.t -> job -> string option
 
+(** [guard ~label f] runs [f], turning a front-end compile error into
+    an HLS000 diagnostic and a middle-end rejection into HLS902 ones
+    attributed to [label]; any other exception escapes. *)
+val guard : label:string -> (unit -> 'a) -> ('a, Support.Diag.t list) result
+
 (** Run one job, consulting [cache] first.  Never raises: every
     failure mode becomes [Error diags].  Pass events are collected
     when [events] (default [false]) asks for them or the outcome is

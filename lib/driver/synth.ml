@@ -54,7 +54,12 @@ let many_kernels ~(n : int) : L.Lmodule.t =
     Buffer.add_char b '\n'
   done;
   let m = L.Lparser.parse_module (Buffer.contents b) in
-  L.Lverifier.verify_module m;
+  (* nothing reuses these analyses: a manager per function keeps one
+     function's index, CFG and dominator tree alive at a time, where
+     one manager for the module would hold all [n] of them *)
+  List.iter
+    (fun f -> L.Lverifier.verify_func ~am:(L.Analysis.create ()) m f)
+    m.L.Lmodule.funcs;
   { m with L.Lmodule.mname = Printf.sprintf "synth%d" n }
 
 (** A module in which two functions both read-modify-write the global

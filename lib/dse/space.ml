@@ -26,7 +26,6 @@ module K = Workloads.Kernels
 module B = Hls_backend.Backend
 module Ir = Mhir.Ir
 module L = Llvmir
-module Sym = Support.Interner
 
 type partition_axis = {
   pa_array : string;  (** argument name *)
@@ -135,29 +134,15 @@ let may_aliased_arrays (kernel : K.kernel) : string list =
       let kernel_args = List.map fst kernel.K.args in
       List.concat_map
         (fun (f : L.Lmodule.func) ->
-          let idx = L.Analysis.findex ~am f in
-          let ptrs =
-            L.Lmodule.fold_insts
-              (fun acc (i : L.Linstr.t) ->
-                match i.L.Linstr.op with
-                | L.Linstr.Load (_, p) | L.Linstr.Store (_, p) -> p :: acc
-                | _ -> acc)
-              [] f
+          let args =
+            List.filter
+              (fun (p : L.Lmodule.param) ->
+                List.mem p.L.Lmodule.pname kernel_args)
+              f.L.Lmodule.params
           in
-          List.filter_map
-            (fun (p : L.Lmodule.param) ->
-              let pv =
-                L.Lvalue.Reg (Sym.intern p.L.Lmodule.pname, p.L.Lmodule.pty)
-              in
-              if
-                List.mem p.L.Lmodule.pname kernel_args
-                && List.exists
-                     (fun q ->
-                       L.Alias.base_alias idx q pv = L.Alias.May_alias)
-                     ptrs
-              then Some p.L.Lmodule.pname
-              else None)
-            f.L.Lmodule.params)
+          List.map
+            (fun ((p : L.Lmodule.param), _) -> p.L.Lmodule.pname)
+            (L.Alias.may_aliased_params (L.Analysis.findex ~am f) f args))
         lm.L.Lmodule.funcs
       |> List.sort_uniq compare
 

@@ -397,38 +397,18 @@ let lint_aliased_partitions (buf : Diag.buffer) (f : Lmodule.func)
         | None -> false)
       f.Lmodule.params
   in
-  if partitioned <> [] then begin
-    let ptrs =
-      List.rev
-        (Lmodule.fold_insts
-           (fun acc (i : Linstr.t) ->
-             match i.op with
-             | Load (_, p) | Store (_, p) -> p :: acc
-             | _ -> acc)
-           [] f)
-    in
-    List.iter
-      (fun (p : Lmodule.param) ->
-        let pv = Lvalue.Reg (Sym.intern p.Lmodule.pname, p.Lmodule.pty) in
-        match
-          List.find_opt
-            (fun q -> Alias.base_alias idx q pv = Alias.May_alias)
-            ptrs
-        with
-        | None -> ()
-        | Some q ->
-            Diag.add buf
-              (Diag.warning ~func:f.Lmodule.fname ~location:p.Lmodule.pname
-                 ~rule:"HLS008"
-                 ~hint:
-                   "make every access a direct getelementptr on the array, \
-                    or drop the partition directive"
-                 "partition directive on %%%s cannot be honoured: access \
-                  through %s may alias the array but is not attributable to \
-                  a bank"
-                 p.Lmodule.pname (Lvalue.to_string q)))
-      partitioned
-  end
+  List.iter
+    (fun ((p : Lmodule.param), q) ->
+      Diag.add buf
+        (Diag.warning ~func:f.Lmodule.fname ~location:p.Lmodule.pname
+           ~rule:"HLS008"
+           ~hint:
+             "make every access a direct getelementptr on the array, or \
+              drop the partition directive"
+           "partition directive on %%%s cannot be honoured: access through \
+            %s may alias the array but is not attributable to a bank"
+           p.Lmodule.pname (Lvalue.to_string q)))
+    (Alias.may_aliased_params idx f partitioned)
 
 (** HLS009 — cross-function write-write conflicts on module globals,
     straight from the {!Llvmir.Parsafe} verdict. *)

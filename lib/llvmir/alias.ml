@@ -190,6 +190,25 @@ let base_alias (idx : Findex.t) (p : Lvalue.t) (q : Lvalue.t) : verdict =
       else if known rp && known rq then No_alias
       else May_alias
 
+let may_aliased_params (idx : Findex.t) (f : Lmodule.func)
+    (params : Lmodule.param list) : (Lmodule.param * Lvalue.t) list =
+  if params = [] then []
+  else
+    let ptrs =
+      List.rev
+        (Lmodule.fold_insts
+           (fun acc (i : Linstr.t) ->
+             match i.op with Load (_, p) | Store (_, p) -> p :: acc | _ -> acc)
+           [] f)
+    in
+    List.filter_map
+      (fun (p : Lmodule.param) ->
+        let pv = Lvalue.Reg (Sym.intern p.Lmodule.pname, p.Lmodule.pty) in
+        Option.map
+          (fun q -> (p, q))
+          (List.find_opt (fun q -> base_alias idx q pv = May_alias) ptrs))
+      params
+
 let is_const_zero (f : form) = f.terms = [] && f.konst = 0
 let is_const_nonzero (f : form) = f.terms = [] && f.konst <> 0
 

@@ -79,6 +79,15 @@ val verdict_to_string : verdict -> string
     dependence analysis asks before running its own subscript test. *)
 val base_alias : Findex.t -> Lvalue.t -> Lvalue.t -> verdict
 
+(** [may_aliased_params idx f params] — for each of [params], in order,
+    the first load or store pointer of [f] (program order) whose base
+    region {!base_alias} calls [May_alias] against the parameter: an
+    access that may land in the parameter's array without being
+    attributable to it.  Parameters without one are left out. *)
+val may_aliased_params :
+  Findex.t -> Lmodule.func -> Lmodule.param list ->
+  (Lmodule.param * Lvalue.t) list
+
 (** Point-alias query: can these two addresses be equal {e at the same
     program point} (one valuation of the atoms)?  Symmetric;
     [No_alias] and [Must_alias] are mutually exclusive.  Same-root

@@ -128,19 +128,19 @@ let query (am : t) (k : kind) (f : Lmodule.func) ~(get : entry -> 'a option)
         v
       end
 
-let cfg_q (am : t) (f : Lmodule.func) : Cfg.t =
+let cfg ~(am : t) (f : Lmodule.func) : Cfg.t =
   query am Cfg f
     ~get:(fun e -> e.e_cfg)
     ~set:(fun e v -> e.e_cfg <- Some v)
     ~compute:(fun () -> Cfg.build f)
 
-let dominance_q (am : t) (f : Lmodule.func) : Dominance.t =
+let dominance ~(am : t) (f : Lmodule.func) : Dominance.t =
   query am Dominance f
     ~get:(fun e -> e.e_dom)
     ~set:(fun e v -> e.e_dom <- Some v)
-    ~compute:(fun () -> Dominance.compute (cfg_q am f))
+    ~compute:(fun () -> Dominance.compute (cfg ~am f))
 
-let findex_q (am : t) (f : Lmodule.func) : Findex.t =
+let findex ~(am : t) (f : Lmodule.func) : Findex.t =
   query am Findex f
     ~get:(fun e -> e.e_findex)
     ~set:(fun e v -> e.e_findex <- Some v)
@@ -149,11 +149,11 @@ let findex_q (am : t) (f : Lmodule.func) : Findex.t =
       | Some (sf, idx) when sf == f -> idx
       | _ -> Findex.build f)
 
-let loop_info_q (am : t) (f : Lmodule.func) : Loop_info.t =
+let loop_info ~(am : t) (f : Lmodule.func) : Loop_info.t =
   query am Loop_info f
     ~get:(fun e -> e.e_li)
     ~set:(fun e v -> e.e_li <- Some v)
-    ~compute:(fun () -> Loop_info.compute (dominance_q am f))
+    ~compute:(fun () -> Loop_info.compute (dominance ~am f))
 
 let module_report (am : t) ~(hit : bool) ~seconds (m : Lmodule.t) =
   let n = Lmodule.instr_count m in
@@ -165,7 +165,7 @@ let module_report (am : t) ~(hit : bool) ~seconds (m : Lmodule.t) =
 (** Module-level effect summary, cached for exactly this module value
     (same physical-equality soundness guard as the per-function
     entries). *)
-let effects_q (am : t) (m : Lmodule.t) : Effects.t =
+let effects ~(am : t) (m : Lmodule.t) : Effects.t =
   match am.m_effects with
   | Some (m0, e) when m0 == m ->
       if am.trace != Support.Tracing.null then
@@ -174,36 +174,12 @@ let effects_q (am : t) (m : Lmodule.t) : Effects.t =
   | _ ->
       let traced = am.trace != Support.Tracing.null in
       let t0 = if traced then Support.Tracing.now () else 0.0 in
-      let e = Effects.summarize ~findex:(findex_q am) m in
+      let e = Effects.summarize ~findex:(findex ~am) m in
       am.m_effects <- Some (m, e);
       if traced then
         module_report am ~hit:false ~seconds:(Support.Tracing.now () -. t0) m;
       e
 
-(** [?am]-threading front doors: with a manager, cached; without, a
-    plain build.  Pass implementations call these so they work both
-    standalone and under {!Pass.run_pipeline}. *)
-
-let findex ?am f = match am with Some am -> findex_q am f | None -> Findex.build f
-let cfg ?am f = match am with Some am -> cfg_q am f | None -> Cfg.build f
-
-let dominance ?am f =
-  match am with
-  | Some am -> dominance_q am f
-  | None -> Dominance.compute (Cfg.build f)
-
-let loop_info ?am f =
-  match am with
-  | Some am -> loop_info_q am f
-  | None -> Loop_info.compute (Dominance.compute (Cfg.build f))
-
-let effects ?am m =
-  match am with Some am -> effects_q am m | None -> Effects.summarize m
-
-(** After a pass produced [m], keep only the analyses it [preserves]
-    (rebased onto the new function values) plus everything cached for
-    functions the pass left physically untouched; drop the rest and
-    any entries for functions that no longer exist. *)
 (** Hand the manager an index a pass already built for its {e output}
     function (DCE indexes the compacted arena it just wrote).  The
     next {!keep} installs it for the matching function value, so the
@@ -213,15 +189,17 @@ let seed_findex (am : t) (f : Lmodule.func) (idx : Findex.t) : unit =
   Sym.Tbl.replace am.seeds (Sym.intern f.Lmodule.fname) (f, idx)
 
 (** The arena-backed passes' epilogue: [f] with the blocks of the rows
-    left alive in [a] and, under a manager, the index of the compacted
-    arena seeded for it. *)
-let materialize ?am (f : Lmodule.func) (a : Iarena.t) : Lmodule.func =
+    left alive in [a], and the index of the compacted arena seeded for
+    it. *)
+let materialize ~(am : t) (f : Lmodule.func) (a : Iarena.t) : Lmodule.func =
   let f' = { f with Lmodule.blocks = Iarena.to_blocks a } in
-  (match am with
-  | Some am -> seed_findex am f' (Findex.of_arena f' (Iarena.compact a))
-  | None -> ());
+  seed_findex am f' (Findex.of_arena f' (Iarena.compact a));
   f'
 
+(** After a pass produced [m], keep only the analyses it [preserves]
+    (rebased onto the new function values) plus everything cached for
+    functions the pass left physically untouched; drop the rest and
+    any entries for functions that no longer exist. *)
 let keep (am : t) ~(preserves : kind list) (m : Lmodule.t) : unit =
   (* Effect summaries over-approximate, and every effect a pass can
      leave behind was already in the pre-pass summary (passes only

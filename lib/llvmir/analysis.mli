@@ -15,23 +15,22 @@ val kind_name : kind -> string
 (** The manager.  One instance lives for one compile job: the flow
     driver creates it and hands it to every stage (verifier, cleanup
     pipeline, adaptor, estimator, lint), so an analysis one stage built
-    is a hit for the next.  A stage called without [?am] makes its
-    own.  Consumers ask the manager instead of building a {!Findex},
+    is a hit for the next.  A stage entry point called without [?am]
+    makes its own; below the stages every pass body and query takes
+    [~am].  Consumers ask the manager instead of building a {!Findex},
     {!Cfg} or {!Loop_info} themselves; only this module and the
     analyses' own modules build them. *)
 type t
 
 val create : ?trace:Support.Tracing.hook -> unit -> t
 
-(** Query front doors.  With [?am] the result is cached in the
-    manager; without, they fall back to a plain one-off build, so pass
-    implementations can thread their optional manager straight
-    through. *)
+(** Query front doors: the result is cached in [am] for exactly the
+    queried function value. *)
 
-val findex : ?am:t -> Lmodule.func -> Findex.t
-val cfg : ?am:t -> Lmodule.func -> Cfg.t
-val dominance : ?am:t -> Lmodule.func -> Dominance.t
-val loop_info : ?am:t -> Lmodule.func -> Loop_info.t
+val findex : am:t -> Lmodule.func -> Findex.t
+val cfg : am:t -> Lmodule.func -> Cfg.t
+val dominance : am:t -> Lmodule.func -> Dominance.t
+val loop_info : am:t -> Lmodule.func -> Loop_info.t
 
 (** Module-level {!Effects} summary, cached for exactly the queried
     module value.  Unlike the structural analyses, the preserve
@@ -39,7 +38,7 @@ val loop_info : ?am:t -> Lmodule.func -> Loop_info.t
     structural identity: a preserved summary may be strictly larger
     than one recomputed from the transformed module, and every
     consumer ({!Parsafe}, lint) treats it as may-information. *)
-val effects : ?am:t -> Lmodule.t -> Effects.t
+val effects : am:t -> Lmodule.t -> Effects.t
 
 (** [keep am ~preserves m] — called after a pass returned [m]: rebase
     the preserved analyses onto the new function values, drop all
@@ -58,11 +57,11 @@ val keep : t -> preserves:kind list -> Lmodule.t -> unit
     {!Iarena.compact} with {!Findex.of_arena} to guarantee it. *)
 val seed_findex : t -> Lmodule.func -> Findex.t -> unit
 
-(** [materialize ?am f a] — a pass that rewrote [f]'s rows in arena [a]
+(** [materialize ~am f a] — a pass that rewrote [f]'s rows in arena [a]
     returns this: [f] with the blocks of [a]'s live rows, whose
-    compacted index is seeded into [am] (when given) for the next pass
-    and the verifier. *)
-val materialize : ?am:t -> Lmodule.func -> Iarena.t -> Lmodule.func
+    compacted index is seeded into [am] for the next pass and the
+    verifier. *)
+val materialize : am:t -> Lmodule.func -> Iarena.t -> Lmodule.func
 
 (** Incremental-verification bookkeeping, used by {!Lverifier}.
     [verified am f] is true only when the verifier accepted exactly

@@ -55,10 +55,10 @@ type dead_store = {
 
     Pointer parameters and globals are read by the caller, so they are
     in the read set at every exit and their stores are never flagged.
-    The function index comes from [?am] when given. *)
-let dead_stores ?am (cfg : Cfg.t) : dead_store list =
+    The function index comes from [am]. *)
+let dead_stores ~am (cfg : Cfg.t) : dead_store list =
   let f = cfg.Cfg.func in
-  let idx = Analysis.findex ?am f in
+  let idx = Analysis.findex ~am f in
   let root v = Findex.base_pointer idx v in
   (* roots whose address escapes: passed to a call, stored as a value,
      returned, cast to an integer, or folded into an aggregate *)

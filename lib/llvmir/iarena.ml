@@ -51,47 +51,11 @@ let pure_tag t =
   (t >= tag_ibin && t <= tag_fcmp)
   || (t >= tag_gep && t <= tag_freeze && t <> tag_call)
 
-let ibinop_code : Linstr.ibinop -> int = function
-  | Add -> 0 | Sub -> 1 | Mul -> 2 | SDiv -> 3 | UDiv -> 4 | SRem -> 5
-  | URem -> 6 | Shl -> 7 | LShr -> 8 | AShr -> 9 | And -> 10 | Or -> 11
-  | Xor -> 12
-
-let code_ibinop : int -> Linstr.ibinop = function
-  | 0 -> Add | 1 -> Sub | 2 -> Mul | 3 -> SDiv | 4 -> UDiv | 5 -> SRem
-  | 6 -> URem | 7 -> Shl | 8 -> LShr | 9 -> AShr | 10 -> And | 11 -> Or
-  | _ -> Xor
-
-let fbinop_code : Linstr.fbinop -> int = function
-  | FAdd -> 0 | FSub -> 1 | FMul -> 2 | FDiv -> 3 | FRem -> 4
-
-let code_fbinop : int -> Linstr.fbinop = function
-  | 0 -> FAdd | 1 -> FSub | 2 -> FMul | 3 -> FDiv | _ -> FRem
-
-let icmp_code : Linstr.icmp -> int = function
-  | IEq -> 0 | INe -> 1 | ISlt -> 2 | ISle -> 3 | ISgt -> 4 | ISge -> 5
-  | IUlt -> 6 | IUle -> 7 | IUgt -> 8 | IUge -> 9
-
-let code_icmp : int -> Linstr.icmp = function
-  | 0 -> IEq | 1 -> INe | 2 -> ISlt | 3 -> ISle | 4 -> ISgt | 5 -> ISge
-  | 6 -> IUlt | 7 -> IUle | 8 -> IUgt | _ -> IUge
-
-let fcmp_code : Linstr.fcmp -> int = function
-  | FOeq -> 0 | FOne -> 1 | FOlt -> 2 | FOle -> 3 | FOgt -> 4 | FOge -> 5
-  | FOrd -> 6 | FUno -> 7
-
-let code_fcmp : int -> Linstr.fcmp = function
-  | 0 -> FOeq | 1 -> FOne | 2 -> FOlt | 3 -> FOle | 4 -> FOgt | 5 -> FOge
-  | 6 -> FOrd | _ -> FUno
-
-let cast_code : Linstr.cast -> int = function
-  | Trunc -> 0 | Zext -> 1 | Sext -> 2 | Fptrunc -> 3 | Fpext -> 4
-  | Fptosi -> 5 | Sitofp -> 6 | Ptrtoint -> 7 | Inttoptr -> 8
-  | Bitcast -> 9
-
-let code_cast : int -> Linstr.cast = function
-  | 0 -> Trunc | 1 -> Zext | 2 -> Sext | 3 -> Fptrunc | 4 -> Fpext
-  | 5 -> Fptosi | 6 -> Sitofp | 7 -> Ptrtoint | 8 -> Inttoptr
-  | _ -> Bitcast
+let code_ibinop c = fst Linstr.ibinops.(c)
+let code_fbinop c = fst Linstr.fbinops.(c)
+let code_icmp c = fst Linstr.icmps.(c)
+let code_fcmp c = fst Linstr.fcmps.(c)
+let code_cast c = fst Linstr.casts.(c)
 
 (* ------------------------------------------------------------------ *)
 
@@ -240,19 +204,19 @@ let of_func (f : Lmodule.func) : t =
           t.op_off.(r) <- t.pool.len;
           (match i.op with
           | IBin (o, a, b) ->
-              t.opc.(r) <- tag_ibin lor (ibinop_code o lsl 8);
+              t.opc.(r) <- tag_ibin lor (Linstr.ibinop_code o lsl 8);
               push_v a;
               push_v b
           | FBin (o, a, b) ->
-              t.opc.(r) <- tag_fbin lor (fbinop_code o lsl 8);
+              t.opc.(r) <- tag_fbin lor (Linstr.fbinop_code o lsl 8);
               push_v a;
               push_v b
           | Icmp (o, a, b) ->
-              t.opc.(r) <- tag_icmp lor (icmp_code o lsl 8);
+              t.opc.(r) <- tag_icmp lor (Linstr.icmp_code o lsl 8);
               push_v a;
               push_v b
           | Fcmp (o, a, b) ->
-              t.opc.(r) <- tag_fcmp lor (fcmp_code o lsl 8);
+              t.opc.(r) <- tag_fcmp lor (Linstr.fcmp_code o lsl 8);
               push_v a;
               push_v b
           | Alloca (ty, count) ->
@@ -274,7 +238,7 @@ let of_func (f : Lmodule.func) : t =
               push_v base;
               List.iter push_v idxs
           | Cast (c, v, ty) ->
-              t.opc.(r) <- tag_cast lor (cast_code c lsl 8);
+              t.opc.(r) <- tag_cast lor (Linstr.cast_code c lsl 8);
               t.aux0.(r) <- intern_ty t ty;
               push_v v
           | Select (c, a, b) ->

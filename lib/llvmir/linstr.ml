@@ -156,57 +156,68 @@ let map_successors f i =
   in
   { i with op }
 
-let string_of_ibinop = function
-  | Add -> "add" | Sub -> "sub" | Mul -> "mul" | SDiv -> "sdiv"
-  | UDiv -> "udiv" | SRem -> "srem" | URem -> "urem" | Shl -> "shl"
-  | LShr -> "lshr" | AShr -> "ashr" | And -> "and" | Or -> "or"
-  | Xor -> "xor"
+(* One table per opcode family: every operator with its printed name,
+   at the index {!Iarena} stores as the operator's code ([*_code]).
+   The printer, the parser and the arena decoder all read these. *)
 
-let string_of_fbinop = function
-  | FAdd -> "fadd" | FSub -> "fsub" | FMul -> "fmul" | FDiv -> "fdiv"
-  | FRem -> "frem"
+let ibinops =
+  [| (Add, "add"); (Sub, "sub"); (Mul, "mul"); (SDiv, "sdiv");
+     (UDiv, "udiv"); (SRem, "srem"); (URem, "urem"); (Shl, "shl");
+     (LShr, "lshr"); (AShr, "ashr"); (And, "and"); (Or, "or");
+     (Xor, "xor") |]
 
-let string_of_icmp = function
-  | IEq -> "eq" | INe -> "ne" | ISlt -> "slt" | ISle -> "sle"
-  | ISgt -> "sgt" | ISge -> "sge" | IUlt -> "ult" | IUle -> "ule"
-  | IUgt -> "ugt" | IUge -> "uge"
+let fbinops =
+  [| (FAdd, "fadd"); (FSub, "fsub"); (FMul, "fmul"); (FDiv, "fdiv");
+     (FRem, "frem") |]
 
-let string_of_fcmp = function
-  | FOeq -> "oeq" | FOne -> "one" | FOlt -> "olt" | FOle -> "ole"
-  | FOgt -> "ogt" | FOge -> "oge" | FOrd -> "ord" | FUno -> "uno"
+let icmps =
+  [| (IEq, "eq"); (INe, "ne"); (ISlt, "slt"); (ISle, "sle"); (ISgt, "sgt");
+     (ISge, "sge"); (IUlt, "ult"); (IUle, "ule"); (IUgt, "ugt");
+     (IUge, "uge") |]
 
-let string_of_cast = function
-  | Trunc -> "trunc" | Zext -> "zext" | Sext -> "sext"
-  | Fptrunc -> "fptrunc" | Fpext -> "fpext" | Fptosi -> "fptosi"
-  | Sitofp -> "sitofp" | Ptrtoint -> "ptrtoint" | Inttoptr -> "inttoptr"
-  | Bitcast -> "bitcast"
+let fcmps =
+  [| (FOeq, "oeq"); (FOne, "one"); (FOlt, "olt"); (FOle, "ole");
+     (FOgt, "ogt"); (FOge, "oge"); (FOrd, "ord"); (FUno, "uno") |]
 
-let ibinop_of_string = function
-  | "add" -> Add | "sub" -> Sub | "mul" -> Mul | "sdiv" -> SDiv
-  | "udiv" -> UDiv | "srem" -> SRem | "urem" -> URem | "shl" -> Shl
-  | "lshr" -> LShr | "ashr" -> AShr | "and" -> And | "or" -> Or
-  | "xor" -> Xor
-  | s -> invalid_arg ("Linstr.ibinop_of_string: " ^ s)
+let casts =
+  [| (Trunc, "trunc"); (Zext, "zext"); (Sext, "sext");
+     (Fptrunc, "fptrunc"); (Fpext, "fpext"); (Fptosi, "fptosi");
+     (Sitofp, "sitofp"); (Ptrtoint, "ptrtoint"); (Inttoptr, "inttoptr");
+     (Bitcast, "bitcast") |]
 
-let fbinop_of_string = function
-  | "fadd" -> FAdd | "fsub" -> FSub | "fmul" -> FMul | "fdiv" -> FDiv
-  | "frem" -> FRem
-  | s -> invalid_arg ("Linstr.fbinop_of_string: " ^ s)
+let ibinop_code = function
+  | Add -> 0 | Sub -> 1 | Mul -> 2 | SDiv -> 3 | UDiv -> 4 | SRem -> 5
+  | URem -> 6 | Shl -> 7 | LShr -> 8 | AShr -> 9 | And -> 10 | Or -> 11
+  | Xor -> 12
 
-let icmp_of_string = function
-  | "eq" -> IEq | "ne" -> INe | "slt" -> ISlt | "sle" -> ISle
-  | "sgt" -> ISgt | "sge" -> ISge | "ult" -> IUlt | "ule" -> IUle
-  | "ugt" -> IUgt | "uge" -> IUge
-  | s -> invalid_arg ("Linstr.icmp_of_string: " ^ s)
+let fbinop_code = function
+  | FAdd -> 0 | FSub -> 1 | FMul -> 2 | FDiv -> 3 | FRem -> 4
 
-let fcmp_of_string = function
-  | "oeq" -> FOeq | "one" -> FOne | "olt" -> FOlt | "ole" -> FOle
-  | "ogt" -> FOgt | "oge" -> FOge | "ord" -> FOrd | "uno" -> FUno
-  | s -> invalid_arg ("Linstr.fcmp_of_string: " ^ s)
+let icmp_code = function
+  | IEq -> 0 | INe -> 1 | ISlt -> 2 | ISle -> 3 | ISgt -> 4 | ISge -> 5
+  | IUlt -> 6 | IUle -> 7 | IUgt -> 8 | IUge -> 9
 
-let cast_of_string = function
-  | "trunc" -> Trunc | "zext" -> Zext | "sext" -> Sext
-  | "fptrunc" -> Fptrunc | "fpext" -> Fpext | "fptosi" -> Fptosi
-  | "sitofp" -> Sitofp | "ptrtoint" -> Ptrtoint | "inttoptr" -> Inttoptr
-  | "bitcast" -> Bitcast
-  | s -> invalid_arg ("Linstr.cast_of_string: " ^ s)
+let fcmp_code = function
+  | FOeq -> 0 | FOne -> 1 | FOlt -> 2 | FOle -> 3 | FOgt -> 4 | FOge -> 5
+  | FOrd -> 6 | FUno -> 7
+
+let cast_code = function
+  | Trunc -> 0 | Zext -> 1 | Sext -> 2 | Fptrunc -> 3 | Fpext -> 4
+  | Fptosi -> 5 | Sitofp -> 6 | Ptrtoint -> 7 | Inttoptr -> 8
+  | Bitcast -> 9
+
+let string_of_ibinop op = snd ibinops.(ibinop_code op)
+let string_of_fbinop op = snd fbinops.(fbinop_code op)
+let string_of_icmp p = snd icmps.(icmp_code p)
+let string_of_fcmp p = snd fcmps.(fcmp_code p)
+let string_of_cast c = snd casts.(cast_code c)
+
+(* The operator a name prints as, if any. *)
+let of_name table name =
+  Array.find_map (fun (op, n) -> if n = name then Some op else None) table
+
+let ibinop_of_string = of_name ibinops
+let fbinop_of_string = of_name fbinops
+let icmp_of_string = of_name icmps
+let fcmp_of_string = of_name fcmps
+let cast_of_string = of_name casts

@@ -67,7 +67,10 @@ let tokenize (src : string) : token array =
       end;
       let lit = String.sub src start (!i - start) in
       if !is_float then toks := Float (float_of_string lit) :: !toks
-      else toks := Int (int_of_string lit) :: !toks
+      else
+        match int_of_string_opt lit with
+        | Some v -> toks := Int v :: !toks
+        | None -> fail "integer literal %s out of range" lit
     end
     else if c = '"' then begin
       incr i;
@@ -183,6 +186,15 @@ let rec parse_ty s : Ltype.t =
 (* Values                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The non-finite literals {!Support.Float_lit} prints: [inf], [-inf]
+   and [nan]. *)
+let non_finite s =
+  match (cur s, peek_at s 1) with
+  | Word "inf", _ -> advance s; Some infinity
+  | Word "nan", _ -> advance s; Some Float.nan
+  | Punct '-', Word "inf" -> advance s; advance s; Some neg_infinity
+  | _ -> None
+
 let parse_value s (ty : Ltype.t) : Lvalue.t =
   match cur s with
   | Pct r -> advance s; Lvalue.Reg (Sym.intern r, ty)
@@ -194,7 +206,10 @@ let parse_value s (ty : Ltype.t) : Lvalue.t =
   | Word "null" -> advance s; Lvalue.Const (Lvalue.CNull ty)
   | Word "undef" -> advance s; Lvalue.Const (Lvalue.CUndef ty)
   | Word "zeroinitializer" -> advance s; Lvalue.Const (Lvalue.CZero ty)
-  | t -> fail "expected a value, found %s" (token_str t)
+  | t -> (
+      match non_finite s with
+      | Some v -> Lvalue.Const (Lvalue.CFloat (v, ty))
+      | None -> fail "expected a value, found %s" (token_str t))
 
 (** [ty value] pair. *)
 let parse_tv s =
@@ -265,10 +280,6 @@ let parse_attrs s : (string * string) list =
 (* Instructions                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let ibinops = ["add";"sub";"mul";"sdiv";"udiv";"srem";"urem";"shl";"lshr";"ashr";"and";"or";"xor"]
-let fbinops = ["fadd";"fsub";"fmul";"fdiv";"frem"]
-let casts = ["trunc";"zext";"sext";"fptrunc";"fpext";"fptosi";"sitofp";"ptrtoint";"inttoptr";"bitcast"]
-
 let parse_inst s : Linstr.t =
   let result =
     match (cur s, peek_at s 1) with
@@ -284,235 +295,242 @@ let parse_inst s : Linstr.t =
     | t -> fail "expected instruction keyword, found %s" (token_str t)
   in
   let open Linstr in
+  let binop op =
+    let ty = parse_ty s in
+    let a = parse_value s ty in
+    expect_punct s ',';
+    let b = parse_value s ty in
+    (op a b, ty)
+  in
   let op, ty =
-    if List.mem kw ibinops then begin
-      let ty = parse_ty s in
-      let a = parse_value s ty in
-      expect_punct s ',';
-      let b = parse_value s ty in
-      (IBin (ibinop_of_string kw, a, b), ty)
-    end
-    else if List.mem kw fbinops then begin
-      let ty = parse_ty s in
-      let a = parse_value s ty in
-      expect_punct s ',';
-      let b = parse_value s ty in
-      (FBin (fbinop_of_string kw, a, b), ty)
-    end
-    else if List.mem kw casts then begin
-      let v = parse_tv s in
-      expect s (Word "to");
-      let ty = parse_ty s in
-      (Cast (cast_of_string kw, v, ty), ty)
-    end
-    else
-      match kw with
-      | "icmp" ->
-          let p =
+    match kw with
+    | "icmp" ->
+        let p =
+          match cur s with
+          | Word w -> (
+              advance s;
+              match icmp_of_string w with
+              | Some p -> p
+              | None -> fail "unknown icmp predicate %s" w)
+          | t -> fail "expected icmp predicate, found %s" (token_str t)
+        in
+        let ty = parse_ty s in
+        let a = parse_value s ty in
+        expect_punct s ',';
+        let b = parse_value s ty in
+        (Icmp (p, a, b), Ltype.I1)
+    | "fcmp" ->
+        let p =
+          match cur s with
+          | Word w -> (
+              advance s;
+              match fcmp_of_string w with
+              | Some p -> p
+              | None -> fail "unknown fcmp predicate %s" w)
+          | t -> fail "expected fcmp predicate, found %s" (token_str t)
+        in
+        let ty = parse_ty s in
+        let a = parse_value s ty in
+        expect_punct s ',';
+        let b = parse_value s ty in
+        (Fcmp (p, a, b), Ltype.I1)
+    | "alloca" ->
+        let ty = parse_ty s in
+        let count =
+          if eat s (Punct ',') then begin
+            expect s (Word "i64");
             match cur s with
-            | Word w -> advance s; icmp_of_string w
-            | t -> fail "expected icmp predicate, found %s" (token_str t)
-          in
-          let ty = parse_ty s in
-          let a = parse_value s ty in
-          expect_punct s ',';
-          let b = parse_value s ty in
-          (Icmp (p, a, b), Ltype.I1)
-      | "fcmp" ->
-          let p =
-            match cur s with
-            | Word w -> advance s; fcmp_of_string w
-            | t -> fail "expected fcmp predicate, found %s" (token_str t)
-          in
-          let ty = parse_ty s in
-          let a = parse_value s ty in
-          expect_punct s ',';
-          let b = parse_value s ty in
-          (Fcmp (p, a, b), Ltype.I1)
-      | "alloca" ->
-          let ty = parse_ty s in
-          let count =
-            if eat s (Punct ',') then begin
-              expect s (Word "i64");
-              match cur s with
-              | Int n -> advance s; n
-              | t -> fail "expected alloca count, found %s" (token_str t)
-            end
-            else 1
-          in
-          (Alloca (ty, count), Ltype.ptr ty)
-      | "load" ->
-          let ty = parse_ty s in
-          expect_punct s ',';
-          let p = parse_tv s in
-          (Load (ty, p), ty)
-      | "store" ->
-          let v = parse_tv s in
-          expect_punct s ',';
-          let p = parse_tv s in
-          (Store (v, p), Ltype.Void)
-      | "getelementptr" ->
-          let inbounds = eat s (Word "inbounds") in
-          let src_ty = parse_ty s in
-          expect_punct s ',';
-          let base = parse_tv s in
-          let rec idxs acc =
-            if eat s (Punct ',') then idxs (parse_tv s :: acc)
-            else List.rev acc
-          in
-          let idxs = idxs [] in
-          (* reconstruct the result pointer type like the builder does *)
-          let rec walk ty = function
-            | [] -> ty
-            | idx :: rest ->
-                walk (Ltype.gep_step ty (Lvalue.const_int_value idx)) rest
-          in
-          let pointee =
-            match idxs with [] -> src_ty | _ :: rest -> walk src_ty rest
-          in
-          let rty =
-            if Ltype.is_opaque_pointer (Lvalue.type_of base) then
-              Ltype.opaque_ptr
-            else Ltype.ptr pointee
-          in
-          (Gep { inbounds; src_ty; base; idxs }, rty)
-      | "select" ->
-          let c = parse_tv s in
-          expect_punct s ',';
-          let a = parse_tv s in
-          expect_punct s ',';
-          let b = parse_tv s in
-          (Select (c, a, b), Lvalue.type_of a)
-      | "phi" ->
-          let ty = parse_ty s in
-          let rec go acc =
-            expect_punct s '[';
-            let v = parse_value s ty in
-            expect_punct s ',';
-            let l =
-              match cur s with
-              | Pct l -> advance s; l
-              | t -> fail "expected phi predecessor label, found %s" (token_str t)
-            in
-            expect_punct s ']';
-            if eat s (Punct ',') then go ((v, Sym.intern l) :: acc)
-            else List.rev ((v, Sym.intern l) :: acc)
-          in
-          (Phi (go []), ty)
-      | "call" ->
-          let ret = parse_ty s in
-          let callee =
-            match cur s with
-            | At f -> advance s; f
-            | t -> fail "expected callee, found %s" (token_str t)
-          in
-          expect_punct s '(';
-          let rec go acc =
-            if eat s (Punct ')') then List.rev acc
-            else
-              let v = parse_tv s in
-              if eat s (Punct ',') then go (v :: acc)
-              else begin
-                expect_punct s ')';
-                List.rev (v :: acc)
-              end
-          in
-          (Call { callee; ret; args = go [] }, ret)
-      | "extractvalue" ->
-          let agg = parse_tv s in
-          let rec go acc =
-            if eat s (Punct ',') then
-              match cur s with
-              | Int i -> advance s; go (i :: acc)
-              | t -> fail "expected index, found %s" (token_str t)
-            else List.rev acc
-          in
-          let path = go [] in
-          let rec walk ty = function
-            | [] -> ty
-            | i :: rest -> walk (Ltype.gep_step ty (Some i)) rest
-          in
-          (ExtractValue (agg, path), walk (Lvalue.type_of agg) path)
-      | "insertvalue" ->
-          let agg = parse_tv s in
-          expect_punct s ',';
-          let v = parse_tv s in
-          let rec go acc =
-            if eat s (Punct ',') then
-              match cur s with
-              | Int i -> advance s; go (i :: acc)
-              | t -> fail "expected index, found %s" (token_str t)
-            else List.rev acc
-          in
-          (InsertValue (agg, v, go []), Lvalue.type_of agg)
-      | "freeze" ->
-          let v = parse_tv s in
-          (Freeze v, Lvalue.type_of v)
-      | "ret" ->
-          if cur s = Word "void" then begin
-            advance s;
-            (Ret None, Ltype.Void)
+            | Int n -> advance s; n
+            | t -> fail "expected alloca count, found %s" (token_str t)
           end
+          else 1
+        in
+        (Alloca (ty, count), Ltype.ptr ty)
+    | "load" ->
+        let ty = parse_ty s in
+        expect_punct s ',';
+        let p = parse_tv s in
+        (Load (ty, p), ty)
+    | "store" ->
+        let v = parse_tv s in
+        expect_punct s ',';
+        let p = parse_tv s in
+        (Store (v, p), Ltype.Void)
+    | "getelementptr" ->
+        let inbounds = eat s (Word "inbounds") in
+        let src_ty = parse_ty s in
+        expect_punct s ',';
+        let base = parse_tv s in
+        let rec idxs acc =
+          if eat s (Punct ',') then idxs (parse_tv s :: acc)
+          else List.rev acc
+        in
+        let idxs = idxs [] in
+        (* reconstruct the result pointer type like the builder does *)
+        let rec walk ty = function
+          | [] -> ty
+          | idx :: rest ->
+              walk (Ltype.gep_step ty (Lvalue.const_int_value idx)) rest
+        in
+        let pointee =
+          match idxs with [] -> src_ty | _ :: rest -> walk src_ty rest
+        in
+        let rty =
+          if Ltype.is_opaque_pointer (Lvalue.type_of base) then
+            Ltype.opaque_ptr
+          else Ltype.ptr pointee
+        in
+        (Gep { inbounds; src_ty; base; idxs }, rty)
+    | "select" ->
+        let c = parse_tv s in
+        expect_punct s ',';
+        let a = parse_tv s in
+        expect_punct s ',';
+        let b = parse_tv s in
+        (Select (c, a, b), Lvalue.type_of a)
+    | "phi" ->
+        let ty = parse_ty s in
+        let rec go acc =
+          expect_punct s '[';
+          let v = parse_value s ty in
+          expect_punct s ',';
+          let l =
+            match cur s with
+            | Pct l -> advance s; l
+            | t -> fail "expected phi predecessor label, found %s" (token_str t)
+          in
+          expect_punct s ']';
+          if eat s (Punct ',') then go ((v, Sym.intern l) :: acc)
+          else List.rev ((v, Sym.intern l) :: acc)
+        in
+        (Phi (go []), ty)
+    | "call" ->
+        let ret = parse_ty s in
+        let callee =
+          match cur s with
+          | At f -> advance s; f
+          | t -> fail "expected callee, found %s" (token_str t)
+        in
+        expect_punct s '(';
+        let rec go acc =
+          if eat s (Punct ')') then List.rev acc
           else
             let v = parse_tv s in
-            (Ret (Some v), Ltype.Void)
-      | "br" ->
-          if cur s = Word "label" then begin
-            advance s;
+            if eat s (Punct ',') then go (v :: acc)
+            else begin
+              expect_punct s ')';
+              List.rev (v :: acc)
+            end
+        in
+        (Call { callee; ret; args = go [] }, ret)
+    | "extractvalue" ->
+        let agg = parse_tv s in
+        let rec go acc =
+          if eat s (Punct ',') then
             match cur s with
-            | Pct l -> advance s; (Br (Sym.intern l), Ltype.Void)
-            | t -> fail "expected label, found %s" (token_str t)
-          end
-          else begin
-            let c = parse_tv s in
-            expect_punct s ',';
-            expect s (Word "label");
-            let t =
-              match cur s with
-              | Pct l -> advance s; l
-              | t -> fail "expected label, found %s" (token_str t)
-            in
-            expect_punct s ',';
-            expect s (Word "label");
-            let e =
-              match cur s with
-              | Pct l -> advance s; l
-              | t -> fail "expected label, found %s" (token_str t)
-            in
-            (CondBr (c, Sym.intern t, Sym.intern e), Ltype.Void)
-          end
-      | "switch" ->
+            | Int i -> advance s; go (i :: acc)
+            | t -> fail "expected index, found %s" (token_str t)
+          else List.rev acc
+        in
+        let path = go [] in
+        let rec walk ty = function
+          | [] -> ty
+          | i :: rest -> walk (Ltype.gep_step ty (Some i)) rest
+        in
+        (ExtractValue (agg, path), walk (Lvalue.type_of agg) path)
+    | "insertvalue" ->
+        let agg = parse_tv s in
+        expect_punct s ',';
+        let v = parse_tv s in
+        let rec go acc =
+          if eat s (Punct ',') then
+            match cur s with
+            | Int i -> advance s; go (i :: acc)
+            | t -> fail "expected index, found %s" (token_str t)
+          else List.rev acc
+        in
+        (InsertValue (agg, v, go []), Lvalue.type_of agg)
+    | "freeze" ->
+        let v = parse_tv s in
+        (Freeze v, Lvalue.type_of v)
+    | "ret" ->
+        if cur s = Word "void" then begin
+          advance s;
+          (Ret None, Ltype.Void)
+        end
+        else
           let v = parse_tv s in
+          (Ret (Some v), Ltype.Void)
+    | "br" ->
+        if cur s = Word "label" then begin
+          advance s;
+          match cur s with
+          | Pct l -> advance s; (Br (Sym.intern l), Ltype.Void)
+          | t -> fail "expected label, found %s" (token_str t)
+        end
+        else begin
+          let c = parse_tv s in
           expect_punct s ',';
           expect s (Word "label");
-          let d =
+          let t =
             match cur s with
             | Pct l -> advance s; l
             | t -> fail "expected label, found %s" (token_str t)
           in
-          expect_punct s '[';
-          let rec go acc =
-            if eat s (Punct ']') then List.rev acc
-            else begin
-              let _cty = parse_ty s in
-              let c =
-                match cur s with
-                | Int c -> advance s; c
-                | t -> fail "expected case constant, found %s" (token_str t)
-              in
-              expect_punct s ',';
-              expect s (Word "label");
-              let l =
-                match cur s with
-                | Pct l -> advance s; l
-                | t -> fail "expected label, found %s" (token_str t)
-              in
-              go ((c, Sym.intern l) :: acc)
-            end
+          expect_punct s ',';
+          expect s (Word "label");
+          let e =
+            match cur s with
+            | Pct l -> advance s; l
+            | t -> fail "expected label, found %s" (token_str t)
           in
-          (Switch (v, Sym.intern d, go []), Ltype.Void)
-      | "unreachable" -> (Unreachable, Ltype.Void)
-      | _ -> fail "unknown instruction %s" kw
+          (CondBr (c, Sym.intern t, Sym.intern e), Ltype.Void)
+        end
+    | "switch" ->
+        let v = parse_tv s in
+        expect_punct s ',';
+        expect s (Word "label");
+        let d =
+          match cur s with
+          | Pct l -> advance s; l
+          | t -> fail "expected label, found %s" (token_str t)
+        in
+        expect_punct s '[';
+        let rec go acc =
+          if eat s (Punct ']') then List.rev acc
+          else begin
+            let _cty = parse_ty s in
+            let c =
+              match cur s with
+              | Int c -> advance s; c
+              | t -> fail "expected case constant, found %s" (token_str t)
+            in
+            expect_punct s ',';
+            expect s (Word "label");
+            let l =
+              match cur s with
+              | Pct l -> advance s; l
+              | t -> fail "expected label, found %s" (token_str t)
+            in
+            go ((c, Sym.intern l) :: acc)
+          end
+        in
+        (Switch (v, Sym.intern d, go []), Ltype.Void)
+    | "unreachable" -> (Unreachable, Ltype.Void)
+    | kw -> (
+        match ibinop_of_string kw with
+        | Some o -> binop (fun a b -> IBin (o, a, b))
+        | None -> (
+            match fbinop_of_string kw with
+            | Some o -> binop (fun a b -> FBin (o, a, b))
+            | None -> (
+                match cast_of_string kw with
+                | Some c ->
+                    let v = parse_tv s in
+                    expect s (Word "to");
+                    let ty = parse_ty s in
+                    (Cast (c, v, ty), ty)
+                | None -> fail "unknown instruction %s" kw)))
   in
   let imeta = parse_imeta s in
   { Linstr.result = Sym.intern result; ty; op; imeta }
@@ -616,7 +634,7 @@ let parse_module (src : string) : Lmodule.t =
           | Float v -> advance s; Some (Lvalue.CFloat (v, gty))
           | Word "undef" -> advance s; Some (Lvalue.CUndef gty)
           | Word "null" -> advance s; Some (Lvalue.CNull gty)
-          | _ -> None
+          | _ -> Option.map (fun v -> Lvalue.CFloat (v, gty)) (non_finite s)
         in
         globals := { Lmodule.gname; gty; ginit; gconst } :: !globals;
         go ()

@@ -47,16 +47,10 @@ let check_block_structure (f : func) =
         entry.insts
   | [] -> fail "@%s: function has no blocks" f.fname)
 
-let check_ssa ?am (f : func) =
-  let idx = Analysis.findex ?am f in
-  let cfg = Analysis.cfg ?am f in
-  (* without a manager, derive dominance from the CFG already in hand
-     rather than letting [Analysis.dominance] rebuild it *)
-  let dom =
-    match am with
-    | Some _ -> Analysis.dominance ?am f
-    | None -> Dominance.compute cfg
-  in
+let check_ssa ~am (f : func) =
+  let idx = Analysis.findex ~am f in
+  let cfg = Analysis.cfg ~am f in
+  let dom = Analysis.dominance ~am f in
   (* unique definitions: the index keeps the last def per name, so any
      def site that is not its own recorded def is a duplicate *)
   List.iteri
@@ -233,37 +227,34 @@ let check_calls (m : t) (f : func) =
       | _ -> ())
     f
 
-(* With a manager, verification is incremental: a function value the
-   verifier already accepted under this manager is skipped (every
-   check is a pure property of the value plus the module's callable
-   signatures, and {!Analysis.verified} is cleared the moment any
-   query or {!Analysis.keep} sees a new value under that name).
-   Callers that reuse one manager across several passes of the same
-   module — the pass pipeline, the adaptor — therefore only pay for
-   functions a pass actually rewrote. *)
-let verify_func ?am (m : t) (f : func) =
-  let skip = match am with Some a -> Analysis.verified a f | None -> false in
-  if not skip then begin
+(* Verification is incremental: a function value the verifier already
+   accepted under this manager is skipped (every check is a pure
+   property of the value plus the module's callable signatures, and
+   {!Analysis.verified} is cleared the moment any query or
+   {!Analysis.keep} sees a new value under that name).  Callers that
+   reuse one manager across several passes of the same module — the
+   pass pipeline, the adaptor — therefore only pay for functions a
+   pass actually rewrote. *)
+let verify_func ~am (m : t) (f : func) =
+  if not (Analysis.verified am f) then begin
     check_block_structure f;
-    check_ssa ?am f;
+    check_ssa ~am f;
     check_types f;
     check_calls m f;
-    match am with Some a -> Analysis.mark_verified a f | None -> ()
+    Analysis.mark_verified am f
   end
 
-let verify_module ?am (m : t) =
+(** Verify every function of [m] under [?am] (a fresh manager without
+    it). *)
+let verify_module ?(am = Analysis.create ()) (m : t) =
   (* Call-site checks read other functions' signatures, so a skip is
      only sound while the signature environment is stable; when it
      moved (e.g. the adaptor rewrote parameter lists), call sites of
      untouched functions are re-checked — exactly the staleness a
      skipped full check could miss. *)
-  let sigs_changed =
-    match am with Some a -> Analysis.note_signatures a m | None -> true
-  in
+  let sigs_changed = Analysis.note_signatures am m in
   List.iter
     (fun f ->
-      match am with
-      | Some a when Analysis.verified a f ->
-          if sigs_changed then check_calls m f
-      | _ -> verify_func ?am m f)
+      if not (Analysis.verified am f) then verify_func ~am m f
+      else if sigs_changed then check_calls m f)
     m.funcs

@@ -52,14 +52,10 @@ let fold_icmp p ty a b =
   let a = Linterp.norm_int ty a and b = Linterp.norm_int ty b in
   if Linterp.icmp_eval p a b then 1 else 0
 
-let run_func ?am (f : Lmodule.func) : Lmodule.func =
-  (* Under a manager the post-verify index for [f] is already cached,
-     so its arena is free; standalone, encode without index tables. *)
-  let a =
-    match am with
-    | Some _ -> Findex.arena (Analysis.findex ?am f)
-    | None -> Iarena.of_func f
-  in
+let run_func ~am (f : Lmodule.func) : Lmodule.func =
+  (* the post-verify index for [f] is already cached, so its arena is
+     free *)
+  let a = Findex.arena (Analysis.findex ~am f) in
   let n = Iarena.n_instrs a in
   let changed = ref false in
   let subst : Lvalue.t Sym.Tbl.t = Sym.Tbl.create 32 in
@@ -197,6 +193,4 @@ let run_func ?am (f : Lmodule.func) : Lmodule.func =
     end
   in
   go 8;
-  if Iarena.live_count a = n then f else Analysis.materialize ?am f a
-
-let run ?am (m : Lmodule.t) : Lmodule.t = Lmodule.map_funcs (run_func ?am) m
+  if Iarena.live_count a = n then f else Analysis.materialize ~am f a

@@ -20,9 +20,9 @@
 open Lmodule
 module Sym = Support.Interner
 
-let run_func ?am (f : func) : func =
-  let dom = Analysis.dominance ?am f in
-  let idx = Analysis.findex ?am f in
+let run_func ~am (f : func) : func =
+  let dom = Analysis.dominance ~am f in
+  let idx = Analysis.findex ~am f in
   let a = Findex.arena idx in
   let subst : Lvalue.t Sym.Tbl.t = Sym.Tbl.create 32 in
   let changed = ref false in
@@ -94,7 +94,5 @@ let run_func ?am (f : func) : func =
     (* the arena is the output: rewrite surviving users in place, then
        materialise it *)
     ignore (Findex.rewrite_users idx subst);
-    Analysis.materialize ?am f a
+    Analysis.materialize ~am f a
   end
-
-let run ?am (m : t) : t = map_funcs (run_func ?am) m

@@ -7,9 +7,9 @@
     dense use-count array are the only state, the cascade walks
     operand-pool slots through {!Findex.local_of_slot} with no hashing
     and no allocation, and the surviving rows materialise physically
-    identical to the input.  When run under a manager the pass indexes
-    the compacted arena it just wrote and seeds the analysis cache, so
-    the post-pass verifier reads the same flat storage. *)
+    identical to the input.  The pass indexes the compacted arena it
+    just wrote and seeds the analysis cache, so the post-pass verifier
+    reads the same flat storage. *)
 
 open Lmodule
 module Sym = Support.Interner
@@ -26,8 +26,8 @@ let pure_intrinsic name =
   || starts_with "llvm.fma." || starts_with "llvm.fabs."
   || starts_with "llvm.sqrt."
 
-let run_func ?am (f : func) : func =
-  let idx = Analysis.findex ?am f in
+let run_func ~am (f : func) : func =
+  let idx = Analysis.findex ~am f in
   let a = Findex.arena idx in
   let n = Iarena.n_instrs a in
   (* operand-occurrence counts among still-live instructions, by dense
@@ -70,6 +70,4 @@ let run_func ?am (f : func) : func =
         drain ()
   in
   drain ();
-  if Iarena.live_count a = n then f else Analysis.materialize ?am f a
-
-let run ?am (m : t) : t = map_funcs (run_func ?am) m
+  if Iarena.live_count a = n then f else Analysis.materialize ~am f a

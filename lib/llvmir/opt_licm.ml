@@ -25,9 +25,9 @@ let speculatable (i : Linstr.t) =
       | _ -> false)
   | _ -> true
 
-let run_func ?am (f : func) : func =
-  let cfg = Analysis.cfg ?am f in
-  let li = Analysis.loop_info ?am f in
+let run_func ~am (f : func) : func =
+  let cfg = Analysis.cfg ~am f in
+  let li = Analysis.loop_info ~am f in
   if Array.length li.Loop_info.loops = 0 then f
   else begin
     let changed = ref false in
@@ -120,5 +120,3 @@ let run_func ?am (f : func) : func =
       order;
     if !changed then { f with blocks = Array.to_list blocks } else f
   end
-
-let run ?am (m : t) : t = map_funcs (run_func ?am) m

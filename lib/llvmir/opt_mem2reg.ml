@@ -59,14 +59,14 @@ let promotable (a : Iarena.t) : alloca_info list =
   done;
   !found
 
-let run_func ?am (f : func) : func =
-  let idx = Analysis.findex ?am f in
+let run_func ~am (f : func) : func =
+  let idx = Analysis.findex ~am f in
   let a = Findex.arena idx in
   let allocas = promotable a in
   if allocas = [] then f
   else begin
-    let cfg = Analysis.cfg ?am f in
-    let dom = Analysis.dominance ?am f in
+    let cfg = Analysis.cfg ~am f in
+    let dom = Analysis.dominance ~am f in
     let df = Dominance.frontiers dom in
     let names = namegen f in
     let n = Cfg.n_blocks cfg in
@@ -221,5 +221,3 @@ let run_func ?am (f : func) : func =
     in
     { f with blocks = final_blocks }
   end
-
-let run ?am (m : t) : t = map_funcs (run_func ?am) m

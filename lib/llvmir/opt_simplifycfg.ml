@@ -56,8 +56,8 @@ let fold_const_branches (f : func) : func * bool =
      handing back a rebuilt copy would invalidate both for a no-op *)
   ((if !changed then f' else f), !changed)
 
-let remove_unreachable ?am (f : func) : func * bool =
-  let cfg = Analysis.cfg ?am f in
+let remove_unreachable ~am (f : func) : func * bool =
+  let cfg = Analysis.cfg ~am f in
   let dead = Cfg.unreachable_blocks cfg in
   if dead = [] then (f, false)
   else begin
@@ -66,7 +66,7 @@ let remove_unreachable ?am (f : func) : func * bool =
       List.filter (fun (b : block) -> not (List.mem b.label dead_labels)) f.blocks
     in
     let f' = { f with blocks } in
-    let cfg' = Analysis.cfg ?am f' in
+    let cfg' = Analysis.cfg ~am f' in
     let live_preds label =
       match Cfg.index_of cfg' label with
       | Some i -> List.map (Cfg.label cfg') cfg'.Cfg.preds.(i)
@@ -82,8 +82,8 @@ let remove_unreachable ?am (f : func) : func * bool =
     chain's instructions (dropping the intermediate terminators) in a
     single rebuild — the fixpoint a merge-one-pair-then-recompute loop
     reaches, without the per-merge CFG rebuilds. *)
-let merge_blocks ?am (f : func) : func * bool =
-  let cfg = Analysis.cfg ?am f in
+let merge_blocks ~am (f : func) : func * bool =
+  let cfg = Analysis.cfg ~am f in
   let n = Cfg.n_blocks cfg in
   (* absorbed.(bi) = true: bi folds into its unique predecessor *)
   let absorbed = Array.make n false in
@@ -169,16 +169,14 @@ let merge_blocks ?am (f : func) : func * bool =
     ({ f with blocks = List.map fixup !blocks }, true)
   end
 
-let run_func ?am (f : func) : func =
+let run_func ~am (f : func) : func =
   let rec go f n =
     if n = 0 then f
     else begin
       let f, c1 = fold_const_branches f in
-      let f, c2 = remove_unreachable ?am f in
-      let f, c3 = merge_blocks ?am f in
+      let f, c2 = remove_unreachable ~am f in
+      let f, c3 = merge_blocks ~am f in
       if c1 || c2 || c3 then go f (n - 1) else f
     end
   in
   go f 64
-
-let run ?am (m : t) : t = map_funcs (run_func ?am) m

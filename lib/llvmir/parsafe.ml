@@ -58,7 +58,9 @@ let check ?effects (m : Lmodule.t) : verdict =
   | [] | [ _ ] -> Safe
   | funcs ->
       let eff =
-        match effects with Some e -> e | None -> Analysis.effects m
+        match effects with
+        | Some e -> e
+        | None -> Analysis.effects ~am:(Analysis.create ()) m
       in
       let fps =
         List.filter_map

@@ -11,19 +11,20 @@
     declare [preserves = []] — over-declaring breaks the rebase
     contract documented on {!Cfg.rebase}.
 
-    Passes that transform one function at a time additionally expose
-    their per-function entry as [fn_run]; {!run_pipeline_parallel}
-    fans such a pass tail out across worker domains when {!Parsafe}
-    proves the module race-free. *)
+    A pass body is either per-function or whole-module; the pipeline
+    maps a per-function body over the module, and
+    {!run_pipeline_parallel} fans a tail of per-function passes out
+    across worker domains when {!Parsafe} proves the module race-free. *)
+
+type body =
+  | Per_function of (Analysis.t -> Lmodule.func -> Lmodule.func)
+  | Whole_module of (Analysis.t -> Lmodule.t -> Lmodule.t)
 
 type pass = {
   name : string;
   preserves : Analysis.kind list;
       (** analyses still valid (after rebase) on this pass's output *)
-  run : Analysis.t -> Lmodule.t -> Lmodule.t;
-  fn_run : (Analysis.t -> Lmodule.func -> Lmodule.func) option;
-      (** function-local entry ([run] must equal mapping it over the
-          module's functions); [None] for module-level passes *)
+  body : body;
 }
 
 (* Inlining and CFG simplification restructure blocks, so they
@@ -41,37 +42,34 @@ let cfg_shape =
 
 let inline =
   { name = "inline"; preserves = [ Analysis.Effects ];
-    run = (fun _ m -> Opt_inline.run m); fn_run = None }
+    body = Whole_module (fun _ m -> Opt_inline.run m) }
 
 let mem2reg =
   { name = "mem2reg"; preserves = cfg_shape;
-    run = (fun am m -> Opt_mem2reg.run ~am m);
-    fn_run = Some (fun am f -> Opt_mem2reg.run_func ~am f) }
+    body = Per_function (fun am f -> Opt_mem2reg.run_func ~am f) }
 
 let dce =
   { name = "dce"; preserves = cfg_shape;
-    run = (fun am m -> Opt_dce.run ~am m);
-    fn_run = Some (fun am f -> Opt_dce.run_func ~am f) }
+    body = Per_function (fun am f -> Opt_dce.run_func ~am f) }
 
 let constfold =
   { name = "constfold"; preserves = cfg_shape;
-    run = (fun am m -> Opt_constfold.run ~am m);
-    fn_run = Some (fun am f -> Opt_constfold.run_func ~am f) }
+    body = Per_function (fun am f -> Opt_constfold.run_func ~am f) }
 
 let cse =
   { name = "cse"; preserves = cfg_shape;
-    run = (fun am m -> Opt_cse.run ~am m);
-    fn_run = Some (fun am f -> Opt_cse.run_func ~am f) }
+    body = Per_function (fun am f -> Opt_cse.run_func ~am f) }
 
 let simplifycfg =
   { name = "simplifycfg"; preserves = [ Analysis.Effects ];
-    run = (fun am m -> Opt_simplifycfg.run ~am m);
-    fn_run = Some (fun am f -> Opt_simplifycfg.run_func ~am f) }
+    body = Per_function (fun am f -> Opt_simplifycfg.run_func ~am f) }
 
 let licm =
   { name = "licm"; preserves = cfg_shape;
-    run = (fun am m -> Opt_licm.run ~am m);
-    fn_run = Some (fun am f -> Opt_licm.run_func ~am f) }
+    body = Per_function (fun am f -> Opt_licm.run_func ~am f) }
+
+let registry = [ inline; mem2reg; dce; constfold; cse; simplifycfg; licm ]
+let by_name name = List.find_opt (fun p -> p.name = name) registry
 
 (** The -O2-flavoured cleanup pipeline both flows run before HLS.
     Inlining comes first: Vitis flattens the design into the top
@@ -86,6 +84,11 @@ let alloc_words () =
   let minor, _, major = Gc.counters () in
   (minor, major)
 
+let apply am p m =
+  match p.body with
+  | Per_function fn -> Lmodule.map_funcs (fn am) m
+  | Whole_module fn -> fn am m
+
 (* The passes alone, one trace event each, without verifying the
    result. *)
 let run_passes ~trace ~stage ~am (passes : pass list) (m : Lmodule.t) =
@@ -96,7 +99,7 @@ let run_passes ~trace ~stage ~am (passes : pass list) (m : Lmodule.t) =
   let traced = trace != Support.Tracing.null in
   let step m p =
     if not traced then begin
-      let m' = p.run am m in
+      let m' = apply am p m in
       settle p m';
       m'
     end
@@ -104,7 +107,7 @@ let run_passes ~trace ~stage ~am (passes : pass list) (m : Lmodule.t) =
       let before = Lmodule.instr_count m in
       let minor0, major0 = alloc_words () in
       let t0 = Support.Tracing.now () in
-      let m' = p.run am m in
+      let m' = apply am p m in
       let seconds = Support.Tracing.now () -. t0 in
       let minor1, major1 = alloc_words () in
       settle p m';
@@ -118,11 +121,12 @@ let run_passes ~trace ~stage ~am (passes : pass list) (m : Lmodule.t) =
   in
   List.fold_left step m passes
 
-(** Run a pipeline and verify the module once after the final pass —
-    the verifier's checks are properties of the output, so one
-    end-of-pipeline run rejects exactly what per-pass runs would, at a
-    fraction of the cost (the incremental verifier re-checks only
-    functions that still differ from their last accepted value).
+(** Run a pipeline and verify the module once after the final pass
+    (also after an empty pipeline) — the verifier's checks are
+    properties of the output, so one end-of-pipeline run rejects
+    exactly what per-pass runs would, at a fraction of the cost (the
+    incremental verifier re-checks only functions that still differ
+    from their last accepted value).
     [?trace] receives one {!Support.Tracing.event} per pass (stage
     [?stage], default ["llvm-opt"]) plus one per analysis query (stage
     ["analysis"], pass ["<kind>:hit"] / ["<kind>:compute"]).  [?am]
@@ -135,7 +139,7 @@ let run_pipeline ?(trace = Support.Tracing.null) ?(stage = "llvm-opt")
     Lmodule.t * float =
   let start = Support.Tracing.now () in
   let m' = run_passes ~trace ~stage ~am passes m in
-  if passes <> [] then Lverifier.verify_module ~am m';
+  Lverifier.verify_module ~am m';
   (m', Support.Tracing.now () -. start)
 
 (* ------------------------------------------------------------------ *)
@@ -167,7 +171,7 @@ let par_status_to_string = function
     function-local, and the prologue before it. *)
 let split_func_local (passes : pass list) : pass list * pass list =
   let rec go tail = function
-    | p :: rest when p.fn_run <> None -> go (p :: tail) rest
+    | ({ body = Per_function _; _ } as p) :: rest -> go (p :: tail) rest
     | rest -> (List.rev rest, tail)
   in
   go [] (List.rev passes)
@@ -214,24 +218,21 @@ let run_pipeline_parallel ~(fanout : fanout) (passes : pass list)
               run_passes ~trace:Support.Tracing.null ~stage:"llvm-opt" ~am
                 prologue m
             in
-            (* Workers verify their function once after the whole tail,
-               against [m1] (tail passes are function-local, so callee
-               signatures never move).  Each arena-backed pass
-               seeds its output's function index ({!Analysis.seed_findex},
-               installed by [keep] below), so the scoped verification
-               reads the flat storage the passes wrote instead of
+            (* Workers run the tail on a one-function module under a
+               private manager, then verify their function once against
+               [m1] (tail passes are function-local, so callee
+               signatures never move).  Each arena-backed pass seeds
+               its output's function index ({!Analysis.seed_findex},
+               installed by [keep]), so the scoped verification reads
+               the flat storage the passes wrote instead of
                re-materialising and re-indexing the function. *)
             let worker (f : Lmodule.func) =
               let am = Analysis.create () in
-              let f =
-                List.fold_left
-                  (fun f p ->
-                    let f' = (Option.get p.fn_run) am f in
-                    Analysis.keep am ~preserves:p.preserves
-                      { m1 with Lmodule.funcs = [ f' ] };
-                    f')
-                  f tail
+              let m' =
+                run_passes ~trace:Support.Tracing.null ~stage:"llvm-opt" ~am
+                  tail { m1 with Lmodule.funcs = [ f ] }
               in
+              let f = List.hd m'.Lmodule.funcs in
               Lverifier.verify_func ~am m1 f;
               f
             in
@@ -239,13 +240,3 @@ let run_pipeline_parallel ~(fanout : fanout) (passes : pass list)
             ( { m1 with Lmodule.funcs = funcs },
               Support.Tracing.now () -. start,
               Ran_parallel (List.length funcs) ))
-
-let by_name = function
-  | "inline" -> Some inline
-  | "mem2reg" -> Some mem2reg
-  | "dce" -> Some dce
-  | "constfold" -> Some constfold
-  | "cse" -> Some cse
-  | "simplifycfg" -> Some simplifycfg
-  | "licm" -> Some licm
-  | _ -> None

@@ -11,19 +11,21 @@
     declare [preserves = []] — over-declaring breaks the rebase
     contract documented on {!Cfg.rebase}.
 
-    Passes that transform one function at a time additionally expose
-    their per-function entry as [fn_run]; {!run_pipeline_parallel}
-    fans such a pass tail out across worker domains when {!Parsafe}
-    proves the module race-free. *)
+    A pass body is either per-function or whole-module.
+    {!run_pipeline_parallel} fans a tail of per-function passes out
+    across worker domains when {!Parsafe} proves the module
+    race-free. *)
+
+type body =
+  | Per_function of (Analysis.t -> Lmodule.func -> Lmodule.func)
+      (** the pipeline maps it over the module's functions *)
+  | Whole_module of (Analysis.t -> Lmodule.t -> Lmodule.t)
 
 type pass = {
   name : string;
   preserves : Analysis.kind list;
       (** analyses still valid (after rebase) on this pass's output *)
-  run : Analysis.t -> Lmodule.t -> Lmodule.t;
-  fn_run : (Analysis.t -> Lmodule.func -> Lmodule.func) option;
-      (** function-local entry ([run] must equal mapping it over the
-          module's functions); [None] for module-level passes *)
+  body : body;
 }
 
 val inline : pass
@@ -38,7 +40,7 @@ val licm : pass
 val default_pipeline : pass list
 
 (** Run a pipeline and verify the module once after the final pass
-    (not at all for an empty pipeline): the verifier's checks are
+    (also after an empty pipeline): the verifier's checks are
     properties of the output, so one end-of-pipeline run rejects
     exactly what per-pass verification would, and the incremental
     verifier re-checks only functions that changed since their last
@@ -80,8 +82,8 @@ type par_status =
 
 val par_status_to_string : par_status -> string
 
-(** Longest suffix of the pipeline in which every pass has a [fn_run]
-    entry, and the module-level prologue before it.  Exposed for tests
+(** Longest suffix of the pipeline in which every pass is
+    {!Per_function}, and the prologue before it.  Exposed for tests
     and diagnostics. *)
 val split_func_local : pass list -> pass list * pass list
 
@@ -105,4 +107,5 @@ val run_pipeline_parallel :
   Lmodule.t ->
   Lmodule.t * float * par_status
 
+(** The pass of that {!pass.name}, among the seven above. *)
 val by_name : string -> pass option

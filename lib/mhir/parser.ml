@@ -21,6 +21,13 @@ type token =
 
 let fail fmt = Support.Err.fail ~pass:"mhir.parser" fmt
 
+(* [int_of_string] raises on a literal past [max_int]; the parser
+   reports it instead *)
+let int_lit what lit =
+  match int_of_string_opt lit with
+  | Some i -> i
+  | None -> fail "bad %s %s" what lit
+
 (* ------------------------------------------------------------------ *)
 (* Tokenizer                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -76,7 +83,7 @@ let tokenize (src : string) : token array =
       end;
       let lit = String.sub src start (!i - start) in
       if !is_float then toks := Float (float_of_string lit) :: !toks
-      else toks := Int (int_of_string lit) :: !toks
+      else toks := Int (int_lit "integer literal" lit) :: !toks
     end
     else if c = '"' then begin
       incr i;
@@ -106,7 +113,7 @@ let tokenize (src : string) : token array =
       incr i;
       let digits = read_while is_digit in
       if digits = "" then fail "expected SSA id after %%";
-      toks := Pct (int_of_string digits) :: !toks
+      toks := Pct (int_lit "SSA id" digits) :: !toks
     end
     else if c = '@' then begin
       incr i;
@@ -195,7 +202,7 @@ let parse_ty s =
       let parts = List.filter (fun p -> p <> "") parts in
       (match List.rev parts with
       | elem :: dims_rev when dims_rev <> [] ->
-          let dims = List.rev_map int_of_string dims_rev in
+          let dims = List.rev_map (int_lit "memref dimension") dims_rev in
           Types.Memref (dims, scalar_of_string elem)
       | _ -> fail "malformed memref type")
   | Word w ->
@@ -339,7 +346,17 @@ let rec parse_attr_value s : Attr.t =
       | Float f ->
           advance s;
           Attr.Float (-.f)
+      | Word "inf" ->
+          advance s;
+          Attr.Float neg_infinity
       | t -> fail "expected number after '-', found %s" (token_str t))
+  (* the non-finite literals {!Support.Float_lit} prints *)
+  | Word "inf" ->
+      advance s;
+      Attr.Float infinity
+  | Word "nan" ->
+      advance s;
+      Attr.Float Float.nan
   | Word "true" ->
       advance s;
       Attr.Bool true

@@ -25,6 +25,17 @@ let check_defined scope op (v : value) =
   if not (Hashtbl.mem scope.defined v.id) then
     fail ~context:op.name "operand %%%d used before definition" v.id
 
+(* A required attribute read with [as_kind]: missing or of another
+   kind, it is a verifier failure rather than [Invalid_argument]. *)
+let attr (o : op) key as_kind =
+  match Attr.find o.attrs key with
+  | None -> fail "%s: missing attribute %s" o.name key
+  | Some a -> (
+      try as_kind a
+      with Invalid_argument _ ->
+        fail "%s: attribute %s has the wrong kind: %s" o.name key
+          (Attr.to_string a))
+
 let expect_ty what v ty =
   if not (Types.equal v.ty ty) then
     fail "%s: expected %s, got %s" what (Types.to_string ty)
@@ -70,12 +81,12 @@ let check_op_types (o : op) =
   | "arith.maximumf" | "arith.minimumf" ->
       binop_same `Float
   | "arith.cmpi" | "arith.cmpf" -> (
-      ignore (Attr.as_str (Attr.find_exn o.attrs "predicate"));
+      ignore (attr o "predicate" Attr.as_str);
       match o.results with
       | [ r ] -> expect_ty (o.name ^ " result") r Types.I1
       | _ -> ())
   | "arith.constant" -> (
-      let v = Attr.find_exn o.attrs "value" in
+      let v = attr o "value" Fun.id in
       match (v, o.results) with
       | Attr.Int _, [ r ] when Types.is_int r.ty -> ()
       | Attr.Float _, [ r ] when Types.is_float r.ty -> ()
@@ -95,7 +106,7 @@ let check_op_types (o : op) =
               expect_ty "load result" r elem;
               (match o.name with
               | "affine.load" ->
-                  let map = Attr.as_map (Attr.find_exn o.attrs "map") in
+                  let map = attr o "map" Attr.as_map in
                   if Affine_map.num_results map <> List.length shape then
                     fail "affine.load: map/rank mismatch";
                   if
@@ -116,7 +127,7 @@ let check_op_types (o : op) =
               expect_ty "stored value" v elem;
               (match o.name with
               | "affine.store" ->
-                  let map = Attr.as_map (Attr.find_exn o.attrs "map") in
+                  let map = attr o "map" Attr.as_map in
                   if Affine_map.num_results map <> List.length shape then
                     fail "affine.store: map/rank mismatch"
               | _ ->
@@ -126,9 +137,9 @@ let check_op_types (o : op) =
           | _ -> fail "%s: base is not a memref" o.name)
       | _ -> ())
   | "affine.for" ->
-      let lb = Attr.as_map (Attr.find_exn o.attrs "lower_map") in
-      let ub = Attr.as_map (Attr.find_exn o.attrs "upper_map") in
-      let step = Attr.as_int (Attr.find_exn o.attrs "step") in
+      let lb = attr o "lower_map" Attr.as_map in
+      let ub = attr o "upper_map" Attr.as_map in
+      let step = attr o "step" Attr.as_int in
       if step <= 0 then fail "affine.for: step must be positive";
       if Affine_map.num_results lb <> 1 || Affine_map.num_results ub <> 1 then
         fail "affine.for: bound maps must have one result";
@@ -238,7 +249,7 @@ let verify_module (m : modul) =
       walk_func
         (fun o ->
           if o.name = "func.call" then begin
-            let callee = Attr.as_str (Attr.find_exn o.attrs "callee") in
+            let callee = attr o "callee" Attr.as_str in
             match find_func m callee with
             | None -> fail "call to unknown function @%s" callee
             | Some g ->

@@ -82,12 +82,14 @@ type config = {
   queue_max : int;  (** admission-control bound *)
   budgets : (string * int) list;
       (** per-kind concurrent-evaluation bounds; kinds not listed get
-          [default_budget] *)
-  default_budget : int;
+          {!default_budget} *)
   max_rss_mb : int option;
       (** soft resident-memory cap: shed memo + latency rings above it *)
   log : string -> unit;  (** daemon-side progress lines *)
 }
+
+(** Concurrent evaluations of a kind that [budgets] does not list. *)
+let default_budget = 4
 
 let default_config =
   {
@@ -97,7 +99,6 @@ let default_config =
     (* DSE and fuzz fan out internally — one of each at a time is
        plenty; everything else is a single compile-sized job. *)
     budgets = [ ("dse", 1); ("fuzz", 1) ];
-    default_budget = 4;
     max_rss_mb = None;
     log = ignore;
   }
@@ -251,7 +252,7 @@ let queue_depth (st : state) : int =
 let budget_of (st : state) (kind : string) : int =
   match List.assoc_opt kind st.cfg.budgets with
   | Some n -> max 1 n
-  | None -> max 1 st.cfg.default_budget
+  | None -> default_budget
 
 let running_of (st : state) (kind : string) : int =
   Option.value (Hashtbl.find_opt st.running_kinds kind) ~default:0

@@ -30,8 +30,7 @@ type config = {
   queue_max : int;  (** admission-control bound *)
   budgets : (string * int) list;
       (** per-kind concurrent-evaluation bounds (clamped to ≥ 1);
-          kinds not listed get [default_budget] *)
-  default_budget : int;
+          kinds not listed get 4 *)
   max_rss_mb : int option;
       (** soft resident-memory cap: above it the response memo and
           latency rings are shed after a completion *)

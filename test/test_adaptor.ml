@@ -32,7 +32,10 @@ entry:
   ret i64 %m
 }|}
   in
-  let m' = A.Legalize_intrinsics.run m in
+  let m' =
+    A.Legalize_intrinsics.run ~stats:(A.Legalize_intrinsics.fresh_stats ())
+      ~am:(Analysis.create ()) m
+  in
   Lverifier.verify_module m';
   Alcotest.(check bool) "no llvm.* calls remain" true
     (A.Compat.check m'
@@ -61,7 +64,7 @@ entry:
 }|}
   in
   let stats = A.Legalize_intrinsics.fresh_stats () in
-  let m' = A.Legalize_intrinsics.run ~stats m in
+  let m' = A.Legalize_intrinsics.run ~stats ~am:(Analysis.create ()) m in
   Alcotest.(check int) "one fmuladd split" 1 stats.A.Legalize_intrinsics.fmuladd;
   let st = Linterp.create m' in
   (match Linterp.run st "f" [ Linterp.RFloat 2.0 ] with
@@ -86,7 +89,7 @@ entry:
 }|}
   in
   let stats = A.Legalize_intrinsics.fresh_stats () in
-  let m' = A.Legalize_intrinsics.run ~stats m in
+  let m' = A.Legalize_intrinsics.run ~stats ~am:(Analysis.create ()) m in
   Alcotest.(check int) "two markers dropped" 2 stats.A.Legalize_intrinsics.dropped;
   let calls =
     List.fold_left
@@ -109,7 +112,10 @@ entry:
   ret i64 %r
 }|}
   in
-  let m' = A.Legalize_intrinsics.run m in
+  let m' =
+    A.Legalize_intrinsics.run ~stats:(A.Legalize_intrinsics.fresh_stats ())
+      ~am:(Analysis.create ()) m
+  in
   Alcotest.(check bool) "freeze forwarded" true
     (List.for_all
        (fun i ->
@@ -132,7 +138,10 @@ let test_descriptors_detected_and_removed () =
        (fun i -> i.A.Compat.kind = A.Compat.Memref_descriptor)
        before);
   let stats = A.Eliminate_descriptors.fresh_stats () in
-  let m' = A.Eliminate_descriptors.run ~stats m in
+  let m' =
+    A.Eliminate_descriptors.run ~stats ~delinearize:true
+      ~am:(Analysis.create ()) m
+  in
   Lverifier.verify_module m';
   Alcotest.(check int) "three descriptors eliminated" 3
     stats.A.Eliminate_descriptors.descriptors;
@@ -148,7 +157,11 @@ let test_descriptors_detected_and_removed () =
 let test_descriptor_elimination_semantics () =
   let k = Workloads.Kernels.gemm () in
   let m = gemm_modern () in
-  let m' = A.Eliminate_descriptors.run m in
+  let m' =
+    A.Eliminate_descriptors.run
+      ~stats:(A.Eliminate_descriptors.fresh_stats ())
+      ~delinearize:true ~am:(Analysis.create ()) m
+  in
   let out1 = Flow.run_llvm k m in
   let out2 = Flow.run_llvm k m' in
   List.iteri
@@ -163,7 +176,10 @@ let test_descriptor_elimination_semantics () =
 let test_flat_fallback_mode () =
   let m = gemm_modern () in
   let stats = A.Eliminate_descriptors.fresh_stats () in
-  let m' = A.Eliminate_descriptors.run ~stats ~delinearize:false m in
+  let m' =
+    A.Eliminate_descriptors.run ~stats ~delinearize:false
+      ~am:(Analysis.create ()) m
+  in
   Lverifier.verify_module m';
   Alcotest.(check int) "no GEP delinearized" 0
     stats.A.Eliminate_descriptors.delinearized;
@@ -195,7 +211,7 @@ entry:
   ret float %v
 }|}
   in
-  let m' = A.Typed_pointers.run m in
+  let m' = A.Typed_pointers.run ~stats:(A.Typed_pointers.fresh_stats ()) m in
   Lverifier.verify_module m';
   let f = Lmodule.find_func_exn m' "f" in
   let p = List.hd f.Lmodule.params in
@@ -237,7 +253,7 @@ entry:
 }|}
   in
   let stats = A.Canonicalize_geps.fresh_stats () in
-  let m' = A.Canonicalize_geps.run ~stats m in
+  let m' = A.Canonicalize_geps.run ~stats ~am:(Analysis.create ()) m in
   Lverifier.verify_module m';
   Alcotest.(check int) "one merge happened" 1 stats.A.Canonicalize_geps.merged;
   let geps =
@@ -269,7 +285,7 @@ entry:
 }|}
   in
   let stats = A.Canonicalize_geps.fresh_stats () in
-  let m' = A.Canonicalize_geps.run ~stats m in
+  let m' = A.Canonicalize_geps.run ~stats ~am:(Analysis.create ()) m in
   Lverifier.verify_module m';
   Alcotest.(check int) "index widened" 1 stats.A.Canonicalize_geps.widened
 
@@ -311,7 +327,7 @@ entry:
   ret void
 }|}
   in
-  let m' = A.Interfaces.run ~top:"k" m in
+  let m' = A.Interfaces.run ~stats:(A.Interfaces.fresh_stats ()) ~top:"k" m in
   let f = Lmodule.find_func_exn m' "k" in
   let a = List.hd f.Lmodule.params in
   Alcotest.(check (option string)) "bram interface" (Some "bram")

@@ -20,7 +20,7 @@ entry:
 
 let test_dead_store_found () =
   let cfg = Cfg.build (parse_fn dead_store_fn) in
-  let ds = Dataflow.dead_stores cfg in
+  let ds = Dataflow.dead_stores ~am:(Analysis.create ()) cfg in
   Alcotest.(check int) "one dead store" 1 (List.length ds);
   Alcotest.(check string) "to the local alloca" "tmp"
     (List.hd ds).Dataflow.ds_array
@@ -40,7 +40,7 @@ entry:
 let test_read_store_not_flagged () =
   let cfg = Cfg.build (parse_fn live_store_fn) in
   Alcotest.(check int) "no dead stores" 0
-    (List.length (Dataflow.dead_stores cfg))
+    (List.length (Dataflow.dead_stores ~am:(Analysis.create ()) cfg))
 
 let escaping_fn =
   {|declare void @use(float*)
@@ -56,7 +56,7 @@ entry:
 let test_escaping_store_not_flagged () =
   let cfg = Cfg.build (parse_fn escaping_fn) in
   Alcotest.(check int) "escaping alloca not flagged" 0
-    (List.length (Dataflow.dead_stores cfg))
+    (List.length (Dataflow.dead_stores ~am:(Analysis.create ()) cfg))
 
 (* a store that a branch may kill is still live on the other path *)
 let branchy_fn =
@@ -79,7 +79,7 @@ join:
 let test_may_read_keeps_store () =
   let cfg = Cfg.build (parse_fn branchy_fn) in
   Alcotest.(check int) "store read on one path is live" 0
-    (List.length (Dataflow.dead_stores cfg))
+    (List.length (Dataflow.dead_stores ~am:(Analysis.create ()) cfg))
 
 (* the only read of the stored value is in the next iteration: the
    fixpoint must carry it around the back edge *)
@@ -107,7 +107,7 @@ exit:
 let test_loop_carried_read_keeps_store () =
   let cfg = Cfg.build (parse_fn loop_carried_fn) in
   Alcotest.(check int) "store read in the next iteration is live" 0
-    (List.length (Dataflow.dead_stores cfg))
+    (List.length (Dataflow.dead_stores ~am:(Analysis.create ()) cfg))
 
 let suite =
   [

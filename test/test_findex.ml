@@ -150,8 +150,7 @@ let prop_manager_matches_rebuild =
           let m = ref (lowered_of_kernel rk) in
           List.iter
             (fun (p : P.pass) ->
-              let m' = p.P.run am !m in
-              Analysis.keep am ~preserves:p.P.preserves m';
+              let m', _ = P.run_pipeline ~am [ p ] !m in
               List.iter
                 (fun f ->
                   if not (cfg_equal (Analysis.cfg ~am f) (Cfg.build f)) then
@@ -181,7 +180,7 @@ let test_pipeline_byte_identical () =
       let managed, _ = P.run_pipeline P.default_pipeline lm in
       let fresh =
         List.fold_left
-          (fun m (p : P.pass) -> p.P.run (Analysis.create ()) m)
+          (fun m (p : P.pass) -> fst (P.run_pipeline [ p ] m))
           lm P.default_pipeline
       in
       Alcotest.(check string)

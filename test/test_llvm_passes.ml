@@ -41,7 +41,7 @@ join:
 
 let test_mem2reg_promotes () =
   let m = parse mem2reg_input in
-  let m' = Opt_mem2reg.run m in
+  let m', _ = Pass.run_pipeline [ Pass.mem2reg ] m in
   Lverifier.verify_module m';
   Alcotest.(check int) "allocas gone" 0 (count_opcode is_alloca m');
   Alcotest.(check int) "loads gone" 0 (count_opcode is_load m');
@@ -49,7 +49,7 @@ let test_mem2reg_promotes () =
 
 let test_mem2reg_semantics () =
   let m = parse mem2reg_input in
-  let m' = Opt_mem2reg.run m in
+  let m', _ = Pass.run_pipeline [ Pass.mem2reg ] m in
   List.iter
     (fun c ->
       let run mm =
@@ -84,7 +84,7 @@ exit:
   ret i64 %r
 }|}
   in
-  let m' = Opt_mem2reg.run m in
+  let m', _ = Pass.run_pipeline [ Pass.mem2reg ] m in
   Lverifier.verify_module m';
   Alcotest.(check int) "allocas gone" 0 (count_opcode is_alloca m');
   let st = Linterp.create m' in
@@ -104,7 +104,7 @@ entry:
   ret void
 }|}
   in
-  let m' = Opt_mem2reg.run m in
+  let m', _ = Pass.run_pipeline [ Pass.mem2reg ] m in
   Alcotest.(check int) "escaping alloca preserved" 1 (count_opcode is_alloca m')
 
 (* Rename every [%name] to [%vN], N in order of first appearance, so
@@ -187,7 +187,7 @@ join:
         names.(0) names.(1) names.(2) names.(0) names.(1) names.(2) names.(0)
         names.(1) names.(2) names.(0) names.(1) names.(2)
     in
-    let m' = Opt_mem2reg.run (parse text) in
+    let m', _ = Pass.run_pipeline [ Pass.mem2reg ] (parse text) in
     Lverifier.verify_module m';
     Alcotest.(check int) "three phis" 3 (count_opcode is_phi m');
     alpha_normalize (Lprinter.module_to_string m')
@@ -216,7 +216,7 @@ entry:
   ret i64 %c
 }|}
   in
-  let m' = Opt_constfold.run m in
+  let m', _ = Pass.run_pipeline [ Pass.constfold ] m in
   Lverifier.verify_module m';
   Alcotest.(check int) "folded to a bare ret" 1
     (Lmodule.inst_count (List.hd m'.Lmodule.funcs));
@@ -235,7 +235,7 @@ entry:
   ret i64 %x
 }|}
   in
-  let m' = Opt_dce.run m in
+  let m', _ = Pass.run_pipeline [ Pass.dce ] m in
   Alcotest.(check int) "dead chain removed" 1
     (Lmodule.inst_count (List.hd m'.Lmodule.funcs))
 
@@ -248,7 +248,7 @@ entry:
   ret void
 }|}
   in
-  let m' = Opt_dce.run m in
+  let m', _ = Pass.run_pipeline [ Pass.dce ] m in
   Alcotest.(check int) "store survives" 2
     (Lmodule.inst_count (List.hd m'.Lmodule.funcs))
 
@@ -263,7 +263,7 @@ entry:
   ret i64 %c
 }|}
   in
-  let m' = Opt_cse.run m in
+  let m', _ = Pass.run_pipeline [ Pass.cse ] m in
   Lverifier.verify_module m';
   let muls =
     count_opcode
@@ -294,7 +294,7 @@ join:
   ret i64 %r
 }|}
   in
-  let m' = Opt_cse.run m in
+  let m', _ = Pass.run_pipeline [ Pass.cse ] m in
   Lverifier.verify_module m';
   let muls =
     count_opcode
@@ -315,7 +315,7 @@ b:
   ret i64 2
 }|}
   in
-  let m' = Opt_simplifycfg.run m in
+  let m', _ = Pass.run_pipeline [ Pass.simplifycfg ] m in
   Lverifier.verify_module m';
   let f = List.hd m'.Lmodule.funcs in
   Alcotest.(check int) "dead branch removed" 1 (List.length f.Lmodule.blocks);
@@ -337,7 +337,7 @@ b:
   ret i64 %x
 }|}
   in
-  let m' = Opt_simplifycfg.run m in
+  let m', _ = Pass.run_pipeline [ Pass.simplifycfg ] m in
   Lverifier.verify_module m';
   Alcotest.(check int) "straight-line chain merged" 1
     (List.length (List.hd m'.Lmodule.funcs).Lmodule.blocks)
@@ -362,7 +362,7 @@ exit:
   ret i64 %s
 }|}
   in
-  let m' = Opt_licm.run m in
+  let m', _ = Pass.run_pipeline [ Pass.licm ] m in
   Lverifier.verify_module m';
   let f = Lmodule.find_func_exn m' "f" in
   let entry = Lmodule.entry f in
@@ -444,7 +444,9 @@ let test_licm_keeps_trapping_division () =
       let args = [ 7; 0; n ] in
       Alcotest.(check int) (name ^ ": input") 0 (run name m args);
       Alcotest.(check int) (name ^ ": after licm") 0
-        (run (name ^ " after licm") (Opt_licm.run m) args);
+        (run (name ^ " after licm")
+           (fst (Pass.run_pipeline [ Pass.licm ] m))
+           args);
       Alcotest.(check int) (name ^ ": after the default pipeline") 0
         (run (name ^ " after the default pipeline")
            (fst (Pass.run_pipeline Pass.default_pipeline m))
@@ -452,7 +454,8 @@ let test_licm_keeps_trapping_division () =
     [ ("zero-trip loop", div_loop "%b", 0); ("guarded", guarded_div, 3) ];
   (* a constant divisor other than 0 and -1 cannot trap: still hoisted *)
   let m = parse (div_loop "4") in
-  let entry = Lmodule.entry (Lmodule.find_func_exn (Opt_licm.run m) "f") in
+  let m', _ = Pass.run_pipeline [ Pass.licm ] m in
+  let entry = Lmodule.entry (Lmodule.find_func_exn m' "f") in
   Alcotest.(check bool) "division by 4 hoisted" true
     (List.exists
        (fun (i : Linstr.t) ->

@@ -213,6 +213,25 @@ entry:
   ret void
 }|}
 
+(** Every opcode table entry sits at its operator's code and is what
+    the operator prints as and parses from. *)
+let test_opcode_tables () =
+  let check name table code to_string of_string =
+    Array.iteri
+      (fun i (op, text) ->
+        Alcotest.(check int) (name ^ " " ^ text ^ ": code") i (code op);
+        Alcotest.(check string) (name ^ ": printed") text (to_string op);
+        Alcotest.(check bool) (name ^ " " ^ text ^ ": parsed") true
+          (of_string text = Some op))
+      table
+  in
+  let open Linstr in
+  check "ibinop" ibinops ibinop_code string_of_ibinop ibinop_of_string;
+  check "fbinop" fbinops fbinop_code string_of_fbinop fbinop_of_string;
+  check "icmp" icmps icmp_code string_of_icmp icmp_of_string;
+  check "fcmp" fcmps fcmp_code string_of_fcmp fcmp_of_string;
+  check "cast" casts cast_code string_of_cast cast_of_string
+
 let suite =
   [
     Alcotest.test_case "builder + verifier" `Quick test_builder_and_verifier;
@@ -229,4 +248,5 @@ let suite =
     Alcotest.test_case "verifier: dominance" `Quick test_verifier_dominance_across_blocks;
     Alcotest.test_case "verifier: valid diamond" `Quick test_verifier_accepts_valid_diamond;
     Alcotest.test_case "verifier: call arity" `Quick test_verifier_call_arity;
+    Alcotest.test_case "opcode tables" `Quick test_opcode_tables;
   ]

@@ -10,7 +10,7 @@ let parse_fn text =
 
 let analyze text =
   let f = parse_fn text in
-  (Findex.build f, Analysis.loop_info f)
+  (Findex.build f, Analysis.loop_info ~am:(Analysis.create ()) f)
 
 (* store A[i], load A[i-1]: flow dependence carried at distance 1 *)
 let shift_fn =
@@ -202,7 +202,7 @@ let test_gemm_inner_loop () =
     Flow_util.frontend_exn (k.Workloads.Kernels.build d)
   in
   let f = Llvmir.Lmodule.find_func_exn lm "gemm" in
-  let idx = Findex.build f and li = Analysis.loop_info f in
+  let idx = Findex.build f and li = Analysis.loop_info ~am:(Analysis.create ()) f in
   (* find the innermost loop (depth 3) *)
   let j =
     Option.get
@@ -234,7 +234,7 @@ let test_seidel_carried () =
     Flow_util.frontend_exn (k.Workloads.Kernels.build d)
   in
   let f = Llvmir.Lmodule.find_func_exn lm "seidel2d" in
-  let idx = Findex.build f and li = Analysis.loop_info f in
+  let idx = Findex.build f and li = Analysis.loop_info ~am:(Analysis.create ()) f in
   let deepest =
     Array.to_list li.Loop_info.loops
     |> List.mapi (fun j l -> (j, l.Loop_info.depth))

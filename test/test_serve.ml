@@ -1526,7 +1526,9 @@ let test_opt_parallel_seconds () =
   let tail =
     List.filter_map
       (fun (p : Llvmir.Pass.pass) ->
-        if p.fn_run <> None then Some p.name else None)
+        match p.body with
+        | Llvmir.Pass.Per_function _ -> Some p.name
+        | Llvmir.Pass.Whole_module _ -> None)
       Llvmir.Pass.default_pipeline
   in
   let passes = tail @ tail @ tail in
