@@ -214,8 +214,9 @@ let lint (l : P.lint_req) : (P.lint_resp, Diag.t list) result =
 
 (** Run the LLVM cleanup pipeline (or just the parallel-safety
     checker) on source text or a generated [--synth N] module.  The
-    source is verified under the manager the sequential pipeline then
-    reuses, so no function is indexed or verified twice. *)
+    source is verified under the manager the pipeline (sequential or
+    parallel) then reuses, so no function is indexed or verified
+    twice. *)
 let opt (o : P.opt_req) : (P.opt_resp, Diag.t list) result =
   let module LP = Llvmir.Pass in
   let am = Llvmir.Analysis.create () in
@@ -271,7 +272,7 @@ let opt (o : P.opt_req) : (P.opt_resp, Diag.t list) result =
     let m', seconds, par_status =
       if o.P.op_parallel then
         let fanout = Mhls_driver.Pool.fanout ~jobs:o.P.op_jobs in
-        let m', seconds, status = LP.run_pipeline_parallel ~fanout passes m in
+        let m', seconds, status = LP.run_pipeline_parallel ~am ~fanout passes m in
         (m', seconds, Some (LP.par_status_to_string status))
       else
         let m', seconds = LP.run_pipeline ~am passes m in

@@ -141,12 +141,13 @@ let map_values f (fn : func) =
 
 (** Fresh-name generator seeded with every name already in [fn]. *)
 let namegen (fn : func) =
-  let g = Support.Namegen.create () in
-  List.iter (fun p -> Support.Namegen.reserve g p.pname) fn.params;
-  List.iter (fun b -> Support.Namegen.reserve g (Sym.name b.label)) fn.blocks;
-  iter_insts
-    (fun i ->
-      if not (Sym.is_empty i.Linstr.result) then
-        Support.Namegen.reserve g (Sym.name i.Linstr.result))
-    fn;
-  g
+  Support.Namegen.create
+    ~seed:(fun reserve ->
+      List.iter (fun p -> reserve p.pname) fn.params;
+      List.iter (fun b -> reserve (Sym.name b.label)) fn.blocks;
+      iter_insts
+        (fun i ->
+          if not (Sym.is_empty i.Linstr.result) then
+            reserve (Sym.name i.Linstr.result))
+        fn)
+    ()

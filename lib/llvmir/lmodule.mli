@@ -75,5 +75,6 @@ val rewrite_insts : (Linstr.t -> Linstr.t list) -> func -> func
 (** Map all operand values through [f] everywhere in the function. *)
 val map_values : (Lvalue.t -> Lvalue.t) -> func -> func
 
-(** Fresh-name generator seeded with every name already in [fn]. *)
+(** Fresh-name generator seeded with every name already in [fn]; the
+    names are read on the generator's first use. *)
 val namegen : func -> Support.Namegen.t

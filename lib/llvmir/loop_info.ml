@@ -36,7 +36,7 @@ let compute (dom : Dominance.t) : t =
   done;
   (* group by header *)
   let headers =
-    List.sort_uniq compare (List.map snd !back_edges)
+    List.sort_uniq Int.compare (List.map snd !back_edges)
   in
   let raw_loops =
     List.map
@@ -47,28 +47,26 @@ let compute (dom : Dominance.t) : t =
             !back_edges
         in
         (* loop body: blocks reaching a latch backwards without passing h *)
-        let in_loop = Hashtbl.create 8 in
-        Hashtbl.replace in_loop h ();
+        let in_loop = Array.make n false in
+        in_loop.(h) <- true;
         let rec pull u =
-          if not (Hashtbl.mem in_loop u) then begin
-            Hashtbl.replace in_loop u ();
+          if not in_loop.(u) then begin
+            in_loop.(u) <- true;
             List.iter pull cfg.Cfg.preds.(u)
           end
         in
         List.iter pull latches;
-        let body =
-          List.filter (Hashtbl.mem in_loop) (List.init n (fun i -> i))
-        in
-        (h, latches, body))
+        let body = List.filter (Array.get in_loop) (List.init n Fun.id) in
+        (h, latches, body, in_loop))
       headers
   in
   (* nesting: loop A is inside B if A's header is in B's body and A <> B *)
   let arr = Array.of_list raw_loops in
   let contains i j =
     (* loop i contains loop j *)
-    let _, _, body_i = arr.(i) in
-    let hj, _, _ = arr.(j) in
-    i <> j && List.mem hj body_i
+    let _, _, _, in_i = arr.(i) in
+    let hj, _, _, _ = arr.(j) in
+    i <> j && in_i.(hj)
   in
   let k = Array.length arr in
   let parent = Array.make k None in
@@ -80,8 +78,8 @@ let compute (dom : Dominance.t) : t =
         match !best with
         | None -> best := Some i
         | Some b ->
-            let _, _, body_b = arr.(b) in
-            let _, _, body_i = arr.(i) in
+            let _, _, body_b, _ = arr.(b) in
+            let _, _, body_i, _ = arr.(i) in
             if List.length body_i < List.length body_b then best := Some i
     done;
     parent.(j) <- !best
@@ -104,7 +102,7 @@ let compute (dom : Dominance.t) : t =
   done;
   let loops =
     Array.init k (fun j ->
-        let header, latches, body = arr.(j) in
+        let header, latches, body, _ = arr.(j) in
         {
           header;
           latches;
@@ -115,18 +113,17 @@ let compute (dom : Dominance.t) : t =
         })
   in
   let loop_of_block = Array.make n None in
-  (* innermost loop per block: deepest loop whose body contains it *)
-  for b = 0 to n - 1 do
-    let best = ref None in
-    Array.iteri
-      (fun j l ->
-        if List.mem b l.body then
-          match !best with
-          | None -> best := Some j
-          | Some jb -> if l.depth > loops.(jb).depth then best := Some j)
-      loops;
-    loop_of_block.(b) <- !best
-  done;
+  (* innermost loop per block: deepest loop whose body contains it (the
+     first of the deepest) *)
+  Array.iteri
+    (fun j l ->
+      List.iter
+        (fun b ->
+          match loop_of_block.(b) with
+          | Some jb when loops.(jb).depth >= l.depth -> ()
+          | _ -> loop_of_block.(b) <- Some j)
+        l.body)
+    loops;
   { cfg; loops; loop_of_block }
 
 (** Rebase a cached loop nest onto a rewritten function value.  Only

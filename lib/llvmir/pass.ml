@@ -191,10 +191,9 @@ let split_func_local (passes : pass list) : pass list * pass list =
     the verdict reads and serves the sequential prologue (or the
     fallback pipeline), which reuses the function indexes the summary
     built.  Worker domains use fresh private {!Analysis} managers. *)
-let run_pipeline_parallel ~(fanout : fanout) (passes : pass list)
-    (m : Lmodule.t) : Lmodule.t * float * par_status =
+let run_pipeline_parallel ?(am = Analysis.create ()) ~(fanout : fanout)
+    (passes : pass list) (m : Lmodule.t) : Lmodule.t * float * par_status =
   let start = Support.Tracing.now () in
-  let am = Analysis.create () in
   let fallback reason =
     let m, _ = run_pipeline ~am passes m in
     (m, Support.Tracing.now () -. start, Fell_back reason)

@@ -100,8 +100,14 @@ val split_func_local : pass list -> pass list * pass list
     also covers the sequential prologue's output), so a miscompile is
     caught before the module is reassembled, attributed to the
     pipeline as a whole rather than to one pass.  The seconds are the
-    wall time of the whole call, not a sum over worker domains. *)
+    wall time of the whole call, not a sum over worker domains.
+
+    [?am] is the coordinator's manager, as for {!run_pipeline}: the
+    effects summary behind the verdict, the prologue and the fallback
+    pipeline reuse what the caller built for [m] (a fresh manager
+    without it).  Workers use managers of their own. *)
 val run_pipeline_parallel :
+  ?am:Analysis.t ->
   fanout:fanout ->
   pass list ->
   Lmodule.t ->

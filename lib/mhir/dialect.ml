@@ -76,7 +76,16 @@ let registry : (string * signature) list =
     ("func.return", sig_ ~operands:(AtLeast 0) ~terminator:true ());
   ]
 
-let lookup name = List.assoc_opt name registry
+(* [registry] as a table, built once at load: each name's first
+   binding, read-only afterwards, so any domain may query it *)
+let table : (string, signature) Hashtbl.t =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun (name, s) -> if not (Hashtbl.mem t name) then Hashtbl.add t name s)
+    registry;
+  t
+
+let lookup name = Hashtbl.find_opt table name
 
 let lookup_exn name =
   match lookup name with

@@ -336,6 +336,36 @@ let test_parallel_inline_fanout () =
   | P.Fell_back _ -> ()
   | P.Ran_parallel _ -> Alcotest.fail "inline fanout must stay sequential"
 
+(* A module verified under a manager, then run in parallel under it:
+   the coordinator's effects summary and prologue reuse the indexes
+   the verifier built, so it computes none, and the output is the
+   sequential pipeline's *)
+let test_parallel_reuses_manager () =
+  let events = ref [] in
+  let trace (e : Support.Tracing.event) = events := e.Support.Tracing.ev_pass :: !events in
+  let count pass = List.length (List.filter (( = ) pass) !events) in
+  let m = Mhls_driver.Synth.many_kernels ~n:12 in
+  let am = Analysis.create ~trace () in
+  Lverifier.verify_module ~am m;
+  Alcotest.(check int) "the verifier indexed every function" 12 (count "findex:compute");
+  events := [];
+  let par, _, status =
+    P.run_pipeline_parallel ~am
+      ~fanout:(Mhls_driver.Pool.fanout ~jobs:4)
+      P.default_pipeline m
+  in
+  (match status with
+  | P.Ran_parallel n -> Alcotest.(check int) "all functions fanned" 12 n
+  | P.Fell_back why -> Alcotest.fail ("unexpected fallback: " ^ why));
+  (* the summary behind the verdict was made under [am], from its
+     indexes *)
+  Alcotest.(check int) "effects summarized under the manager" 1 (count "effects:compute");
+  Alcotest.(check int) "no index computed by the coordinator" 0 (count "findex:compute");
+  Alcotest.(check bool) "the verifier's indexes reused" true (count "findex:hit" > 0);
+  Alcotest.(check string) "parallel output identical"
+    (print (fst (P.run_pipeline P.default_pipeline m)))
+    (print par)
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -365,4 +395,6 @@ let suite =
       test_parallel_falls_back_on_conflict;
     Alcotest.test_case "pipeline: inline fanout sequential" `Quick
       test_parallel_inline_fanout;
+    Alcotest.test_case "pipeline: coordinator reuses am" `Quick
+      test_parallel_reuses_manager;
   ]

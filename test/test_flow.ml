@@ -236,6 +236,92 @@ let test_one_manager_per_job () =
            (List.filter (fun e -> is_query e && pass e = "findex:compute") evs)))
     [ (Flow.Direct_ir, 7); (Flow.Hls_cpp, 4) ]
 
+(* ------------------------------------------------------------------ *)
+(* IR text digests                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5 of [mhlsc emit K --stage S] (default directives) for the 14
+   kernels and the three printed IR stages.  The report digests cover
+   QoR but no register, label or function name; these pin the names
+   every pass and the C++ front end make.  Update only with an
+   intentional change to the printed IR. *)
+let ir_digests =
+  [
+    ("gemm/llvm", "e8eaa0ffa9015042f1876daeb6604c06");
+    ("gemm/adapted", "29333aca324efdc3755cb2157e411bb0");
+    ("gemm/cpp", "98c5d14fb336c55e8ae0a7db9fbebc26");
+    ("mm2/llvm", "f9942cec00353464661a258f37be6b06");
+    ("mm2/adapted", "8530f6a0fb4501e671ed9ec65c696bd4");
+    ("mm2/cpp", "12755bbdfed88f666ad98a49c82d8c54");
+    ("mm3/llvm", "0122fb4952c6fe3ac5dd493633495643");
+    ("mm3/adapted", "93da68dee12a972fdabb8b380e8cf3db");
+    ("mm3/cpp", "d43b409335162351bbaaa742da6a280b");
+    ("atax/llvm", "8d30fbf5e635fad66d1a655349e4a898");
+    ("atax/adapted", "353232c4ed057ca348cf92887867e150");
+    ("atax/cpp", "f78555148cbe41a372d2f63d2bc77848");
+    ("bicg/llvm", "2fac9cabfab25e9db98e98d7b06e2574");
+    ("bicg/adapted", "cc648f12fc30455c6050eb45c8cfffd3");
+    ("bicg/cpp", "6a49223d8338b2140bad620e22aa2875");
+    ("mvt/llvm", "688bd9f5e0c83e50d1d1cabacd20bd09");
+    ("mvt/adapted", "80d40ee9ccfd98d9c2149dd9064cea4e");
+    ("mvt/cpp", "c645c8db1631eb34b8fd8ac554d61e66");
+    ("gesummv/llvm", "3faf4427cb01f43dff47bb49fb6d7900");
+    ("gesummv/adapted", "8e0c4f6cae611d34c7faa1794dd0f903");
+    ("gesummv/cpp", "3c1e8f1eeb228f8a5343182b3695fdbc");
+    ("fir/llvm", "3d255334637db25e6080c914ee47db81");
+    ("fir/adapted", "e68d9041f8112ea2284492565a0f1084");
+    ("fir/cpp", "b6c62b7b9f5fcfeed6a8bf1cadbc40aa");
+    ("conv2d/llvm", "5c42afcfee766e41d317eb643beadc99");
+    ("conv2d/adapted", "59ae03296f4619ff1aa6af622de47228");
+    ("conv2d/cpp", "31478ffc8c940056c5f714ad1cce1033");
+    ("jacobi2d/llvm", "a01d6a524628cd630fa57c725511bc77");
+    ("jacobi2d/adapted", "1ad9c4c5773595aaa6f4c9b574ff974e");
+    ("jacobi2d/cpp", "8b9a66f91071bc64519a95928a4fd277");
+    ("syrk/llvm", "98cdf15b9a6bd2a2f78bf35fd7165c8f");
+    ("syrk/adapted", "e6fd0afd5668d2265aa479f6ccdf871f");
+    ("syrk/cpp", "17432a066528150884b511244e95dd1e");
+    ("doitgen/llvm", "9f3c0c7b99bf645979560e963ab7c2e8");
+    ("doitgen/adapted", "08d3ab23c6a0b634d1d25f45258513d0");
+    ("doitgen/cpp", "89c85c927ac6a1001aba3558362b8c41");
+    ("seidel2d/llvm", "0ea4c73871b52bf2b8c3e5578998039a");
+    ("seidel2d/adapted", "ad1acb70f7df0f56f320c4491a2ad73e");
+    ("seidel2d/cpp", "207fae27a3fe2c70a6f4966623e11040");
+    ("mmcall/llvm", "ff1fed48116bc9f8301d14e0c146aea4");
+    ("mmcall/adapted", "beb989c65512da664b4f028f618cbdf7");
+    ("mmcall/cpp", "73be53293c4d85f46aa2ae88c7de7604");
+  ]
+
+let ir_stages =
+  [ ("llvm", Mhls_cli.Handlers.Llvm); ("adapted", Mhls_cli.Handlers.Adapted);
+    ("cpp", Mhls_cli.Handlers.Cpp) ]
+
+let ir_digest kernel (sname, stage) =
+  match
+    Mhls_cli.Handlers.emit ~kernel ~stage
+      ~directives:Mhls_serve.Protocol.pipelined_directives
+  with
+  | Ok text -> (kernel ^ "/" ^ sname, Digest.to_hex (Digest.string text))
+  | Error _ -> Alcotest.failf "emit %s --stage %s failed" kernel sname
+
+(* Interned ids follow what the process compiled first; the printed
+   names must not.  So the texts are made twice, the second time in
+   the reverse order, and both must give the pinned digests. *)
+let test_ir_digests () =
+  let kernels = List.map (fun k -> k.K.kname) (K.all ()) in
+  let forward =
+    List.concat_map (fun k -> List.map (ir_digest k) ir_stages) kernels
+  in
+  let backward =
+    List.concat_map (fun k -> List.map (ir_digest k) (List.rev ir_stages)) (List.rev kernels)
+  in
+  Alcotest.(check int) "every kernel and stage pinned" (List.length ir_digests)
+    (List.length forward);
+  List.iter
+    (fun (key, got) ->
+      Alcotest.(check (option string)) (key ^ " digest") (List.assoc_opt key ir_digests)
+        (Some got))
+    (forward @ backward)
+
 let suite =
   [
     Alcotest.test_case "cosim (all kernels x directives)" `Slow
@@ -256,4 +342,5 @@ let suite =
       test_adaptor_events_allocate;
     Alcotest.test_case "one analysis manager per job" `Quick
       test_one_manager_per_job;
+    Alcotest.test_case "IR text digests (42 texts)" `Quick test_ir_digests;
   ]

@@ -32,6 +32,116 @@ let test_lexer_two_char_ops () =
   Alcotest.(check bool) "<=" true (has "<=");
   Alcotest.(check bool) "++" true (has "++")
 
+(* The oracle: the lexer as it was before it matched operator bytes,
+   taking a two-byte [String.sub] at every punctuation byte and
+   scanning the list of two-character operators. *)
+let oracle_two_char_ops =
+  [ "<="; ">="; "=="; "!="; "&&"; "||"; "++"; "--"; "+="; "-="; "*="; "/="; "<<"; ">>" ]
+
+let oracle_tokenize (src : string) : Hlscpp.Clex.token array =
+  let open Hlscpp.Clex in
+  let n = String.length src in
+  let toks = ref [] in
+  let i = ref 0 in
+  let peek k = if !i + k < n then Some src.[!i + k] else None in
+  let is_ident_start c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+  in
+  let is_ident c = is_ident_start c || (c >= '0' && c <= '9') in
+  let is_digit c = c >= '0' && c <= '9' in
+  let read_while pred =
+    let start = !i in
+    while !i < n && pred src.[!i] do incr i done;
+    String.sub src start (!i - start)
+  in
+  while !i < n do
+    let c = src.[!i] in
+    if c = ' ' || c = '\t' || c = '\r' || c = '\n' then incr i
+    else if c = '/' && peek 1 = Some '/' then
+      while !i < n && src.[!i] <> '\n' do incr i done
+    else if c = '/' && peek 1 = Some '*' then begin
+      i := !i + 2;
+      while !i + 1 < n && not (src.[!i] = '*' && src.[!i + 1] = '/') do incr i done;
+      i := min n (!i + 2)
+    end
+    else if c = '#' then begin
+      incr i;
+      let line = read_while (fun c -> c <> '\n') in
+      toks := Tpragma (String.trim line) :: !toks
+    end
+    else if is_ident_start c then toks := Tident (read_while is_ident) :: !toks
+    else if is_digit c then begin
+      let start = !i in
+      let _ = read_while is_digit in
+      let is_float = ref false in
+      if !i < n && src.[!i] = '.' then begin
+        is_float := true;
+        incr i;
+        let _ = read_while is_digit in
+        ()
+      end;
+      if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then begin
+        is_float := true;
+        incr i;
+        if !i < n && (src.[!i] = '+' || src.[!i] = '-') then incr i;
+        let _ = read_while is_digit in
+        ()
+      end;
+      let lit = String.sub src start (!i - start) in
+      let suffix_f =
+        if !i < n && (src.[!i] = 'f' || src.[!i] = 'F') then begin
+          incr i;
+          true
+        end
+        else false
+      in
+      if !is_float || suffix_f then
+        toks := Tfloat (float_of_string lit, suffix_f) :: !toks
+      else toks := Tint (int_of_string lit) :: !toks
+    end
+    else begin
+      let two = if !i + 1 < n then String.sub src !i 2 else "" in
+      if List.mem two oracle_two_char_ops then begin
+        i := !i + 2;
+        toks := Tpunct two :: !toks
+      end
+      else begin
+        incr i;
+        toks := Tpunct (String.make 1 c) :: !toks
+      end
+    end
+  done;
+  Array.of_list (List.rev (Teof :: !toks))
+
+(* Both lexers on one input: the same tokens, or the same exception
+   (a malformed float literal) *)
+let lex_agrees src =
+  let run f = match f src with toks -> Ok toks | exception e -> Error (Printexc.to_string e) in
+  run Hlscpp.Clex.tokenize = run oracle_tokenize
+
+(* Strings over C's punctuation, with some identifier, digit, blank
+   and comment bytes mixed in *)
+let arb_punct_source =
+  let alphabet = "<>=!&|+-*/%^~?:;,.()[]{}#  \nx1e" in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      string_size ~gen:(map (String.get alphabet) (int_bound (String.length alphabet - 1)))
+        (int_bound 40))
+
+let prop_lexer_oracle_random =
+  QCheck.Test.make ~name:"lexer = oracle on punctuation" ~count:2000 arb_punct_source
+    lex_agrees
+
+let test_lexer_oracle_kernels () =
+  List.iter
+    (fun k ->
+      List.iter
+        (fun d ->
+          let cpp = Hlscpp.Emit.emit_module (Mhir.Canonicalize.run (k.K.build d)) in
+          Alcotest.(check bool) (k.K.kname ^ " tokens = oracle") true (lex_agrees cpp))
+        [ K.no_directives; K.pipelined ])
+    (K.all ())
+
 (* ------------------------------------------------------------------ *)
 (* Parser                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -231,6 +341,8 @@ let suite =
     Alcotest.test_case "lexer basic" `Quick test_lexer_basic;
     Alcotest.test_case "lexer pragma" `Quick test_lexer_pragma;
     Alcotest.test_case "lexer two-char ops" `Quick test_lexer_two_char_ops;
+    QCheck_alcotest.to_alcotest prop_lexer_oracle_random;
+    Alcotest.test_case "lexer = oracle on kernels" `Quick test_lexer_oracle_kernels;
     Alcotest.test_case "parse function" `Quick test_parse_function;
     Alcotest.test_case "parse pragmas" `Quick test_parse_pragmas;
     Alcotest.test_case "parse precedence" `Quick test_parse_precedence;

@@ -111,6 +111,61 @@ let test_roundtrip_adapted_kernels () =
     (Workloads.Kernels.all ())
 
 (* ------------------------------------------------------------------ *)
+(* Name generators                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [Lmodule.namegen] reads the function's names on first use; a
+   generator that reserves them all up front must hand out the same
+   names, in the same order, under the same mix of calls *)
+let test_namegen_lazy_is_eager () =
+  let module N = Support.Namegen in
+  let module Sym = Support.Interner in
+  let eager (f : Lmodule.func) =
+    let g = N.create () in
+    List.iter (fun p -> N.reserve g p.Lmodule.pname) f.Lmodule.params;
+    List.iter (fun b -> N.reserve g (Sym.name b.Lmodule.label)) f.Lmodule.blocks;
+    Lmodule.iter_insts
+      (fun i ->
+        if not (Sym.is_empty i.Linstr.result) then N.reserve g (Sym.name i.Linstr.result))
+      f;
+    g
+  in
+  let check_func (f : Lmodule.func) =
+    let names =
+      List.map (fun p -> p.Lmodule.pname) f.Lmodule.params
+      @ List.map (fun b -> Sym.name b.Lmodule.label) f.Lmodule.blocks
+      @ Lmodule.fold_insts
+          (fun acc i ->
+            if Sym.is_empty i.Linstr.result then acc else Sym.name i.Linstr.result :: acc)
+          [] f
+    in
+    let bases = names @ [ "idx"; "cast"; "sext"; "idx"; "x.phi"; "entry.cont" ] in
+    (* each of the three calls may come first *)
+    List.iter
+      (fun first ->
+        let run g =
+          let pre =
+            match first with
+            | `Fresh -> []
+            | `Reserve -> N.reserve g "idx0"; []
+            | `Is_used -> List.map (fun n -> if N.is_used g n then "y" else "n") names
+          in
+          pre @ List.map (N.fresh g) bases
+        in
+        Alcotest.(check (list string))
+          (f.Lmodule.fname ^ " fresh sequence")
+          (run (eager f)) (run (Lmodule.namegen f)))
+      [ `Fresh; `Reserve; `Is_used ]
+  in
+  List.iter
+    (fun k ->
+      let m = k.Workloads.Kernels.build Workloads.Kernels.pipelined in
+      let lm = Lowering.Lower.lower_module m in
+      let adapted, _, _ = Flow_util.frontend_exn m in
+      List.iter check_func (lm.Lmodule.funcs @ adapted.Lmodule.funcs))
+    (Workloads.Kernels.all ())
+
+(* ------------------------------------------------------------------ *)
 (* Verifier rejections                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -239,6 +294,7 @@ let suite =
     Alcotest.test_case "roundtrip sum" `Quick test_roundtrip_sum;
     Alcotest.test_case "roundtrip lowered kernels" `Quick test_roundtrip_lowered_kernels;
     Alcotest.test_case "roundtrip adapted kernels" `Quick test_roundtrip_adapted_kernels;
+    Alcotest.test_case "namegen lazy = eager" `Quick test_namegen_lazy_is_eager;
     Alcotest.test_case "verifier: use before def" `Quick test_verifier_use_before_def;
     Alcotest.test_case "verifier: double def" `Quick test_verifier_double_def;
     Alcotest.test_case "verifier: missing terminator" `Quick test_verifier_missing_terminator;

@@ -25,6 +25,20 @@ let test_terminators_are_not_pure () =
         Alcotest.(check bool) (name ^ " not pure") false (Dialect.is_pure name))
     Dialect.registry
 
+(* The table gives each name's first binding in [registry], as a scan
+   of the list would, for every registered name and for names that are
+   not registered *)
+let test_lookup_matches_registry () =
+  let names =
+    List.map fst Dialect.registry
+    @ [ "foo.bar"; ""; "arith"; "arith."; "Arith.addi"; "arith.addi "; "affine.for.x" ]
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " looked up as in the list") true
+        (Dialect.lookup name = List.assoc_opt name Dialect.registry))
+    names
+
 let test_unknown_ops_rejected () =
   Alcotest.(check bool) "unknown op" false (Dialect.is_known "foo.bar");
   Alcotest.(check bool) "lookup_exn raises" true
@@ -179,6 +193,7 @@ let suite =
     Alcotest.test_case "registry consistency" `Quick test_registry_consistency;
     Alcotest.test_case "terminators not pure" `Quick test_terminators_are_not_pure;
     Alcotest.test_case "unknown ops rejected" `Quick test_unknown_ops_rejected;
+    Alcotest.test_case "lookup = registry scan" `Quick test_lookup_matches_registry;
     Alcotest.test_case "attr accessors" `Quick test_attr_accessors;
     Alcotest.test_case "attr dict" `Quick test_attr_dict;
     Alcotest.test_case "lvalue helpers" `Quick test_lvalue_helpers;
