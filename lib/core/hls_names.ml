@@ -17,8 +17,7 @@ let md_unroll_count = "llvm.loop.unroll.count"
 let md_unroll_full = "llvm.loop.unroll.full"
 let md_tripcount = "llvm.loop.tripcount"
 
-let is_loop_md key =
-  String.length key >= 10 && String.sub key 0 10 = "llvm.loop."
+let is_loop_md key = String.starts_with ~prefix:"llvm.loop." key
 
 (** Interface / partition parameter-attribute keys. *)
 let attr_interface = "fpga.interface"
@@ -27,17 +26,9 @@ let attr_partition_kind = "fpga.partition.kind"
 let attr_partition_factor = "fpga.partition.factor"
 let attr_partition_dim = "fpga.partition.dim"
 
-let starts_with p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
 (** Intrinsics a Vitis-era (LLVM 7) middle-end does not know. *)
 let is_modern_intrinsic name =
-  starts_with "llvm.smax." name
-  || starts_with "llvm.smin." name
-  || starts_with "llvm.umax." name
-  || starts_with "llvm.umin." name
-  || starts_with "llvm.abs." name
-  || starts_with "llvm.fmuladd." name
-  || starts_with "llvm.lifetime." name
-  || starts_with "llvm.assume" name
-  || starts_with "llvm.experimental." name
+  List.exists
+    (fun prefix -> String.starts_with ~prefix name)
+    [ "llvm.smax."; "llvm.smin."; "llvm.umax."; "llvm.umin."; "llvm.abs.";
+      "llvm.fmuladd."; "llvm.lifetime."; "llvm.assume"; "llvm.experimental." ]

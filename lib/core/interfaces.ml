@@ -57,7 +57,7 @@ let run_func ~stats (f : Lmodule.func) : Lmodule.func =
   (* consumed partition attrs are dropped from the function *)
   let fattrs =
     List.filter
-      (fun (k, _) -> not (Hls_names.starts_with prefix k))
+      (fun (k, _) -> not (String.starts_with ~prefix k))
       f.fattrs
   in
   { f with params; fattrs }

@@ -20,8 +20,6 @@ type stats = {
 
 let fresh_stats () = { minmax = 0; fmuladd = 0; dropped = 0; freezes = 0 }
 
-let starts_with = Hls_names.starts_with
-
 (* Cheap pre-scan: a function with no freeze and no modern intrinsic
    takes none of the rewrites below, so the whole rewrite/substitute/
    DCE machinery (and its per-function index builds) can be skipped.
@@ -55,17 +53,17 @@ let run_func ~stats ~am (f : Lmodule.func) : Lmodule.func =
         let mk ~result ~ty op = Linstr.make ~result ~ty op in
         match args with
         | [ a; b ]
-          when starts_with "llvm.smax." callee
-               || starts_with "llvm.umax." callee
-               || starts_with "llvm.smin." callee
-               || starts_with "llvm.umin." callee ->
+          when String.starts_with ~prefix:"llvm.smax." callee
+               || String.starts_with ~prefix:"llvm.umax." callee
+               || String.starts_with ~prefix:"llvm.smin." callee
+               || String.starts_with ~prefix:"llvm.umin." callee ->
             (* unsigned variants must compare unsigned: lowering umax
                through sgt miscompares once an operand's sign bit is
                set *)
             let pred =
-              if starts_with "llvm.smax." callee then ISgt
-              else if starts_with "llvm.umax." callee then IUgt
-              else if starts_with "llvm.smin." callee then ISlt
+              if String.starts_with ~prefix:"llvm.smax." callee then ISgt
+              else if String.starts_with ~prefix:"llvm.umax." callee then IUgt
+              else if String.starts_with ~prefix:"llvm.smin." callee then ISlt
               else IUlt
             in
             stats.minmax <- stats.minmax + 1;
@@ -75,7 +73,7 @@ let run_func ~stats ~am (f : Lmodule.func) : Lmodule.func =
               mk ~result:(result_name i) ~ty:ret
                 (Select (Lvalue.reg c Ltype.I1, a, b));
             ]
-        | [ a; _poison ] when starts_with "llvm.abs." callee ->
+        | [ a; _poison ] when String.starts_with ~prefix:"llvm.abs." callee ->
             stats.minmax <- stats.minmax + 1;
             let ty = Lvalue.type_of a in
             let neg = Support.Namegen.fresh names (result_name i ^ ".neg") in
@@ -88,8 +86,8 @@ let run_func ~stats ~am (f : Lmodule.func) : Lmodule.func =
                    (Lvalue.reg c Ltype.I1, Lvalue.reg neg ty, a));
             ]
         | [ a; b; c ]
-          when starts_with "llvm.fmuladd." callee
-               || starts_with "llvm.fma." callee ->
+          when String.starts_with ~prefix:"llvm.fmuladd." callee
+               || String.starts_with ~prefix:"llvm.fma." callee ->
             stats.fmuladd <- stats.fmuladd + 1;
             let ty = Lvalue.type_of a in
             let m = Support.Namegen.fresh names (result_name i ^ ".mul") in
@@ -99,9 +97,9 @@ let run_func ~stats ~am (f : Lmodule.func) : Lmodule.func =
                 (FBin (FAdd, Lvalue.reg m ty, c));
             ]
         | _
-          when starts_with "llvm.lifetime." callee
-               || starts_with "llvm.assume" callee
-               || starts_with "llvm.experimental." callee ->
+          when String.starts_with ~prefix:"llvm.lifetime." callee
+               || String.starts_with ~prefix:"llvm.assume" callee
+               || String.starts_with ~prefix:"llvm.experimental." callee ->
             stats.dropped <- stats.dropped + 1;
             dropped_here := true;
             []

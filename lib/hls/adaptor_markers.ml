@@ -4,18 +4,16 @@
     This module is deliberately independent from the adaptor library:
     it models what the {e tool} accepts, and the adaptor targets it. *)
 
-let starts_with p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
 let spec_pipeline = "_ssdm_op_SpecPipeline"
 let spec_unroll = "_ssdm_op_SpecUnroll"
 let spec_trip_count = "_ssdm_op_SpecLoopTripCount"
 
-let is_marker name = starts_with "_ssdm_op_" name
+let is_marker name = String.starts_with ~prefix:"_ssdm_op_" name
 
 (** Intrinsics this (LLVM-7-era) middle-end understands. *)
 let is_known_intrinsic name =
-  starts_with "llvm.sqrt." name || starts_with "llvm.fabs." name
+  String.starts_with ~prefix:"llvm.sqrt." name
+  || String.starts_with ~prefix:"llvm.fabs." name
 
 (** Reject IR outside the HLS-readable subset — the "unsupported
     syntax" gate that motivates the adaptor.  Returns the list of
@@ -49,13 +47,13 @@ let legality_errors (m : Llvmir.Lmodule.t) : string list =
               add "@%s: aggregate SSA value %%%s (memref descriptor?)"
                 f.fname (Linstr.result_name i)
           | Linstr.Call { callee; _ }
-            when starts_with "llvm." callee
+            when String.starts_with ~prefix:"llvm." callee
                  && not (is_known_intrinsic callee) ->
               add "@%s: unsupported intrinsic %s" f.fname callee
           | _ -> ());
           List.iter
             (fun (k, _) ->
-              if starts_with "llvm.loop." k then
+              if String.starts_with ~prefix:"llvm.loop." k then
                 add "@%s: unsupported loop metadata %s" f.fname k)
             i.Linstr.imeta)
         f)

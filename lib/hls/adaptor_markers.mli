@@ -2,7 +2,6 @@
     plants in HLS-ready IR, plus the legality check the back-end runs
     before synthesis. *)
 
-val starts_with : string -> string -> bool
 val spec_pipeline : string
 val spec_unroll : string
 val spec_trip_count : string

@@ -380,7 +380,7 @@ let emit_func (f : Ir.func) : string =
     (fun (k, a) ->
       let prefix = "hls.partition." in
       if String.length k > String.length prefix
-         && String.sub k 0 (String.length prefix) = prefix
+         && String.starts_with ~prefix k
       then
         let var = String.sub k (String.length prefix) (String.length k - String.length prefix) in
         match a with

@@ -45,10 +45,6 @@ type t = {
   cache : entry Sym.Tbl.t;
   mutable m_effects : (Lmodule.t * Effects.t) option;
       (** module-level effect summary, valid for exactly that module value *)
-  seeds : (Lmodule.func * Findex.t) Sym.Tbl.t;
-      (** per function name: index a pass prebuilt for its output
-          function; installed by {!keep}, or served directly if
-          queried before that *)
   mutable m_sigs : (string * Ltype.t list * Ltype.t) list option;
       (** callable-signature environment the verifier last ran under
           (functions and declarations, in module order) *)
@@ -59,7 +55,6 @@ let create ?(trace = Support.Tracing.null) () : t =
   {
     cache = Sym.Tbl.create 16;
     m_effects = None;
-    seeds = Sym.Tbl.create 16;
     m_sigs = None;
     trace;
   }
@@ -144,10 +139,7 @@ let findex ~(am : t) (f : Lmodule.func) : Findex.t =
   query am Findex f
     ~get:(fun e -> e.e_findex)
     ~set:(fun e v -> e.e_findex <- Some v)
-    ~compute:(fun () ->
-      match Sym.Tbl.find_opt am.seeds (Sym.intern f.Lmodule.fname) with
-      | Some (sf, idx) when sf == f -> idx
-      | _ -> Findex.build f)
+    ~compute:(fun () -> Findex.build f)
 
 let loop_info ~(am : t) (f : Lmodule.func) : Loop_info.t =
   query am Loop_info f
@@ -180,22 +172,6 @@ let effects ~(am : t) (m : Lmodule.t) : Effects.t =
         module_report am ~hit:false ~seconds:(Support.Tracing.now () -. t0) m;
       e
 
-(** Hand the manager an index a pass already built for its {e output}
-    function (DCE indexes the compacted arena it just wrote).  The
-    next {!keep} installs it for the matching function value, so the
-    post-pass verifier reads the same flat storage the pass produced
-    instead of re-indexing the materialised lists. *)
-let seed_findex (am : t) (f : Lmodule.func) (idx : Findex.t) : unit =
-  Sym.Tbl.replace am.seeds (Sym.intern f.Lmodule.fname) (f, idx)
-
-(** The arena-backed passes' epilogue: [f] with the blocks of the rows
-    left alive in [a], and the index of the compacted arena seeded for
-    it. *)
-let materialize ~(am : t) (f : Lmodule.func) (a : Iarena.t) : Lmodule.func =
-  let f' = { f with Lmodule.blocks = Iarena.to_blocks a } in
-  seed_findex am f' (Findex.of_arena f' (Iarena.compact a));
-  f'
-
 (** After a pass produced [m], keep only the analyses it [preserves]
     (rebased onto the new function values) plus everything cached for
     functions the pass left physically untouched; drop the rest and
@@ -216,7 +192,7 @@ let keep (am : t) ~(preserves : kind list) (m : Lmodule.t) : unit =
     (fun (f : Lmodule.func) ->
       let key = Sym.intern f.Lmodule.fname in
       Sym.Tbl.replace live key ();
-      (match Sym.Tbl.find_opt am.cache key with
+      match Sym.Tbl.find_opt am.cache key with
       | None -> ()
       | Some e when e.e_func == f -> ()  (* untouched: everything valid *)
       | Some e ->
@@ -236,14 +212,8 @@ let keep (am : t) ~(preserves : kind list) (m : Lmodule.t) : unit =
                Option.map (fun x -> Loop_info.rebase x f) e.e_li
              else None);
           e.e_vok <- false;
-          e.e_func <- f);
-      match Sym.Tbl.find_opt am.seeds key with
-      | Some (sf, idx) when sf == f ->
-          let e = entry_for am f in
-          e.e_findex <- Some idx
-      | _ -> ())
+          e.e_func <- f)
     m.Lmodule.funcs;
-  Sym.Tbl.reset am.seeds;
   Sym.Tbl.iter
     (fun key _ -> if not (Sym.Tbl.mem live key) then Sym.Tbl.remove am.cache key)
     (Sym.Tbl.copy am.cache)

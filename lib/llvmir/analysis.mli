@@ -48,21 +48,6 @@ val effects : am:t -> Lmodule.t -> Effects.t
     dropped otherwise. *)
 val keep : t -> preserves:kind list -> Lmodule.t -> unit
 
-(** [seed_findex am f idx] — hand the manager an index a pass already
-    built for its {e output} function [f] (DCE indexes the compacted
-    arena it just wrote).  The next {!keep} installs it for the entry
-    whose function is physically [f]; a {!findex} query landing before
-    that is served the seed directly.  [idx] must equal what
-    indexing [f] from scratch would compute — the pass pairs
-    {!Iarena.compact} with {!Findex.of_arena} to guarantee it. *)
-val seed_findex : t -> Lmodule.func -> Findex.t -> unit
-
-(** [materialize ~am f a] — a pass that rewrote [f]'s rows in arena [a]
-    returns this: [f] with the blocks of [a]'s live rows, whose
-    compacted index is seeded into [am] for the next pass and the
-    verifier. *)
-val materialize : am:t -> Lmodule.func -> Iarena.t -> Lmodule.func
-
 (** Incremental-verification bookkeeping, used by {!Lverifier}.
     [verified am f] is true only when the verifier accepted exactly
     the physical value [f] under this manager; any cache reset for the

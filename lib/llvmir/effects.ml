@@ -41,11 +41,9 @@ type t = { by_func : (string * footprint) list (* module order *) }
    (Same name families as Adaptor_markers.is_marker; duplicated here
    because llvmir sits below the adaptor layer.) *)
 let is_inert_callee name =
-  let has_prefix p =
-    String.length name >= String.length p
-    && String.sub name 0 (String.length p) = p
-  in
-  has_prefix "_ssdm_op_" || has_prefix "llvm." || has_prefix "__mhls_"
+  List.exists
+    (fun prefix -> String.starts_with ~prefix name)
+    [ "_ssdm_op_"; "llvm."; "__mhls_" ]
 
 let empty_fp nparams =
   { fp_params = Array.make nparams No_access; fp_globals = Sym.Map.empty;

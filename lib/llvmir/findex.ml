@@ -1,26 +1,25 @@
-(** Per-function index over the packed {!Iarena} encoding: def table,
-    use-def/def-use edges, block membership and use counts — computed
-    once and shared by every analysis and pass that used to rebuild
-    its own string tables ad hoc.
-
-    SSA names map to dense {e local ids}; defs, use counts and user
-    edges are flat arrays over those ids, so the hot passes (DCE's
-    cascade, CSE's availability walk, substitution marking) run as int
-    reads with no hashing past the one probe that assigns the id.
-
-    The index is a pure snapshot of one [Lmodule.func] value; any pass
-    that rewrites the function must use a fresh index (or one the
-    {!Pass} analysis manager revalidated) afterwards. *)
+(** Per-function index over the function's own instruction records.
+    Rows are the instructions in layout order, so intra-block ordering
+    is index comparison and a block is a contiguous span of rows.  SSA
+    names map to dense {e local ids}; defs, use counts and user edges
+    are flat arrays over those ids, so DCE's cascade runs as int reads
+    with one probe per operand. *)
 
 module Sym = Support.Interner
 
 type def_site =
   | Param of int  (** defined by the [i]-th function parameter *)
-  | Instr of int  (** defined by the instruction at this arena index *)
+  | Instr of int  (** defined by the instruction at this row *)
 
+(* The per-local tables grow while {!build} runs and are never written
+   after it returns. *)
 type t = {
   func : Lmodule.func;
-  arena : Iarena.t;
+  rows : Linstr.t array;  (** the function's instructions, layout order *)
+  blk : int array;  (** row -> block number *)
+  blk_off : int array;
+      (** length [n_blocks + 1]; block [bi] is rows
+          [blk_off.(bi), blk_off.(bi+1)) *)
   locals : int Sym.Tbl.t;  (** SSA name -> dense local id *)
   mutable n_locals : int;
   (* per-local tables, grown in lockstep with [locals] *)
@@ -29,12 +28,11 @@ type t = {
   mutable cnt : int array;  (** operand occurrences *)
   mutable user_head : int array;  (** head of the user edge list, -1 *)
   (* user edges as linked lists in push order (layout order): edge [e]
-     is instruction [edge_k.(e)], next edge [edge_next.(e)] *)
+     is row [edge_k.(e)], next edge [edge_next.(e)] *)
   mutable edge_k : int array;
   mutable edge_next : int array;
   mutable n_edges : int;
-  res_local : int array;  (** arena index -> local id of result, -1 *)
-  pool_local : int array;  (** operand slot -> local id, -1 for non-regs *)
+  res_local : int array;  (** row -> local id of result, -1 *)
 }
 
 let grow_int a n = Array.append a (Array.make (max n (Array.length a)) 0)
@@ -72,27 +70,45 @@ let push_edge t l k =
   t.user_head.(l) <- e;
   t.n_edges <- e + 1
 
-(** Index a prebuilt arena.  [f] must be the function the arena
-    materialises — {!build} pairs the two; passes seeding the analysis
-    cache pair {!Iarena.compact} with their output function. *)
-let of_arena (f : Lmodule.func) (a : Iarena.t) : t =
-  let n = Iarena.n_instrs a in
+let no_instr = Linstr.make Linstr.Unreachable
+
+let build (f : Lmodule.func) : t =
+  let n =
+    List.fold_left
+      (fun acc (b : Lmodule.block) -> acc + List.length b.insts)
+      0 f.blocks
+  in
+  let rows = Array.make n no_instr and blk = Array.make n 0 in
+  let blk_off = Array.make (List.length f.blocks + 1) n in
+  let k = ref 0 in
+  List.iteri
+    (fun bi (b : Lmodule.block) ->
+      blk_off.(bi) <- !k;
+      List.iter
+        (fun i ->
+          rows.(!k) <- i;
+          blk.(!k) <- bi;
+          incr k)
+        b.insts)
+    f.blocks;
   let cap l = max 16 l in
+  let n_defs = cap (n + List.length f.params) in
   let t =
     {
       func = f;
-      arena = a;
+      rows;
+      blk;
+      blk_off;
       locals = Sym.Tbl.create (cap (2 * n));
       n_locals = 0;
-      def_kind = Bytes.make (cap (n + List.length f.params)) '\000';
-      def_ix = Array.make (cap (n + List.length f.params)) 0;
-      cnt = Array.make (cap (n + List.length f.params)) 0;
-      user_head = Array.make (cap (n + List.length f.params)) (-1);
+      def_kind = Bytes.make n_defs '\000';
+      def_ix = Array.make n_defs 0;
+      cnt = Array.make n_defs 0;
+      user_head = Array.make n_defs (-1);
       edge_k = Array.make (cap (2 * n)) 0;
       edge_next = Array.make (cap (2 * n)) 0;
       n_edges = 0;
-      res_local = Array.make (max 1 n) (-1);
-      pool_local = Array.make (max 1 (Iarena.pool_len a)) (-1);
+      res_local = Array.make n (-1);
     }
   in
   List.iteri
@@ -102,30 +118,26 @@ let of_arena (f : Lmodule.func) (a : Iarena.t) : t =
       t.def_ix.(l) <- i)
     f.params;
   for k = 0 to n - 1 do
-    let r = Iarena.result a k in
-    if not (Sym.is_empty r) then begin
-      let l = local t r in
+    let i = rows.(k) in
+    if not (Sym.is_empty i.result) then begin
+      let l = local t i.result in
       Bytes.set t.def_kind l '\002';
       t.def_ix.(l) <- k;
       t.res_local.(k) <- l
     end;
-    let o = Iarena.op_off a k in
-    for s = o to o + Iarena.op_len a k - 1 do
-      match Iarena.opnd a s with
-      | Lvalue.Reg (nm, _) ->
-          let l = local t nm in
-          t.pool_local.(s) <- l;
-          t.cnt.(l) <- t.cnt.(l) + 1;
-          (* an instruction using a name twice still lists once —
-             callers only need the user set *)
-          let h = t.user_head.(l) in
-          if h = -1 || t.edge_k.(h) <> k then push_edge t l k
-      | _ -> ()
-    done
+    List.iter
+      (function
+        | Lvalue.Reg (nm, _) ->
+            let l = local t nm in
+            t.cnt.(l) <- t.cnt.(l) + 1;
+            (* an instruction using a name twice still lists once —
+               callers only need the user set *)
+            let h = t.user_head.(l) in
+            if h = -1 || t.edge_k.(h) <> k then push_edge t l k
+        | _ -> ())
+      (Linstr.operands i)
   done;
   t
-
-let build (f : Lmodule.func) : t = of_arena f (Iarena.of_func f)
 
 (** Rebase a cached index onto a rewritten function value.  Only valid
     when the rewrite changed no instruction — the analysis-manager
@@ -133,14 +145,26 @@ let build (f : Lmodule.func) : t = of_arena f (Iarena.of_func f)
 let rebase t (f : Lmodule.func) = { t with func = f }
 
 let func t = t.func
-let arena t = t.arena
-let n_instrs t = Iarena.n_instrs t.arena
-let n_blocks t = Iarena.n_blocks t.arena
-let instr t k = Iarena.instr t.arena k
-let block_of_instr t k = Iarena.block_of t.arena k
-let n_locals t = t.n_locals
+let n_instrs t = Array.length t.rows
+let n_blocks t = Array.length t.blk_off - 1
+let instr t k = t.rows.(k)
+let block_of_instr t k = t.blk.(k)
+let block_start t bi = t.blk_off.(bi)
+let block_stop t bi = t.blk_off.(bi + 1)
+
+(** The function's blocks rebuilt from the rows: row [k] becomes
+    [row k], the instructions that replace it ([[]] drops it). *)
+let rebuild t (row : int -> Linstr.t list) : Lmodule.block list =
+  List.mapi
+    (fun bi (b : Lmodule.block) ->
+      let insts = ref [] in
+      for k = t.blk_off.(bi + 1) - 1 downto t.blk_off.(bi) do
+        insts := row k @ !insts
+      done;
+      { b with insts = !insts })
+    t.func.blocks
+
 let local_of t n = match Sym.Tbl.find_opt t.locals n with Some l -> l | None -> -1
-let local_of_slot t s = t.pool_local.(s)
 let local_of_res t k = t.res_local.(k)
 let use_counts t = Array.sub t.cnt 0 t.n_locals
 
@@ -160,20 +184,17 @@ let def t n = def_of_local t (local_of t n)
 let def_instr t n =
   match def t n with Some (Instr k) -> Some (instr t k) | _ -> None
 
-let iter_users t n f =
+(** Rows of the instructions using [n], in layout order. *)
+let users t n =
+  let acc = ref [] in
   let l = local_of t n in
   if l >= 0 then begin
     let e = ref t.user_head.(l) in
     while !e >= 0 do
-      f t.edge_k.(!e);
+      acc := t.edge_k.(!e) :: !acc;
       e := t.edge_next.(!e)
     done
-  end
-
-(** Arena indices of the instructions using [n], in layout order. *)
-let users t n =
-  let acc = ref [] in
-  iter_users t n (fun k -> acc := k :: !acc);
+  end;
   !acc
 
 let use_count t n =
@@ -196,8 +217,7 @@ let rec base_pointer (t : t) (v : Lvalue.t) : Sym.t option =
   | _ -> None
 
 (* Path-compress substitution chains: every key maps straight to its
-   final value, so the rewrite walk below resolves each operand with
-   one lookup. *)
+   final value, so a rewrite resolves each operand with one lookup. *)
 let compress_chains (subst : Lvalue.t Sym.Tbl.t) : Lvalue.t Sym.Tbl.t =
   let resolved : Lvalue.t Sym.Tbl.t = Sym.Tbl.create 16 in
   let rec resolve_sym n seen =
@@ -220,29 +240,20 @@ let compress_chains (subst : Lvalue.t Sym.Tbl.t) : Lvalue.t Sym.Tbl.t =
   Sym.Tbl.iter (fun n _ -> ignore (resolve_sym n [])) subst;
   resolved
 
-(** Write a substitution into the arena in place: chains are
-    path-compressed once, then every live instruction the index lists
-    as a user of a substituted name gets its operand slots rewritten.
-    Returns the compressed table for values held outside the arena. *)
-let rewrite_users (idx : t) (subst : Lvalue.t Sym.Tbl.t) : Lvalue.t Sym.Tbl.t =
-  let a = idx.arena in
-  let resolved = compress_chains subst in
-  Sym.Tbl.iter
-    (fun n _ ->
-      iter_users idx n (fun k ->
-          if not (Iarena.is_dead a k) then begin
-            let o = Iarena.op_off a k in
-            for s = o to o + Iarena.op_len a k - 1 do
-              match Iarena.opnd a s with
-              | Lvalue.Reg (r, _) -> (
-                  match Sym.Tbl.find_opt resolved r with
-                  | Some v' -> Iarena.set_opnd a k s v'
-                  | None -> ())
-              | _ -> ()
-            done
-          end))
-    subst;
-  resolved
+let resolve (subst : Lvalue.t Sym.Tbl.t) (v : Lvalue.t) =
+  match v with
+  | Lvalue.Reg (n, _) -> (
+      match Sym.Tbl.find_opt subst n with Some v' -> v' | None -> v)
+  | _ -> v
+
+let substitute_instr (subst : Lvalue.t Sym.Tbl.t) (i : Linstr.t) =
+  if
+    Sym.Tbl.length subst > 0
+    && List.exists
+         (function Lvalue.Reg (n, _) -> Sym.Tbl.mem subst n | _ -> false)
+         (Linstr.operands i)
+  then Linstr.map_operands (resolve subst) i
+  else i
 
 (** Convenience: substitute over a function without a prebuilt index —
     still one walk (compressed chains, one lookup per operand), but
@@ -250,13 +261,4 @@ let rewrite_users (idx : t) (subst : Lvalue.t Sym.Tbl.t) : Lvalue.t Sym.Tbl.t =
 let substitute_func (subst : Lvalue.t Sym.Tbl.t) (f : Lmodule.func) :
     Lmodule.func =
   if Sym.Tbl.length subst = 0 then f
-  else begin
-    let resolved = compress_chains subst in
-    let resolve v =
-      match v with
-      | Lvalue.Reg (n, _) -> (
-          match Sym.Tbl.find_opt resolved n with Some v' -> v' | None -> v)
-      | _ -> v
-    in
-    Lmodule.map_values resolve f
-  end
+  else Lmodule.map_values (resolve (compress_chains subst)) f

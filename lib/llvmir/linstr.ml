@@ -157,8 +157,8 @@ let map_successors f i =
   { i with op }
 
 (* One table per opcode family: every operator with its printed name,
-   at the index {!Iarena} stores as the operator's code ([*_code]).
-   The printer, the parser and the arena decoder all read these. *)
+   at the index of the operator's code ([*_code]).  The printer and
+   the parser both read these. *)
 
 let ibinops =
   [| (Add, "add"); (Sub, "sub"); (Mul, "mul"); (SDiv, "sdiv");

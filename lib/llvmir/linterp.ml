@@ -215,8 +215,7 @@ let fcmp_eval p a b =
   | FUno -> Float.is_nan a || Float.is_nan b
 
 let intrinsic_eval st name (args : rv list) : rv option =
-  let starts_with p = String.length name >= String.length p
-                      && String.sub name 0 (String.length p) = p in
+  let starts_with prefix = String.starts_with ~prefix name in
   ignore st;
   match args with
   | [ a; b ] when starts_with "llvm.smax." -> Some (RInt (max (as_i a) (as_i b)))

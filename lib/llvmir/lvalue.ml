@@ -60,4 +60,11 @@ let const_int_value = function
 let same_reg a b =
   match (a, b) with Reg (x, _), Reg (y, _) -> Sym.equal x y | _ -> false
 
-let equal (a : t) (b : t) = a = b
+(* Float constants compare by bit pattern: [=] takes [0.0] and [-0.0]
+   for one value, and no NaN for itself. *)
+let equal (a : t) (b : t) =
+  match (a, b) with
+  | Const (CFloat (x, tx)), Const (CFloat (y, ty)) ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      && Ltype.equal tx ty
+  | _ -> a = b

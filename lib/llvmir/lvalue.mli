@@ -43,4 +43,6 @@ val const_int_value : t -> int option
 (** Same SSA register? *)
 val same_reg : t -> t -> bool
 
+(** Structural equality, with float constants compared by bit pattern
+    ([0.0] and [-0.0] differ; a NaN equals the same NaN). *)
 val equal : t -> t -> bool

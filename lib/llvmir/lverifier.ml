@@ -69,7 +69,7 @@ let check_ssa ~am (f : func) =
           fail "@%s: register %%%s defined more than once" f.fname
             (Sym.name i.result)
   done;
-  (* every use dominated by its def; the arena is in layout order, so
+  (* every use dominated by its def; the index rows are in layout order, so
      intra-block ordering is plain index comparison *)
   let check_use ~use_k name =
     match Findex.def idx name with

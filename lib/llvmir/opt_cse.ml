@@ -5,94 +5,91 @@
     expressions, so a redundant instruction is always dominated by the
     expression it reuses.
 
-    Expressions key as packed int arrays over the {!Iarena} encoding —
-    the opcode word, the per-opcode scalar payload (interned source
-    type, aggregate path) and one identity key per operand
-    ({!Iarena.opnd_key}: symbol for registers, interned constant-pool
-    index for constants) — where the old walk built and hashed a
-    string per candidate.  Within a function SSA gives every register
-    one type, so the symbol alone carries what the string key spelt
-    out as [ty:name].  Redundant rows are killed in place; surviving
-    users get their operand slots rewritten through the path-compressed
-    substitution, and the pass seeds the analysis cache with an index
-    of the compacted arena it wrote. *)
+    An expression keys as an int array: the id of its opcode with the
+    operands blanked out (sub-opcode, [inbounds], GEP source or cast
+    target type, aggregate path), then one id per operand.  Registers
+    key by symbol — within a function SSA gives every register one
+    type — and globals by symbol and type.  Constants key by value with
+    floats by bit pattern: polymorphic equality and hashing take [0.0]
+    and [-0.0] for one key, and NaN for none.  The walk needs no
+    function index: it reads the blocks the dominator tree numbers, and
+    the output drops the redundant instructions and resolves their
+    users through the substitution. *)
 
 open Lmodule
 module Sym = Support.Interner
 
+(* What an id stands for: an opcode with blanked operands, a global
+   or non-float constant, or a float constant's bits and type. *)
+type atom =
+  | Opcode of Linstr.opcode
+  | Value of Lvalue.t
+  | Float of int64 * Ltype.t
+
+let blank = Lvalue.Const (Lvalue.CUndef Ltype.Void)
+
 let run_func ~am (f : func) : func =
   let dom = Analysis.dominance ~am f in
-  let idx = Analysis.findex ~am f in
-  let a = Findex.arena idx in
+  let blocks = Array.of_list f.blocks in
   let subst : Lvalue.t Sym.Tbl.t = Sym.Tbl.create 32 in
-  let changed = ref false in
-  (* [key_of k] for a keyable row: opcode word, scalar payload, then
-     one packed key per operand with the current substitution already
-     applied — matching the old walk, which resolved operands before
-     keying.  Values in [subst] are kept (never-substituted) registers
-     or constants, so one probe is full resolution here. *)
-  let key_of k =
-    let tg = Iarena.tag a k in
-    let o = Iarena.op_off a k and l = Iarena.op_len a k in
-    let extra =
-      if tg = Iarena.tag_gep || tg = Iarena.tag_cast then 1
-      else if tg = Iarena.tag_extractvalue || tg = Iarena.tag_insertvalue
-      then Iarena.aux1 a k
-      else 0
-    in
-    let key = Array.make (1 + extra + l) (Iarena.opword a k) in
-    if extra = 1 then key.(1) <- Iarena.aux0 a k
-    else
-      for i = 0 to extra - 1 do
-        key.(1 + i) <- Iarena.xt a (Iarena.aux0 a k + i)
-      done;
-    for i = 0 to l - 1 do
-      key.(1 + extra + i) <-
-        (match Iarena.opnd a (o + i) with
-        | Lvalue.Reg (r, _) as v -> (
-            match Sym.Tbl.find_opt subst r with
-            | Some v' -> Iarena.key_of_value a v'
-            | None -> Iarena.key_of_value a v)
-        | _ -> Iarena.opnd_key a (o + i))
-    done;
-    key
+  let ids : (atom, int) Hashtbl.t = Hashtbl.create 32 in
+  let id a =
+    match Hashtbl.find_opt ids a with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length ids in
+        Hashtbl.add ids a i;
+        i
+  in
+  (* operands key with the current substitution applied, as the
+     rewritten function would read them; values in [subst] are kept
+     registers, so one probe is full resolution *)
+  let operand v =
+    match Findex.resolve subst v with
+    | Lvalue.Reg (r, _) -> (r :> int) lsl 1
+    | Lvalue.Const (Lvalue.CFloat (x, ty)) ->
+        (id (Float (Int64.bits_of_float x, ty)) lsl 1) lor 1
+    | v -> (id (Value v) lsl 1) lor 1
+  in
+  let key (i : Linstr.t) =
+    Array.of_list
+      (id (Opcode (Linstr.map_operands (fun _ -> blank) i).op)
+      :: List.map operand (Linstr.operands i))
   in
   (* One shared table scoped by an undo list: entering a block pushes
      its insertions, leaving pops them ([Hashtbl.add] stacks a
      shadowing binding, [remove] restores the shadowed one).  An
      instruction probes before inserting, so a block never inserts the
-     same key twice — semantics match the old copy-per-block walk at
-     O(insertions) instead of O(blocks x table size). *)
+     same key twice. *)
   let avail : (int array, Lvalue.t) Hashtbl.t = Hashtbl.create 32 in
   let rec walk bi =
     let added = ref [] in
-    for k = Iarena.block_start a bi to Iarena.block_stop a bi - 1 do
-      let tg = Iarena.tag a k in
-      if
-        Iarena.pure_tag tg
-        && tg <> Iarena.tag_phi (* phi equality depends on control flow *)
-        && not (Sym.is_empty (Iarena.result a k))
-      then begin
-        let key = key_of k in
-        match Hashtbl.find_opt avail key with
-        | Some v ->
-            changed := true;
-            Iarena.kill a k;
-            Sym.Tbl.replace subst (Iarena.result a k) v
-        | None ->
-            Hashtbl.add avail key
-              (Lvalue.Reg (Iarena.result a k, Iarena.result_ty a k));
-            added := key :: !added
-      end
-    done;
+    List.iter
+      (fun (i : Linstr.t) ->
+        match i.op with
+        | Linstr.Phi _ -> () (* phi equality depends on control flow *)
+        | Linstr.ExtractValue (_, [ _ ]) | Linstr.InsertValue (_, _, [ _ ]) ->
+            (* left unmerged: the pinned IR and report digests were
+               made without merging one-index aggregate ops (ROADMAP
+               item 6) *)
+            ()
+        | _ when Linstr.is_pure i && Linstr.has_result i -> (
+            let key = key i in
+            match Hashtbl.find_opt avail key with
+            | Some v -> Sym.Tbl.replace subst i.result v
+            | None ->
+                Hashtbl.add avail key (Lvalue.Reg (i.result, i.ty));
+                added := key :: !added)
+        | _ -> ())
+      blocks.(bi).insts;
     List.iter walk dom.Dominance.children.(bi);
     List.iter (fun key -> Hashtbl.remove avail key) !added
   in
-  if Iarena.n_blocks a > 0 then walk 0;
-  if not !changed then f
-  else begin
-    (* the arena is the output: rewrite surviving users in place, then
-       materialise it *)
-    ignore (Findex.rewrite_users idx subst);
-    Analysis.materialize ~am f a
-  end
+  if Array.length blocks > 0 then walk 0;
+  if Sym.Tbl.length subst = 0 then f
+  else
+    Lmodule.rewrite_insts
+      (fun i ->
+        if Sym.Tbl.mem subst i.result then []
+        else [ Findex.substitute_instr subst i ])
+      f

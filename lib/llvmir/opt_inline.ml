@@ -48,11 +48,7 @@ let inline_one (m : t) (f : func) : func option =
          same callee *)
       let prefix =
         let taken candidate =
-          let cp = candidate ^ "." in
-          let starts s =
-            String.length s >= String.length cp
-            && String.sub s 0 (String.length cp) = cp
-          in
+          let starts = String.starts_with ~prefix:(candidate ^ ".") in
           List.exists (fun (b : block) -> starts (Sym.name b.label)) f.blocks
           || fold_insts
                (fun acc (i : Linstr.t) -> acc || starts (result_name i))

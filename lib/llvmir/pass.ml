@@ -32,7 +32,7 @@ type pass = {
    instructions inside a fixed block skeleton: block labels, order and
    terminator targets survive, so CFG-shaped analyses remain valid.
    None of them preserves the function index — any instruction rewrite
-   moves the arena.  Every pass preserves the module-level effect
+   changes its rows.  Every pass preserves the module-level effect
    summary: footprints are transitively-closed over-approximations, and
    a transform can only remove, merge or move accesses (inline included
    — the caller summary already contains the inlined callee's
@@ -220,11 +220,8 @@ let run_pipeline_parallel ?(am = Analysis.create ()) ~(fanout : fanout)
             (* Workers run the tail on a one-function module under a
                private manager, then verify their function once against
                [m1] (tail passes are function-local, so callee
-               signatures never move).  Each arena-backed pass seeds
-               its output's function index ({!Analysis.seed_findex},
-               installed by [keep]), so the scoped verification reads
-               the flat storage the passes wrote instead of
-               re-materialising and re-indexing the function. *)
+               signatures never move).  The verification reuses the
+               analyses the last pass left in that manager. *)
             let worker (f : Lmodule.func) =
               let am = Analysis.create () in
               let m' =

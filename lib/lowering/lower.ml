@@ -848,7 +848,7 @@ let lower_func (style : style) (mhf : Ir.func) : Llvmir.Lmodule.func * Llvmir.Lm
   let fattrs =
     List.filter_map
       (fun (k, a) ->
-        if String.length k >= 4 && String.sub k 0 4 = "hls." then
+        if String.starts_with ~prefix:"hls." k then
           (* string attrs pass through unquoted (e.g. "cyclic:4:2") *)
           match a with
           | Attr.Str s -> Some (k, s)

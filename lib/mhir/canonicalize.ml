@@ -125,13 +125,24 @@ let fold_constants_func (f : func) : func * bool =
                         changed := true;
                         [ mk_const r attr ]
                     | None -> [ o ])
-                | "arith.addf", _, Some (Attr.Float 0.0)
-                | "arith.subf", _, Some (Attr.Float 0.0)
-                | "arith.mulf", _, Some (Attr.Float 1.0)
-                | "arith.divf", _, Some (Attr.Float 1.0) ->
+                (* only the identities IEEE keeps exact at [x = -0.0]:
+                   [-0.0 + 0.0] is [+0.0], so [x + 0.0] is not [x] (and
+                   a float pattern [0.0] also matches [-0.0]) *)
+                | "arith.addf", _, Some (Attr.Float z)
+                  when z = 0.0 && Float.sign_bit z ->
                     set_alias r a;
                     []
-                | "arith.addf", Some (Attr.Float 0.0), _
+                | "arith.subf", _, Some (Attr.Float z)
+                  when z = 0.0 && not (Float.sign_bit z) ->
+                    set_alias r a;
+                    []
+                | ("arith.mulf" | "arith.divf"), _, Some (Attr.Float 1.0) ->
+                    set_alias r a;
+                    []
+                | "arith.addf", Some (Attr.Float z), _
+                  when z = 0.0 && Float.sign_bit z ->
+                    set_alias r b;
+                    []
                 | "arith.mulf", Some (Attr.Float 1.0), _ ->
                     set_alias r b;
                     []

@@ -120,7 +120,8 @@ let rec pretty_op buf indent (o : op) =
       let step_str = if step = 1 then "" else Printf.sprintf " step %d" step in
       let dir_attrs =
         List.filter
-          (fun (k, _) -> String.length k > 4 && String.sub k 0 4 = "hls.")
+          (fun (k, _) ->
+            String.length k > 4 && String.starts_with ~prefix:"hls." k)
           o.attrs
       in
       line

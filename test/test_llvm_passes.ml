@@ -303,6 +303,76 @@ join:
   in
   Alcotest.(check int) "sibling expressions kept" 2 muls
 
+(* [-0.0 + 0.0] is [+0.0], so every identity constfold applies must give
+   the same bits as the unfolded function at [x = -0.0]; the select and
+   the phi run at [c = false], where they pick [-0.0] *)
+let test_constfold_signed_zero () =
+  let at_neg_zero m =
+    match
+      Linterp.run (Linterp.create m) "f" [ Linterp.RFloat (-0.0); Linterp.RInt 0 ]
+    with
+    | Some (Linterp.RFloat v) -> Int64.bits_of_float v
+    | _ -> Alcotest.fail "expected a float result"
+  in
+  List.iter
+    (fun (name, body) ->
+      let m =
+        parse ("define double @f(double %x, i1 %c) {\nentry:\n" ^ body ^ "\n}")
+      in
+      let m', _ = Pass.run_pipeline [ Pass.constfold ] m in
+      Alcotest.(check int64) name (at_neg_zero m) (at_neg_zero m'))
+    [
+      ("fadd x, 0.0", "  %a = fadd double %x, 0.0\n  ret double %a");
+      ("fadd 0.0, x", "  %a = fadd double 0.0, %x\n  ret double %a");
+      ("fsub x, -0.0", "  %a = fsub double %x, -0.0\n  ret double %a");
+      ( "select c, 0.0, -0.0",
+        "  %s = select i1 %c, double 0.0, double -0.0\n  ret double %s" );
+      ( "phi of 0.0 and -0.0",
+        String.concat "\n"
+          [
+            "  br i1 %c, label %a, label %b";
+            "a:";
+            "  br label %j";
+            "b:";
+            "  br label %j";
+            "j:";
+            "  %p = phi double [ 0.0, %a ], [ -0.0, %b ]";
+            "  ret double %p";
+          ] );
+    ]
+
+(* CSE keys float constants by bit pattern: [x * 0.0] and [x * -0.0]
+   differ at [x = -1.0], while two products with the same NaN are one
+   expression *)
+let test_cse_float_constants () =
+  let m =
+    parse
+      {|define float @f(float %x) {
+entry:
+  %a = fmul float %x, 0.0
+  %b = fmul float %x, -0.0
+  %c = fmul float %x, nan
+  %d = fmul float %x, nan
+  %s1 = fadd float %a, %b
+  %s2 = fadd float %c, %d
+  %s = fadd float %s1, %s2
+  ret float %s
+}|}
+  in
+  let m', _ = Pass.run_pipeline [ Pass.cse ] m in
+  let factors =
+    List.filter_map
+      (fun (i : Linstr.t) ->
+        match i.op with
+        | Linstr.FBin (Linstr.FMul, _, Lvalue.Const (Lvalue.CFloat (v, _))) ->
+            Some (Int64.bits_of_float v)
+        | _ -> None)
+      (Lmodule.fold_insts (fun acc i -> i :: acc) [] (List.hd m'.Lmodule.funcs))
+  in
+  Alcotest.(check (list int64)) "0.0, -0.0 kept apart; the NaNs merged"
+    (List.sort compare (List.map Int64.bits_of_float [ 0.0; -0.0; Float.nan ]))
+    (List.sort compare factors)
+
 let test_simplifycfg_folds_constant_branch () =
   let m =
     parse
@@ -584,6 +654,10 @@ let suite =
     Alcotest.test_case "dce keeps side effects" `Quick test_dce_keeps_side_effects;
     Alcotest.test_case "cse" `Quick test_cse;
     Alcotest.test_case "cse respects dominance" `Quick test_cse_respects_dominance;
+    Alcotest.test_case "constfold keeps the sign of zero" `Quick
+      test_constfold_signed_zero;
+    Alcotest.test_case "cse keeps float constants apart by bits" `Quick
+      test_cse_float_constants;
     Alcotest.test_case "simplifycfg constant branch" `Quick test_simplifycfg_folds_constant_branch;
     Alcotest.test_case "simplifycfg merges chains" `Quick test_simplifycfg_merges_chains;
     Alcotest.test_case "licm hoists" `Quick test_licm_hoists;

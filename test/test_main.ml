@@ -19,7 +19,6 @@ let () =
       ("malformed", Test_malformed.suite);
       ("llvmir-extra", Test_llvmir_extra.suite);
       ("findex", Test_findex.suite);
-      ("iarena", Test_iarena.suite);
       ("llvm-interp", Test_llvm_interp.suite);
       ("llvm-passes", Test_llvm_passes.suite);
       ("adaptor", Test_adaptor.suite);

@@ -215,6 +215,29 @@ let test_canonicalize_removes_dead_code () =
   Alcotest.(check int) "everything dead is gone" 1
     (Ir.op_count (List.hd m.Ir.funcs))
 
+(* [-0.0 + 0.0] is [+0.0], so a float identity the canonicalizer folds
+   must give the same bits as the unfolded op at [x = -0.0] *)
+let test_canonicalize_signed_zero () =
+  List.iter
+    (fun (name, body) ->
+      let b = Builder.create () in
+      let f =
+        Builder.func b "z" ~args:[ ("x", Types.F32) ] ~ret_tys:[ Types.F32 ]
+          (fun b args -> Builder.ret b [ body b (List.hd args) ])
+      in
+      let m = { Ir.funcs = [ f ] } in
+      let run m =
+        match Interp.run_func m "z" [ Interp.Float (-0.0) ] with
+        | [ Interp.Float v ] -> Int64.bits_of_float v
+        | _ -> Alcotest.fail "expected a single float result"
+      in
+      Alcotest.(check int64) name (run m) (run (Canonicalize.run m)))
+    [
+      ("addf x, 0.0", fun b x -> Builder.addf b x (Builder.constant_f b 0.0));
+      ("addf 0.0, x", fun b x -> Builder.addf b (Builder.constant_f b 0.0) x);
+      ("subf x, -0.0", fun b x -> Builder.subf b x (Builder.constant_f b (-0.0)));
+    ]
+
 let suite =
   [
     Alcotest.test_case "arith semantics" `Quick test_arith_semantics;
@@ -230,4 +253,6 @@ let suite =
       test_canonicalize_folds_constants;
     Alcotest.test_case "canonicalize removes dead code" `Quick
       test_canonicalize_removes_dead_code;
+    Alcotest.test_case "canonicalize keeps the sign of zero" `Quick
+      test_canonicalize_signed_zero;
   ]
