@@ -341,8 +341,10 @@ let run_func ~stats ~delinearize ~am (f : Lmodule.func) : Lmodule.func =
   in
   let f' = Lmodule.rewrite_insts rw f in
   let f' = Findex.substitute_func subst f' in
-  (* the insertvalue chains are now dead; [am] caches (and seeds) the
-     index the cleanup DCE builds for the verifier *)
+  (* the insertvalue chains are now dead; [am] caches the index the
+     cleanup DCE builds for the verifier, and the rewrite kept the
+     block skeleton, so the CFG and dominator tree carry over *)
+  Analysis.rewritten am f';
   Opt_dce.run_func ~am f'
   end
 

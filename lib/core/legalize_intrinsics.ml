@@ -115,9 +115,14 @@ let run_func ~stats ~am (f : Lmodule.func) : Lmodule.func =
      its operand chain — the min/max/abs/fmuladd/freeze rewrites
      replace a value in place, every operand they forward was already
      live.  The cleanup DCE (and its per-function index build) is pure
-     overhead unless something was dropped; [am] caches (and seeds)
-     the index it builds, so the post-pass verifier reuses it *)
-  if !dropped_here then Opt_dce.run_func ~am f' else f'
+     overhead unless something was dropped; [am] caches the index it
+     builds, so the post-pass verifier reuses it, and the rewrite kept
+     the block skeleton, so the CFG and dominator tree carry over *)
+  if !dropped_here then begin
+    Analysis.rewritten am f';
+    Opt_dce.run_func ~am f'
+  end
+  else f'
 
 let run ~stats ~am (m : Lmodule.t) : Lmodule.t =
   let m = Lmodule.map_funcs (run_func ~stats ~am) m in

@@ -265,6 +265,13 @@ let describe (c : config) : string =
        (List.map (fun (a, f) -> Printf.sprintf "-%s%d" a f) c.c_parts))
     (match c.c_sched with B.Static -> "" | B.Dynamic -> "-dyn")
 
+(* Canonical configs in label order, one per label; each label is
+   formatted once. *)
+let sort_by_label (cs : config list) : config list =
+  List.map (fun c -> (describe c, c)) cs
+  |> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map snd
+
 let to_directives (sp : t) (c : config) : K.directives =
   let c = canonical c in
   {
@@ -316,7 +323,7 @@ let seeds (sp : t) : config list =
         mk sched K.Middle 1 1 (parts_all sp 8);
       ])
     sp.sp_scheds
-  |> List.sort_uniq (fun a b -> compare (describe a) (describe b))
+  |> sort_by_label
 
 (** Values adjacent to [v] on an ascending axis ([v] itself excluded;
     works even when [v] is off-axis, e.g. for legacy seeds). *)
@@ -365,13 +372,19 @@ let neighbors (sp : t) (c : config) : config list =
             (adjacent ax.pa_factors cur))
         sp.sp_partitions
   in
-  moves |> List.map canonical
-  |> List.filter (fun n -> describe n <> describe c)
-  |> List.sort_uniq (fun a b -> compare (describe a) (describe b))
+  let self = describe c in
+  List.filter_map
+    (fun n ->
+      let n = canonical n in
+      let label = describe n in
+      if label = self then None else Some (label, n))
+    moves
+  |> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map snd
 
 (** Every point of the space (canonical forms, sorted).  Exponential in
     the number of hot arrays — fine at benchmark scale; the search
-    itself never calls this, only {!size} reporting and tests do. *)
+    itself never calls this, only tests and benchmarks do. *)
 let enumerate (sp : t) : config list =
   let parts_combos =
     List.fold_left
@@ -406,7 +419,24 @@ let enumerate (sp : t) : config list =
             sp.sp_iis)
         sp.sp_strategies)
     sp.sp_scheds
-  |> List.sort_uniq (fun a b -> compare (describe a) (describe b))
+  |> sort_by_label
 
-(** Number of distinct (canonical) points in the space. *)
-let size (sp : t) : int = List.length (enumerate sp)
+(** Number of distinct (canonical) points in the space, counted from
+    the axes: [Inner] points are every II with every unroll, [Middle]
+    points every distinct [max 1 ii] (its unroll pins to 1), and each
+    is paired with every backend and partition factor. *)
+let size (sp : t) : int =
+  let distinct xs = List.length (List.sort_uniq compare xs) in
+  let per_strategy = function
+    | K.Inner -> distinct sp.sp_iis * distinct sp.sp_unrolls
+    | K.Middle ->
+        distinct (List.map (max 1) sp.sp_iis) * min 1 (distinct sp.sp_unrolls)
+  in
+  distinct sp.sp_scheds
+  * List.fold_left
+      (fun acc ax -> acc * distinct ax.pa_factors)
+      1 sp.sp_partitions
+  * List.fold_left
+      (fun acc s -> acc + per_strategy s)
+      0
+      (List.sort_uniq compare sp.sp_strategies)

@@ -69,5 +69,6 @@ val neighbors : t -> config -> config list
 (** Every point (canonical forms, sorted by {!describe}). *)
 val enumerate : t -> config list
 
-(** Number of distinct canonical points, [List.length (enumerate sp)]. *)
+(** Number of distinct canonical points, [List.length (enumerate sp)],
+    counted from the axes without enumerating them. *)
 val size : t -> int

@@ -25,6 +25,7 @@
 
 open Llvmir
 module E = Estimate
+module Sym = Support.Interner
 
 type sched = Static | Dynamic
 
@@ -45,51 +46,46 @@ let channel_depth = 2
 
 let fail = Support.Err.fail ~pass:"hls.estimate"
 
-(* Functional-unit demand, keyed by {!Op_model.fu_name}:
-   class -> (cost, unit count). *)
-module FuMap = Map.Make (String)
+(* Functional-unit demand per class: class -> (cost, unit count). *)
+module Units = Map.Make (Int)
+
+(* A class's key in {!Units}; [-1] for what binds no shared unit. *)
+let unit_key : Op_model.fu_class -> int = function
+  | Op_model.FU_none | Op_model.FU_mem_read | Op_model.FU_mem_write -> -1
+  | Op_model.FU_fadd -> 0
+  | Op_model.FU_fmul -> 1
+  | Op_model.FU_fdiv -> 2
+  | Op_model.FU_idiv -> 3
+  | Op_model.FU_alu -> 4
+  | Op_model.FU_imul w -> 5 + w
 
 (* ------------------------------------------------------------------ *)
 (* What the disciplines disagree on                                   *)
 (* ------------------------------------------------------------------ *)
 
-(** Elastic occupancy of one node: handshake registering makes every
-    real operation take at least a cycle; inner-loop barriers keep
-    their estimated latency. *)
-let elastic_latency (nd : Schedule.node) = max 1 nd.Schedule.latency
+(** Elastic occupancy of a node of latency [l]: handshake registering
+    makes every real operation take at least a cycle; inner-loop
+    barriers keep their estimated latency. *)
+let elastic_latency l = Int.max 1 l
 
 (** One body's timing: its length in cycles, the II bound its carried
     values impose, and each node's start cycle (list schedule only). *)
 type timing = { length : int; rec_ii : int; starts : int array }
 
-let time_body sched ~clock_ns ~ports_of ~replicas ~carries (g : Schedule.t) :
-    timing =
+let time_body sched ~clock_ns ~ports (g : Schedule.t) : timing =
   match sched with
   | Static ->
-      let starts, length = Schedule.list_schedule ~clock_ns ~ports_of g in
-      let path =
-        Schedule.longest_carried_path
-          ~weight:(fun nd -> max nd.Schedule.latency 0)
-          ~replicas g carries
-      in
+      let starts, length = Schedule.list_schedule ~clock_ns ~ports g in
+      let path = Schedule.longest_carried_path ~weight:(fun l -> Int.max l 0) g in
       { length; rec_ii = max 1 path; starts }
   | Dynamic ->
-      (* a unit fires as soon as every operand token has arrived *)
-      let finish = Array.make (Array.length g.Schedule.nodes) 0 in
-      Array.iter
-        (fun (nd : Schedule.node) ->
-          finish.(nd.Schedule.nid) <-
-            List.fold_left (fun acc p -> max acc finish.(p)) 0 nd.Schedule.preds
-            + elastic_latency nd)
-        g.Schedule.nodes;
-      (* token round trip: the elastic path around the recurrence plus
-         one cycle through the back-edge buffer that returns the token
-         to the phi *)
-      let path =
-        Schedule.longest_carried_path ~weight:elastic_latency ~replicas g
-          carries
-      in
-      { length = Array.fold_left max 0 finish; rec_ii = path + 1; starts = [||] }
+      (* a unit fires as soon as every operand token has arrived; the
+         token round trip is the elastic path around the recurrence
+         plus one cycle through the back-edge buffer that returns the
+         token to the phi *)
+      let length = Schedule.asap_length ~weight:elastic_latency g in
+      let path = Schedule.longest_carried_path ~weight:elastic_latency g in
+      { length; rec_ii = path + 1; starts = [||] }
 
 (** Units one body needs per class, each class priced at its last
     operation's cost.  [Static] shares a class's units over time: the
@@ -97,47 +93,64 @@ let time_body sched ~clock_ns ~ports_of ~replicas ~carries (g : Schedule.t) :
     overlap of busy intervals.  [Dynamic] instantiates one unit per
     operation. *)
 let body_units sched ~(ii : int option) (g : Schedule.t) (t : timing) =
-  let by_class f =
-    Array.fold_left
-      (fun acc (nd : Schedule.node) ->
-        match nd.Schedule.fu with
-        | Op_model.FU_none | Op_model.FU_mem_read | Op_model.FU_mem_write -> acc
-        | fu ->
-            let key = Op_model.fu_name fu in
-            let prev = Option.map snd (FuMap.find_opt key acc) in
-            FuMap.add key (nd.Schedule.cost, f prev nd) acc)
-      FuMap.empty g.Schedule.nodes
+  let items = g.Schedule.items in
+  let m = Array.length items and replicas = g.Schedule.replicas in
+  let key i = unit_key items.(i).Schedule.fu in
+  (* per class: the cost of its last item, and how many items it has *)
+  let classes = ref Units.empty in
+  for i = 0 to m - 1 do
+    if key i >= 0 then
+      classes :=
+        Units.update (key i)
+          (fun prev ->
+            Some
+              ( items.(i).Schedule.cost,
+                1 + match prev with Some (_, n) -> n | None -> 0 ))
+          !classes
+  done;
+  (* the start of every node of class [k] *)
+  let starts_of k =
+    let acc = ref [] in
+    for r = replicas - 1 downto 0 do
+      for i = m - 1 downto 0 do
+        if key i = k then acc := t.starts.((r * m) + i) :: !acc
+      done
+    done;
+    !acc
   in
-  match sched with
-  | Dynamic -> by_class (fun n _ -> 1 + Option.value n ~default:0)
-  | Static ->
-      by_class (fun starts (nd : Schedule.node) ->
-          t.starts.(nd.Schedule.nid) :: Option.value starts ~default:[])
-      |> FuMap.map (fun ((cost : Op_model.cost), starts) ->
-             match ii with
-             | Some ii when ii > 0 ->
-                 let buckets = Array.make ii 0 in
-                 List.iter
-                   (fun c -> buckets.(c mod ii) <- buckets.(c mod ii) + 1)
-                   starts;
-                 (cost, Array.fold_left max 1 buckets)
-             | _ ->
-                 let busy = Hashtbl.create 16 in
-                 List.iter
-                   (fun c ->
-                     for t = c to c + max 1 cost.Op_model.latency - 1 do
-                       Hashtbl.replace busy t
-                         (1 + Option.value ~default:0 (Hashtbl.find_opt busy t))
-                     done)
-                   starts;
-                 (cost, Hashtbl.fold (fun _ v acc -> max acc v) busy 1))
+  Units.mapi
+    (fun k ((cost : Op_model.cost), count) ->
+      match (sched, ii) with
+      | Dynamic, _ -> (cost, replicas * count)
+      | Static, Some ii when ii > 0 ->
+          let buckets = Array.make ii 0 in
+          List.iter
+            (fun c -> buckets.(c mod ii) <- buckets.(c mod ii) + 1)
+            (starts_of k);
+          (cost, Array.fold_left Int.max 1 buckets)
+      | Static, _ ->
+          (* every busy interval is [c, c + span): the peak overlap is
+             the most starts in a window of [span] ending at a start *)
+          let span = max 1 cost.Op_model.latency in
+          let s = Array.of_list (starts_of k) in
+          Array.sort Int.compare s;
+          let lo = ref 0 and peak = ref 1 in
+          Array.iteri
+            (fun hi c ->
+              while s.(!lo) <= c - span do
+                incr lo
+              done;
+              peak := Int.max !peak (hi - !lo + 1))
+            s;
+          (cost, !peak))
+    !classes
 
 (** Sibling bodies never run at once under [Static], so their unit
     counts merge by max; a [Dynamic] circuit is spatial, so they add.
     Each class keeps the left operand's cost. *)
 let merge_units sched a b =
   let combine = match sched with Static -> max | Dynamic -> ( + ) in
-  FuMap.union (fun _ (c, u1) (_, u2) -> Some (c, combine u1 u2)) a b
+  Units.union (fun _ (c, u1) (_, u2) -> Some (c, combine u1 u2)) a b
 
 (** Elastic FIFO fabric of one body, [Dynamic] only: a channel per
     dependence edge of a real node, a control-token channel per
@@ -146,13 +159,15 @@ let fifo_fabric sched (g : Schedule.t) ~n_carries : E.resources =
   match sched with
   | Static -> E.res_zero
   | Dynamic ->
-      let channels =
-        Array.fold_left
-          (fun acc (nd : Schedule.node) ->
-            if nd.Schedule.is_inner then acc + 1
-            else acc + List.length nd.Schedule.preds)
-          n_carries g.Schedule.nodes
-      in
+      let items = g.Schedule.items and off = g.Schedule.pred_off in
+      let m = Array.length items in
+      let channels = ref n_carries in
+      for v = 0 to Schedule.n_nodes g - 1 do
+        channels :=
+          !channels
+          + if items.(v mod m).Schedule.inner then 1 else off.(v + 1) - off.(v)
+      done;
+      let channels = !channels in
       let bram, lut, ff =
         Op_model.fifo_cost ~depth:channel_depth ~bits:channel_bits
       in
@@ -172,16 +187,16 @@ let control sched n : E.resources =
 (** What the loops nested in a body contribute: their reports
     (outermost-first, layout order), units, elastic fabric, and
     per-array accesses over one full execution (which drive the ResMII
-    of an enclosing loop). *)
+    of an enclosing loop), keyed by array id. *)
 type nest = {
   reports : E.loop_report list;
-  units : (Op_model.cost * int) FuMap.t;
+  units : (Op_model.cost * int) Units.t;
   fifos : E.resources;
-  accesses : (string * int) list;
+  accesses : (int * int) list;
 }
 
 let no_nest =
-  { reports = []; units = FuMap.empty; fifos = E.res_zero; accesses = [] }
+  { reports = []; units = Units.empty; fifos = E.res_zero; accesses = [] }
 
 let acc_merge a b =
   List.fold_left
@@ -200,15 +215,36 @@ let synthesize ?(clock_ns = Op_model.default_clock_ns) ?(sched = Static)
   let li = Analysis.loop_info ~am f in
   let idx = Analysis.findex ~am f in
   let arrays = Directives.arrays f in
-  let ports_of =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (a : Directives.array_info) ->
-        Hashtbl.replace tbl a.Directives.aname (Directives.ports a))
-      arrays;
-    fun name -> Option.value ~default:2 (Hashtbl.find_opt tbl name)
+  (* the root of every load/store address as a small id, with its
+     name and its memory ports *)
+  let ids = Sym.Tbl.create 8 and roots = ref [||] in
+  let array_of root =
+    match Sym.Tbl.find_opt ids root with
+    | Some a -> a
+    | None ->
+        let a = Array.length !roots in
+        let name = Sym.name root in
+        let ports =
+          List.fold_left
+            (fun acc (ai : Directives.array_info) ->
+              if ai.Directives.aname = name then Directives.ports ai else acc)
+            2 arrays
+        in
+        Sym.Tbl.replace ids root a;
+        roots := Array.append !roots [| (name, ports) |];
+        a
   in
-  let time = time_body sched ~clock_ns ~ports_of in
+  let name a = fst !roots.(a) and ports a = snd !roots.(a) in
+  let ctx = Schedule.context ~idx ~array_of in
+  let time = time_body sched ~clock_ns ~ports in
+  (* per-iteration accesses of a body, in array-name order *)
+  let accesses (g : Schedule.t) =
+    let acc = ref [] in
+    Array.iteri
+      (fun a c -> if c > 0 then acc := (a, c) :: !acc)
+      g.Schedule.mem_count;
+    List.sort (fun (a, _) (b, _) -> String.compare (name a) (name b)) !acc
+  in
   let add a b =
     {
       reports = a.reports @ b.reports;
@@ -217,9 +253,9 @@ let synthesize ?(clock_ns = Op_model.default_clock_ns) ?(sched = Static)
       accesses = acc_merge a.accesses b.accesses;
     }
   in
-  (* the items of the blocks directly in loop [j] ([None]: outside
-     every loop), with each direct child loop as a barrier at its
-     header, and what those children contribute *)
+  (* the blocks directly in loop [j] ([None]: outside every loop), with
+     each direct child loop as a barrier at its header, and what those
+     children contribute *)
   let rec body j =
     let children =
       match j with
@@ -229,26 +265,25 @@ let synthesize ?(clock_ns = Op_model.default_clock_ns) ?(sched = Static)
     let estimated =
       List.map (fun c -> (li.Loop_info.loops.(c).Loop_info.header, loop c)) children
     in
-    let items = ref [] and nest = ref no_nest in
-    for b = 0 to Cfg.n_blocks cfg - 1 do
-      if li.Loop_info.loop_of_block.(b) = j then
-        List.iter
-          (fun i -> items := Schedule.Instr i :: !items)
-          (Cfg.block cfg b).Lmodule.insts
+    let inputs = ref [] and nest = ref no_nest in
+    for b = 0 to Findex.n_blocks idx - 1 do
+      if Option.equal Int.equal li.Loop_info.loop_of_block.(b) j then
+        inputs := Schedule.Block b :: !inputs
       else
         List.iter
           (fun (header, (total, n)) ->
             if header = b then begin
-              items := Schedule.Inner total :: !items;
+              inputs := Schedule.Inner total :: !inputs;
               nest := add !nest n
             end)
           estimated
     done;
-    (List.rev !items, !nest)
+    (List.rev !inputs, !nest)
   (* a loop's total latency and its nest, itself included *)
   and loop j =
     let l = li.Loop_info.loops.(j) in
-    let label = Support.Interner.name (Cfg.label cfg l.Loop_info.header) in
+    let header = l.Loop_info.header in
+    let label = Sym.name (Cfg.label cfg header) in
     let dir = Directives.loop_directives cfg li j in
     let tripcount =
       match dir.Directives.tripcount with
@@ -267,31 +302,34 @@ let synthesize ?(clock_ns = Op_model.default_clock_ns) ?(sched = Static)
       | None -> 1
     in
     let trip' = (tripcount + unroll - 1) / unroll in
-    let items, kids = body (Some j) in
+    let inputs, kids = body (Some j) in
     (* carries: header phis with an incoming value from a latch *)
     let latch_labels = List.map (Cfg.label cfg) l.Loop_info.latches in
-    let carries =
-      List.filter_map
-        (fun (i : Linstr.t) ->
-          match i.Linstr.op with
-          | Linstr.Phi incoming -> (
-              match
-                List.find_opt (fun (_, lbl) -> List.mem lbl latch_labels) incoming
-              with
-              | Some (Lvalue.Reg (latch_reg, _), _) ->
-                  Some (i.Linstr.result, latch_reg)
-              | _ -> None)
-          | _ -> None)
-        (Cfg.block cfg l.Loop_info.header).Lmodule.insts
-    in
-    let g = Schedule.build ~carries ~replicas:unroll ~idx items in
-    let t = time ~replicas:unroll ~carries g in
+    let carries = ref [] in
+    for k = Findex.block_stop idx header - 1 downto Findex.block_start idx header do
+      match (Findex.instr idx k).Linstr.op with
+      | Linstr.Phi incoming -> (
+          match
+            List.find_opt
+              (fun (_, lbl) -> List.exists (Sym.equal lbl) latch_labels)
+              incoming
+          with
+          | Some (Lvalue.Reg (latch_reg, _), _) ->
+              carries :=
+                (Findex.local_of_res idx k, Findex.local_of idx latch_reg)
+                :: !carries
+          | _ -> ())
+      | _ -> ()
+    done;
+    let carries = Array.of_list !carries in
+    let g = Schedule.build ctx ~carries ~replicas:unroll inputs in
+    let t = time g in
     let iteration_latency = max 1 t.length in
     (* per-iteration memory pressure includes nested loops' accesses *)
-    let per_iter_acc = acc_merge g.Schedule.mem_accesses kids.accesses in
+    let per_iter_acc = acc_merge (accesses g) kids.accesses in
     let res_mii =
       List.fold_left
-        (fun acc (a, c) -> max acc ((c + ports_of a - 1) / ports_of a))
+        (fun acc (a, c) -> max acc ((c + ports a - 1) / ports a))
         1 per_iter_acc
     in
     (* the II rule: [Static] overlaps iterations only under a pipeline
@@ -324,7 +362,7 @@ let synthesize ?(clock_ns = Op_model.default_clock_ns) ?(sched = Static)
         res_mii;
         iteration_latency;
         total_latency = total;
-        mem_accesses = per_iter_acc;
+        mem_accesses = List.map (fun (a, c) -> (name a, c)) per_iter_acc;
       }
     in
     ( total,
@@ -333,16 +371,16 @@ let synthesize ?(clock_ns = Op_model.default_clock_ns) ?(sched = Static)
         units = merge_units sched kids.units (body_units sched ~ii g t);
         fifos =
           E.res_add kids.fifos
-            (fifo_fabric sched g ~n_carries:(List.length carries));
+            (fifo_fabric sched g ~n_carries:(Array.length carries));
         accesses = List.map (fun (a, c) -> (a, c * trip')) per_iter_acc;
       } )
   in
-  let items, loops = body None in
-  let g = Schedule.build ~carries:[] ~replicas:1 ~idx items in
-  let t = time ~replicas:1 ~carries:[] g in
+  let inputs, loops = body None in
+  let g = Schedule.build ctx ~carries:[||] ~replicas:1 inputs in
+  let t = time g in
   let units = merge_units sched loops.units (body_units sched ~ii:None g t) in
   let fu =
-    FuMap.fold
+    Units.fold
       (fun _ ((cost : Op_model.cost), n) acc ->
         E.res_add acc
           {

@@ -136,8 +136,3 @@ let arrays (f : Lmodule.func) : array_info list =
       | _ -> ())
     f;
   params @ List.rev !locals
-
-(** Root array of a pointer value: walk GEP/bitcast chains back to a
-    parameter or alloca name. *)
-let base_array (idx : Findex.t) (v : Lvalue.t) : string option =
-  Option.map Support.Interner.name (Findex.base_pointer idx v)

@@ -33,6 +33,3 @@ val total_elems : array_info -> int
 (** All arrays visible to the function: pointer params and local
     allocas, with their partition pragmas resolved. *)
 val arrays : Llvmir.Lmodule.func -> array_info list
-
-(** Which array (if any) a pointer value ultimately addresses. *)
-val base_array : Llvmir.Findex.t -> Llvmir.Lvalue.t -> string option

@@ -172,6 +172,24 @@ let effects ~(am : t) (m : Lmodule.t) : Effects.t =
         module_report am ~hit:false ~seconds:(Support.Tracing.now () -. t0) m;
       e
 
+(* Move [e] onto [f], a rewrite of its function: the analyses in
+   [preserves] are rebased, the rest dropped. *)
+let rebase_entry e ~preserves (f : Lmodule.func) =
+  let keep_k k = List.mem k preserves in
+  e.e_findex <-
+    (if keep_k Findex then Option.map (fun x -> Findex.rebase x f) e.e_findex
+     else None);
+  e.e_cfg <-
+    (if keep_k Cfg then Option.map (fun x -> Cfg.rebase x f) e.e_cfg else None);
+  e.e_dom <-
+    (if keep_k Dominance then Option.map (fun x -> Dominance.rebase x f) e.e_dom
+     else None);
+  e.e_li <-
+    (if keep_k Loop_info then Option.map (fun x -> Loop_info.rebase x f) e.e_li
+     else None);
+  e.e_vok <- false;
+  e.e_func <- f
+
 (** After a pass produced [m], keep only the analyses it [preserves]
     (rebased onto the new function values) plus everything cached for
     functions the pass left physically untouched; drop the rest and
@@ -195,28 +213,20 @@ let keep (am : t) ~(preserves : kind list) (m : Lmodule.t) : unit =
       match Sym.Tbl.find_opt am.cache key with
       | None -> ()
       | Some e when e.e_func == f -> ()  (* untouched: everything valid *)
-      | Some e ->
-          let keep_k k = List.mem k preserves in
-          e.e_findex <-
-            (if keep_k Findex then Option.map (fun x -> Findex.rebase x f) e.e_findex
-             else None);
-          e.e_cfg <-
-            (if keep_k Cfg then Option.map (fun x -> Cfg.rebase x f) e.e_cfg
-             else None);
-          e.e_dom <-
-            (if keep_k Dominance then
-               Option.map (fun x -> Dominance.rebase x f) e.e_dom
-             else None);
-          e.e_li <-
-            (if keep_k Loop_info then
-               Option.map (fun x -> Loop_info.rebase x f) e.e_li
-             else None);
-          e.e_vok <- false;
-          e.e_func <- f)
+      | Some e -> rebase_entry e ~preserves f)
     m.Lmodule.funcs;
   Sym.Tbl.iter
     (fun key _ -> if not (Sym.Tbl.mem live key) then Sym.Tbl.remove am.cache key)
     (Sym.Tbl.copy am.cache)
+
+(** Mid-pass, before a query on [f]: [f] rewrites the cached function of
+    its name inside its block skeleton, so the CFG-shaped analyses
+    follow it, where the query would drop them. *)
+let rewritten (am : t) (f : Lmodule.func) : unit =
+  match Sym.Tbl.find_opt am.cache (Sym.intern f.Lmodule.fname) with
+  | Some e when e.e_func != f ->
+      rebase_entry e ~preserves:[ Cfg; Dominance; Loop_info ] f
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Incremental verification support                                    *)

@@ -48,6 +48,14 @@ val effects : am:t -> Lmodule.t -> Effects.t
     dropped otherwise. *)
 val keep : t -> preserves:kind list -> Lmodule.t -> unit
 
+(** [rewritten am f] — for a pass about to query analyses on [f], its
+    own rewrite of the function of that name that kept the block
+    skeleton (labels, order and terminator targets): the cached CFG,
+    dominator tree and loop nest are rebased onto [f] and the rest
+    dropped, as {!keep} does after a pass that preserves them.  Without
+    it, the query would find a new value and drop them all. *)
+val rewritten : t -> Lmodule.func -> unit
+
 (** Incremental-verification bookkeeping, used by {!Lverifier}.
     [verified am f] is true only when the verifier accepted exactly
     the physical value [f] under this manager; any cache reset for the

@@ -164,6 +164,7 @@ let rebuild t (row : int -> Linstr.t list) : Lmodule.block list =
       { b with insts = !insts })
     t.func.blocks
 
+let n_locals t = t.n_locals
 let local_of t n = match Sym.Tbl.find_opt t.locals n with Some l -> l | None -> -1
 let local_of_res t k = t.res_local.(k)
 let use_counts t = Array.sub t.cnt 0 t.n_locals

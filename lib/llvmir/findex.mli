@@ -60,6 +60,9 @@ val def_instr : t -> Sym.t -> Linstr.t option
     the flat tables below let DCE-style cascades run without
     rebuilding anything. *)
 
+(** Local ids are [0 .. n_locals - 1]. *)
+val n_locals : t -> int
+
 (** Local id of a name; [-1] when the function never mentions it. *)
 val local_of : t -> Sym.t -> int
 

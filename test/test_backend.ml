@@ -297,6 +297,124 @@ let test_report_digests () =
   Alcotest.(check int) "every table entry computed" (List.length report_digests) !cells;
   Alcotest.(check int) "digest mismatches" 0 !mismatches
 
+(* ------------------------------------------------------------------ *)
+(* Report digest over a seeded sample of DSE points                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The 168 digests pin three directive sets per kernel and no Middle
+   point, where replication is largest.  This pins one digest over the
+   rendered reports of a seeded sample of each kernel's
+   [Space.enumerate] points: two Middle points, two Inner points at
+   unroll 8 (the largest unroll when the axis stops below 8) and two
+   drawn from the whole space, each on both flows under both
+   disciplines — 14 kernels x 6 points x 4 = 336 reports.  Computed
+   with the estimator before its graph became int arrays.  Update only
+   with an intentional QoR change. *)
+let sampled_points_digest = "248bcb4499059ba4603948e7a0a608fb"
+
+let sampled_points (k : K.kernel) =
+  let sp = Sp.of_kernel k in
+  let all = Sp.enumerate sp in
+  let top_unroll = List.fold_left max 1 sp.Sp.sp_unrolls in
+  let middle = List.filter (fun c -> c.Sp.c_strategy = K.Middle) all in
+  let wide =
+    List.filter
+      (fun c -> c.Sp.c_strategy = K.Inner && c.Sp.c_unroll = min 8 top_unroll)
+      all
+  in
+  (* a fixed linear congruential sequence, independent of [Random];
+     each draw takes a point out of its list *)
+  let state = ref (Hashtbl.hash k.K.kname land 0xffff) in
+  let draw xs =
+    state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+    let c = List.nth !xs (!state mod List.length !xs) in
+    xs := List.filter (fun c' -> c' != c) !xs;
+    c
+  in
+  let middle = ref middle and wide = ref wide and all = ref all in
+  let picks =
+    [ draw middle; draw middle; draw wide; draw wide; draw all; draw all ]
+  in
+  (sp, picks)
+
+let test_sampled_points_digest () =
+  let b = Buffer.create (1 lsl 16) and n = ref 0 in
+  List.iter
+    (fun k ->
+      let sp, picks = sampled_points k in
+      List.iter
+        (fun c ->
+          let directives = Sp.to_directives sp c in
+          List.iter
+            (fun kind ->
+              List.iter
+                (fun sched ->
+                  let r = (Flow.run_exn ~directives ~sched k kind).Flow.hls in
+                  incr n;
+                  Printf.bprintf b "%s/%s/%s/%s\n%s" k.K.kname (Sp.describe c)
+                    (Flow.flow_name kind) (B.sched_name sched)
+                    (Hls_backend.Report.render r))
+                B.all_scheds)
+            [ Flow.Direct_ir; Flow.Hls_cpp ])
+        picks)
+    (K.all ());
+  Alcotest.(check int) "reports" 336 !n;
+  Alcotest.(check string) "digest of the sampled reports" sampled_points_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* ------------------------------------------------------------------ *)
+(* Carried values                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A loop carrying two values, where one adder reads both: it closes
+   the first value's recurrence (a 4-cycle fadd) while it reads the
+   second, whose own recurrence is a 3-cycle fmul.  Each carry's path
+   must start at every node that reads it. *)
+let two_carries_mlir =
+  {|module {
+func.func @two(%0: memref<8xf32>, %1: memref<2xf32>) -> () {
+  %2 = "arith.constant"() {value = 0.0} : () -> (f32)
+  %3 = "arith.constant"() {value = 1.0} : () -> (f32)
+  %10, %11 = "affine.for"(%2, %3) {hls.pipeline = 1, lower_map = affine_map<() -> (0)>, upper_map = affine_map<() -> (8)>, step = 1, lower_operands = 0} ({
+    ^bb(%4: index, %5: f32, %6: f32):
+      %7 = "affine.load"(%0, %4) {map = affine_map<(d0) -> (d0)>} : (memref<8xf32>, index) -> (f32)
+      %8 = "arith.addf"(%5, %6) : (f32, f32) -> (f32)
+      %9 = "arith.mulf"(%6, %7) : (f32, f32) -> (f32)
+      "affine.yield"(%8, %9) : (f32, f32) -> ()
+  }) : (f32, f32) -> (f32, f32)
+  %12 = "arith.constant"() {value = 0} : () -> (index)
+  %13 = "arith.constant"() {value = 1} : () -> (index)
+  "memref.store"(%10, %1, %12) : (f32, memref<2xf32>, index) -> ()
+  "memref.store"(%11, %1, %13) : (f32, memref<2xf32>, index) -> ()
+  "func.return"() : () -> ()
+}
+}
+|}
+
+let test_two_carries () =
+  List.iter
+    (fun kind ->
+      let m = Mhir.Parser.parse_module two_carries_mlir in
+      let lm =
+        match kind with
+        | Flow.Direct_ir ->
+            let lm, _, _ = Flow_util.frontend_exn m in
+            lm
+        | Flow.Hls_cpp ->
+            let lm, _, _ = Flow.hls_cpp_frontend m in
+            lm
+      in
+      List.iter
+        (fun (sched, ii) ->
+          let what = Flow.flow_name kind ^ "/" ^ B.sched_name sched in
+          match (B.synthesize ~sched ~top:"two" lm).E.loops with
+          | [ l ] ->
+              Alcotest.(check (option int)) (what ^ " II") (Some ii) l.E.achieved_ii;
+              Alcotest.(check int) (what ^ " RecMII") ii l.E.rec_mii
+          | _ -> Alcotest.failf "%s: expected one loop" what)
+        [ (B.Static, 4); (B.Dynamic, 5) ])
+    [ Flow.Direct_ir; Flow.Hls_cpp ]
+
 let test_sched_name_roundtrip () =
   List.iter
     (fun s ->
@@ -477,6 +595,9 @@ let suite =
     Alcotest.test_case "golden gemm report" `Quick test_golden_gemm;
     Alcotest.test_case "golden fir report" `Quick test_golden_fir;
     Alcotest.test_case "report digests (168 reports)" `Quick test_report_digests;
+    Alcotest.test_case "report digest (336 sampled)" `Quick
+      test_sampled_points_digest;
+    Alcotest.test_case "two carries read by one node" `Quick test_two_carries;
     Alcotest.test_case "sched name roundtrip" `Quick test_sched_name_roundtrip;
     Alcotest.test_case "dynamic complete (14 kernels)" `Quick
       test_dynamic_complete;

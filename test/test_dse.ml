@@ -436,6 +436,40 @@ let render_tests =
     QCheck_alcotest.to_alcotest prop_frontier_is_antichain;
   ]
 
+(* [enumerate], [seeds] and [neighbors] format each label once; their
+   order is still the formatting sort (by label, one point per label),
+   and [size], counted from the axes, is the enumeration's length —
+   for every kernel under both discipline sets *)
+let test_space_order_and_size () =
+  let by_label cs =
+    List.sort_uniq (fun a b -> compare (Sp.describe a) (Sp.describe b)) cs
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun scheds ->
+          let sp = Sp.of_kernel ~scheds k in
+          let what = k.K.kname ^ "/" ^ string_of_int (List.length scheds) in
+          let all = Sp.enumerate sp in
+          Alcotest.(check bool) (what ^ " enumerate order") true (all = by_label all);
+          Alcotest.(check int) (what ^ " size") (List.length all) (Sp.size sp);
+          let seeds = Sp.seeds sp in
+          Alcotest.(check bool) (what ^ " seeds order") true (seeds = by_label seeds);
+          List.iter
+            (fun c ->
+              let ns = Sp.neighbors sp c in
+              Alcotest.(check bool)
+                (what ^ " neighbors order")
+                true
+                (ns
+                = by_label
+                    (List.filter
+                       (fun n -> Sp.describe n <> Sp.describe c)
+                       ns)))
+            seeds)
+        [ [ Hls_backend.Backend.Static ]; Hls_backend.Backend.all_scheds ])
+    (K.all ())
+
 let suite =
   render_tests
   @ [
@@ -452,6 +486,8 @@ let suite =
         test_seeds_are_in_space;
       Alcotest.test_case "space: neighbors canonical" `Quick
         test_neighbors_canonical;
+      Alcotest.test_case "space: order and size" `Quick
+        test_space_order_and_size;
       Alcotest.test_case "search: gemm frontier" `Quick
         test_search_gemm_frontier;
       Alcotest.test_case "search: improves over baseline" `Quick

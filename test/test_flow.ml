@@ -229,6 +229,26 @@ let test_one_manager_per_job () =
         (hit "findex" estimator);
       Alcotest.(check bool) (name ^ ": estimator's CFG is a hit") true
         (hit "cfg" estimator);
+      (* the adaptor's passes carry the CFG and dominator tree through
+         their mid-pass cleanup DCEs, so the final adaptor verify (the
+         first queries of the window) only reads them *)
+      if kind = Flow.Direct_ir then begin
+        let shaped =
+          List.filter
+            (fun q ->
+              String.starts_with ~prefix:"cfg:" q
+              || String.starts_with ~prefix:"dominance:" q)
+            estimator
+        in
+        Alcotest.(check (list string))
+          (name ^ ": CFG and dominator tree after the adaptor")
+          (List.map
+             (fun q -> String.sub q 0 (String.index q ':') ^ ":hit")
+             shaped)
+          shaped;
+        Alcotest.(check bool) (name ^ ": the final verify asks") true
+          (List.length shaped >= 4)
+      end;
       Alcotest.(check int)
         (name ^ ": index builds")
         computes
