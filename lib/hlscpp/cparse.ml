@@ -2,41 +2,29 @@
 
 open Cast
 open Clex
+open Support.Scan.Stream
 
 let fail fmt = Support.Err.fail ~pass:"hlscpp.parser" fmt
 
-type stream = { toks : token array; mutable pos : int }
-
-let cur s = s.toks.(s.pos)
-let peek s k = if s.pos + k < Array.length s.toks then s.toks.(s.pos + k) else Teof
-let advance s = s.pos <- s.pos + 1
-
-let token_str = function
-  | Tident w -> w
-  | Tint i -> string_of_int i
-  | Tfloat (f, _) -> string_of_float f
-  | Tpragma p -> "#" ^ p
-  | Tpunct p -> p
-  | Teof -> "<eof>"
-
-let expect_punct s p =
-  match cur s with
-  | Tpunct q when q = p -> advance s
-  | t -> fail "expected '%s', found '%s'" p (token_str t)
-
-let eat_punct s p =
-  match cur s with
-  | Tpunct q when q = p ->
-      advance s;
-      true
-  | _ -> false
+(* A token as the messages quote it *)
+let token_str t =
+  let text =
+    match t with
+    | Tident w -> w
+    | Tint i -> string_of_int i
+    | Tfloat (f, _) -> string_of_float f
+    | Tpragma p -> "#" ^ p
+    | Tpunct p -> p
+    | Teof -> "<eof>"
+  in
+  "'" ^ text ^ "'"
 
 let expect_ident s =
   match cur s with
   | Tident w ->
       advance s;
       w
-  | t -> fail "expected identifier, found '%s'" (token_str t)
+  | t -> fail "expected identifier, found %s" (token_str t)
 
 let ty_of_ident = function
   | "void" -> Some Cvoid
@@ -50,86 +38,38 @@ let ty_of_ident = function
 (* Expressions (precedence climbing)                                  *)
 (* ------------------------------------------------------------------ *)
 
-let rec parse_expr s : expr = parse_ternary s
+(* A binary operator's precedence, loosest first; 0 for any other
+   punctuation.  Every level is left-associative. *)
+let precedence = function
+  | "||" -> 1
+  | "&&" -> 2
+  | "|" -> 3
+  | "^" -> 4
+  | "&" -> 5
+  | "<" | ">" | "<=" | ">=" | "==" | "!=" -> 6
+  | "<<" | ">>" -> 7
+  | "+" | "-" -> 8
+  | "*" | "/" | "%" -> 9
+  | _ -> 0
 
-and parse_ternary s =
-  let c = parse_or s in
-  if eat_punct s "?" then begin
-    let a = parse_expr s in
-    expect_punct s ":";
-    let b = parse_expr s in
-    Eternary (c, a, b)
-  end
-  else c
+let rec parse_expr s : expr =
+  let c = parse_binary s 1 in
+  match cur s with
+  | Tpunct "?" ->
+      advance s;
+      let a = parse_expr s in
+      expect s (Tpunct ":");
+      let b = parse_expr s in
+      Eternary (c, a, b)
+  | _ -> c
 
-and parse_or s =
-  let rec go lhs =
-    if eat_punct s "||" then go (Ebin ("||", lhs, parse_and s)) else lhs
-  in
-  go (parse_and s)
-
-and parse_and s =
-  let rec go lhs =
-    if eat_punct s "&&" then go (Ebin ("&&", lhs, parse_bitor s)) else lhs
-  in
-  go (parse_bitor s)
-
-(* the lexer's longest-match rule keeps "|" distinct from "||" and
-   "&" from "&&", so single-char bitwise puncts are unambiguous here *)
-and parse_bitor s =
-  let rec go lhs =
-    if eat_punct s "|" then go (Ebin ("|", lhs, parse_bitxor s)) else lhs
-  in
-  go (parse_bitxor s)
-
-and parse_bitxor s =
-  let rec go lhs =
-    if eat_punct s "^" then go (Ebin ("^", lhs, parse_bitand s)) else lhs
-  in
-  go (parse_bitand s)
-
-and parse_bitand s =
-  let rec go lhs =
-    if eat_punct s "&" then go (Ebin ("&", lhs, parse_cmp s)) else lhs
-  in
-  go (parse_cmp s)
-
-and parse_cmp s =
+(* the operators of precedence [min] or tighter *)
+and parse_binary s min =
   let rec go lhs =
     match cur s with
-    | Tpunct (("<" | ">" | "<=" | ">=" | "==" | "!=") as op) ->
+    | Tpunct op when precedence op >= min ->
         advance s;
-        go (Ebin (op, lhs, parse_shift s))
-    | _ -> lhs
-  in
-  go (parse_shift s)
-
-and parse_shift s =
-  let rec go lhs =
-    match cur s with
-    | Tpunct (("<<" | ">>") as op) ->
-        advance s;
-        go (Ebin (op, lhs, parse_add s))
-    | _ -> lhs
-  in
-  go (parse_add s)
-
-and parse_add s =
-  let rec go lhs =
-    match cur s with
-    | Tpunct (("+" | "-") as op) ->
-        advance s;
-        go (Ebin (op, lhs, parse_mul s))
-    | _ -> lhs
-  in
-  go (parse_mul s)
-
-and parse_mul s =
-  let rec go lhs =
-    match cur s with
-    | Tpunct (("*" | "/" | "%") as op) ->
-        advance s;
-        go (Ebin (op, lhs, parse_unary s))
+        go (Ebin (op, lhs, parse_binary s (precedence op + 1)))
     | _ -> lhs
   in
   go (parse_unary s)
@@ -142,29 +82,29 @@ and parse_unary s =
   | Tpunct "!" ->
       advance s;
       Eunary ("!", parse_unary s)
-  | Tpunct "(" when (match peek s 1 with
+  | Tpunct "(" when (match peek_at s 1 with
                      | Tident w -> ty_of_ident w <> None
                      | _ -> false) -> (
       (* cast *)
       advance s;
       let w = expect_ident s in
-      expect_punct s ")";
+      expect s (Tpunct ")");
       match ty_of_ident w with
       | Some ty -> Ecast (ty, parse_unary s)
       | None -> fail "bad cast")
   | _ -> parse_postfix s
 
 and parse_postfix s =
-  let e = parse_primary s in
   let rec go e =
-    if eat_punct s "[" then begin
-      let idx = parse_expr s in
-      expect_punct s "]";
-      go (Eindex (e, idx))
-    end
-    else e
+    match cur s with
+    | Tpunct "[" ->
+        advance s;
+        let idx = parse_expr s in
+        expect s (Tpunct "]");
+        go (Eindex (e, idx))
+    | _ -> e
   in
-  go e
+  go (parse_primary s)
 
 and parse_primary s =
   match cur s with
@@ -176,14 +116,14 @@ and parse_primary s =
       Efloat (v, single)
   | Tident name -> (
       advance s;
-      if eat_punct s "(" then begin
+      if eat s (Tpunct "(") then begin
         let rec args acc =
-          if eat_punct s ")" then List.rev acc
+          if eat s (Tpunct ")") then List.rev acc
           else
             let a = parse_expr s in
-            if eat_punct s "," then args (a :: acc)
+            if eat s (Tpunct ",") then args (a :: acc)
             else begin
-              expect_punct s ")";
+              expect s (Tpunct ")");
               List.rev (a :: acc)
             end
         in
@@ -193,9 +133,9 @@ and parse_primary s =
   | Tpunct "(" ->
       advance s;
       let e = parse_expr s in
-      expect_punct s ")";
+      expect s (Tpunct ")");
       e
-  | t -> fail "expected expression, found '%s'" (token_str t)
+  | t -> fail "expected expression, found %s" (token_str t)
 
 (* ------------------------------------------------------------------ *)
 (* Pragmas                                                            *)
@@ -207,6 +147,8 @@ let parse_pragma (line : string) : pragma =
     |> List.concat_map (String.split_on_char '\t')
     |> List.filter (fun w -> w <> "")
   in
+  (* an option's integer value, or [default] when it is malformed *)
+  let int_value v default = Option.value (Support.Scan.integer v) ~default in
   let kv w =
     match String.index_opt w '=' with
     | Some i ->
@@ -227,7 +169,7 @@ let parse_pragma (line : string) : pragma =
             List.fold_left
               (fun acc o ->
                 match kv_lc o with
-                | "ii", v -> ( try int_of_string v with _ -> acc)
+                | "ii", v -> int_value v acc
                 | _ -> acc)
               1 opts
           in
@@ -237,7 +179,7 @@ let parse_pragma (line : string) : pragma =
             List.fold_left
               (fun acc o ->
                 match kv_lc o with
-                | "factor", v -> ( try int_of_string v with _ -> acc)
+                | "factor", v -> int_value v acc
                 | _ -> acc)
               0 opts
           in
@@ -248,8 +190,8 @@ let parse_pragma (line : string) : pragma =
             (fun o ->
               match kv_lc o with
               | "variable", v -> variable := v
-              | "factor", v -> ( try factor := int_of_string v with _ -> ())
-              | "dim", v -> ( try dim := int_of_string v with _ -> ())
+              | "factor", v -> factor := int_value v !factor
+              | "dim", v -> dim := int_value v !dim
               | ("cyclic" | "block" | "complete"), "" ->
                   kind := String.lowercase_ascii (fst (kv o))
               | _ -> ())
@@ -269,7 +211,7 @@ let rec parse_stmt s : stmt =
       Spragma (parse_pragma line)
   | Tident "for" ->
       advance s;
-      expect_punct s "(";
+      expect s (Tpunct "(");
       (* 'int'/'long' ivar = init *)
       let _ =
         match cur s with
@@ -277,14 +219,14 @@ let rec parse_stmt s : stmt =
         | _ -> ()
       in
       let ivar = expect_ident s in
-      expect_punct s "=";
+      expect s (Tpunct "=");
       let init = parse_expr s in
-      expect_punct s ";";
+      expect s (Tpunct ";");
       let bvar = expect_ident s in
       if bvar <> ivar then fail "for: condition variable differs from induction";
-      expect_punct s "<";
+      expect s (Tpunct "<");
       let bound = parse_expr s in
-      expect_punct s ";";
+      expect s (Tpunct ";");
       let step =
         let v = expect_ident s in
         if v <> ivar then fail "for: increment variable differs from induction";
@@ -295,16 +237,16 @@ let rec parse_stmt s : stmt =
         | Tpunct "+=" ->
             advance s;
             parse_expr s
-        | t -> fail "for: expected ++ or +=, found '%s'" (token_str t)
+        | t -> fail "for: expected ++ or +=, found %s" (token_str t)
       in
-      expect_punct s ")";
+      expect s (Tpunct ")");
       let body = parse_block s in
       Sfor { ivar; init; bound; step; body }
   | Tident "if" ->
       advance s;
-      expect_punct s "(";
+      expect s (Tpunct "(");
       let c = parse_expr s in
-      expect_punct s ")";
+      expect s (Tpunct ")");
       let then_b = parse_block s in
       let else_b =
         if cur s = Tident "else" then begin
@@ -316,29 +258,29 @@ let rec parse_stmt s : stmt =
       Sif (c, then_b, else_b)
   | Tident "return" ->
       advance s;
-      if eat_punct s ";" then Sreturn None
+      if eat s (Tpunct ";") then Sreturn None
       else begin
         let e = parse_expr s in
-        expect_punct s ";";
+        expect s (Tpunct ";");
         Sreturn (Some e)
       end
   | Tident w when ty_of_ident w <> None && w <> "void" -> (
       advance s;
       let name = expect_ident s in
       let rec dims acc =
-        if eat_punct s "[" then begin
+        if eat s (Tpunct "[") then begin
           match cur s with
           | Tint d ->
               advance s;
-              expect_punct s "]";
+              expect s (Tpunct "]");
               dims (d :: acc)
-          | t -> fail "expected array dimension, found '%s'" (token_str t)
+          | t -> fail "expected array dimension, found %s" (token_str t)
         end
         else List.rev acc
       in
       let dims = dims [] in
-      let init = if eat_punct s "=" then Some (parse_expr s) else None in
-      expect_punct s ";";
+      let init = if eat s (Tpunct "=") then Some (parse_expr s) else None in
+      expect s (Tpunct ";");
       match ty_of_ident w with
       | Some ty -> Sdecl (ty, name, dims, init)
       | None -> assert false)
@@ -349,21 +291,21 @@ let rec parse_stmt s : stmt =
       | Tpunct "=" ->
           advance s;
           let rhs = parse_expr s in
-          expect_punct s ";";
+          expect s (Tpunct ";");
           Sassign (lhs, rhs)
       | Tpunct (("+=" | "-=" | "*=" | "/=") as op) ->
           advance s;
           let rhs = parse_expr s in
-          expect_punct s ";";
+          expect s (Tpunct ";");
           Scompound_assign (String.sub op 0 1, lhs, rhs)
       | _ ->
-          expect_punct s ";";
+          expect s (Tpunct ";");
           Sexpr lhs)
 
 and parse_block s : stmt list =
-  expect_punct s "{";
+  expect s (Tpunct "{");
   let rec go acc =
-    if eat_punct s "}" then List.rev acc else go (parse_stmt s :: acc)
+    if eat s (Tpunct "}") then List.rev acc else go (parse_stmt s :: acc)
   in
   go []
 
@@ -378,9 +320,9 @@ let parse_func s : func =
     | None -> fail "expected return type"
   in
   let fname = expect_ident s in
-  expect_punct s "(";
+  expect s (Tpunct "(");
   let rec params acc =
-    if eat_punct s ")" then List.rev acc
+    if eat s (Tpunct ")") then List.rev acc
     else begin
       let pty =
         match ty_of_ident (expect_ident s) with
@@ -389,19 +331,19 @@ let parse_func s : func =
       in
       let pname = expect_ident s in
       let rec dims acc2 =
-        if eat_punct s "[" then
+        if eat s (Tpunct "[") then
           match cur s with
           | Tint d ->
               advance s;
-              expect_punct s "]";
+              expect s (Tpunct "]");
               dims (d :: acc2)
-          | t -> fail "expected dimension, found '%s'" (token_str t)
+          | t -> fail "expected dimension, found %s" (token_str t)
         else List.rev acc2
       in
       let p = { pname; pty; dims = dims [] } in
-      if eat_punct s "," then params (p :: acc)
+      if eat s (Tpunct ",") then params (p :: acc)
       else begin
-        expect_punct s ")";
+        expect s (Tpunct ")");
         List.rev (p :: acc)
       end
     end
@@ -411,7 +353,7 @@ let parse_func s : func =
   { fname; ret; params; body }
 
 let parse_file (src : string) : file =
-  let s = { toks = Clex.tokenize src; pos = 0 } in
+  let s = make ~pass:"hlscpp.parser" ~show:token_str (Clex.tokenize src) in
   let rec go acc =
     match cur s with
     | Teof -> List.rev acc

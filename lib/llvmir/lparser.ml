@@ -18,109 +18,36 @@ type token =
 
 let fail fmt = Support.Err.fail ~pass:"llvmir.parser" fmt
 
+module Scan = Support.Scan
+open Scan.Stream
+
+let number sc =
+  match Scan.number sc with Scan.Int i -> Int i | Scan.Float f -> Float f
+
+(* the name after a sigil *)
+let name sc =
+  Scan.skip sc 1;
+  Scan.run sc Scan.is_name
+
+(* Every [-] before a digit is a literal's sign: the syntax has no
+   binary minus. *)
 let tokenize (src : string) : token array =
-  let n = String.length src in
-  let toks = ref [] in
-  let i = ref 0 in
-  let peek k = if !i + k < n then Some src.[!i + k] else None in
-  let is_word_start c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-  in
-  let is_word c =
-    is_word_start c || (c >= '0' && c <= '9') || c = '.' || c = '_'
-  in
-  let is_digit c = c >= '0' && c <= '9' in
-  let read_while pred =
-    let start = !i in
-    while !i < n && pred src.[!i] do incr i done;
-    String.sub src start (!i - start)
-  in
-  while !i < n do
-    let c = src.[!i] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-    else if c = ';' then while !i < n && src.[!i] <> '\n' do incr i done
-    else if is_word_start c then toks := Word (read_while is_word) :: !toks
-    else if is_digit c || (c = '-' && (match peek 1 with Some d -> is_digit d | None -> false))
-    then begin
-      let start = !i in
-      if src.[!i] = '-' then incr i;
-      let _ = read_while is_digit in
-      let is_float = ref false in
-      if !i < n && src.[!i] = '.'
-         && (match peek 1 with Some d -> is_digit d | None -> false)
-      then begin
-        is_float := true;
-        incr i;
-        let _ = read_while is_digit in
-        ()
-      end;
-      if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then begin
-        let save = !i in
-        incr i;
-        if !i < n && (src.[!i] = '+' || src.[!i] = '-') then incr i;
-        if !i < n && is_digit src.[!i] then begin
-          is_float := true;
-          let _ = read_while is_digit in
-          ()
-        end
-        else i := save
-      end;
-      let lit = String.sub src start (!i - start) in
-      if !is_float then toks := Float (float_of_string lit) :: !toks
-      else
-        match int_of_string_opt lit with
-        | Some v -> toks := Int v :: !toks
-        | None -> fail "integer literal %s out of range" lit
-    end
-    else if c = '"' then begin
-      incr i;
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !i >= n then fail "unterminated string"
-        else
-          match src.[!i] with
-          | '"' -> incr i
-          | '\\' ->
-              (match peek 1 with
-              | Some 'n' -> Buffer.add_char buf '\n'
-              | Some 't' -> Buffer.add_char buf '\t'
-              | Some ch -> Buffer.add_char buf ch
-              | None -> fail "unterminated escape");
-              i := !i + 2;
-              go ()
-          | ch ->
-              Buffer.add_char buf ch;
-              incr i;
-              go ()
-      in
-      go ();
-      toks := Str (Buffer.contents buf) :: !toks
-    end
-    else if c = '%' then begin
-      incr i;
-      toks := Pct (read_while is_word) :: !toks
-    end
-    else if c = '@' then begin
-      incr i;
-      toks := At (read_while is_word) :: !toks
-    end
-    else if c = '!' then begin
-      incr i;
-      toks := Bang :: !toks
-    end
-    else begin
-      incr i;
-      toks := Punct c :: !toks
-    end
-  done;
-  Array.of_list (List.rev (Eof :: !toks))
-
-type stream = { toks : token array; mutable pos : int }
-
-let cur s = s.toks.(s.pos)
-let peek_at s k =
-  if s.pos + k < Array.length s.toks then s.toks.(s.pos + k) else Eof
-let advance s = s.pos <- s.pos + 1
+  Scan.tokenize ~pass:"llvmir.parser" ~eof:Eof src (fun sc ->
+      match Scan.peek sc with
+      | ' ' | '\t' | '\n' | '\r' -> Scan.skip_blanks sc; Eof
+      | ';' -> Scan.skip_line sc; Eof
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' -> Word (Scan.run sc Scan.is_name)
+      | '0' .. '9' -> number sc
+      | '-' when Scan.is_digit (Scan.char sc 1) -> number sc
+      | '"' -> Str (Scan.quoted sc)
+      | '%' -> Pct (name sc)
+      | '@' -> At (name sc)
+      | '!' ->
+          Scan.skip sc 1;
+          Bang
+      | c ->
+          Scan.skip sc 1;
+          Punct c)
 
 let token_str = function
   | Word w -> w
@@ -132,13 +59,6 @@ let token_str = function
   | Bang -> "!"
   | Punct c -> String.make 1 c
   | Eof -> "<eof>"
-
-let expect s tok =
-  if cur s = tok then advance s
-  else fail "expected %s, found %s" (token_str tok) (token_str (cur s))
-
-let expect_punct s c = expect s (Punct c)
-let eat s tok = if cur s = tok then (advance s; true) else false
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                              *)
@@ -164,7 +84,7 @@ let rec parse_ty s : Ltype.t =
         in
         expect s (Word "x");
         let elem = parse_ty s in
-        expect_punct s ']';
+        expect s (Punct ']');
         Ltype.Array (n, elem)
     | Punct '{' ->
         advance s;
@@ -172,7 +92,7 @@ let rec parse_ty s : Ltype.t =
           let t = parse_ty s in
           if eat s (Punct ',') then go (t :: acc)
           else begin
-            expect_punct s '}';
+            expect s (Punct '}');
             List.rev (t :: acc)
           end
         in
@@ -224,14 +144,14 @@ let parse_imeta s : (string * Linstr.meta) list =
   if cur s = Bang && peek_at s 1 = Word "md" then begin
     advance s;
     advance s;
-    expect_punct s '{';
+    expect s (Punct '{');
     let rec go acc =
       if eat s (Punct '}') then List.rev acc
       else
         match cur s with
         | Word key ->
             advance s;
-            expect_punct s '=';
+            expect s (Punct '=');
             let v =
               match cur s with
               | Int i -> advance s; Linstr.MInt i
@@ -240,7 +160,7 @@ let parse_imeta s : (string * Linstr.meta) list =
             in
             if eat s (Punct ',') then go ((key, v) :: acc)
             else begin
-              expect_punct s '}';
+              expect s (Punct '}');
               List.rev ((key, v) :: acc)
             end
         | t -> fail "expected metadata key, found %s" (token_str t)
@@ -252,14 +172,14 @@ let parse_imeta s : (string * Linstr.meta) list =
 let parse_attrs s : (string * string) list =
   if cur s = Word "attrs" then begin
     advance s;
-    expect_punct s '(';
+    expect s (Punct '(');
     let rec go acc =
       if eat s (Punct ')') then List.rev acc
       else
         match cur s with
         | Word key ->
             advance s;
-            expect_punct s '=';
+            expect s (Punct '=');
             let v =
               match cur s with
               | Str str -> advance s; str
@@ -267,7 +187,7 @@ let parse_attrs s : (string * string) list =
             in
             if eat s (Punct ',') then go ((key, v) :: acc)
             else begin
-              expect_punct s ')';
+              expect s (Punct ')');
               List.rev ((key, v) :: acc)
             end
         | t -> fail "expected attr key, found %s" (token_str t)
@@ -279,6 +199,15 @@ let parse_attrs s : (string * string) list =
 (* ------------------------------------------------------------------ *)
 (* Instructions                                                       *)
 (* ------------------------------------------------------------------ *)
+
+(* The type an aggregate index reaches; a struct index out of range or
+   not constant, or an index into a scalar, is a parse error *)
+let gep_step ty idx =
+  match Ltype.gep_step ty idx with
+  | t -> t
+  | exception Invalid_argument _ ->
+      fail "cannot index %s with %s" (Ltype.to_string ty)
+        (match idx with Some i -> string_of_int i | None -> "a variable")
 
 let parse_inst s : Linstr.t =
   let result =
@@ -298,9 +227,21 @@ let parse_inst s : Linstr.t =
   let binop op =
     let ty = parse_ty s in
     let a = parse_value s ty in
-    expect_punct s ',';
+    expect s (Punct ',');
     let b = parse_value s ty in
     (op a b, ty)
+  in
+  (* the constant indices after an aggregate operand, and the element
+     type they reach *)
+  let agg_path agg =
+    let rec go ty acc =
+      if eat s (Punct ',') then
+        match cur s with
+        | Int i -> advance s; go (gep_step ty (Some i)) (i :: acc)
+        | t -> fail "expected index, found %s" (token_str t)
+      else (List.rev acc, ty)
+    in
+    go (Lvalue.type_of agg) []
   in
   let op, ty =
     match kw with
@@ -316,7 +257,7 @@ let parse_inst s : Linstr.t =
         in
         let ty = parse_ty s in
         let a = parse_value s ty in
-        expect_punct s ',';
+        expect s (Punct ',');
         let b = parse_value s ty in
         (Icmp (p, a, b), Ltype.I1)
     | "fcmp" ->
@@ -331,7 +272,7 @@ let parse_inst s : Linstr.t =
         in
         let ty = parse_ty s in
         let a = parse_value s ty in
-        expect_punct s ',';
+        expect s (Punct ',');
         let b = parse_value s ty in
         (Fcmp (p, a, b), Ltype.I1)
     | "alloca" ->
@@ -348,18 +289,18 @@ let parse_inst s : Linstr.t =
         (Alloca (ty, count), Ltype.ptr ty)
     | "load" ->
         let ty = parse_ty s in
-        expect_punct s ',';
+        expect s (Punct ',');
         let p = parse_tv s in
         (Load (ty, p), ty)
     | "store" ->
         let v = parse_tv s in
-        expect_punct s ',';
+        expect s (Punct ',');
         let p = parse_tv s in
         (Store (v, p), Ltype.Void)
     | "getelementptr" ->
         let inbounds = eat s (Word "inbounds") in
         let src_ty = parse_ty s in
-        expect_punct s ',';
+        expect s (Punct ',');
         let base = parse_tv s in
         let rec idxs acc =
           if eat s (Punct ',') then idxs (parse_tv s :: acc)
@@ -370,7 +311,7 @@ let parse_inst s : Linstr.t =
         let rec walk ty = function
           | [] -> ty
           | idx :: rest ->
-              walk (Ltype.gep_step ty (Lvalue.const_int_value idx)) rest
+              walk (gep_step ty (Lvalue.const_int_value idx)) rest
         in
         let pointee =
           match idxs with [] -> src_ty | _ :: rest -> walk src_ty rest
@@ -383,23 +324,23 @@ let parse_inst s : Linstr.t =
         (Gep { inbounds; src_ty; base; idxs }, rty)
     | "select" ->
         let c = parse_tv s in
-        expect_punct s ',';
+        expect s (Punct ',');
         let a = parse_tv s in
-        expect_punct s ',';
+        expect s (Punct ',');
         let b = parse_tv s in
         (Select (c, a, b), Lvalue.type_of a)
     | "phi" ->
         let ty = parse_ty s in
         let rec go acc =
-          expect_punct s '[';
+          expect s (Punct '[');
           let v = parse_value s ty in
-          expect_punct s ',';
+          expect s (Punct ',');
           let l =
             match cur s with
             | Pct l -> advance s; l
             | t -> fail "expected phi predecessor label, found %s" (token_str t)
           in
-          expect_punct s ']';
+          expect s (Punct ']');
           if eat s (Punct ',') then go ((v, Sym.intern l) :: acc)
           else List.rev ((v, Sym.intern l) :: acc)
         in
@@ -411,45 +352,27 @@ let parse_inst s : Linstr.t =
           | At f -> advance s; f
           | t -> fail "expected callee, found %s" (token_str t)
         in
-        expect_punct s '(';
+        expect s (Punct '(');
         let rec go acc =
           if eat s (Punct ')') then List.rev acc
           else
             let v = parse_tv s in
             if eat s (Punct ',') then go (v :: acc)
             else begin
-              expect_punct s ')';
+              expect s (Punct ')');
               List.rev (v :: acc)
             end
         in
         (Call { callee; ret; args = go [] }, ret)
     | "extractvalue" ->
         let agg = parse_tv s in
-        let rec go acc =
-          if eat s (Punct ',') then
-            match cur s with
-            | Int i -> advance s; go (i :: acc)
-            | t -> fail "expected index, found %s" (token_str t)
-          else List.rev acc
-        in
-        let path = go [] in
-        let rec walk ty = function
-          | [] -> ty
-          | i :: rest -> walk (Ltype.gep_step ty (Some i)) rest
-        in
-        (ExtractValue (agg, path), walk (Lvalue.type_of agg) path)
+        let path, ty = agg_path agg in
+        (ExtractValue (agg, path), ty)
     | "insertvalue" ->
         let agg = parse_tv s in
-        expect_punct s ',';
+        expect s (Punct ',');
         let v = parse_tv s in
-        let rec go acc =
-          if eat s (Punct ',') then
-            match cur s with
-            | Int i -> advance s; go (i :: acc)
-            | t -> fail "expected index, found %s" (token_str t)
-          else List.rev acc
-        in
-        (InsertValue (agg, v, go []), Lvalue.type_of agg)
+        (InsertValue (agg, v, fst (agg_path agg)), Lvalue.type_of agg)
     | "freeze" ->
         let v = parse_tv s in
         (Freeze v, Lvalue.type_of v)
@@ -470,14 +393,14 @@ let parse_inst s : Linstr.t =
         end
         else begin
           let c = parse_tv s in
-          expect_punct s ',';
+          expect s (Punct ',');
           expect s (Word "label");
           let t =
             match cur s with
             | Pct l -> advance s; l
             | t -> fail "expected label, found %s" (token_str t)
           in
-          expect_punct s ',';
+          expect s (Punct ',');
           expect s (Word "label");
           let e =
             match cur s with
@@ -488,14 +411,14 @@ let parse_inst s : Linstr.t =
         end
     | "switch" ->
         let v = parse_tv s in
-        expect_punct s ',';
+        expect s (Punct ',');
         expect s (Word "label");
         let d =
           match cur s with
           | Pct l -> advance s; l
           | t -> fail "expected label, found %s" (token_str t)
         in
-        expect_punct s '[';
+        expect s (Punct '[');
         let rec go acc =
           if eat s (Punct ']') then List.rev acc
           else begin
@@ -505,7 +428,7 @@ let parse_inst s : Linstr.t =
               | Int c -> advance s; c
               | t -> fail "expected case constant, found %s" (token_str t)
             in
-            expect_punct s ',';
+            expect s (Punct ',');
             expect s (Word "label");
             let l =
               match cur s with
@@ -547,7 +470,7 @@ let parse_func s : Lmodule.func =
     | At f -> advance s; f
     | t -> fail "expected function name, found %s" (token_str t)
   in
-  expect_punct s '(';
+  expect s (Punct '(');
   let rec params acc =
     if eat s (Punct ')') then List.rev acc
     else begin
@@ -561,14 +484,14 @@ let parse_func s : Lmodule.func =
       let p = { Lmodule.pname; pty; pattrs } in
       if eat s (Punct ',') then params (p :: acc)
       else begin
-        expect_punct s ')';
+        expect s (Punct ')');
         List.rev (p :: acc)
       end
     end
   in
   let params = params [] in
   let fattrs = parse_attrs s in
-  expect_punct s '{';
+  expect s (Punct '{');
   let rec blocks acc =
     if eat s (Punct '}') then List.rev acc
     else
@@ -589,7 +512,7 @@ let parse_func s : Lmodule.func =
   { Lmodule.fname; ret_ty; params; blocks; fattrs }
 
 let parse_module (src : string) : Lmodule.t =
-  let s = { toks = tokenize src; pos = 0 } in
+  let s = make ~pass:"llvmir.parser" ~show:token_str (tokenize src) in
   let funcs = ref [] in
   let globals = ref [] in
   let decls = ref [] in
@@ -608,14 +531,14 @@ let parse_module (src : string) : Lmodule.t =
           | At f -> advance s; f
           | t -> fail "expected declared name, found %s" (token_str t)
         in
-        expect_punct s '(';
+        expect s (Punct '(');
         let rec args acc =
           if eat s (Punct ')') then List.rev acc
           else
             let t = parse_ty s in
             if eat s (Punct ',') then args (t :: acc)
             else begin
-              expect_punct s ')';
+              expect s (Punct ')');
               List.rev (t :: acc)
             end
         in
@@ -623,7 +546,7 @@ let parse_module (src : string) : Lmodule.t =
         go ()
     | At gname ->
         advance s;
-        expect_punct s '=';
+        expect s (Punct '=');
         let gconst = eat s (Word "constant") in
         if not gconst then expect s (Word "global");
         let gty = parse_ty s in

@@ -21,10 +21,12 @@ type token =
 
 let fail fmt = Support.Err.fail ~pass:"mhir.parser" fmt
 
-(* [int_of_string] raises on a literal past [max_int]; the parser
-   reports it instead *)
+module Scan = Support.Scan
+open Scan.Stream
+
+(* A literal by the scanner's integer rule, or a parse error *)
 let int_lit what lit =
-  match int_of_string_opt lit with
+  match Scan.integer lit with
   | Some i -> i
   | None -> fail "bad %s %s" what lit
 
@@ -32,128 +34,46 @@ let int_lit what lit =
 (* Tokenizer                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let number sc =
+  match Scan.number sc with Scan.Int i -> Int i | Scan.Float f -> Float f
+
+(* the name after a sigil *)
+let name sc =
+  Scan.skip sc 1;
+  Scan.run sc Scan.is_name
+
+(* A minus right before a digit is the literal's sign, so [min_int],
+   whose magnitude is past [max_int], reads back; after an operand or a
+   closing bracket it is a binary minus, as in [d0 -3 floordiv 2]. *)
+let signed sc =
+  Scan.is_digit (Scan.char sc 1)
+  &&
+  match Scan.last sc with
+  | Word _ | Int _ | Float _ | Pct _ | Punct (')' | ']') -> false
+  | _ -> true
+
 let tokenize (src : string) : token array =
-  let n = String.length src in
-  let toks = ref [] in
-  let i = ref 0 in
-  let peek k = if !i + k < n then Some src.[!i + k] else None in
-  let is_word_start c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-  in
-  let is_word c =
-    is_word_start c || (c >= '0' && c <= '9') || c = '.' || c = '_'
-  in
-  let is_digit c = c >= '0' && c <= '9' in
-  let read_while pred =
-    let start = !i in
-    while !i < n && pred src.[!i] do incr i done;
-    String.sub src start (!i - start)
-  in
-  (* A minus right before a digit is the literal's sign, so [min_int],
-     whose magnitude is past [max_int], reads back; after an operand or
-     a closing bracket it is a binary minus, as in [d0 -3 floordiv 2]. *)
-  let signed_literal () =
-    match peek 1 with
-    | Some d when is_digit d -> (
-        match !toks with
-        | (Word _ | Int _ | Float _ | Pct _ | Punct (')' | ']')) :: _ -> false
-        | _ -> true)
-    | _ -> false
-  in
-  while !i < n do
-    let c = src.[!i] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-    else if c = '/' && peek 1 = Some '/' then
-      while !i < n && src.[!i] <> '\n' do incr i done
-    else if is_word_start c then begin
-      let w = read_while is_word in
-      toks := Word w :: !toks
-    end
-    else if is_digit c || (c = '-' && signed_literal ()) then begin
-      let start = !i in
-      if c = '-' then incr i;
-      let _ = read_while is_digit in
-      (* decimal part / exponent *)
-      let is_float = ref false in
-      if !i < n && src.[!i] = '.' && (match peek 1 with Some d -> is_digit d | None -> false)
-      then begin
-        is_float := true;
-        incr i;
-        let _ = read_while is_digit in
-        ()
-      end;
-      if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then begin
-        let save = !i in
-        incr i;
-        if !i < n && (src.[!i] = '+' || src.[!i] = '-') then incr i;
-        if !i < n && is_digit src.[!i] then begin
-          is_float := true;
-          let _ = read_while is_digit in
-          ()
-        end
-        else i := save
-      end;
-      let lit = String.sub src start (!i - start) in
-      if !is_float then toks := Float (float_of_string lit) :: !toks
-      else toks := Int (int_lit "integer literal" lit) :: !toks
-    end
-    else if c = '"' then begin
-      incr i;
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !i >= n then fail "unterminated string literal"
-        else
-          match src.[!i] with
-          | '"' -> incr i
-          | '\\' ->
-              if !i + 1 >= n then fail "unterminated escape";
-              (match src.[!i + 1] with
-              | 'n' -> Buffer.add_char buf '\n'
-              | 't' -> Buffer.add_char buf '\t'
-              | ch -> Buffer.add_char buf ch);
-              i := !i + 2;
-              go ()
-          | ch ->
-              Buffer.add_char buf ch;
-              incr i;
-              go ()
-      in
-      go ();
-      toks := Str (Buffer.contents buf) :: !toks
-    end
-    else if c = '%' then begin
-      incr i;
-      let digits = read_while is_digit in
-      if digits = "" then fail "expected SSA id after %%";
-      toks := Pct (int_lit "SSA id" digits) :: !toks
-    end
-    else if c = '@' then begin
-      incr i;
-      toks := At (read_while is_word) :: !toks
-    end
-    else if c = '^' then begin
-      incr i;
-      toks := Caret (read_while is_word) :: !toks
-    end
-    else if c = '-' && peek 1 = Some '>' then begin
-      i := !i + 2;
-      toks := Arrow :: !toks
-    end
-    else begin
-      incr i;
-      toks := Punct c :: !toks
-    end
-  done;
-  Array.of_list (List.rev (Eof :: !toks))
-
-(* ------------------------------------------------------------------ *)
-(* Token stream                                                       *)
-(* ------------------------------------------------------------------ *)
-
-type stream = { toks : token array; mutable pos : int }
-
-let cur s = s.toks.(s.pos)
-let advance s = s.pos <- s.pos + 1
+  Scan.tokenize ~pass:"mhir.parser" ~eof:Eof src (fun sc ->
+      match Scan.peek sc with
+      | ' ' | '\t' | '\n' | '\r' -> Scan.skip_blanks sc; Eof
+      | '/' when Scan.char sc 1 = '/' -> Scan.skip_line sc; Eof
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' -> Word (Scan.run sc Scan.is_name)
+      | '0' .. '9' -> number sc
+      | '-' when signed sc -> number sc
+      | '"' -> Str (Scan.quoted sc)
+      | '%' ->
+          Scan.skip sc 1;
+          let digits = Scan.run sc Scan.is_digit in
+          if digits = "" then fail "expected SSA id after %%";
+          Pct (int_lit "SSA id" digits)
+      | '@' -> At (name sc)
+      | '^' -> Caret (name sc)
+      | '-' when Scan.char sc 1 = '>' ->
+          Scan.skip sc 2;
+          Arrow
+      | c ->
+          Scan.skip sc 1;
+          Punct c)
 
 let token_str = function
   | Word w -> w
@@ -166,15 +86,6 @@ let token_str = function
   | Punct c -> String.make 1 c
   | Arrow -> "->"
   | Eof -> "<eof>"
-
-let expect s tok =
-  if cur s = tok then advance s
-  else fail "expected %s, found %s" (token_str tok) (token_str (cur s))
-
-let expect_word s w = expect s (Word w)
-let expect_punct s c = expect s (Punct c)
-
-let eat s tok = if cur s = tok then (advance s; true) else false
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                              *)
@@ -193,7 +104,7 @@ let parse_ty s =
   match cur s with
   | Word "memref" ->
       advance s;
-      expect_punct s '<';
+      expect s (Punct '<');
       (* Shape fragments arrive as Int and Word tokens: [32]; [x32xf32]. *)
       let buf = Buffer.create 16 in
       let rec collect () =
@@ -223,7 +134,7 @@ let parse_ty s =
   | t -> fail "expected a type, found %s" (token_str t)
 
 let parse_ty_list s =
-  expect_punct s '(';
+  expect s (Punct '(');
   let rec go acc =
     match cur s with
     | Punct ')' ->
@@ -233,7 +144,7 @@ let parse_ty_list s =
         let t = parse_ty s in
         if eat s (Punct ',') then go (t :: acc)
         else begin
-          expect_punct s ')';
+          expect s (Punct ')');
           List.rev (t :: acc)
         end
   in
@@ -245,8 +156,8 @@ let parse_ty_list s =
 
 let parse_affine_map s =
   (* "affine_map" has been consumed by the caller. *)
-  expect_punct s '<';
-  expect_punct s '(';
+  expect s (Punct '<');
+  expect s (Punct '(');
   let rec parse_vars acc close =
     match cur s with
     | Punct c when c = close ->
@@ -256,7 +167,7 @@ let parse_affine_map s =
         advance s;
         if eat s (Punct ',') then parse_vars (w :: acc) close
         else begin
-          expect_punct s close;
+          expect s (Punct close);
           List.rev (w :: acc)
         end
     | t -> fail "expected dim/sym name, found %s" (token_str t)
@@ -264,7 +175,7 @@ let parse_affine_map s =
   let dims = parse_vars [] ')' in
   let syms = if eat s (Punct '[') then parse_vars [] ']' else [] in
   expect s Arrow;
-  expect_punct s '(';
+  expect s (Punct '(');
   let var_index kind lst name =
     let rec idx i = function
       | [] -> fail "unknown %s variable %s" kind name
@@ -314,7 +225,7 @@ let parse_affine_map s =
     | Punct '(' ->
         advance s;
         let e = parse_expr () in
-        expect_punct s ')';
+        expect s (Punct ')');
         e
     | Word w when List.mem w dims ->
         advance s;
@@ -328,12 +239,12 @@ let parse_affine_map s =
     let e = parse_expr () in
     if eat s (Punct ',') then parse_results (e :: acc)
     else begin
-      expect_punct s ')';
+      expect s (Punct ')');
       List.rev (e :: acc)
     end
   in
   let exprs = parse_results [] in
-  expect_punct s '>';
+  expect s (Punct '>');
   Affine_map.make ~num_dims:(List.length dims) ~num_syms:(List.length syms)
     exprs
 
@@ -380,9 +291,9 @@ let rec parse_attr_value s : Attr.t =
       Attr.Str st
   | Word "type" ->
       advance s;
-      expect_punct s '(';
+      expect s (Punct '(');
       let t = parse_ty s in
-      expect_punct s ')';
+      expect s (Punct ')');
       Attr.Type t
   | Word "affine_map" ->
       advance s;
@@ -395,7 +306,7 @@ let rec parse_attr_value s : Attr.t =
           let v = parse_attr_value s in
           if eat s (Punct ',') then go (v :: acc)
           else begin
-            expect_punct s ']';
+            expect s (Punct ']');
             List.rev (v :: acc)
           end
       in
@@ -411,12 +322,12 @@ let parse_attr_dict s =
         match cur s with
         | Word key ->
             advance s;
-            expect_punct s '=';
+            expect s (Punct '=');
             let v = parse_attr_value s in
             let acc = (key, v) :: acc in
             if eat s (Punct ',') then go acc
             else begin
-              expect_punct s '}';
+              expect s (Punct '}');
               List.rev acc
             end
         | t -> fail "expected attribute key, found %s" (token_str t)
@@ -460,7 +371,7 @@ let rec parse_op env s : Ir.op =
     match cur s with
     | Pct _ ->
         let ids = parse_id_list s in
-        expect_punct s '=';
+        expect s (Punct '=');
         ids
     | _ -> []
   in
@@ -471,23 +382,23 @@ let rec parse_op env s : Ir.op =
         n
     | t -> fail "expected quoted op name, found %s" (token_str t)
   in
-  expect_punct s '(';
+  expect s (Punct '(');
   let operand_ids =
     if eat s (Punct ')') then []
     else
       let ids = parse_id_list s in
-      expect_punct s ')';
+      expect s (Punct ')');
       ids
   in
   let attrs = parse_attr_dict s in
   let regions =
-    if cur s = Punct '(' && s.toks.(s.pos + 1) = Punct '{' then begin
+    if cur s = Punct '(' && peek_at s 1 = Punct '{' then begin
       advance s;
       let rec go acc =
         let r = parse_region env s in
         if eat s (Punct ',') then go (r :: acc)
         else begin
-          expect_punct s ')';
+          expect s (Punct ')');
           List.rev (r :: acc)
         end
       in
@@ -495,7 +406,7 @@ let rec parse_op env s : Ir.op =
     end
     else []
   in
-  expect_punct s ':';
+  expect s (Punct ':');
   let operand_tys = parse_ty_list s in
   expect s Arrow;
   let result_tys = parse_ty_list s in
@@ -510,29 +421,29 @@ let rec parse_op env s : Ir.op =
   { Ir.name; operands; results; attrs; regions }
 
 and parse_region env s : Ir.region =
-  expect_punct s '{';
+  expect s (Punct '{');
   (match cur s with
   | Caret _ -> advance s
   | t -> fail "expected ^bb block label, found %s" (token_str t));
-  expect_punct s '(';
+  expect s (Punct '(');
   let rec parse_params acc =
     if eat s (Punct ')') then List.rev acc
     else
       match cur s with
       | Pct id ->
           advance s;
-          expect_punct s ':';
+          expect s (Punct ':');
           let ty = parse_ty s in
           let v = get_value env id ty in
           if eat s (Punct ',') then parse_params (v :: acc)
           else begin
-            expect_punct s ')';
+            expect s (Punct ')');
             List.rev (v :: acc)
           end
       | t -> fail "expected block parameter, found %s" (token_str t)
   in
   let params = parse_params [] in
-  expect_punct s ':';
+  expect s (Punct ':');
   let rec parse_ops acc =
     if eat s (Punct '}') then List.rev acc
     else
@@ -543,7 +454,7 @@ and parse_region env s : Ir.region =
   { Ir.blocks = [ { Ir.params; ops } ] }
 
 let parse_func s : Ir.func =
-  expect_word s "func.func";
+  expect s (Word "func.func");
   let fname =
     match cur s with
     | At n ->
@@ -552,19 +463,19 @@ let parse_func s : Ir.func =
     | t -> fail "expected @function-name, found %s" (token_str t)
   in
   let env = { values = Hashtbl.create 64 } in
-  expect_punct s '(';
+  expect s (Punct '(');
   let rec parse_args acc =
     if eat s (Punct ')') then List.rev acc
     else
       match cur s with
       | Pct id ->
           advance s;
-          expect_punct s ':';
+          expect s (Punct ':');
           let ty = parse_ty s in
           let v = get_value env id ty in
           if eat s (Punct ',') then parse_args (v :: acc)
           else begin
-            expect_punct s ')';
+            expect s (Punct ')');
             List.rev (v :: acc)
           end
       | t -> fail "expected function argument, found %s" (token_str t)
@@ -579,7 +490,7 @@ let parse_func s : Ir.func =
     end
     else []
   in
-  expect_punct s '{';
+  expect s (Punct '{');
   let rec parse_ops acc =
     if eat s (Punct '}') then List.rev acc
     else
@@ -591,9 +502,9 @@ let parse_func s : Ir.func =
 
 (** Parse a whole module from the generic textual form. *)
 let parse_module (src : string) : Ir.modul =
-  let s = { toks = tokenize src; pos = 0 } in
-  expect_word s "module";
-  expect_punct s '{';
+  let s = make ~pass:"mhir.parser" ~show:token_str (tokenize src) in
+  expect s (Word "module");
+  expect s (Punct '{');
   let rec go acc =
     match cur s with
     | Punct '}' ->

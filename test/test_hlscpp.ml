@@ -34,7 +34,9 @@ let test_lexer_two_char_ops () =
 
 (* The oracle: the lexer as it was before it matched operator bytes,
    taking a two-byte [String.sub] at every punctuation byte and
-   scanning the list of two-character operators. *)
+   scanning the list of two-character operators.  Its literals follow
+   the one numeric rule: a [.] or an exponent with no digits after it
+   is not part of the literal. *)
 let oracle_two_char_ops =
   [ "<="; ">="; "=="; "!="; "&&"; "||"; "++"; "--"; "+="; "-="; "*="; "/="; "<<"; ">>" ]
 
@@ -74,18 +76,21 @@ let oracle_tokenize (src : string) : Hlscpp.Clex.token array =
       let start = !i in
       let _ = read_while is_digit in
       let is_float = ref false in
-      if !i < n && src.[!i] = '.' then begin
+      let digit_at k = match peek k with Some d -> is_digit d | None -> false in
+      if !i < n && src.[!i] = '.' && digit_at 1 then begin
         is_float := true;
         incr i;
         let _ = read_while is_digit in
         ()
       end;
       if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then begin
-        is_float := true;
-        incr i;
-        if !i < n && (src.[!i] = '+' || src.[!i] = '-') then incr i;
-        let _ = read_while is_digit in
-        ()
+        let sign = match peek 1 with Some ('+' | '-') -> 1 | _ -> 0 in
+        if digit_at (1 + sign) then begin
+          is_float := true;
+          i := !i + 1 + sign;
+          let _ = read_while is_digit in
+          ()
+        end
       end;
       let lit = String.sub src start (!i - start) in
       let suffix_f =
@@ -113,8 +118,7 @@ let oracle_tokenize (src : string) : Hlscpp.Clex.token array =
   done;
   Array.of_list (List.rev (Teof :: !toks))
 
-(* Both lexers on one input: the same tokens, or the same exception
-   (a malformed float literal) *)
+(* Both lexers on one input: the same tokens, or the same exception *)
 let lex_agrees src =
   let run f = match f src with toks -> Ok toks | exception e -> Error (Printexc.to_string e) in
   run Hlscpp.Clex.tokenize = run oracle_tokenize

@@ -108,6 +108,213 @@ let test_cpp_flow_infinite_constant () =
   let src = replace_first (fir_mlir ()) "value = 0.0" "value = 1e999" in
   check_hls000 "synth-mlir --flow cpp" (synth_mlir ~flow:"cpp" src)
 
+(* An aggregate index that the parser cannot type: a struct index out
+   of range, an index into a scalar, a struct index that is not a
+   constant *)
+let test_aggregate_index () =
+  let ll = emit "jacobi2d" H.Llvm in
+  let desc = "extractvalue { ptr, ptr, i64, [2 x i64], [2 x i64] } %t5, 1\n" in
+  check_ll "struct index out of range"
+    (replace_first ll desc
+       "extractvalue { ptr, ptr, i64, [2 x i64], [2 x i64] } %t5, 11\n");
+  check_ll "index into a scalar"
+    "define i32 @f(i32 %x) {\nentry:\n  %y = extractvalue i32 %x, 0\n  ret i32 %y\n}\n";
+  check_ll "struct index not a constant"
+    ("define i32 @f(ptr %p, i32 %k) {\nentry:\n"
+   ^ "  %q = getelementptr { i32, i32 }, ptr %p, i64 0, i32 %k\n"
+   ^ "  %v = load i32, ptr %q\n  ret i32 %v\n}\n")
+
+(* A function named like the start of a C float literal: its C++ name
+   is a literal and a word, which the C parser reports *)
+let test_cpp_flow_exponent_name () =
+  let src = replace_first (fir_mlir ()) "@fir" "@5e" in
+  check_hls000 "synth-mlir --flow cpp" (synth_mlir ~flow:"cpp" src)
+
+(* ------------------------------------------------------------------ *)
+(* Literals through the three tokenizers                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A token as the table writes it, whichever tokenizer read it; the end
+   token is left out *)
+type tok = I of int | F of float | Fsingle of float | W of string | S of string | P of string
+
+let mhir_toks text =
+  Array.to_list (Mhir.Parser.tokenize text)
+  |> List.filter_map (function
+       | Mhir.Parser.Int i -> Some (I i)
+       | Float f -> Some (F f)
+       | Word w -> Some (W w)
+       | Str s -> Some (S s)
+       | Punct c -> Some (P (String.make 1 c))
+       | Pct i -> Some (W ("%" ^ string_of_int i))
+       | At a -> Some (W ("@" ^ a))
+       | Caret c -> Some (W ("^" ^ c))
+       | Arrow -> Some (P "->")
+       | Eof -> None)
+
+let llvm_toks text =
+  Array.to_list (Lparser.tokenize text)
+  |> List.filter_map (function
+       | Lparser.Int i -> Some (I i)
+       | Float f -> Some (F f)
+       | Word w -> Some (W w)
+       | Str s -> Some (S s)
+       | Punct c -> Some (P (String.make 1 c))
+       | Pct r -> Some (W ("%" ^ r))
+       | At a -> Some (W ("@" ^ a))
+       | Bang -> Some (P "!")
+       | Eof -> None)
+
+let c_toks text =
+  Array.to_list (Hlscpp.Clex.tokenize text)
+  |> List.filter_map (function
+       | Hlscpp.Clex.Tint i -> Some (I i)
+       | Tfloat (f, false) -> Some (F f)
+       | Tfloat (f, true) -> Some (Fsingle f)
+       | Tident w -> Some (W w)
+       | Tpragma p -> Some (W ("#" ^ p))
+       | Tpunct p -> Some (P p)
+       | Teof -> None)
+
+(* [None]: the text is a compile error (HLS000 on the command line) *)
+let lexed f text =
+  match f text with
+  | toks -> Some toks
+  | exception Support.Err.Compile_error _ -> None
+
+let test_literal_table () =
+  let min_lit = string_of_int min_int and max_lit = string_of_int max_int in
+  let q = "\"" in
+  let rows =
+    (* text, then what mhir, LLVM IR and C read *)
+    [
+      ("0", Some [ I 0 ], Some [ I 0 ], Some [ I 0 ]);
+      ("-0", Some [ I 0 ], Some [ I 0 ], Some [ P "-"; I 0 ]);
+      (max_lit, Some [ I max_int ], Some [ I max_int ], Some [ I max_int ]);
+      (* min_int as the mhir and LLVM printers write it *)
+      (min_lit, Some [ I min_int ], Some [ I min_int ], None);
+      (* ... and as the C++ emitter does *)
+      ( Printf.sprintf "(-%s - 1)" max_lit,
+        Some [ P "("; I (-max_int); P "-"; I 1; P ")" ],
+        Some [ P "("; I (-max_int); P "-"; I 1; P ")" ],
+        Some [ P "("; P "-"; I max_int; P "-"; I 1; P ")" ] );
+      ("99999999999999999999", None, None, None);
+      ("1.5", Some [ F 1.5 ], Some [ F 1.5 ], Some [ F 1.5 ]);
+      ("1.5f", Some [ F 1.5; W "f" ], Some [ F 1.5; W "f" ], Some [ Fsingle 1.5 ]);
+      ("1e+30", Some [ F 1e30 ], Some [ F 1e30 ], Some [ F 1e30 ]);
+      ("1e999", Some [ F infinity ], Some [ F infinity ], Some [ F infinity ]);
+      ("1e", Some [ I 1; W "e" ], Some [ I 1; W "e" ], Some [ I 1; W "e" ]);
+      ("1.", Some [ I 1; P "." ], Some [ I 1; P "." ], Some [ I 1; P "." ]);
+      ( q ^ "a\\" ^ q ^ "b\\n\\t" ^ q,
+        Some [ S "a\"b\n\t" ],
+        Some [ S "a\"b\n\t" ],
+        Some [ P q; W "a"; P "\\"; P q; W "b"; P "\\"; W "n"; P "\\"; W "t"; P q ] );
+      (q ^ "ab", None, None, Some [ P q; W "ab" ]);
+      (q ^ "ab\\", None, None, Some [ P q; W "ab"; P "\\" ]);
+    ]
+  in
+  let show = function
+    | None -> "compile error"
+    | Some toks ->
+        String.concat " "
+          (List.map
+             (function
+               | I i -> string_of_int i
+               | F f -> Printf.sprintf "%h" f
+               | Fsingle f -> Printf.sprintf "%hf" f
+               | W w -> "w:" ^ w
+               | S s -> Printf.sprintf "%S" s
+               | P p -> "p:" ^ p)
+             toks)
+  in
+  List.iter
+    (fun (text, mhir, llvm, c) ->
+      List.iter
+        (fun (front, f, want) ->
+          Alcotest.(check string) (front ^ " " ^ String.escaped text) (show want)
+            (show (lexed f text)))
+        [ ("mhir", mhir_toks, mhir); ("llvm", llvm_toks, llvm); ("c", c_toks, c) ])
+    rows
+
+(* ------------------------------------------------------------------ *)
+(* Mutants of the printed text of the 14 kernels                      *)
+(* ------------------------------------------------------------------ *)
+
+let mutation_bytes = "%@^!#;{}()[]<>0123456789e.-\"\n"
+
+(* One seeded mutation of [text]: a byte deleted, a byte duplicated, a
+   byte replaced from [mutation_bytes], or the text cut short *)
+let mutate rng text =
+  let n = String.length text in
+  let i = Random.State.int rng n in
+  let pre = String.sub text 0 i and post k = String.sub text (i + k) (n - i - k) in
+  match Random.State.int rng 4 with
+  | 0 -> pre ^ post 1
+  | 1 -> pre ^ String.make 1 text.[i] ^ post 0
+  | 2 ->
+      let c = mutation_bytes.[Random.State.int rng (String.length mutation_bytes)] in
+      pre ^ String.make 1 c ^ post 1
+  | _ -> pre
+
+let kernel_texts stage = List.map (fun k -> emit k.Workloads.Kernels.kname stage) (Workloads.Kernels.all ())
+
+(* [count] mutants of [texts] through [front]: each returns or raises a
+   compile error, nothing else *)
+let check_mutants ~seed ~count what texts front =
+  let texts = Array.of_list texts in
+  let rng = Random.State.make [| seed |] in
+  for k = 1 to count do
+    let text = mutate rng texts.(Random.State.int rng (Array.length texts)) in
+    match front text with
+    | () | (exception Support.Err.Compile_error _) -> ()
+    | exception e ->
+        Alcotest.failf "%s mutant %d raised %s on:\n%s" what k
+          (Printexc.to_string e) text
+  done
+
+let test_mutants_front_ends () =
+  let seed = 42 and count = 1000 in
+  check_mutants ~seed ~count "mhir" (kernel_texts H.Mhir_generic) (fun t ->
+      Mhir.Verifier.verify_module (Mhir.Parser.parse_module t));
+  check_mutants ~seed ~count "LLVM IR"
+    (kernel_texts H.Llvm @ kernel_texts H.Adapted)
+    (fun t -> Lverifier.verify_module (Lparser.parse_module t));
+  check_mutants ~seed ~count "C++" (kernel_texts H.Cpp) (fun t ->
+      Lverifier.verify_module (Hlscpp.Ccodegen.compile t))
+
+(* The same for mhir end to end: parse and verify, then both
+   front-ends and both estimators under the driver's guard *)
+let test_mutants_end_to_end () =
+  check_mutants ~seed:5 ~count:4000 "mhir end to end" (kernel_texts H.Mhir_generic)
+    (fun t ->
+      let m = Mhir.Parser.parse_module t in
+      Mhir.Verifier.verify_module m;
+      let top =
+        match m.Mhir.Ir.funcs with f :: _ -> f.Mhir.Ir.fname | [] -> "none"
+      in
+      List.iter
+        (fun flow ->
+          ignore
+            (Mhls_driver.Driver.guard ~label:top (fun () ->
+                 let lm =
+                   match flow with
+                   | Flow.Direct_ir -> (
+                       match Flow.direct_ir_frontend m with
+                       | Ok (lm, _, _) -> Some lm
+                       | Error _ -> None)
+                   | Flow.Hls_cpp ->
+                       let lm, _, _ = Flow.hls_cpp_frontend m in
+                       Some lm
+                 in
+                 Option.iter
+                   (fun lm ->
+                     List.iter
+                       (fun sched ->
+                         ignore (Hls_backend.Backend.synthesize ~sched ~top lm))
+                       [ Hls_backend.Backend.Static; Hls_backend.Backend.Dynamic ])
+                   lm)))
+        [ Flow.Direct_ir; Flow.Hls_cpp ])
+
 (* ------------------------------------------------------------------ *)
 (* Non-finite floats: print . parse . print = print                    *)
 (* ------------------------------------------------------------------ *)
@@ -265,4 +472,12 @@ let suite =
       test_min_int_constant_both_flows;
     Alcotest.test_case "affine minus before digits" `Quick
       test_affine_minus_before_digits;
+    Alcotest.test_case "aggregate index is HLS000" `Quick test_aggregate_index;
+    Alcotest.test_case "C++ flow on a name like 5e is HLS000" `Quick
+      test_cpp_flow_exponent_name;
+    Alcotest.test_case "literals through three tokenizers" `Quick
+      test_literal_table;
+    Alcotest.test_case "mutants: front-ends" `Quick test_mutants_front_ends;
+    Alcotest.test_case "mutants: mhir end to end" `Quick
+      test_mutants_end_to_end;
   ]
