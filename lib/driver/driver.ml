@@ -44,8 +44,10 @@ module Diag = Support.Diag
     inside the marshalled payload — reading a 1.6.0 payload into the
     new layout is undefined behaviour, so the bump is load-bearing;
     1.8.0 stores the events themselves instead of trace records, and
-    the adaptor report without per-pass times). *)
-let tool_version = "mhlsc-1.8.0"
+    the adaptor report without per-pass times; 1.9.0 has CSE merge
+    one-index [extractvalue]/[insertvalue], which moves the QoR of five
+    kernels' direct-IR dynamic reports). *)
+let tool_version = "mhlsc-1.9.0"
 
 (* ------------------------------------------------------------------ *)
 (* Jobs                                                               *)

@@ -68,11 +68,6 @@ let run_func ~am (f : func) : func =
       (fun (i : Linstr.t) ->
         match i.op with
         | Linstr.Phi _ -> () (* phi equality depends on control flow *)
-        | Linstr.ExtractValue (_, [ _ ]) | Linstr.InsertValue (_, _, [ _ ]) ->
-            (* left unmerged: the pinned IR and report digests were
-               made without merging one-index aggregate ops (ROADMAP
-               item 6) *)
-            ()
         | _ when Linstr.is_pure i && Linstr.has_result i -> (
             let key = key i in
             match Hashtbl.find_opt avail key with

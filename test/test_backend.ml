@@ -129,7 +129,7 @@ let report_digests =
     ("atax/hls-cpp/static/pipelined", "cbb151eea73f68df2f3e6ad5bd109181");
     ("atax/hls-cpp/dynamic/pipelined", "cb5d31dcb1d2f888d87ba15ca2f875f1");
     ("atax/direct-ir/static/dse", "0e0f12f1ddc481f76a3558005f023dd0");
-    ("atax/direct-ir/dynamic/dse", "2841cae35a02b1197c76ae08ddbc3728");
+    ("atax/direct-ir/dynamic/dse", "92eaa7fdad91a78341944c3480873735");
     ("atax/hls-cpp/static/dse", "34983356bed9a4b22e2a07f5645cc92b");
     ("atax/hls-cpp/dynamic/dse", "9c9272624ddf4d130180551b28a37c75");
     ("bicg/direct-ir/static/none", "9fed9c7e01fd4097282c8e83f5527455");
@@ -141,19 +141,19 @@ let report_digests =
     ("bicg/hls-cpp/static/pipelined", "dbb8e444263969ba7acb9897bd7f25d3");
     ("bicg/hls-cpp/dynamic/pipelined", "7ddf1f4b60d91e05d36a450547c23592");
     ("bicg/direct-ir/static/dse", "85c32c31a5cf924687aae8337f941cdb");
-    ("bicg/direct-ir/dynamic/dse", "a9722c12c09802463067081982e37a10");
+    ("bicg/direct-ir/dynamic/dse", "dce8052440d8e1d656dd7ffdf6e706bf");
     ("bicg/hls-cpp/static/dse", "109fc0ba86f7412e61012e66928fdec6");
     ("bicg/hls-cpp/dynamic/dse", "29ab599cd1fc76dc03dd5fad9ffb1754");
     ("mvt/direct-ir/static/none", "c665ec9dfeac7035369db39fc91ad900");
-    ("mvt/direct-ir/dynamic/none", "d895c6a999bb14b9ed0f27c72b943ecb");
+    ("mvt/direct-ir/dynamic/none", "6e6cdb7a4b8e41608918f68233ffe2e1");
     ("mvt/hls-cpp/static/none", "e49ee467295333505c6bf442e2fc77c9");
     ("mvt/hls-cpp/dynamic/none", "345d83ef59c76093d14f13cb8780be34");
     ("mvt/direct-ir/static/pipelined", "984c91435b598afd5ac1a77e45ac20d0");
-    ("mvt/direct-ir/dynamic/pipelined", "d895c6a999bb14b9ed0f27c72b943ecb");
+    ("mvt/direct-ir/dynamic/pipelined", "6e6cdb7a4b8e41608918f68233ffe2e1");
     ("mvt/hls-cpp/static/pipelined", "1f0a55d9ec2d61924ba420a499e72dcb");
     ("mvt/hls-cpp/dynamic/pipelined", "345d83ef59c76093d14f13cb8780be34");
     ("mvt/direct-ir/static/dse", "cef6d0ab27544e14b9c0f7a5f26405f2");
-    ("mvt/direct-ir/dynamic/dse", "0d255f80e783fa45e6ee9913b43a44a8");
+    ("mvt/direct-ir/dynamic/dse", "654437daaddd65b37ab8e32dddb60e92");
     ("mvt/hls-cpp/static/dse", "cc182c0fa2b34b763783cbf2dd762216");
     ("mvt/hls-cpp/dynamic/dse", "78f472be77a86c1e063d0d256fd1c648");
     ("gesummv/direct-ir/static/none", "4eb0472172e2631935a60bde62896cd7");
@@ -205,15 +205,15 @@ let report_digests =
     ("jacobi2d/hls-cpp/static/dse", "3d01a8ec9d2eeac4c6be0e96607809df");
     ("jacobi2d/hls-cpp/dynamic/dse", "3640dbd502f02872765e3dbe521536d2");
     ("syrk/direct-ir/static/none", "21acb5c9eb75bd52ed6d0e2625d05d0b");
-    ("syrk/direct-ir/dynamic/none", "2391fede64c965a9650e8c21b109c3d8");
+    ("syrk/direct-ir/dynamic/none", "8a7f35ac1a5ea0a1e1ecd0d516794767");
     ("syrk/hls-cpp/static/none", "57dee8741554cf0766534c6f2b53b180");
     ("syrk/hls-cpp/dynamic/none", "e81ecd707c7baedd5a0ce5f501d0a671");
     ("syrk/direct-ir/static/pipelined", "3bb00343d0d61574a01d4490a11ee155");
-    ("syrk/direct-ir/dynamic/pipelined", "2391fede64c965a9650e8c21b109c3d8");
+    ("syrk/direct-ir/dynamic/pipelined", "8a7f35ac1a5ea0a1e1ecd0d516794767");
     ("syrk/hls-cpp/static/pipelined", "a47bd04b59fe9bfb7b1d58205b9aa81c");
     ("syrk/hls-cpp/dynamic/pipelined", "e81ecd707c7baedd5a0ce5f501d0a671");
     ("syrk/direct-ir/static/dse", "112a8d6f5dd03fe205dd793c9a523a09");
-    ("syrk/direct-ir/dynamic/dse", "c68842d926f93978727e1ebda4195b89");
+    ("syrk/direct-ir/dynamic/dse", "80c708e22b6c016ddaf8e4dbd526582c");
     ("syrk/hls-cpp/static/dse", "d63d630d378d5786a58e9b0bdb5403b0");
     ("syrk/hls-cpp/dynamic/dse", "7d7c4c94e6cb7a944b7782d85c3993ad");
     ("doitgen/direct-ir/static/none", "e2dc2637827d8c402e566026d7ecb17d");
@@ -237,7 +237,7 @@ let report_digests =
     ("seidel2d/hls-cpp/static/pipelined", "9d33328c27b891504fc7747cf0ef42b2");
     ("seidel2d/hls-cpp/dynamic/pipelined", "d605566ee5a380b540a03c0c5822810a");
     ("seidel2d/direct-ir/static/dse", "3abb1ca897d2ca587094019007add1cd");
-    ("seidel2d/direct-ir/dynamic/dse", "89c74873568f99bed91f7b79ceca2fd3");
+    ("seidel2d/direct-ir/dynamic/dse", "fd6c959ee23ff038bb8d233b14e5f697");
     ("seidel2d/hls-cpp/static/dse", "d701f102b6cdb311cfb4188c46036c2f");
     ("seidel2d/hls-cpp/dynamic/dse", "7e3e83027241d6df762aca85b5e8b01b");
     ("mmcall/direct-ir/static/none", "80dd4e1f2562ced9c021d4d56b60a739");
@@ -310,7 +310,7 @@ let test_report_digests () =
    disciplines — 14 kernels x 6 points x 4 = 336 reports.  Computed
    with the estimator before its graph became int arrays.  Update only
    with an intentional QoR change. *)
-let sampled_points_digest = "248bcb4499059ba4603948e7a0a608fb"
+let sampled_points_digest = "ac91224920e6d7351083ed07c710fefe"
 
 let sampled_points (k : K.kernel) =
   let sp = Sp.of_kernel k in

@@ -201,10 +201,10 @@ let test_cache_key_pinned () =
     D.cache_key ~pipeline:P.default (D.job ~sched ~kernel:"gemm" K.pipelined)
   in
   Alcotest.(check (option string))
-    "static gemm key" (Some "918c707128c01235df59a129c968e517")
+    "static gemm key" (Some "6686522be8404763fd5cfd4df61b956b")
     (key Hls_backend.Backend.Static);
   Alcotest.(check (option string))
-    "dynamic gemm key" (Some "945756cc9455b00252456fb103089659")
+    "dynamic gemm key" (Some "e57a455fc875830d2e0871ece6c58ba0")
     (key Hls_backend.Backend.Dynamic)
 
 (* ------------------------------------------------------------------ *)

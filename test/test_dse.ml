@@ -378,7 +378,7 @@ let test_dse_json_pinned () =
       (K.fir ())
   in
   Alcotest.(check string)
-    "fir dse.json md5" "c4f0a70709245782d17d87ecb8ea7624"
+    "fir dse.json md5" "3122fdf8de34ac842c197a7f8484e0d3"
     (Digest.to_hex (Digest.string (J.to_json ~tool:D.tool_version o)))
 
 let test_dse_json_rejects_garbage () =

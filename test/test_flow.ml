@@ -276,14 +276,14 @@ let ir_digests =
     ("mm3/llvm", "0122fb4952c6fe3ac5dd493633495643");
     ("mm3/adapted", "93da68dee12a972fdabb8b380e8cf3db");
     ("mm3/cpp", "d43b409335162351bbaaa742da6a280b");
-    ("atax/llvm", "8d30fbf5e635fad66d1a655349e4a898");
-    ("atax/adapted", "353232c4ed057ca348cf92887867e150");
+    ("atax/llvm", "4c3895de1b332d0f3263a85a5972df09");
+    ("atax/adapted", "65a6e80da31f1f4c323b6b4717dee2f2");
     ("atax/cpp", "f78555148cbe41a372d2f63d2bc77848");
-    ("bicg/llvm", "2fac9cabfab25e9db98e98d7b06e2574");
-    ("bicg/adapted", "cc648f12fc30455c6050eb45c8cfffd3");
+    ("bicg/llvm", "d167f8648dc487af8812b8da46d64156");
+    ("bicg/adapted", "5b37b34eb43b4569e2e63426f5cbf4fc");
     ("bicg/cpp", "6a49223d8338b2140bad620e22aa2875");
-    ("mvt/llvm", "688bd9f5e0c83e50d1d1cabacd20bd09");
-    ("mvt/adapted", "80d40ee9ccfd98d9c2149dd9064cea4e");
+    ("mvt/llvm", "e99789c5c96b87cf5b3e42501242b5fd");
+    ("mvt/adapted", "ea6d367d291f60086568d238cad4173c");
     ("mvt/cpp", "c645c8db1631eb34b8fd8ac554d61e66");
     ("gesummv/llvm", "3faf4427cb01f43dff47bb49fb6d7900");
     ("gesummv/adapted", "8e0c4f6cae611d34c7faa1794dd0f903");
@@ -294,19 +294,19 @@ let ir_digests =
     ("conv2d/llvm", "5c42afcfee766e41d317eb643beadc99");
     ("conv2d/adapted", "59ae03296f4619ff1aa6af622de47228");
     ("conv2d/cpp", "31478ffc8c940056c5f714ad1cce1033");
-    ("jacobi2d/llvm", "a01d6a524628cd630fa57c725511bc77");
+    ("jacobi2d/llvm", "f6d282e3acb8b42aa4c67c4d60223fcd");
     ("jacobi2d/adapted", "1ad9c4c5773595aaa6f4c9b574ff974e");
     ("jacobi2d/cpp", "8b9a66f91071bc64519a95928a4fd277");
-    ("syrk/llvm", "98cdf15b9a6bd2a2f78bf35fd7165c8f");
-    ("syrk/adapted", "e6fd0afd5668d2265aa479f6ccdf871f");
+    ("syrk/llvm", "ccf3da7ad97b3e436acbf54a35306e5b");
+    ("syrk/adapted", "0af7d7ac200b0753a9c122f2417414b7");
     ("syrk/cpp", "17432a066528150884b511244e95dd1e");
     ("doitgen/llvm", "9f3c0c7b99bf645979560e963ab7c2e8");
     ("doitgen/adapted", "08d3ab23c6a0b634d1d25f45258513d0");
     ("doitgen/cpp", "89c85c927ac6a1001aba3558362b8c41");
-    ("seidel2d/llvm", "0ea4c73871b52bf2b8c3e5578998039a");
-    ("seidel2d/adapted", "ad1acb70f7df0f56f320c4491a2ad73e");
+    ("seidel2d/llvm", "61604c10f2e3daff018ab87615b2c595");
+    ("seidel2d/adapted", "6f6748be096394e3f03e1f8349c7c682");
     ("seidel2d/cpp", "207fae27a3fe2c70a6f4966623e11040");
-    ("mmcall/llvm", "ff1fed48116bc9f8301d14e0c146aea4");
+    ("mmcall/llvm", "877cc304b13a2a18d44ed47b113a0846");
     ("mmcall/adapted", "beb989c65512da664b4f028f618cbdf7");
     ("mmcall/cpp", "73be53293c4d85f46aa2ae88c7de7604");
   ]
