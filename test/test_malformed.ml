@@ -124,6 +124,26 @@ let test_aggregate_index () =
    ^ "  %q = getelementptr { i32, i32 }, ptr %p, i64 0, i32 %k\n"
    ^ "  %v = load i32, ptr %q\n  ret i32 %v\n}\n")
 
+(* A literal that does not fit its type, and an insertvalue of the
+   wrong element type: each used to print back unchanged *)
+let test_mistyped_literal () =
+  let fn ty body =
+    Printf.sprintf "define %s @f(%s %%a) {\nentry:\n  %s\n  ret %s %%b\n}\n" ty
+      ty body ty
+  in
+  List.iter
+    (fun (what, ty, body) -> check_ll what (fn ty body))
+    [
+      ("float literal for i32", "i32", "%b = add i32 %a, 1.5");
+      ("integer literal for float", "float", "%b = fadd float 2, 1.5");
+      ( "insertvalue element type",
+        "{ i32, i32 }",
+        "%b = insertvalue { i32, i32 } %a, float 1.5, 0" );
+      ("true outside i1", "i32", "%b = add i32 %a, true");
+      ("null outside pointers", "i32", "%b = add i32 %a, null");
+      ("inf outside floats", "i32", "%b = add i32 %a, inf");
+    ]
+
 (* A function named like the start of a C float literal: its C++ name
    is a literal and a word, which the C parser reports *)
 let test_cpp_flow_exponent_name () =
@@ -473,6 +493,7 @@ let suite =
     Alcotest.test_case "affine minus before digits" `Quick
       test_affine_minus_before_digits;
     Alcotest.test_case "aggregate index is HLS000" `Quick test_aggregate_index;
+    Alcotest.test_case "mistyped literal is HLS000" `Quick test_mistyped_literal;
     Alcotest.test_case "C++ flow on a name like 5e is HLS000" `Quick
       test_cpp_flow_exponent_name;
     Alcotest.test_case "literals through three tokenizers" `Quick
