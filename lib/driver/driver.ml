@@ -46,8 +46,10 @@ module Diag = Support.Diag
     1.8.0 stores the events themselves instead of trace records, and
     the adaptor report without per-pass times; 1.9.0 has CSE merge
     one-index [extractvalue]/[insertvalue], which moves the QoR of five
-    kernels' direct-IR dynamic reports). *)
-let tool_version = "mhlsc-1.9.0"
+    kernels' direct-IR dynamic reports; 1.10.0 has DCE remove dead phi
+    cycles, which moves the FF and LUT of every HLS C++ dynamic
+    report). *)
+let tool_version = "mhlsc-1.10.0"
 
 (* ------------------------------------------------------------------ *)
 (* Jobs                                                               *)

@@ -367,12 +367,24 @@ let lint_dead_stores (buf : Diag.buffer) ~am (f : Lmodule.func) (cfg : Cfg.t) =
            ds.Dataflow.ds_array ds.Dataflow.ds_index))
     (Dataflow.dead_stores ~am cfg)
 
-(** HLS005 — unused parameters of the top function. *)
+(** HLS005 — unused parameters of the top function: no operand of
+    any row reads them. *)
 let lint_unused_params (buf : Diag.buffer) (f : Lmodule.func) (idx : Findex.t)
     =
-  List.iter
-    (fun (p : Lmodule.param) ->
-      if not (Findex.is_used idx (Sym.intern p.Lmodule.pname)) then
+  let used = Array.make (List.length f.Lmodule.params) false in
+  for k = 0 to Findex.n_instrs idx - 1 do
+    List.iter
+      (function
+        | Lvalue.Reg (r, _) -> (
+            match Findex.def idx r with
+            | Some (Findex.Param i) -> used.(i) <- true
+            | _ -> ())
+        | _ -> ())
+      (Linstr.operands (Findex.instr idx k))
+  done;
+  List.iteri
+    (fun i (p : Lmodule.param) ->
+      if not used.(i) then
         Diag.add buf
           (Diag.warning ~func:f.Lmodule.fname ~location:p.Lmodule.pname
              ~rule:"HLS005"

@@ -1,7 +1,9 @@
 (** Per-function index over the function's own instruction records:
-    def table, use-def/def-use edges, block membership and use counts —
-    computed once and shared by every analysis and pass that used to
-    rebuild its own string tables ad hoc.
+    the rows in layout order, their blocks, and the def table (the def
+    site of every parameter and result) — computed once and shared by
+    every analysis and pass through the {!Analysis} manager.  It holds
+    no def-use edges and no use counts: a pass that needs uses scans
+    the rows' operands itself.
 
     Rows are the function's [Linstr.t] records in layout order.  A pass
     reads them, marks what it drops in a bitmap of its own and builds
@@ -56,32 +58,17 @@ val def_instr : t -> Sym.t -> Linstr.t option
 
 (** {1 Dense local-id view}
 
-    SSA names (parameters, results, register operands) get dense ids;
-    the flat tables below let DCE-style cascades run without
-    rebuilding anything. *)
+    Defined names (parameters and results) get dense ids, so a
+    per-name table can be a flat array. *)
 
 (** Local ids are [0 .. n_locals - 1]. *)
 val n_locals : t -> int
 
-(** Local id of a name; [-1] when the function never mentions it. *)
+(** Local id of a name; [-1] when the function does not define it. *)
 val local_of : t -> Sym.t -> int
 
 (** Local id of row [k]'s result; [-1] for void instructions. *)
 val local_of_res : t -> int -> int
-
-(** Fresh copy of the per-local operand-occurrence counts — a mutable
-    working set for kill cascades. *)
-val use_counts : t -> int array
-
-val def_of_local : t -> int -> def_site option
-
-(** Rows of the instructions using [n], in layout order. *)
-val users : t -> Sym.t -> int list
-
-(** Operand occurrences of [n] across the function (0 when unused). *)
-val use_count : t -> Sym.t -> int
-
-val is_used : t -> Sym.t -> bool
 
 (** Root of a pointer value: walk GEP/bitcast chains back to the
     underlying parameter, alloca or global name. *)

@@ -1,9 +1,11 @@
-(** Dead code elimination: removes pure instructions whose results are
-    unused, plus calls to known-pure intrinsics.  A worklist over the
-    function index's use counts cascades through chains of dead
-    instructions without ever re-indexing the function: kill flags and
-    the dense use-count array are the only state, and the surviving
-    records come back physically identical to the input. *)
+(** Dead code elimination by liveness: a row that is not removable
+    (side effects, control, memory, no result) is live, and so is the
+    def of every register a live row reads; every other row is
+    dropped.  Marking from the live rows removes what a use count
+    cannot: a cycle of dead phis, each read only by another, which
+    mem2reg leaves at every dominance frontier of a variable nothing
+    reads afterwards.  The surviving records come back physically
+    identical, and the function itself when every row is live. *)
 
 open Lmodule
 module Sym = Support.Interner
@@ -22,48 +24,30 @@ let removable (i : Linstr.t) =
 let run_func ~am (f : func) : func =
   let idx = Analysis.findex ~am f in
   let n = Findex.n_instrs idx in
-  (* operand-occurrence counts among still-live instructions, by dense
-     local id *)
-  let counts = Findex.use_counts idx in
-  let dead = Array.make n false in
-  let worklist = ref [] in
-  let try_kill k =
-    if not dead.(k) then begin
-      let l = Findex.local_of_res idx k in
-      if l >= 0 && counts.(l) = 0 && removable (Findex.instr idx k) then begin
-        dead.(k) <- true;
-        worklist := k :: !worklist
-      end
+  let live = Array.make n false and n_live = ref 0 in
+  let rec mark k =
+    if not live.(k) then begin
+      live.(k) <- true;
+      incr n_live;
+      List.iter
+        (function
+          | Lvalue.Reg (r, _) -> (
+              match Findex.def idx r with
+              | Some (Findex.Instr d) -> mark d
+              | _ -> ())
+          | _ -> ())
+        (Linstr.operands (Findex.instr idx k))
     end
   in
   for k = 0 to n - 1 do
-    try_kill k
+    let i = Findex.instr idx k in
+    if Sym.is_empty i.result || not (removable i) then mark k
   done;
-  if !worklist = [] then f
-  else begin
-    let rec drain () =
-      match !worklist with
-      | [] -> ()
-      | k :: rest ->
-          worklist := rest;
-          List.iter
-            (function
-              | Lvalue.Reg (r, _) ->
-                  let l = Findex.local_of idx r in
-                  counts.(l) <- counts.(l) - 1;
-                  if counts.(l) = 0 then (
-                    match Findex.def_of_local idx l with
-                    | Some (Findex.Instr dk) -> try_kill dk
-                    | _ -> ())
-              | _ -> ())
-            (Linstr.operands (Findex.instr idx k));
-          drain ()
-    in
-    drain ();
+  if !n_live = n then f
+  else
     {
       f with
       blocks =
         Findex.rebuild idx (fun k ->
-            if dead.(k) then [] else [ Findex.instr idx k ]);
+            if live.(k) then [ Findex.instr idx k ] else []);
     }
-  end

@@ -87,171 +87,171 @@ let report_digests =
     ("gemm/direct-ir/static/none", "cd89ef149f821c8ac40a02df31a0d177");
     ("gemm/direct-ir/dynamic/none", "fff98c53fa98f021c9211557783c187a");
     ("gemm/hls-cpp/static/none", "b8289f948103ded8895dbc4563657569");
-    ("gemm/hls-cpp/dynamic/none", "704cefe63e388a7f5b82c1b6302ba5ba");
+    ("gemm/hls-cpp/dynamic/none", "87f4083cc8f28cfada3471535f21ef19");
     ("gemm/direct-ir/static/pipelined", "5c3a9758ce06e322d84d31b9ea8fa0cc");
     ("gemm/direct-ir/dynamic/pipelined", "fff98c53fa98f021c9211557783c187a");
     ("gemm/hls-cpp/static/pipelined", "14c6d867f3477ed13da07477764a29bc");
-    ("gemm/hls-cpp/dynamic/pipelined", "704cefe63e388a7f5b82c1b6302ba5ba");
+    ("gemm/hls-cpp/dynamic/pipelined", "87f4083cc8f28cfada3471535f21ef19");
     ("gemm/direct-ir/static/dse", "7c9b88bcdcef4def73f683aec1898e7b");
     ("gemm/direct-ir/dynamic/dse", "9b3e829d31c0c5ac771da80031401c1f");
     ("gemm/hls-cpp/static/dse", "b831ef1db2fd1f733fd34aa6b9ff0afa");
-    ("gemm/hls-cpp/dynamic/dse", "1271dc5cb26387e371c688fa12fc5336");
+    ("gemm/hls-cpp/dynamic/dse", "796e6e4b4e863f3ded462b13bd58d154");
     ("mm2/direct-ir/static/none", "323ba9e0b4d80710d7c522ca09c69851");
     ("mm2/direct-ir/dynamic/none", "080b042047f5d90accbf62c5ecff0826");
     ("mm2/hls-cpp/static/none", "2e9890ea99d8e97d5747887a51ddf32e");
-    ("mm2/hls-cpp/dynamic/none", "a59273783bb923724e33954c46eb0ece");
+    ("mm2/hls-cpp/dynamic/none", "62d1eaa73b486d3796dc7c6b989b328c");
     ("mm2/direct-ir/static/pipelined", "1779f6358206783b41e02265144170f3");
     ("mm2/direct-ir/dynamic/pipelined", "080b042047f5d90accbf62c5ecff0826");
     ("mm2/hls-cpp/static/pipelined", "f6f56c100f7ec0b0bb29d8ada576f896");
-    ("mm2/hls-cpp/dynamic/pipelined", "a59273783bb923724e33954c46eb0ece");
+    ("mm2/hls-cpp/dynamic/pipelined", "62d1eaa73b486d3796dc7c6b989b328c");
     ("mm2/direct-ir/static/dse", "7d72c606c3fe8993397648f745ce4b52");
     ("mm2/direct-ir/dynamic/dse", "542c7c0be8c40cf65de5ad97e32d7680");
     ("mm2/hls-cpp/static/dse", "5c40adb4828a08cb385493232db06e89");
-    ("mm2/hls-cpp/dynamic/dse", "0de7abcc85add0cf7777d06091640e2f");
+    ("mm2/hls-cpp/dynamic/dse", "c9d01ff20683f3de20f9dc9ac377321d");
     ("mm3/direct-ir/static/none", "de47d9ea8a87027c22e362d8ad6ce83e");
     ("mm3/direct-ir/dynamic/none", "c679f1a464f115b168a1320f4658b07e");
     ("mm3/hls-cpp/static/none", "64696cb42e589188371df6bee86c5854");
-    ("mm3/hls-cpp/dynamic/none", "c942813c940de470b7ed066aeafe037a");
+    ("mm3/hls-cpp/dynamic/none", "2f62d0f825879ec1cd8c8d3071791d59");
     ("mm3/direct-ir/static/pipelined", "18bf85d93a17ba3b13d5b764776b88df");
     ("mm3/direct-ir/dynamic/pipelined", "c679f1a464f115b168a1320f4658b07e");
     ("mm3/hls-cpp/static/pipelined", "38f41b8db4696cec324f93aea7d1d1df");
-    ("mm3/hls-cpp/dynamic/pipelined", "c942813c940de470b7ed066aeafe037a");
+    ("mm3/hls-cpp/dynamic/pipelined", "2f62d0f825879ec1cd8c8d3071791d59");
     ("mm3/direct-ir/static/dse", "ed6500571f8a1a93e787142d8bf318af");
     ("mm3/direct-ir/dynamic/dse", "b67eeb70c7b8b2cbf39a4ce5a5f4918d");
     ("mm3/hls-cpp/static/dse", "a627a37c9153e783f5b8492d8f860928");
-    ("mm3/hls-cpp/dynamic/dse", "d25bc180628dab3c0a7ba9e38eb0c177");
+    ("mm3/hls-cpp/dynamic/dse", "aa324266847e6a9bcfc20daeb0a4e059");
     ("atax/direct-ir/static/none", "e65c6807b33fe2f9a3d3f706eedbf36d");
     ("atax/direct-ir/dynamic/none", "c72aa97a6f8ae7643e7a797cef899adc");
     ("atax/hls-cpp/static/none", "aba4be37f1b0c0f91b2bb3e64c7b29e3");
-    ("atax/hls-cpp/dynamic/none", "cb5d31dcb1d2f888d87ba15ca2f875f1");
+    ("atax/hls-cpp/dynamic/none", "a4be3654fae5534e604a16e488a3974d");
     ("atax/direct-ir/static/pipelined", "cb283644a2294a31403b9227977147fe");
     ("atax/direct-ir/dynamic/pipelined", "c72aa97a6f8ae7643e7a797cef899adc");
     ("atax/hls-cpp/static/pipelined", "cbb151eea73f68df2f3e6ad5bd109181");
-    ("atax/hls-cpp/dynamic/pipelined", "cb5d31dcb1d2f888d87ba15ca2f875f1");
+    ("atax/hls-cpp/dynamic/pipelined", "a4be3654fae5534e604a16e488a3974d");
     ("atax/direct-ir/static/dse", "0e0f12f1ddc481f76a3558005f023dd0");
     ("atax/direct-ir/dynamic/dse", "92eaa7fdad91a78341944c3480873735");
     ("atax/hls-cpp/static/dse", "34983356bed9a4b22e2a07f5645cc92b");
-    ("atax/hls-cpp/dynamic/dse", "9c9272624ddf4d130180551b28a37c75");
+    ("atax/hls-cpp/dynamic/dse", "7eaadb61c3df23332b66e58bbb25f670");
     ("bicg/direct-ir/static/none", "9fed9c7e01fd4097282c8e83f5527455");
     ("bicg/direct-ir/dynamic/none", "8af15c9e04b37b1bd135df6766933cfc");
     ("bicg/hls-cpp/static/none", "358aefb27e6e0b572276017d6101fc8b");
-    ("bicg/hls-cpp/dynamic/none", "7ddf1f4b60d91e05d36a450547c23592");
+    ("bicg/hls-cpp/dynamic/none", "bfd40dfd6bc6671b018dc7f7bdfb58ed");
     ("bicg/direct-ir/static/pipelined", "bbacfeaf16bf99d5bbad1e03f9a644cf");
     ("bicg/direct-ir/dynamic/pipelined", "8af15c9e04b37b1bd135df6766933cfc");
     ("bicg/hls-cpp/static/pipelined", "dbb8e444263969ba7acb9897bd7f25d3");
-    ("bicg/hls-cpp/dynamic/pipelined", "7ddf1f4b60d91e05d36a450547c23592");
+    ("bicg/hls-cpp/dynamic/pipelined", "bfd40dfd6bc6671b018dc7f7bdfb58ed");
     ("bicg/direct-ir/static/dse", "85c32c31a5cf924687aae8337f941cdb");
     ("bicg/direct-ir/dynamic/dse", "dce8052440d8e1d656dd7ffdf6e706bf");
     ("bicg/hls-cpp/static/dse", "109fc0ba86f7412e61012e66928fdec6");
-    ("bicg/hls-cpp/dynamic/dse", "29ab599cd1fc76dc03dd5fad9ffb1754");
+    ("bicg/hls-cpp/dynamic/dse", "c9d70ddc04dc9b6327d73ce31eed5e65");
     ("mvt/direct-ir/static/none", "c665ec9dfeac7035369db39fc91ad900");
     ("mvt/direct-ir/dynamic/none", "6e6cdb7a4b8e41608918f68233ffe2e1");
     ("mvt/hls-cpp/static/none", "e49ee467295333505c6bf442e2fc77c9");
-    ("mvt/hls-cpp/dynamic/none", "345d83ef59c76093d14f13cb8780be34");
+    ("mvt/hls-cpp/dynamic/none", "b91e60ce02a6dc29851cb43e64c47f56");
     ("mvt/direct-ir/static/pipelined", "984c91435b598afd5ac1a77e45ac20d0");
     ("mvt/direct-ir/dynamic/pipelined", "6e6cdb7a4b8e41608918f68233ffe2e1");
     ("mvt/hls-cpp/static/pipelined", "1f0a55d9ec2d61924ba420a499e72dcb");
-    ("mvt/hls-cpp/dynamic/pipelined", "345d83ef59c76093d14f13cb8780be34");
+    ("mvt/hls-cpp/dynamic/pipelined", "b91e60ce02a6dc29851cb43e64c47f56");
     ("mvt/direct-ir/static/dse", "cef6d0ab27544e14b9c0f7a5f26405f2");
     ("mvt/direct-ir/dynamic/dse", "654437daaddd65b37ab8e32dddb60e92");
     ("mvt/hls-cpp/static/dse", "cc182c0fa2b34b763783cbf2dd762216");
-    ("mvt/hls-cpp/dynamic/dse", "78f472be77a86c1e063d0d256fd1c648");
+    ("mvt/hls-cpp/dynamic/dse", "bc6c1b07c4fd61844569023c3ee2219f");
     ("gesummv/direct-ir/static/none", "4eb0472172e2631935a60bde62896cd7");
     ("gesummv/direct-ir/dynamic/none", "dbf63bae63b1a1d1d8a912f231e7a158");
     ("gesummv/hls-cpp/static/none", "9622f198d90d5b8706f965e6e68cef01");
-    ("gesummv/hls-cpp/dynamic/none", "ff8b820e535778860414991e0bb265fa");
+    ("gesummv/hls-cpp/dynamic/none", "b9c295aa763dc8297a54eb0344437367");
     ("gesummv/direct-ir/static/pipelined", "1d23a98ae5b16d50fba5da17b2d44480");
     ("gesummv/direct-ir/dynamic/pipelined", "dbf63bae63b1a1d1d8a912f231e7a158");
     ("gesummv/hls-cpp/static/pipelined", "8d077eb70a940c51528c98b4db496351");
-    ("gesummv/hls-cpp/dynamic/pipelined", "ff8b820e535778860414991e0bb265fa");
+    ("gesummv/hls-cpp/dynamic/pipelined", "b9c295aa763dc8297a54eb0344437367");
     ("gesummv/direct-ir/static/dse", "bf2b6d71c57eb0421c690ea0d82f2da5");
     ("gesummv/direct-ir/dynamic/dse", "9a6d890efb8db4996540b5864c8d20a8");
     ("gesummv/hls-cpp/static/dse", "c7286dc1a791b3eeedb0cad6bc2dd062");
-    ("gesummv/hls-cpp/dynamic/dse", "2a16f6d486ad6bcdbf9ad93596037248");
+    ("gesummv/hls-cpp/dynamic/dse", "3ba64149300201235c7678f07f188def");
     ("fir/direct-ir/static/none", "a3b968fdcf9ec8636178f8c0cd388710");
     ("fir/direct-ir/dynamic/none", "bc5f4d4bbc8102cbb69921ae609c2edf");
     ("fir/hls-cpp/static/none", "c34431720a8d5d9c5f256d1f7bd87706");
-    ("fir/hls-cpp/dynamic/none", "28c6517f41e261d3cbfa8fae7bfba522");
+    ("fir/hls-cpp/dynamic/none", "c3c31b96b668d6b0200b3e4f4338462c");
     ("fir/direct-ir/static/pipelined", "ffbe1aee8ac3375f4915aab5d6cd4aff");
     ("fir/direct-ir/dynamic/pipelined", "bc5f4d4bbc8102cbb69921ae609c2edf");
     ("fir/hls-cpp/static/pipelined", "6c52d3e5cfb9e68bbe3455d6e373a792");
-    ("fir/hls-cpp/dynamic/pipelined", "28c6517f41e261d3cbfa8fae7bfba522");
+    ("fir/hls-cpp/dynamic/pipelined", "c3c31b96b668d6b0200b3e4f4338462c");
     ("fir/direct-ir/static/dse", "2294517dd72db61f8bff28fa68d9eccb");
     ("fir/direct-ir/dynamic/dse", "247170385bfb11e3f7d4ca8745b349d2");
     ("fir/hls-cpp/static/dse", "c20d459e11996d7e52dbe353c5fa4463");
-    ("fir/hls-cpp/dynamic/dse", "5745c541d971c78695cbe850a5da739e");
+    ("fir/hls-cpp/dynamic/dse", "e9c2c074dc55924265d81918103a96fd");
     ("conv2d/direct-ir/static/none", "b68e3f4f3f32571a5f10040114ffc5a9");
     ("conv2d/direct-ir/dynamic/none", "af802fe2d573a9c7fe2e25e977b75e6b");
     ("conv2d/hls-cpp/static/none", "5bcc22f0a51036bfa101245a7148de59");
-    ("conv2d/hls-cpp/dynamic/none", "259feb3c6f15d63781eaf5c3826c50a1");
+    ("conv2d/hls-cpp/dynamic/none", "61837a8db831fe805b033940f1810c35");
     ("conv2d/direct-ir/static/pipelined", "b2150ed2ff73de8baf8e5a9ee9b1c349");
     ("conv2d/direct-ir/dynamic/pipelined", "af802fe2d573a9c7fe2e25e977b75e6b");
     ("conv2d/hls-cpp/static/pipelined", "0854b7488f9892363b5397f37ecdc4fa");
-    ("conv2d/hls-cpp/dynamic/pipelined", "259feb3c6f15d63781eaf5c3826c50a1");
+    ("conv2d/hls-cpp/dynamic/pipelined", "61837a8db831fe805b033940f1810c35");
     ("conv2d/direct-ir/static/dse", "f9d54511962434e0bea5487a3dbb24e5");
     ("conv2d/direct-ir/dynamic/dse", "6cc6be1814147280ef32b9c100fc8abf");
     ("conv2d/hls-cpp/static/dse", "3070fcd45b461c88458c755775279dc9");
-    ("conv2d/hls-cpp/dynamic/dse", "49ce67230bc4076df7ef7e8454c011d0");
+    ("conv2d/hls-cpp/dynamic/dse", "5d71835733d4fc4ff20fd73a4351d859");
     ("jacobi2d/direct-ir/static/none", "a1239d241d33279c2d81d7282313a697");
     ("jacobi2d/direct-ir/dynamic/none", "b73fdada6805bd4dd73c7fdaccbcdf2d");
     ("jacobi2d/hls-cpp/static/none", "5ee413affefae22249674d0570846782");
-    ("jacobi2d/hls-cpp/dynamic/none", "78cffefef854fd73ca383a25f8c983a8");
+    ("jacobi2d/hls-cpp/dynamic/none", "35b375977bfd864688bc0d0f19de5cf7");
     ("jacobi2d/direct-ir/static/pipelined", "c1d459425c836a5d088b760bdd30d343");
     ("jacobi2d/direct-ir/dynamic/pipelined", "b73fdada6805bd4dd73c7fdaccbcdf2d");
     ("jacobi2d/hls-cpp/static/pipelined", "8fd628e301876e79e5c4c5b81046242e");
-    ("jacobi2d/hls-cpp/dynamic/pipelined", "78cffefef854fd73ca383a25f8c983a8");
+    ("jacobi2d/hls-cpp/dynamic/pipelined", "35b375977bfd864688bc0d0f19de5cf7");
     ("jacobi2d/direct-ir/static/dse", "667799dc326ac19bf9c1917ff07f0d5f");
     ("jacobi2d/direct-ir/dynamic/dse", "a513ce226b4b12fdf588fd7bea216809");
     ("jacobi2d/hls-cpp/static/dse", "3d01a8ec9d2eeac4c6be0e96607809df");
-    ("jacobi2d/hls-cpp/dynamic/dse", "3640dbd502f02872765e3dbe521536d2");
+    ("jacobi2d/hls-cpp/dynamic/dse", "67332e13146603a2cb3fca448c2e5f5c");
     ("syrk/direct-ir/static/none", "21acb5c9eb75bd52ed6d0e2625d05d0b");
     ("syrk/direct-ir/dynamic/none", "8a7f35ac1a5ea0a1e1ecd0d516794767");
     ("syrk/hls-cpp/static/none", "57dee8741554cf0766534c6f2b53b180");
-    ("syrk/hls-cpp/dynamic/none", "e81ecd707c7baedd5a0ce5f501d0a671");
+    ("syrk/hls-cpp/dynamic/none", "bc98bcc1eab4162542334f5a13e9f130");
     ("syrk/direct-ir/static/pipelined", "3bb00343d0d61574a01d4490a11ee155");
     ("syrk/direct-ir/dynamic/pipelined", "8a7f35ac1a5ea0a1e1ecd0d516794767");
     ("syrk/hls-cpp/static/pipelined", "a47bd04b59fe9bfb7b1d58205b9aa81c");
-    ("syrk/hls-cpp/dynamic/pipelined", "e81ecd707c7baedd5a0ce5f501d0a671");
+    ("syrk/hls-cpp/dynamic/pipelined", "bc98bcc1eab4162542334f5a13e9f130");
     ("syrk/direct-ir/static/dse", "112a8d6f5dd03fe205dd793c9a523a09");
     ("syrk/direct-ir/dynamic/dse", "80c708e22b6c016ddaf8e4dbd526582c");
     ("syrk/hls-cpp/static/dse", "d63d630d378d5786a58e9b0bdb5403b0");
-    ("syrk/hls-cpp/dynamic/dse", "7d7c4c94e6cb7a944b7782d85c3993ad");
+    ("syrk/hls-cpp/dynamic/dse", "0e5db502b5a3728584632a06fa7f0879");
     ("doitgen/direct-ir/static/none", "e2dc2637827d8c402e566026d7ecb17d");
     ("doitgen/direct-ir/dynamic/none", "ad1878ab19baef8ca3fd5bc468abd1e4");
     ("doitgen/hls-cpp/static/none", "caf92682d479ef062513298d839b6e71");
-    ("doitgen/hls-cpp/dynamic/none", "a6b2d3e7b7a69ecd705faf46ebe1603e");
+    ("doitgen/hls-cpp/dynamic/none", "cd1f142af79a99bfc9afb9df0e762d0b");
     ("doitgen/direct-ir/static/pipelined", "1c10168140681541ac21828448a7191c");
     ("doitgen/direct-ir/dynamic/pipelined", "ad1878ab19baef8ca3fd5bc468abd1e4");
     ("doitgen/hls-cpp/static/pipelined", "16f60fd51363281c6511b404d3daea8e");
-    ("doitgen/hls-cpp/dynamic/pipelined", "a6b2d3e7b7a69ecd705faf46ebe1603e");
+    ("doitgen/hls-cpp/dynamic/pipelined", "cd1f142af79a99bfc9afb9df0e762d0b");
     ("doitgen/direct-ir/static/dse", "249a08060c02bdc6fabb8d9cd3cf9259");
     ("doitgen/direct-ir/dynamic/dse", "f87fabd41103c5351678ffbe7149c548");
     ("doitgen/hls-cpp/static/dse", "116a2115fcd872ea4016799d375e4107");
-    ("doitgen/hls-cpp/dynamic/dse", "b75a711883b56b7b68a437b9ce423b5c");
+    ("doitgen/hls-cpp/dynamic/dse", "1d6a1ddf617d81f0f388df93e058bb1d");
     ("seidel2d/direct-ir/static/none", "3f24648ab3df0dd5837e1ec504e243a5");
     ("seidel2d/direct-ir/dynamic/none", "4fca2229ae81188132ecf1068cd953bf");
     ("seidel2d/hls-cpp/static/none", "a9f055325a58bfda91f54d54bfd42e0f");
-    ("seidel2d/hls-cpp/dynamic/none", "d605566ee5a380b540a03c0c5822810a");
+    ("seidel2d/hls-cpp/dynamic/none", "15c0297c52b0fd888d5b0e575f26ac85");
     ("seidel2d/direct-ir/static/pipelined", "c8280c0c843b76c3e0030660c0c5bdca");
     ("seidel2d/direct-ir/dynamic/pipelined", "4fca2229ae81188132ecf1068cd953bf");
     ("seidel2d/hls-cpp/static/pipelined", "9d33328c27b891504fc7747cf0ef42b2");
-    ("seidel2d/hls-cpp/dynamic/pipelined", "d605566ee5a380b540a03c0c5822810a");
+    ("seidel2d/hls-cpp/dynamic/pipelined", "15c0297c52b0fd888d5b0e575f26ac85");
     ("seidel2d/direct-ir/static/dse", "3abb1ca897d2ca587094019007add1cd");
     ("seidel2d/direct-ir/dynamic/dse", "fd6c959ee23ff038bb8d233b14e5f697");
     ("seidel2d/hls-cpp/static/dse", "d701f102b6cdb311cfb4188c46036c2f");
-    ("seidel2d/hls-cpp/dynamic/dse", "7e3e83027241d6df762aca85b5e8b01b");
+    ("seidel2d/hls-cpp/dynamic/dse", "bafd8d3b9ab172d6bfd228ae6835703c");
     ("mmcall/direct-ir/static/none", "80dd4e1f2562ced9c021d4d56b60a739");
     ("mmcall/direct-ir/dynamic/none", "13ab5c3099a6085057b27128bab843d3");
     ("mmcall/hls-cpp/static/none", "3934f0d0fc99896cdfbf430186c7e0d7");
-    ("mmcall/hls-cpp/dynamic/none", "01cec2c7fa5abe1873718f07c5371ac6");
+    ("mmcall/hls-cpp/dynamic/none", "a9932b1d3a57426706fa31ee47cca8c6");
     ("mmcall/direct-ir/static/pipelined", "0ba02fecf070fc6168021bd1a88effab");
     ("mmcall/direct-ir/dynamic/pipelined", "13ab5c3099a6085057b27128bab843d3");
     ("mmcall/hls-cpp/static/pipelined", "587a458a61e98182c4d19e3717c6bd05");
-    ("mmcall/hls-cpp/dynamic/pipelined", "01cec2c7fa5abe1873718f07c5371ac6");
+    ("mmcall/hls-cpp/dynamic/pipelined", "a9932b1d3a57426706fa31ee47cca8c6");
     ("mmcall/direct-ir/static/dse", "70293ed212b700c1b0c7692a4cb25c39");
     ("mmcall/direct-ir/dynamic/dse", "b154e88b6282c34e32601ea223581281");
     ("mmcall/hls-cpp/static/dse", "b67096fe2118aa4d6a0adbd3066e373b");
-    ("mmcall/hls-cpp/dynamic/dse", "3dd5154d3ecdc33d30baa708b8ab50ea");
+    ("mmcall/hls-cpp/dynamic/dse", "609272803ceacd575d9b393dcfa44f53");
   ]
 
 let directive_sets (k : K.kernel) =
@@ -310,7 +310,7 @@ let test_report_digests () =
    disciplines — 14 kernels x 6 points x 4 = 336 reports.  Computed
    with the estimator before its graph became int arrays.  Update only
    with an intentional QoR change. *)
-let sampled_points_digest = "ac91224920e6d7351083ed07c710fefe"
+let sampled_points_digest = "480c0f231f882098ab7c8ce7ab81d1a4"
 
 let sampled_points (k : K.kernel) =
   let sp = Sp.of_kernel k in

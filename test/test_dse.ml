@@ -378,7 +378,7 @@ let test_dse_json_pinned () =
       (K.fir ())
   in
   Alcotest.(check string)
-    "fir dse.json md5" "3122fdf8de34ac842c197a7f8484e0d3"
+    "fir dse.json md5" "a165da37620c3396ae8c448fd90b157a"
     (Digest.to_hex (Digest.string (J.to_json ~tool:D.tool_version o)))
 
 let test_dse_json_rejects_garbage () =

@@ -2,8 +2,8 @@
     manager:
 
     - QCheck invariants of {!Llvmir.Findex} on randomly generated
-      kernels (every use edge resolves to the unique def, def-use
-      edges are symmetric, use counts match operand occurrences);
+      kernels (every use resolves to its unique def, and every result
+      to its own row);
     - the preserve/invalidate contract: after every pass of the
       default pipeline, manager-maintained analyses are structurally
       identical to analyses rebuilt from scratch;
@@ -37,20 +37,25 @@ let check_findex_invariants (f : Lmodule.func) : bool =
       0 f.Lmodule.blocks
   in
   if listed <> n then QCheck.Test.fail_reportf "arena size %d <> %d" n listed;
-  (* occurrences per name, counted directly from the instruction list *)
-  let occurrences = Sym.Tbl.create 16 in
   for k = 0 to n - 1 do
     let i = Findex.instr idx k in
     if Findex.block_of_instr idx k < 0
        || Findex.block_of_instr idx k >= Findex.n_blocks idx
     then QCheck.Test.fail_reportf "instr %d: block out of range" k;
+    (* every result is defined by its own row, under its own local id *)
+    if not (Sym.is_empty i.Linstr.result) then begin
+      if Findex.def idx i.Linstr.result <> Some (Findex.Instr k) then
+        QCheck.Test.fail_reportf "def of %%%s is not row %d"
+          (Sym.name i.Linstr.result) k;
+      if Findex.local_of idx i.Linstr.result <> Findex.local_of_res idx k then
+        QCheck.Test.fail_reportf "local id of %%%s differs from row %d's"
+          (Sym.name i.Linstr.result) k
+    end;
     List.iter
       (function
-        | Lvalue.Reg (r, _) ->
-            Sym.Tbl.replace occurrences r
-              (1 + Option.value ~default:0 (Sym.Tbl.find_opt occurrences r));
+        | Lvalue.Reg (r, _) -> (
             (* use edge resolves to the unique def *)
-            (match Findex.def idx r with
+            match Findex.def idx r with
             | None ->
                 QCheck.Test.fail_reportf "use of %%%s has no def" (Sym.name r)
             | Some (Findex.Param pi) ->
@@ -61,37 +66,10 @@ let check_findex_invariants (f : Lmodule.func) : bool =
             | Some (Findex.Instr dk) ->
                 if not (Sym.equal (Findex.instr idx dk).Linstr.result r) then
                   QCheck.Test.fail_reportf "instr def of %%%s is wrong"
-                    (Sym.name r));
-            (* def-use edges are symmetric *)
-            if not (List.mem k (Findex.users idx r)) then
-              QCheck.Test.fail_reportf "instr %d missing from users(%%%s)" k
-                (Sym.name r)
+                    (Sym.name r))
         | _ -> ())
       (Linstr.operands i)
   done;
-  (* use counts match operand occurrences exactly *)
-  Sym.Tbl.iter
-    (fun r c ->
-      if Findex.use_count idx r <> c then
-        QCheck.Test.fail_reportf "use_count(%%%s) = %d, expected %d"
-          (Sym.name r) (Findex.use_count idx r) c)
-    occurrences;
-  (* every user edge is a real operand occurrence *)
-  Sym.Tbl.iter
-    (fun r c ->
-      ignore c;
-      List.iter
-        (fun k ->
-          let uses_r =
-            List.exists
-              (function Lvalue.Reg (r', _) -> Sym.equal r r' | _ -> false)
-              (Linstr.operands (Findex.instr idx k))
-          in
-          if not uses_r then
-            QCheck.Test.fail_reportf "stale user edge %d for %%%s" k
-              (Sym.name r))
-        (Findex.users idx r))
-    occurrences;
   true
 
 let lowered_of_kernel (rk : Test_random.rkernel) : Lmodule.t =
@@ -132,10 +110,7 @@ let findex_equal (a : Findex.t) (b : Findex.t) =
   && Array.init (Findex.n_instrs a) (Findex.block_of_instr a)
      = Array.init (Findex.n_instrs b) (Findex.block_of_instr b)
   && List.for_all
-       (fun r ->
-         Findex.def a r = Findex.def b r
-         && Findex.users a r = Findex.users b r
-         && Findex.use_count a r = Findex.use_count b r)
+       (fun r -> Findex.def a r = Findex.def b r)
        (names a)
 
 (** After every pass + {!Analysis.keep}, a manager-maintained (cached

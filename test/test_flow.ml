@@ -342,6 +342,62 @@ let test_ir_digests () =
         (Some got))
     (forward @ backward)
 
+(* ------------------------------------------------------------------ *)
+(* No dead code after cleanup                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The results of the rows of [f] that no side effect needs, by a
+   liveness oracle of its own: every row that is not pure is live, and
+   so is the definition of every register a live row reads. *)
+let dead_rows (f : Llvmir.Lmodule.func) =
+  let open Llvmir in
+  let defs = Hashtbl.create 64 and live = Hashtbl.create 64 in
+  Lmodule.iter_insts
+    (fun (i : Linstr.t) -> Hashtbl.replace defs i.Linstr.result i)
+    f;
+  let rec need (i : Linstr.t) =
+    List.iter
+      (function
+        | Lvalue.Reg (r, _) when not (Hashtbl.mem live r) ->
+            Hashtbl.replace live r ();
+            Option.iter need (Hashtbl.find_opt defs r)
+        | _ -> ())
+      (Linstr.operands i)
+  in
+  Lmodule.iter_insts (fun i -> if not (Linstr.is_pure i) then need i) f;
+  Lmodule.fold_insts
+    (fun acc (i : Linstr.t) ->
+      if Linstr.is_pure i && not (Hashtbl.mem live i.Linstr.result) then
+        Support.Interner.name i.Linstr.result :: acc
+      else acc)
+    [] f
+
+let test_no_dead_code_after_cleanup () =
+  List.iter
+    (fun (k : K.kernel) ->
+      List.iter
+        (fun (label, directives) ->
+          List.iter
+            (fun flow ->
+              let what =
+                Printf.sprintf "%s/%s/%s" k.K.kname (Flow.flow_name flow) label
+              in
+              match Flow.run ~directives k flow with
+              | Error _ -> Alcotest.failf "%s: flow failed" what
+              | Ok r ->
+                  List.iter
+                    (fun (f : Llvmir.Lmodule.func) ->
+                      match dead_rows f with
+                      | [] -> ()
+                      | dead ->
+                          Alcotest.failf "%s @%s: %d dead rows (%%%s)" what
+                            f.Llvmir.Lmodule.fname (List.length dead)
+                            (String.concat ", %" dead))
+                    r.Flow.llvm.Llvmir.Lmodule.funcs)
+            [ Flow.Direct_ir; Flow.Hls_cpp ])
+        Mhls_driver.Driver.default_grid)
+    (K.all ())
+
 let suite =
   [
     Alcotest.test_case "cosim (all kernels x directives)" `Slow
@@ -363,4 +419,6 @@ let suite =
     Alcotest.test_case "one analysis manager per job" `Quick
       test_one_manager_per_job;
     Alcotest.test_case "IR text digests (42 texts)" `Quick test_ir_digests;
+    Alcotest.test_case "no dead code after cleanup" `Quick
+      test_no_dead_code_after_cleanup;
   ]

@@ -54,7 +54,7 @@ let test_ensure_decl_idempotent () =
   let m = Lmodule.ensure_decl m d in
   Alcotest.(check int) "declared once" 1 (List.length m.Lmodule.decls)
 
-let test_use_counts () =
+let test_def_sites () =
   let sym = Support.Interner.intern in
   let m =
     Lparser.parse_module
@@ -67,8 +67,19 @@ entry:
   in
   let f = Lmodule.find_func_exn m "f" in
   let idx = Findex.build f in
-  Alcotest.(check int) "x used 3 times" 3 (Findex.use_count idx (sym "x"));
-  Alcotest.(check int) "a used once" 1 (Findex.use_count idx (sym "a"))
+  let site = function
+    | Some (Findex.Param i) -> Printf.sprintf "param %d" i
+    | Some (Findex.Instr k) -> Printf.sprintf "row %d" k
+    | None -> "none"
+  in
+  Alcotest.(check string) "x is the first parameter" "param 0"
+    (site (Findex.def idx (sym "x")));
+  Alcotest.(check string) "a is row 0" "row 0" (site (Findex.def idx (sym "a")));
+  Alcotest.(check string) "b is row 1" "row 1" (site (Findex.def idx (sym "b")));
+  Alcotest.(check string) "y is undefined" "none"
+    (site (Findex.def idx (sym "y")));
+  Alcotest.(check int) "an undefined name has no local id" (-1)
+    (Findex.local_of idx (sym "y"))
 
 let test_substitute_transitive () =
   let m =
@@ -176,7 +187,7 @@ let suite =
     Alcotest.test_case "globals roundtrip" `Quick test_globals_roundtrip;
     Alcotest.test_case "globals interpreted" `Quick test_globals_interpreted;
     Alcotest.test_case "ensure_decl idempotent" `Quick test_ensure_decl_idempotent;
-    Alcotest.test_case "use counts" `Quick test_use_counts;
+    Alcotest.test_case "def sites" `Quick test_def_sites;
     Alcotest.test_case "substitute transitive" `Quick test_substitute_transitive;
     Alcotest.test_case "negative floats" `Quick test_printer_negative_floats;
     Alcotest.test_case "metadata roundtrip" `Quick test_printer_metadata_roundtrip;
