@@ -218,13 +218,20 @@ let parse_attrs s : (string * string) list =
 (* ------------------------------------------------------------------ *)
 
 (* The type an aggregate index reaches; a struct index out of range or
-   not constant, or an index into a scalar, is a parse error *)
+   not constant, an index into a scalar, or an extractvalue or
+   insertvalue index past an array's length, is a parse error *)
 let gep_step ty idx =
   match Ltype.gep_step ty idx with
   | t -> t
   | exception Invalid_argument _ ->
       fail "cannot index %s with %s" (Ltype.to_string ty)
         (match idx with Some i -> string_of_int i | None -> "a variable")
+
+let agg_step ty i =
+  match Ltype.agg_step ty i with
+  | t -> t
+  | exception Invalid_argument _ ->
+      fail "cannot index %s with %d" (Ltype.to_string ty) i
 
 let parse_inst s : Linstr.t =
   let result =
@@ -254,7 +261,7 @@ let parse_inst s : Linstr.t =
     let rec go ty acc =
       if eat s (Punct ',') then
         match cur s with
-        | Int i -> advance s; go (gep_step ty (Some i)) (i :: acc)
+        | Int i -> advance s; go (agg_step ty i) (i :: acc)
         | t -> fail "expected index, found %s" (token_str t)
       else (List.rev acc, ty)
     in

@@ -108,3 +108,12 @@ let gep_step ty idx_const =
       | Some i when i >= 0 && i < List.length fields -> List.nth fields i
       | _ -> invalid_arg "Ltype.gep_step: struct index must be constant/in-range")
   | _ -> invalid_arg ("Ltype.gep_step: cannot index into " ^ to_string ty)
+
+(** Element type reached by one index of an [extractvalue] or
+    [insertvalue] path.  Unlike a GEP index, an array index must lie
+    inside the array. *)
+let agg_step ty i =
+  match ty with
+  | Array (n, _) when i < 0 || i >= n ->
+      invalid_arg "Ltype.agg_step: array index out of range"
+  | _ -> gep_step ty (Some i)

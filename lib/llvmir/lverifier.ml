@@ -184,8 +184,7 @@ let check_types (f : func) =
                 fail "@%s: getelementptr index is not an integer" f.fname)
             idxs
       | InsertValue (agg, v, path) -> (
-          let step ty ix = Ltype.gep_step ty (Some ix) in
-          match List.fold_left step (t agg) path with
+          match List.fold_left Ltype.agg_step (t agg) path with
           (* an opaque pointer holds any pointer, as a store through it does *)
           | Ltype.Ptr None when Ltype.is_pointer (t v) -> ()
           | ety ->

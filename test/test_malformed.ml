@@ -124,6 +124,28 @@ let test_aggregate_index () =
    ^ "  %q = getelementptr { i32, i32 }, ptr %p, i64 0, i32 %k\n"
    ^ "  %v = load i32, ptr %q\n  ret i32 %v\n}\n")
 
+(* An extractvalue or insertvalue index past an array's length: each
+   used to print back unchanged.  A GEP index may pass it. *)
+let test_aggregate_array_range () =
+  let fn body =
+    Printf.sprintf
+      "define [2 x i64] @f([2 x i64] %%a) {\nentry:\n  %s\n  ret [2 x i64] %%a\n}\n"
+      body
+  in
+  check_ll "extractvalue past the array" (fn "%b = extractvalue [2 x i64] %a, 7");
+  check_ll "insertvalue past the array"
+    (fn "%b = insertvalue [2 x i64] %a, i64 3, 9");
+  let gep =
+    "define i64 @f(ptr %p) {\nentry:\n"
+    ^ "  %q = getelementptr [2 x i64], ptr %p, i64 0, i64 7\n"
+    ^ "  %v = load i64, ptr %q\n  ret i64 %v\n}\n"
+  in
+  match H.opt (opt_req gep) with
+  | Ok _ -> ()
+  | Error ds ->
+      Alcotest.failf "a GEP past the array was rejected: %s"
+        (String.concat "; " (List.map Support.Diag.to_string ds))
+
 (* A literal that does not fit its type, and an insertvalue of the
    wrong element type: each used to print back unchanged *)
 let test_mistyped_literal () =
@@ -493,6 +515,8 @@ let suite =
     Alcotest.test_case "affine minus before digits" `Quick
       test_affine_minus_before_digits;
     Alcotest.test_case "aggregate index is HLS000" `Quick test_aggregate_index;
+    Alcotest.test_case "aggregate path past an array is HLS000" `Quick
+      test_aggregate_array_range;
     Alcotest.test_case "mistyped literal is HLS000" `Quick test_mistyped_literal;
     Alcotest.test_case "C++ flow on a name like 5e is HLS000" `Quick
       test_cpp_flow_exponent_name;
