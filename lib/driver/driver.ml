@@ -6,6 +6,8 @@
     its events (or stored in the cache) carries a {!Support.Tracing}
     collector, so the batch yields a full per-pass JSON trace
     ({!Trace}) alongside the QoR table; other jobs run untraced.
+    Every direct-IR design point of a kernel shares one directive-free
+    lowering and cleanup, computed once per process ({!memo_prefix}).
 
     Two entry points:
 
@@ -158,13 +160,55 @@ let guard ~(label : string) (f : unit -> 'a) : ('a, Diag.t list) result =
              (fun msg -> Diag.error ~rule:"HLS902" ~func:label "%s" msg)
              errs)
 
-(** Compile one job from scratch, capturing per-pass trace events
-    only when [events] (counting instructions and reading the clock
-    and GC counters around every pass and analysis query is a
-    measurable share of a small job).  Never raises: every failure
-    mode becomes [Error diags] — HLS000 for front-end compile errors,
-    HLS902 for middle-end rejection, HLS903 for an unknown kernel
-    name. *)
+(* A built-in kernel's directive-free cleanup output
+   ({!Flow.direct_ir_prefix}) by kernel name, with the events that
+   built it once a job has asked for events: every design point of a
+   kernel lowers and cleans up to the same bytes, so a process computes
+   them once per kernel, or twice when a job asks for events after an
+   untraced computation.  At most one entry per built-in kernel, shared
+   by the pool's domains. *)
+let prefixes :
+    (string, Llvmir.Lmodule.t * Support.Tracing.event list option) Hashtbl.t =
+  Hashtbl.create 16
+
+let prefixes_lock = Mutex.create ()
+
+(** [m]'s prefix from the memo.  A job that asks for events gets the
+    prefix's replayed into [trace], as a cache hit replays a stored
+    run's; only such a job pays for collecting them, so an untraced
+    miss costs what the prefix of a full compile costs. *)
+let memo_prefix ~(trace : Support.Tracing.hook) (kernel : string)
+    (m : Mhir.Ir.modul) : Llvmir.Lmodule.t =
+  let traced = trace != Support.Tracing.null in
+  let lm, events =
+    match
+      Mutex.protect prefixes_lock (fun () -> Hashtbl.find_opt prefixes kernel)
+    with
+    | Some (lm, Some events) -> (lm, events)
+    | Some (lm, None) when not traced -> (lm, [])
+    | _ ->
+        let hook, collected =
+          if traced then Support.Tracing.collector ()
+          else (Support.Tracing.null, fun () -> [])
+        in
+        let lm = Flow.direct_ir_prefix ~trace:hook m in
+        let events = collected () in
+        Mutex.protect prefixes_lock (fun () ->
+            if traced || not (Hashtbl.mem prefixes kernel) then
+              Hashtbl.replace prefixes kernel
+                (lm, if traced then Some events else None));
+        (lm, events)
+  in
+  if traced then List.iter trace events;
+  lm
+
+(** Compile one job, capturing per-pass trace events only when
+    [events] (counting instructions and reading the clock and GC
+    counters around every pass and analysis query is a measurable
+    share of a small job).  A direct-IR job takes its kernel's prefix
+    from the memo.  Never raises: every failure mode becomes [Error
+    diags] — HLS000 for front-end compile errors, HLS902 for
+    middle-end rejection, HLS903 for an unknown kernel name. *)
 let compute ~events ~(pipeline : Adaptor.Pipeline.t) (j : job) : payload =
   match K.by_name j.kernel with
   | None ->
@@ -188,7 +232,9 @@ let compute ~events ~(pipeline : Adaptor.Pipeline.t) (j : job) : payload =
         match
           guard ~label:j.label (fun () ->
               Flow.run ~directives:j.directives ~pipeline ~clock_ns:j.clock_ns
-                ~sched:j.sched ~trace:hook k j.flow)
+                ~sched:j.sched ~trace:hook
+                ~prefix:(memo_prefix ~trace:hook k.K.kname)
+                k j.flow)
         with
         | Ok (Ok r) ->
             ( Ok r.Flow.hls,

@@ -93,7 +93,16 @@ val guard : label:string -> (unit -> 'a) -> ('a, Support.Diag.t list) result
     failure mode becomes [Error diags].  Pass events are collected
     when [events] (default [false]) asks for them or the outcome is
     stored in [cache]; otherwise the job runs untraced and [o_trace]
-    is empty.  The QoR does not depend on [events]. *)
+    is empty.  The QoR does not depend on [events].
+
+    A direct-IR job takes its kernel's directive-free cleanup output
+    ({!Flow.direct_ir_prefix}) from a process-wide memo keyed by the
+    kernel name (at most one entry per built-in kernel, shared by the
+    pool's domains), then writes its own directives and runs the
+    adaptor and the estimator.  A job that asks for events gets the
+    events that built its kernel's entry replayed, so its event list
+    is that of a full compile; the first such job after an untraced
+    computation computes the entry again, traced. *)
 val run_job :
   ?events:bool ->
   pipeline:Adaptor.Pipeline.t ->

@@ -4,8 +4,8 @@
     variant, input-data plumbing) stay behind it.
 
     {b Flow A (direct IR, the paper's proposal)}:
-    mhir → canonicalize → modern LLVM lowering → LLVM cleanup pipeline →
-    {e adaptor} → HLS backend.
+    mhir → canonicalize → directive-free modern LLVM lowering → LLVM
+    cleanup pipeline → apply-directives → {e adaptor} → HLS backend.
 
     {b Flow B (HLS C++ baseline, ScaleHLS-style)}:
     mhir → canonicalize → HLS C++ emission → mini-C front-end (Vitis
@@ -46,16 +46,31 @@ val llvm_cleanup :
   Llvmir.Lmodule.t ->
   Llvmir.Lmodule.t
 
+(** Flow A's directive-free prefix: canonicalize, lower with a loop id
+    on each latch in place of the directives ({!Lowering.Lower.directive_free}),
+    verify, clean up.  Every design point of a kernel gives these
+    bytes.  [?am] as for {!direct_ir_frontend}. *)
+val direct_ir_prefix :
+  ?trace:Support.Tracing.hook ->
+  ?am:Llvmir.Analysis.t ->
+  Mhir.Ir.modul ->
+  Llvmir.Lmodule.t
+
 (** Flow A front-end: mhir to HLS-ready LLVM IR through the adaptor.
-    Returns [Error diagnostics] when the (strict) adaptor pipeline
-    leaves blocking compatibility issues; no exception escapes.  The
-    verifier, the cleanup pipeline and the adaptor share [?am] (a
-    fresh manager without it), which afterwards holds the output's
-    analyses for the estimator or lint. *)
+    Verifies [m], takes its directive-free cleanup output from
+    [?prefix] ({!direct_ir_prefix} by default), writes [m]'s directives
+    into it ({!Lowering.Apply_directives}, one ["lower"]
+    ["apply-directives"] event) and adapts the result.  Returns [Error
+    diagnostics] when the (strict) adaptor pipeline leaves blocking
+    compatibility issues; no exception escapes.  The verifier, the
+    cleanup pipeline and the adaptor share [?am] (a fresh manager
+    without it), which afterwards holds the output's analyses for the
+    estimator or lint. *)
 val direct_ir_frontend :
   ?pipeline:Adaptor.Pipeline.t ->
   ?trace:Support.Tracing.hook ->
   ?am:Llvmir.Analysis.t ->
+  ?prefix:(Mhir.Ir.modul -> Llvmir.Lmodule.t) ->
   Mhir.Ir.modul ->
   (Llvmir.Lmodule.t * Adaptor.report * float, Support.Diag.t list)
   Stdlib.result
@@ -84,13 +99,16 @@ val lint_kernel :
     scheduling discipline ([sched], default
     {!Hls_backend.Backend.Static}).  [Error diagnostics] when the
     strict adaptor gate blocks (direct-IR flow only).  One analysis
-    manager, reporting to [trace], serves every stage of the job. *)
+    manager, reporting to [trace], serves every stage of the job.
+    [?prefix] as for {!direct_ir_frontend}: the batch driver passes its
+    per-kernel memo. *)
 val run :
   ?directives:Workloads.Kernels.directives ->
   ?pipeline:Adaptor.Pipeline.t ->
   ?clock_ns:float ->
   ?sched:Hls_backend.Backend.sched ->
   ?trace:Support.Tracing.hook ->
+  ?prefix:(Mhir.Ir.modul -> Llvmir.Lmodule.t) ->
   Workloads.Kernels.kernel ->
   flow_kind ->
   (result, Support.Diag.t list) Stdlib.result

@@ -2,8 +2,8 @@
     plus co-simulation and comparison reporting.
 
     {b Flow A (direct IR, the paper's proposal)}:
-    mhir → canonicalize → modern LLVM lowering → LLVM cleanup pipeline →
-    {e adaptor} → HLS backend.
+    mhir → canonicalize → directive-free modern LLVM lowering → LLVM
+    cleanup pipeline → apply-directives → {e adaptor} → HLS backend.
 
     {b Flow B (HLS C++ baseline, ScaleHLS-style)}:
     mhir → canonicalize → HLS C++ emission → mini-C front-end (Vitis
@@ -51,6 +51,19 @@ let stage_event (trace : Support.Tracing.hook) ~stage ~pass ~t0 sizes =
     trace (Support.Tracing.event ~stage ~pass ~seconds ~before ~after)
   end
 
+(** Flow A's directive-free prefix: canonicalize, lower with a loop id
+    on each latch in place of the directives, verify, clean up. *)
+let direct_ir_prefix ?(trace = Support.Tracing.null)
+    ?(am = Llvmir.Analysis.create ~trace ()) (m : Mhir.Ir.modul) :
+    Llvmir.Lmodule.t =
+  let m = Mhir.Canonicalize.run m in
+  let t0 = Support.Tracing.now () in
+  let lm = Lowering.Lower.directive_free ~style:Lowering.Lower.modern m in
+  Llvmir.Lverifier.verify_module ~am lm;
+  stage_event trace ~stage:"lower" ~pass:"lower-modern" ~t0 (fun () ->
+      (0, Llvmir.Lmodule.instr_count lm));
+  llvm_cleanup ~am ~trace lm
+
 (** Flow A front-end: mhir to HLS-ready LLVM IR through the adaptor.
     Returns [Error diagnostics] when the (strict) adaptor pipeline
     leaves blocking compatibility issues; no exception escapes.  One
@@ -58,18 +71,20 @@ let stage_event (trace : Support.Tracing.hook) ~stage ~pass ~t0 sizes =
     cleanup pipeline and the adaptor. *)
 let direct_ir_frontend ?(pipeline = Adaptor.Pipeline.default)
     ?(trace = Support.Tracing.null) ?(am = Llvmir.Analysis.create ~trace ())
-    (m : Mhir.Ir.modul) :
+    ?(prefix = direct_ir_prefix ~trace ~am) (m : Mhir.Ir.modul) :
     (Llvmir.Lmodule.t * Adaptor.report * float, Support.Diag.t list)
     Stdlib.result =
   let t0 = Support.Tracing.now () in
   Mhir.Verifier.verify_module m;
-  let m = Mhir.Canonicalize.run m in
-  let tl0 = Support.Tracing.now () in
-  let lm = Lowering.Lower.lower_module ~style:Lowering.Lower.modern m in
-  Llvmir.Lverifier.verify_module ~am lm;
-  stage_event trace ~stage:"lower" ~pass:"lower-modern" ~t0:tl0 (fun () ->
-      (0, Llvmir.Lmodule.instr_count lm));
-  let lm = llvm_cleanup ~am ~trace lm in
+  let lm = prefix m in
+  let ta = Support.Tracing.now () in
+  (* [prefix] lowered [m] canonicalized; canonicalization keeps every
+     loop op, in order and with its attributes, so [m] numbers its
+     loops as the lowered module does *)
+  let lm = Lowering.Apply_directives.run m lm in
+  stage_event trace ~stage:"lower" ~pass:"apply-directives" ~t0:ta (fun () ->
+      let n = Llvmir.Lmodule.instr_count lm in
+      (n, n));
   match Adaptor.run ~pipeline ~trace ~am lm with
   | Ok (lm, report) -> Ok (lm, report, Support.Tracing.now () -. t0)
   | Error ds -> Error ds
@@ -127,7 +142,7 @@ let hls_cpp_frontend ?(trace = Support.Tracing.null)
     verifier run to the estimator reuses what an earlier stage built. *)
 let run ?(directives = K.pipelined) ?pipeline ?clock_ns
     ?(sched = Hls_backend.Backend.Static) ?(trace = Support.Tracing.null)
-    (kernel : K.kernel) (kind : flow_kind) :
+    ?prefix (kernel : K.kernel) (kind : flow_kind) :
     (result, Support.Diag.t list) Stdlib.result =
   let m = kernel.K.build directives in
   let am = Llvmir.Analysis.create ~trace () in
@@ -146,7 +161,7 @@ let run ?(directives = K.pipelined) ?pipeline ?clock_ns
   in
   match kind with
   | Direct_ir -> (
-      match direct_ir_frontend ?pipeline ~am ~trace m with
+      match direct_ir_frontend ?pipeline ~am ~trace ?prefix m with
       | Error ds -> Error ds
       | Ok (lm, report, seconds) ->
           Ok

@@ -14,12 +14,19 @@
     - {b modern intrinsics}: [llvm.smax/smin], [llvm.fmuladd] (fused
       from [mulf]+[addf]), [llvm.lifetime.*] around local buffers,
       [llvm.assume] of loop-bound facts;
-    - {b loop metadata}: [llvm.loop.*] keys on the latch branch carry
-      the HLS directives (pipeline II, unroll factor, trip count).
+    - {b loop metadata}: keys on the latch branch carry the HLS
+      directives (pipeline II, unroll factor, trip count).
 
     Memref function arguments use the bare-pointer calling convention
     ([-use-bare-ptr-memref-call-conv]): one pointer parameter per
-    memref, repacked into a descriptor in the entry block. *)
+    memref, repacked into a descriptor in the entry block.
+
+    {!directive_free} leaves the directives out: each latch carries a
+    module-unique loop id instead, and functions carry no attributes,
+    so every design point of a kernel lowers to one module.
+    {!Apply_directives} then writes the directives by loop id (the
+    direct-IR flow does so after the cleanup); {!lower_module} is the
+    two in a row. *)
 
 open Mhir
 module Ltype = Llvmir.Ltype
@@ -104,6 +111,7 @@ type env = {
   memrefs : (int, memref_repr) Hashtbl.t;
   mutable decls : Llvmir.Lmodule.decl list;
   mutable loop_counter : int;
+  loop_ids : int ref;  (** next loop id, shared by the module's functions *)
 }
 
 module B = Llvmir.Lbuilder
@@ -564,12 +572,14 @@ and lower_op env fctx (rest : Ir.op list) (o : Ir.op) : unit =
   | name -> fail "lowering: unhandled op %s" name
 
 (** Shared loop skeleton.  [lb]/[ub]/[step] are i64 values; [iters] are
-    the loop-carried inits; [dir_attrs] are HLS directive attrs from the
-    source op.  [body_ops] is the region block. *)
+    the loop-carried inits.  [blk] is the region block.  The loop takes
+    the next loop id before its body, so ids follow the ops' pre-order. *)
 and lower_counted_loop env fctx ~(lb : Lvalue.t) ~(ub : Lvalue.t)
-    ~(step : Lvalue.t) ~(iters : Lvalue.t list) ~(dir_attrs : (string * Attr.t) list)
-    ~(blk : Ir.block) ~(results : Ir.value list) : unit =
+    ~(step : Lvalue.t) ~(iters : Lvalue.t list) ~(blk : Ir.block)
+    ~(results : Ir.value list) : unit =
   let b = env.b in
+  let id = !(env.loop_ids) in
+  env.loop_ids := id + 1;
   env.loop_counter <- env.loop_counter + 1;
   let n = env.loop_counter in
   let header = B.fresh_label b (Printf.sprintf "loop%d.header" n) in
@@ -644,30 +654,13 @@ and lower_counted_loop env fctx ~(lb : Lvalue.t) ~(ub : Lvalue.t)
     latch
   in
   ignore body_end_label;
-  (* latch: iv increment + back edge with loop metadata *)
+  (* latch: iv increment + back edge with the loop id *)
   B.start_block b latch;
   B.emit b
     (Linstr.make ~result:next_name ~ty:Ltype.I64
        (Linstr.IBin (Linstr.Add, iv, step)));
   B.br b header;
-  let md = ref [] in
-  List.iter
-    (fun (k, a) ->
-      match (k, a) with
-      | "hls.pipeline", Attr.Int ii ->
-          md := ("llvm.loop.pipeline.enable", Linstr.MInt 1)
-                :: ("llvm.loop.pipeline.ii", Linstr.MInt ii) :: !md
-      | "hls.pipeline", Attr.Bool true ->
-          md := ("llvm.loop.pipeline.enable", Linstr.MInt 1) :: !md
-      | "hls.unroll", Attr.Int f ->
-          md := ("llvm.loop.unroll.count", Linstr.MInt f) :: !md
-      | "hls.unroll", Attr.Bool true ->
-          md := ("llvm.loop.unroll.full", Linstr.MInt 1) :: !md
-      | "hls.tripcount", Attr.Int t ->
-          md := ("llvm.loop.tripcount", Linstr.MInt t) :: !md
-      | _ -> ())
-    dir_attrs;
-  if !md <> [] then B.annotate_last b !md;
+  B.annotate_last b [ (Apply_directives.loop_id, Linstr.MInt id) ];
   (* exit *)
   B.start_block b exit;
   (* patch iter phis with latch incoming (the yielded values) *)
@@ -720,17 +713,8 @@ and lower_affine_for env fctx (o : Ir.op) : unit =
   in
   let iters = List.map (lookup env) o.Ir.operands in
   let blk = Ir.entry_block (List.hd o.Ir.regions) in
-  (* attach a tripcount directive implicitly *)
-  let dir_attrs =
-    let tc =
-      match (Affine_map.as_constant lb_map, Affine_map.as_constant ub_map) with
-      | Some l, Some u -> [ ("hls.tripcount", Attr.Int (max 0 ((u - l + step - 1) / step))) ]
-      | _ -> []
-    in
-    o.Ir.attrs @ tc
-  in
-  lower_counted_loop env fctx ~lb ~ub ~step:(Lvalue.ci64 step) ~iters
-    ~dir_attrs ~blk ~results:o.Ir.results
+  lower_counted_loop env fctx ~lb ~ub ~step:(Lvalue.ci64 step) ~iters ~blk
+    ~results:o.Ir.results
 
 and lower_scf_for env fctx (o : Ir.op) : unit =
   match o.Ir.operands with
@@ -739,7 +723,7 @@ and lower_scf_for env fctx (o : Ir.op) : unit =
       lower_counted_loop env fctx ~lb:(lookup env lb) ~ub:(lookup env ub)
         ~step:(lookup env step)
         ~iters:(List.map (lookup env) iter_inits)
-        ~dir_attrs:o.Ir.attrs ~blk ~results:o.Ir.results
+        ~blk ~results:o.Ir.results
   | _ -> fail "scf.for: malformed operands"
 
 and lower_scf_if env fctx (o : Ir.op) : unit =
@@ -788,7 +772,8 @@ and lower_scf_if env fctx (o : Ir.op) : unit =
 (* Function / module                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let lower_func (style : style) (mhf : Ir.func) : Llvmir.Lmodule.func * Llvmir.Lmodule.decl list =
+let lower_func (style : style) ~loop_ids (mhf : Ir.func) :
+    Llvmir.Lmodule.func * Llvmir.Lmodule.decl list =
   let b = B.create () in
   let env =
     {
@@ -798,6 +783,7 @@ let lower_func (style : style) (mhf : Ir.func) : Llvmir.Lmodule.func * Llvmir.Lm
       memrefs = Hashtbl.create 16;
       decls = [];
       loop_counter = 0;
+      loop_ids;
     }
   in
   let fctx =
@@ -844,28 +830,18 @@ let lower_func (style : style) (mhf : Ir.func) : Llvmir.Lmodule.func * Llvmir.Lm
     | [ t ] -> lower_scalar_ty t
     | _ -> fail "multiple return values unsupported at LLVM level"
   in
-  (* function attributes: forward HLS partition directives *)
-  let fattrs =
-    List.filter_map
-      (fun (k, a) ->
-        if String.starts_with ~prefix:"hls." k then
-          (* string attrs pass through unquoted (e.g. "cyclic:4:2") *)
-          match a with
-          | Attr.Str s -> Some (k, s)
-          | a -> Some (k, Attr.to_string a)
-        else None)
-      mhf.Ir.fattrs
-  in
-  ( { Llvmir.Lmodule.fname = mhf.Ir.fname; ret_ty; params; blocks; fattrs },
+  ( { Llvmir.Lmodule.fname = mhf.Ir.fname; ret_ty; params; blocks; fattrs = [] },
     env.decls )
 
-(** Lower a whole module.  The result verifies under
+(** Lower a whole module without its directives: loop ids on the
+    latches, no function attributes.  The result verifies under
     {!Llvmir.Lverifier}. *)
-let lower_module ?(style = modern) (m : Ir.modul) : Llvmir.Lmodule.t =
+let directive_free ?(style = modern) (m : Ir.modul) : Llvmir.Lmodule.t =
+  let loop_ids = ref 0 in
   let funcs, decls =
     List.fold_left
       (fun (fs, ds) f ->
-        let lf, d = lower_func style f in
+        let lf, d = lower_func style ~loop_ids f in
         (lf :: fs, d @ ds))
       ([], []) m.Ir.funcs
   in
@@ -883,3 +859,8 @@ let lower_module ?(style = modern) (m : Ir.modul) : Llvmir.Lmodule.t =
     globals = [];
     decls = dedup;
   }
+
+(** Lower a whole module with its directives: {!directive_free}, then
+    {!Apply_directives.run}. *)
+let lower_module ?style (m : Ir.modul) : Llvmir.Lmodule.t =
+  Apply_directives.run m (directive_free ?style m)

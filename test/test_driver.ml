@@ -10,6 +10,7 @@ module Pool = Mhls_driver.Pool
 module Cache = Mhls_driver.Cache
 module K = Workloads.Kernels
 module P = Adaptor.Pipeline
+module Sp = Mhls_dse.Space
 
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                            *)
@@ -457,9 +458,11 @@ let test_events_only_when_asked () =
     (gemm_jobs ())
 
 (* The stage and pass events of a gemm job with their IR sizes: asking
-   for events must not change them.  The analysis queries in between
-   are left out, since which of them hit depends on how the stages
-   share the job's manager. *)
+   for events must not change them, and a direct-IR job whose kernel's
+   prefix is memoized replays the prefix's events (lowering and
+   cleanup), then writes the directives.  The analysis queries in
+   between are left out, since which of them hit depends on how the
+   stages share the job's manager. *)
 let gemm_stage_events =
   [
     ( "gemm/direct-ir",
@@ -467,7 +470,8 @@ let gemm_stage_events =
         "llvm-opt mem2reg 66 66"; "llvm-opt constfold 66 63";
         "llvm-opt cse 63 63"; "llvm-opt licm 63 63"; "llvm-opt dce 63 63";
         "llvm-opt simplifycfg 63 60"; "llvm-opt constfold 60 60";
-        "llvm-opt dce 60 60"; "adaptor legalize-intrinsics 60 58";
+        "llvm-opt dce 60 60"; "lower apply-directives 60 60";
+        "adaptor legalize-intrinsics 60 58";
         "adaptor eliminate-descriptors 58 28"; "adaptor typed-pointers 28 28";
         "adaptor canonicalize-geps 28 28"; "adaptor translate-metadata 28 32";
         "adaptor lower-interfaces 32 32"; "hls estimate-static 32 32" ] );
@@ -479,30 +483,37 @@ let gemm_stage_events =
         "llvm-opt dce 40 40"; "hls estimate-static 40 40" ] );
   ]
 
+let stage_lines (o : D.outcome) =
+  List.filter_map
+    (fun (e : Support.Tracing.event) ->
+      if e.Support.Tracing.ev_stage = "analysis" then None
+      else
+        Some
+          (Printf.sprintf "%s %s %d %d" e.Support.Tracing.ev_stage
+             e.Support.Tracing.ev_pass e.Support.Tracing.ev_instrs_before
+             e.Support.Tracing.ev_instrs_after))
+    o.D.o_trace
+
 let test_events_keep_stages () =
   List.iter
     (fun j ->
-      let o = D.run_job ~events:true ~pipeline:P.default ~cache:None j in
-      let stages =
-        List.filter_map
-          (fun (e : Support.Tracing.event) ->
-            if e.Support.Tracing.ev_stage = "analysis" then None
-            else
-              Some
-                (Printf.sprintf "%s %s %d %d" e.Support.Tracing.ev_stage
-                   e.Support.Tracing.ev_pass e.Support.Tracing.ev_instrs_before
-                   e.Support.Tracing.ev_instrs_after))
-          o.D.o_trace
-      in
-      Alcotest.(check (list string))
-        (j.D.label ^ ": stages, passes and sizes")
-        (List.assoc j.D.label gemm_stage_events)
-        stages;
-      Alcotest.(check bool) (j.D.label ^ ": analysis queries traced") true
-        (List.exists
-           (fun (e : Support.Tracing.event) ->
-             e.Support.Tracing.ev_stage = "analysis")
-           o.D.o_trace))
+      (* an untraced run first leaves the kernel's prefix memoized
+         without its events: the first traced run computes it again,
+         the second replays it *)
+      ignore (D.run_job ~pipeline:P.default ~cache:None j);
+      List.iter
+        (fun run ->
+          let o = D.run_job ~events:true ~pipeline:P.default ~cache:None j in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, run %d: stages, passes and sizes" j.D.label run)
+            (List.assoc j.D.label gemm_stage_events)
+            (stage_lines o);
+          Alcotest.(check bool) (j.D.label ^ ": analysis queries traced") true
+            (List.exists
+               (fun (e : Support.Tracing.event) ->
+                 e.Support.Tracing.ev_stage = "analysis")
+               o.D.o_trace))
+        [ 1; 2 ])
     (gemm_jobs ())
 
 let test_cache_stores_and_replays_events () =
@@ -520,9 +531,104 @@ let test_cache_stores_and_replays_events () =
       Alcotest.(check bool) (j.D.label ^ ": hit served") true
         hit.D.o_from_cache;
       Alcotest.(check bool) (j.D.label ^ ": hit replays the events") true
-        (hit.D.o_trace = miss.D.o_trace))
+        (hit.D.o_trace = miss.D.o_trace);
+      (* a miss in a second cache whose kernel prefix is memoized *)
+      let dir2 = fresh_dir () in
+      let memo =
+        D.run_job ~events:false ~pipeline:P.default
+          ~cache:(Some (Cache.create ~dir:dir2)) j
+      in
+      Alcotest.(check bool) (j.D.label ^ ": second cache missed") false
+        memo.D.o_from_cache;
+      Alcotest.(check (list string))
+        (j.D.label ^ ": stages, passes and sizes of a memo hit")
+        (List.assoc j.D.label gemm_stage_events)
+        (stage_lines memo);
+      Alcotest.(check (list string))
+        (j.D.label ^ ": the stored run's stages, passes and sizes")
+        (stage_lines miss) (stage_lines memo);
+      rm_rf dir2)
     (gemm_jobs ());
   rm_rf dir
+
+(* ------------------------------------------------------------------ *)
+(* The direct-IR prefix memo                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every [n]-th design point of a kernel's space, first and last
+   included. *)
+let sample_points n (k : K.kernel) =
+  let sp = Sp.of_kernel k in
+  let all = Array.of_list (Sp.enumerate sp) in
+  let len = Array.length all in
+  List.sort_uniq compare (List.init n (fun i -> i * (len - 1) / max 1 (n - 1)))
+  |> List.map (fun i -> (Sp.describe all.(i), Sp.to_directives sp all.(i)))
+
+(* A direct-IR job whose kernel's prefix is memoized (after a
+   warm-up job) gives the report and the rendered adaptor report of a
+   full compile, under both disciplines. *)
+let test_memo_hits_match_full_compiles () =
+  List.iter
+    (fun (k : K.kernel) ->
+      ignore
+        (D.run_job ~pipeline:P.default ~cache:None
+           (D.job ~kernel:k.K.kname K.no_directives));
+      List.iter
+        (fun (point, d) ->
+          List.iter
+            (fun sched ->
+              let what =
+                Printf.sprintf "%s/%s/%s" k.K.kname point
+                  (Hls_backend.Backend.sched_name sched)
+              in
+              let o =
+                D.run_job ~pipeline:P.default ~cache:None
+                  (D.job ~sched ~kernel:k.K.kname d)
+              in
+              match Flow.run ~directives:d ~pipeline:P.default ~sched k Flow.Direct_ir with
+              | Error _ -> Alcotest.failf "%s: Flow.run failed" what
+              | Ok r ->
+                  Alcotest.(check bool) (what ^ ": report") true
+                    (o.D.o_qor = Ok r.Flow.hls);
+                  Alcotest.(check (option string))
+                    (what ^ ": adaptor report")
+                    (Option.map Adaptor.report_to_string r.Flow.adaptor_report)
+                    o.D.o_adaptor)
+            Hls_backend.Backend.all_scheds)
+        (sample_points 5 k))
+    (K.all ())
+
+(* Jobs of two kernels (one of them inlines a callee's loops) started
+   on a cold memo: four workers race to fill it and must print the
+   bytes one worker prints.  Then a job that asks for events finds
+   gemm's prefix memoized without them, computes it again and must
+   list a full compile's events.  Each batch runs in a fresh process, a
+   helper executable, since this one's memo is warm and a process that
+   has started domains cannot fork. *)
+let test_memo_cold_parallel_batch () =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "memo_batch.exe" in
+  let run jobs =
+    let ic = Unix.open_process_args_in exe [| exe; string_of_int jobs |] in
+    let out = In_channel.input_all ic in
+    (match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.failf "memo_batch %d failed" jobs);
+    out
+  in
+  let one = run 1 in
+  Alcotest.(check bool) "the batch compiled" true
+    (Str_find.contains one "mmcall" && not (Str_find.contains one "FAIL"));
+  Alcotest.(check string) "--jobs 4 prints the --jobs 1 bytes" one (run 4);
+  let rec after = function
+    | [] -> None
+    | "events:" :: rest -> Some (List.filter (( <> ) "") rest)
+    | _ :: rest -> after rest
+  in
+  let events = after (String.split_on_char '\n' one) in
+  Alcotest.(check (option (list string)))
+    "events of a traced job after an untraced one"
+    (Some (List.assoc "gemm/direct-ir" gemm_stage_events))
+    events
 
 (* ------------------------------------------------------------------ *)
 (* Cache robustness                                                   *)
@@ -650,6 +756,10 @@ let suite =
       test_events_keep_stages;
     Alcotest.test_case "cache stores and replays events" `Quick
       test_cache_stores_and_replays_events;
+    Alcotest.test_case "memo hits match full compiles" `Quick
+      test_memo_hits_match_full_compiles;
+    Alcotest.test_case "memo filled by a parallel batch" `Quick
+      test_memo_cold_parallel_batch;
     Alcotest.test_case "undecodable cache entry is a miss" `Quick
       test_cache_undecodable_is_miss;
     Alcotest.test_case "damaged cache entry is a miss" `Quick

@@ -203,6 +203,51 @@ let test_scf_constructs_lower () =
   Alcotest.(check (float 1e-9)) "kept 3" 3.0 out.(2);
   Alcotest.(check (float 1e-9)) "clipped 8 -> 5" 5.0 out.(7)
 
+(* The direct-IR flow writes the directives after the cleanup, and the
+   batch driver shares one directive-free cleanup output among every
+   design point of a kernel.  Both rest on the cleanup reading neither
+   loop metadata nor function attributes: for every kernel x the
+   default grid, the directives applied after the cleanup print the
+   bytes of the cleanup after {!Lowering.Lower.lower_module}, and the
+   directive-free cleanup output carries no directive and is the same
+   for every point. *)
+let test_directives_after_cleanup () =
+  let print = Lprinter.module_to_string in
+  List.iter
+    (fun (k : K.kernel) ->
+      let prefixes =
+        List.map
+          (fun (cfg, d) ->
+            let what = k.K.kname ^ "/" ^ cfg in
+            let m = Mhir.Canonicalize.run (k.K.build d) in
+            let bare = Flow.llvm_cleanup (Lowering.Lower.directive_free m) in
+            Alcotest.(check string)
+              (what ^ ": apply-directives after the cleanup")
+              (print (Flow.llvm_cleanup (Lowering.Lower.lower_module m)))
+              (print (Lowering.Apply_directives.run m bare));
+            List.iter
+              (fun (f : Lmodule.func) ->
+                Alcotest.(check (list (pair string string)))
+                  (what ^ ": no function attributes") [] f.Lmodule.fattrs;
+                Lmodule.iter_insts
+                  (fun i ->
+                    List.iter
+                      (fun (key, _) ->
+                        Alcotest.(check string) (what ^ ": only loop ids")
+                          Lowering.Apply_directives.loop_id key)
+                      i.Linstr.imeta)
+                  f)
+              bare.Lmodule.funcs;
+            print bare)
+          Mhls_driver.Driver.default_grid
+      in
+      List.iter
+        (Alcotest.(check string)
+           (k.K.kname ^ ": one directive-free prefix")
+           (List.hd prefixes))
+        prefixes)
+    (K.all ())
+
 let suite =
   [
     Alcotest.test_case "modern emits descriptors" `Quick test_modern_emits_descriptors;
@@ -218,4 +263,6 @@ let suite =
     Alcotest.test_case "linearized accesses" `Quick test_linearized_accesses;
     Alcotest.test_case "scalar args" `Quick test_scalar_args_lower_directly;
     Alcotest.test_case "scf constructs" `Quick test_scf_constructs_lower;
+    Alcotest.test_case "directives after the cleanup (all kernels x grid)"
+      `Quick test_directives_after_cleanup;
   ]
