@@ -23,6 +23,14 @@ module Diag = Support.Diag
 
 let ( let* ) = Result.bind
 
+(** [f ()], with a compile error (a parse or verifier failure) as its
+    HLS000 diagnostic. *)
+let hls000 f =
+  match f () with
+  | v -> Ok v
+  | exception Support.Err.Compile_error e ->
+      Error [ Diag.of_err ~rule:"HLS000" e ]
+
 (* ------------------------------------------------------------------ *)
 (* Environment                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -226,15 +234,11 @@ let opt (o : P.opt_req) : (P.opt_resp, Diag.t list) result =
         Error [ P.protocol_error "opt takes source or synth, not both" ]
     | None, None ->
         Error [ P.protocol_error "opt needs source text or a synth size" ]
-    | Some src, None -> (
-        match
-          let m = Llvmir.Lparser.parse_module src in
-          Llvmir.Lverifier.verify_module ~am m;
-          m
-        with
-        | m -> Ok m
-        | exception Support.Err.Compile_error e ->
-            Error [ Diag.of_err ~rule:"HLS000" e ])
+    | Some src, None ->
+        hls000 (fun () ->
+            let m = Llvmir.Lparser.parse_module src in
+            Llvmir.Lverifier.verify_module ~am m;
+            m)
     | None, Some n -> Ok (Mhls_driver.Synth.many_kernels ~n)
   in
   if o.P.op_parsafe then
@@ -423,17 +427,16 @@ let adapt ~(source : string) ~(strict : bool)
   let trace, events = Support.Tracing.collector () in
   let am = Llvmir.Analysis.create ~trace () in
   let* m =
-    match
-      let m = Llvmir.Lparser.parse_module source in
-      Llvmir.Lverifier.verify_module ~am m;
-      m
-    with
-    | m -> Ok m
-    | exception Support.Err.Compile_error e ->
-        Error [ Diag.of_err ~rule:"HLS000" e ]
+    hls000 (fun () ->
+        let m = Llvmir.Lparser.parse_module source in
+        Llvmir.Lverifier.verify_module ~am m;
+        m)
   in
   let* pipeline = pipeline_of ~strict ~passes ~disable () in
-  let* m', report = Adaptor.run ~pipeline ~trace ~am m in
+  (* the adaptor verifies its own output, which a pass can break *)
+  let* m', report =
+    Result.join (hls000 (fun () -> Adaptor.run ~pipeline ~trace ~am m))
+  in
   let pass_lines =
     List.filter_map
       (fun (e : Support.Tracing.event) ->
@@ -461,14 +464,10 @@ let synth_mlir ~(source : string) ~(top : string option) ~(flow : string)
   let* flow = resolve "flow" Flow.flow_names flow in
   let* sched = resolve "sched" sched_names sched in
   let* m =
-    match
-      let m = Mhir.Parser.parse_module source in
-      Mhir.Verifier.verify_module m;
-      m
-    with
-    | m -> Ok m
-    | exception Support.Err.Compile_error e ->
-        Error [ Diag.of_err ~rule:"HLS000" e ]
+    hls000 (fun () ->
+        let m = Mhir.Parser.parse_module source in
+        Mhir.Verifier.verify_module m;
+        m)
   in
   let* top =
     match (top, m.Mhir.Ir.funcs) with

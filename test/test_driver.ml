@@ -477,8 +477,8 @@ let gemm_stage_events =
         "adaptor lower-interfaces 32 32"; "hls estimate-static 32 32" ] );
     ( "gemm/hls-cpp",
       [ "hls-cpp emit-and-parse 0 81"; "llvm-opt inline 81 81";
-        "llvm-opt mem2reg 81 63"; "llvm-opt constfold 63 63";
-        "llvm-opt cse 63 62"; "llvm-opt licm 62 62"; "llvm-opt dce 62 43";
+        "llvm-opt mem2reg 81 44"; "llvm-opt constfold 44 44";
+        "llvm-opt cse 44 43"; "llvm-opt licm 43 43"; "llvm-opt dce 43 43";
         "llvm-opt simplifycfg 43 40"; "llvm-opt constfold 40 40";
         "llvm-opt dce 40 40"; "hls estimate-static 40 40" ] );
   ]

@@ -398,6 +398,141 @@ let test_no_dead_code_after_cleanup () =
         Mhls_driver.Driver.default_grid)
     (K.all ())
 
+(* mem2reg places a phi only where its slot is live-in, so by the
+   oracle above none of the phis it writes is dead, on either flow's
+   input to it *)
+let test_mem2reg_no_dead_phi () =
+  let open Llvmir in
+  List.iter
+    (fun (k : K.kernel) ->
+      List.iter
+        (fun (label, directives) ->
+          let m = Mhir.Canonicalize.run (k.K.build directives) in
+          List.iter
+            (fun (flow, lm) ->
+              let lm, _ = Pass.run_pipeline [ Pass.inline; Pass.mem2reg ] lm in
+              List.iter
+                (fun (f : Lmodule.func) ->
+                  let phis =
+                    Lmodule.fold_insts
+                      (fun acc (i : Linstr.t) ->
+                        match i.op with
+                        | Linstr.Phi _ -> Support.Interner.name i.result :: acc
+                        | _ -> acc)
+                      [] f
+                  in
+                  match List.filter (fun r -> List.mem r phis) (dead_rows f) with
+                  | [] -> ()
+                  | dead ->
+                      Alcotest.failf "%s/%s/%s @%s: %d dead phis (%%%s)" k.K.kname
+                        flow label f.Lmodule.fname (List.length dead)
+                        (String.concat ", %" dead))
+                lm.Lmodule.funcs)
+            [
+              ( "direct-ir",
+                Lowering.Lower.directive_free ~style:Lowering.Lower.modern m );
+              ("hls-cpp", Hlscpp.Ccodegen.compile (Hlscpp.Emit.emit_module m));
+            ])
+        Mhls_driver.Driver.default_grid)
+    (K.all ())
+
+(* ------------------------------------------------------------------ *)
+(* HLS C++ flow IR digests                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5 of the IR the HLS C++ flow hands its estimator ([Flow.run]'s
+   [llvm], printed) for the 14 kernels and the default grid.  The
+   [cpp] digests above cover the emitted C++ only; these pin what the
+   C++ front end and the cleanup make of it, so a cleanup change that
+   alters this IR shows even when no report moves.  Update only with an
+   intentional change to that IR. *)
+let cpp_ir_digests =
+  [
+    ("gemm/baseline", "9b998830644c29e55c0d32ddf87d22ee");
+    ("gemm/pipeline-inner", "b1de83f32dcf14cc3fbc4b0ee56a98ab");
+    ("gemm/inner-unroll4", "6e99afa395386c4b4b1c673983758877");
+    ("gemm/middle-full-unroll", "d4f2b8c44e682ca060ffcf6d0b846b99");
+    ("mm2/baseline", "1d39c272d3ffc460c79db3767a5d1ca8");
+    ("mm2/pipeline-inner", "fe6feceed1a59fb82c2d56365a02b8df");
+    ("mm2/inner-unroll4", "7abf08e761913b41483b3b16f45d0e06");
+    ("mm2/middle-full-unroll", "b41008ae49679a4d71d1d2227048dda9");
+    ("mm3/baseline", "2daeb429db19cd2b86dacc4d9387e82a");
+    ("mm3/pipeline-inner", "05c64da2672f3ec2fd0334f14158dcdf");
+    ("mm3/inner-unroll4", "881679f3737b24e466454121b59c0cde");
+    ("mm3/middle-full-unroll", "f654d5ad7cad68f182159c8d37e8f70c");
+    ("atax/baseline", "74a0fe4834765da78b2c7963f96788b2");
+    ("atax/pipeline-inner", "7267512060f16d28f5a9e0ab9c958382");
+    ("atax/inner-unroll4", "b79bf7f8831d102555685967c7108799");
+    ("atax/middle-full-unroll", "a222d21b7d698d5a84700d96ea154998");
+    ("bicg/baseline", "409f1081e1ffa1ce408330642ac73abf");
+    ("bicg/pipeline-inner", "591bb289975a90cf87d531e1f9197343");
+    ("bicg/inner-unroll4", "eb6d7626fd9cc2df8e6a5e2a674d89fa");
+    ("bicg/middle-full-unroll", "39b63cc3a8d864b9063aeb7ec41e1483");
+    ("mvt/baseline", "2cd275cf64477a0f8e5472c293c946e8");
+    ("mvt/pipeline-inner", "de855766bc6c4e7e0f44139472357682");
+    ("mvt/inner-unroll4", "3333b9bf0edf2fb22c0c33d9d97cc076");
+    ("mvt/middle-full-unroll", "4bd82e5afcc0c0349e30237afa7470c5");
+    ("gesummv/baseline", "f2f13ac5eab65fbd257153e09bad0e65");
+    ("gesummv/pipeline-inner", "5005e6a1ab055c6f7e910548dc96e211");
+    ("gesummv/inner-unroll4", "bb4922b0ad81e1d6c1089f874fa7f949");
+    ("gesummv/middle-full-unroll", "19d608b8c666e7f7e77b4de77e4537fd");
+    ("fir/baseline", "c8856fc99323df8d18255387b314a887");
+    ("fir/pipeline-inner", "a3ae0604953ebf1599b45c3d155b18ff");
+    ("fir/inner-unroll4", "645cd93a0a6783600f4921ab56f7de22");
+    ("fir/middle-full-unroll", "cc0dbce4bcaa1376625d168f2fb9c688");
+    ("conv2d/baseline", "cef338cd9e5530c2957e451577363daa");
+    ("conv2d/pipeline-inner", "c4c9d096c9969aebec6c7cb329377de4");
+    ("conv2d/inner-unroll4", "c4d3b45ee9b0c9d66c013a1158f8da86");
+    ("conv2d/middle-full-unroll", "1761314a55be551d8fdacc323b17af49");
+    ("jacobi2d/baseline", "1da4b927d2fa0feda273bf719d2f0974");
+    ("jacobi2d/pipeline-inner", "69d335caefb178c75125ad4e45c811c6");
+    ("jacobi2d/inner-unroll4", "d1450d1cd49bd2f343c1cfb13b81dae7");
+    ("jacobi2d/middle-full-unroll", "f0dd76bbde9fbc03184c76d18c0b9561");
+    ("syrk/baseline", "166cfd06844add415b26786bf6c2dadf");
+    ("syrk/pipeline-inner", "6f071f2a999ae390f56d3c50b83a3e35");
+    ("syrk/inner-unroll4", "d888436cb9949ace6d90a999bb3b8e96");
+    ("syrk/middle-full-unroll", "e0613bfed0b7cb7f379db1bf674290ef");
+    ("doitgen/baseline", "78e14a092d86628f6c7a953a9be4168d");
+    ("doitgen/pipeline-inner", "232ed906d918a44c038a8e79569c0e95");
+    ("doitgen/inner-unroll4", "11115028cb9022710a9930f452aa748a");
+    ("doitgen/middle-full-unroll", "baf5785b9b3d29a0e5bb6ae1c4e75007");
+    ("seidel2d/baseline", "700ef336303d5a1cd3fb410ec82dc315");
+    ("seidel2d/pipeline-inner", "197f2709359e6e261280b143d7c92cec");
+    ("seidel2d/inner-unroll4", "904f3d634fc3df182d664f696f15b46c");
+    ("seidel2d/middle-full-unroll", "197f2709359e6e261280b143d7c92cec");
+    ("mmcall/baseline", "5c7f3e640d1ebd08e57cf1c824ac8be0");
+    ("mmcall/pipeline-inner", "3977929e0bf1d4f3a57fe49358177ae3");
+    ("mmcall/inner-unroll4", "3febaefb9d32ad856d48c251381cae2e");
+    ("mmcall/middle-full-unroll", "79ef41e2a9366f33039742a0ceaa86d2");
+  ]
+
+let cpp_ir_digest (k : K.kernel) (label, directives) =
+  match Flow.run ~directives k Flow.Hls_cpp with
+  | Ok r ->
+      ( k.K.kname ^ "/" ^ label,
+        Digest.to_hex
+          (Digest.string (Llvmir.Lprinter.module_to_string r.Flow.llvm)) )
+  | Error _ -> Alcotest.failf "%s/hls-cpp/%s: flow failed" k.K.kname label
+
+(* As for the 42 texts, the digests are made in both orders. *)
+let test_cpp_ir_digests () =
+  let grid = Mhls_driver.Driver.default_grid in
+  let forward =
+    List.concat_map (fun k -> List.map (cpp_ir_digest k) grid) (K.all ())
+  in
+  let backward =
+    List.concat_map
+      (fun k -> List.map (cpp_ir_digest k) (List.rev grid))
+      (List.rev (K.all ()))
+  in
+  Alcotest.(check int) "every kernel and grid point pinned"
+    (List.length cpp_ir_digests) (List.length forward);
+  List.iter
+    (fun (key, got) ->
+      Alcotest.(check (option string)) (key ^ " digest")
+        (List.assoc_opt key cpp_ir_digests) (Some got))
+    (forward @ backward)
+
 let suite =
   [
     Alcotest.test_case "cosim (all kernels x directives)" `Slow
@@ -421,4 +556,8 @@ let suite =
     Alcotest.test_case "IR text digests (42 texts)" `Quick test_ir_digests;
     Alcotest.test_case "no dead code after cleanup" `Quick
       test_no_dead_code_after_cleanup;
+    Alcotest.test_case "no dead phi out of mem2reg" `Quick
+      test_mem2reg_no_dead_phi;
+    Alcotest.test_case "HLS C++ flow IR digests (56 texts)" `Quick
+      test_cpp_ir_digests;
   ]

@@ -201,6 +201,50 @@ join:
         want (promote order))
     [ [ 0; 2; 1 ]; [ 1; 0; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ]; [ 2; 1; 0 ] ]
 
+(* A slot stored on both arms and never loaded after the join is not
+   live-in there, so the join gets no phi (pruned SSA) *)
+let test_mem2reg_no_phi_where_dead () =
+  let m =
+    parse
+      {|define void @f(i1 %c, i64* %out) {
+entry:
+  %x = alloca i64
+  br i1 %c, label %a, label %b
+a:
+  store i64 1, i64* %x
+  %v = load i64, i64* %x
+  store i64 %v, i64* %out
+  br label %join
+b:
+  store i64 2, i64* %x
+  br label %join
+join:
+  ret void
+}|}
+  in
+  let m', _ = Pass.run_pipeline [ Pass.mem2reg ] m in
+  Alcotest.(check int) "alloca gone" 0 (count_opcode is_alloca m');
+  Alcotest.(check int) "load gone" 0 (count_opcode is_load m');
+  Alcotest.(check int) "no phi at the join" 0 (count_opcode is_phi m')
+
+(* A load at another type than the slot's (opaque pointers allow it)
+   reads the stored bits, not the stored value: the slot must stay in
+   memory, as LLVM's isAllocaPromotable keeps it *)
+let test_mem2reg_keeps_type_punned_slot () =
+  let m =
+    parse
+      {|define i32 @f(i64 %a) {
+entry:
+  %x = alloca i64
+  store i64 %a, ptr %x
+  %v = load i32, ptr %x
+  ret i32 %v
+}|}
+  in
+  let m', _ = Pass.run_pipeline Pass.default_pipeline m in
+  Alcotest.(check int) "alloca kept" 1 (count_opcode is_alloca m');
+  Alcotest.(check int) "load kept" 1 (count_opcode is_load m')
+
 (* ------------------------------------------------------------------ *)
 (* constfold / dce / cse / simplifycfg / licm                         *)
 (* ------------------------------------------------------------------ *)
@@ -676,6 +720,10 @@ let suite =
     Alcotest.test_case "mem2reg skips escaping" `Quick test_mem2reg_skips_escaping;
     Alcotest.test_case "mem2reg independent of interning order" `Quick
       test_mem2reg_interning_order;
+    Alcotest.test_case "mem2reg places no phi where the slot is dead" `Quick
+      test_mem2reg_no_phi_where_dead;
+    Alcotest.test_case "mem2reg keeps a type-punned slot" `Quick
+      test_mem2reg_keeps_type_punned_slot;
     Alcotest.test_case "constfold" `Quick test_constfold;
     Alcotest.test_case "dce" `Quick test_dce;
     Alcotest.test_case "dce keeps side effects" `Quick test_dce_keeps_side_effects;

@@ -115,7 +115,8 @@ let test_roundtrip_adapted_kernels () =
 (* ------------------------------------------------------------------ *)
 
 (* [Lmodule.namegen] reads the function's names on first use; a
-   generator that reserves them all up front must hand out the same
+   generator that reserves them all up front, and mem2reg's, which asks
+   the function index and the CFG per name, must hand out the same
    names, in the same order, under the same mix of calls *)
 let test_namegen_lazy_is_eager () =
   let module N = Support.Namegen in
@@ -154,7 +155,11 @@ let test_namegen_lazy_is_eager () =
         in
         Alcotest.(check (list string))
           (f.Lmodule.fname ^ " fresh sequence")
-          (run (eager f)) (run (Lmodule.namegen f)))
+          (run (eager f)) (run (Lmodule.namegen f));
+        Alcotest.(check (list string))
+          (f.Lmodule.fname ^ " fresh sequence, asked per name")
+          (run (eager f))
+          (run (Opt_mem2reg.phi_names (Findex.build f) (Cfg.build f))))
       [ `Fresh; `Reserve; `Is_used ]
   in
   List.iter

@@ -494,10 +494,41 @@ let test_affine_minus_before_digits () =
        (with_map "(d0)" "d0 -3 floordiv 2")
        "affine_map<(d0) -> ((d0 + -1))>")
 
+(* A phi of two pointers that typed-pointers types differently: the
+   input verifies, but the adaptor's output does not, and [adapt]
+   reports that verifier error as HLS000 with its message *)
+let test_adaptor_side_error () =
+  let source =
+    "define void @f(ptr %a, ptr %b, i1 %c) {\nentry:\n"
+    ^ "  br i1 %c, label %l, label %r\n"
+    ^ "l:\n  %x = load float, ptr %a\n  br label %m\n"
+    ^ "r:\n  %y = load i32, ptr %b\n  br label %m\n"
+    ^ "m:\n  %p = phi ptr [ %a, %l ], [ %b, %r ]\n"
+    ^ "  %z = load i64, ptr %p\n  ret void\n}\n"
+  in
+  (match H.opt (opt_req source) with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "opt rejected the input");
+  List.iter
+    (fun strict ->
+      let what = Printf.sprintf "adapt (strict %b)" strict in
+      match H.adapt ~source ~strict ~passes:None ~disable:[] () with
+      | Error ds ->
+          check_hls000 what (Error ds);
+          Alcotest.(check bool) (what ^ ": the verifier's message") true
+            (List.exists
+               (fun (d : Support.Diag.t) ->
+                 Str_find.contains d.message "phi incoming types differ")
+               ds)
+      | Ok _ -> Alcotest.failf "%s: accepted" what)
+    [ true; false ]
+
 let suite =
   [
     Alcotest.test_case "integer past max_int is HLS000" `Quick
       test_int_past_max_int;
+    Alcotest.test_case "adaptor-side verifier error is HLS000" `Quick
+      test_adaptor_side_error;
     Alcotest.test_case "unknown predicate is HLS000" `Quick
       test_unknown_predicate;
     Alcotest.test_case "missing or mistyped attribute is HLS000" `Quick
